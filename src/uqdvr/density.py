@@ -7,11 +7,11 @@ high-resolution volumes.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .volcore import (
     DistributionVolume,
@@ -28,11 +28,13 @@ from .volcore import (
     _quantile_masses,
 )
 
-# Above this many samples per voxel the KDE switches to a binned evaluation.
-_BINNED_KDE_THRESHOLD = 4096
 # Sigma floor for EM fits, relative to the sample range.
 _GMM_SIGMA_FLOOR_REL = 1e-6
 _CHUNK_VOXELS = 4096
+# Cells of padded FFT lattice smoothed at once: 128 rows at lattice 512, fewer
+# at finer lattices.  Arrays of ~1 MB keep the per-thread working set (and what
+# the allocator retains after it) small; larger blocks are no faster.
+_FFT_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -40,18 +42,27 @@ class KdeConfig:
     """Gaussian-kernel KDE settings.
 
     The density is evaluated on a uniform value lattice spanning the sample
-    range padded by 3 bandwidths.  bandwidth "auto" is Silverman's rule.
+    range padded by 3 bandwidths.  bandwidth "auto" is Silverman's rule;
+    otherwise it is a finite positive number.  lattice is an integer number
+    of lattice points in [64, 65536].
     """
 
     bandwidth: float | str = "auto"
     lattice: int = 512
 
     def __post_init__(self):
-        if self.bandwidth != "auto":
-            if not (float(self.bandwidth) > 0):
-                raise VolumeError("explicit bandwidth must be positive")
-        if int(self.lattice) < 64:
-            raise VolumeError("lattice resolution must be at least 64")
+        bw, lattice = self.bandwidth, self.lattice
+        try:
+            bw = bw if bw == "auto" else float(bw)
+            lattice = operator.index(lattice)
+        except (TypeError, ValueError):
+            raise VolumeError(f"bad KDE bandwidth {bw!r} or lattice {lattice!r}") from None
+        if bw != "auto" and not (np.isfinite(bw) and bw > 0):
+            raise VolumeError("explicit bandwidth must be finite and positive")
+        if not 64 <= lattice <= 65536:
+            raise VolumeError("lattice resolution must lie in [64, 65536]")
+        object.__setattr__(self, "bandwidth", bw)
+        object.__setattr__(self, "lattice", lattice)
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -66,46 +77,54 @@ def _bandwidths(samples: np.ndarray, config: KdeConfig) -> np.ndarray:
     """Per-row bandwidths for (V, M) sample sets."""
     v, m = samples.shape
     if config.bandwidth != "auto":
-        return np.full(v, float(config.bandwidth))
+        return np.full(v, config.bandwidth)
     sd = np.std(samples, axis=1, ddof=1)
     return 1.06 * sd * m ** (-0.2)
+
+
+def _map_chunks(fn, v: int, threads: int) -> list:
+    """[fn(lo, hi)] over consecutive _CHUNK_VOXELS row ranges of v rows; the
+    ranges never depend on threads, so neither do the results."""
+    bounds = [(lo, min(lo + _CHUNK_VOXELS, v)) for lo in range(0, v, _CHUNK_VOXELS)]
+    if threads > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda b: fn(*b), bounds))
+    return [fn(lo, hi) for lo, hi in bounds]
 
 
 def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     """KDE CDF by trapezoid accumulation for each row of (V, M) samples.
 
+    Each row's samples are linearly binned onto its lattice and smoothed with
+    the row's sampled Gaussian kernel by a zero-padded rFFT of length
+    2*lattice, so the circular convolution never wraps (Wand 1994).
     Returns (x, cdf) with shape (V, lattice); rows with zero bandwidth get a
     degenerate lattice at the constant value and a unit-step CDF.
     """
-    v, m = samples.shape
+    v = samples.shape[0]
     lo = samples.min(axis=1) - 3.0 * h
     hi = samples.max(axis=1) + 3.0 * h
     flat = hi <= lo  # zero spread and zero bandwidth
-    span = np.where(flat, 1.0, hi - lo)
-    du = span / (lattice - 1)
+    du = np.where(flat, 1.0, hi - lo) / (lattice - 1)
     x = lo[:, None] + du[:, None] * np.arange(lattice)[None, :]
 
+    # Kernel and bin scale factors drop out when the CDF is normalised.
     pdf = np.zeros((v, lattice))
-    live = ~flat
-    if np.any(live):
-        if m > _BINNED_KDE_THRESHOLD:
-            # Binned KDE: histogram on the lattice then Gaussian smoothing.
-            for row in np.nonzero(live)[0]:
-                edges = np.linspace(lo[row] - 0.5 * du[row], hi[row] + 0.5 * du[row], lattice + 1)
-                counts, _ = np.histogram(samples[row], bins=edges)
-                sm = gaussian_filter1d(counts.astype(np.float64), sigma=h[row] / du[row],
-                                       mode="constant", truncate=6.0)
-                pdf[row] = sm / (m * du[row])
-        else:
-            xl = x[live]
-            hl = h[live, None]
-            acc = np.zeros_like(xl)
-            for col in range(m):
-                z = (xl - samples[live, col][:, None]) / hl
-                acc += np.exp(-0.5 * z * z)
-            pdf[live] = acc / (m * hl * np.sqrt(2.0 * np.pi))
+    live = np.nonzero(~flat)[0]
+    if live.size:
+        t = (samples[live] - lo[live, None]) / du[live, None]
+        cell = np.minimum(t.astype(np.intp), lattice - 2)
+        frac = t - cell
+        cell = (cell + lattice * np.arange(live.size)[:, None]).ravel()
+        counts = (np.bincount(cell, 1.0 - frac.ravel(), live.size * lattice)
+                  + np.bincount(cell + 1, frac.ravel(), live.size * lattice))
+        n = 2 * lattice
+        lag = np.minimum(np.arange(n), n - np.arange(n))
+        kernel = np.exp(-0.5 * ((du[live] / h[live])[:, None] * lag[None, :]) ** 2)
+        spectrum = np.fft.rfft(counts.reshape(live.size, lattice), n) * np.fft.rfft(kernel)
+        pdf[live] = np.maximum(np.fft.irfft(spectrum, n)[:, :lattice], 0.0)
 
-    inc = 0.5 * (pdf[:, :-1] + pdf[:, 1:]) * du[:, None]
+    inc = pdf[:, :-1] + pdf[:, 1:]
     cdf = np.concatenate([np.zeros((v, 1)), np.cumsum(inc, axis=1)], axis=1)
     total = cdf[:, -1].copy()
     total[total <= 0] = 1.0
@@ -118,31 +137,50 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
 
 
 def _invert_cdf_rows(x: np.ndarray, cdf: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    out = np.empty((x.shape[0], masses.size))
-    for row in range(x.shape[0]):
-        b = np.interp(masses, cdf[row], x[row])
-        np.maximum.accumulate(b, out=b)
-        out[row] = b
-    return out
+    """np.interp(masses, cdf[row], x[row]) for every row, made monotone.
+
+    Rows need cdf[:, 0] <= masses[0].  A bisection run on all rows at once
+    finds the last lattice point j with cdf <= mass, which is the bracket
+    np.interp uses, and the interpolation repeats its arithmetic.
+    """
+    v, n = cdf.shape
+    rows = np.arange(v)[:, None]
+    lo = np.zeros((v, masses.size), dtype=np.intp)
+    hi = np.full((v, masses.size), n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        below = (cdf[rows, np.minimum(mid, n - 1)] <= masses) & (mid < hi)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    j = np.minimum(lo - 1, n - 2)
+    c0, c1 = cdf[rows, j], cdf[rows, j + 1]
+    x0, x1 = x[rows, j], x[rows, j + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (x1 - x0) / (c1 - c0) * (masses - c0) + x0
+    b = np.where(c0 == masses, x0, b)
+    b = np.where(lo == n, x[:, -1:], b)
+    return np.maximum.accumulate(b, axis=1)
+
+
+def _kde_quantile_rows(samples: np.ndarray, masses: list, config: KdeConfig) -> list:
+    """Quantile boundaries of (V, M) sample sets at each mass vector, all from
+    one KDE CDF per row; constant rows collapse to their value."""
+    h = _bandwidths(samples, config)
+    const = (h <= 0) | (samples.max(axis=1) == samples.min(axis=1))
+    outs = [np.repeat(samples[:, :1], mv.size, axis=1) for mv in masses]
+    live = np.nonzero(~const)[0]
+    step = max(1, _FFT_CELLS // (2 * config.lattice))
+    for start in range(0, live.size, step):
+        rows = live[start:start + step]
+        x, cdf = _kde_lattice_cdf(samples[rows], h[rows], config.lattice)
+        for out, mv in zip(outs, masses):
+            out[rows] = _invert_cdf_rows(x, cdf, mv)
+    return outs
 
 
 def _batch_quantiles(samples: np.ndarray, qval: float, config: KdeConfig) -> np.ndarray:
     """Quantile boundaries (V, q+1) for (V, M) sample sets via the KDE path."""
-    masses = _quantile_masses(qval)
-    v = samples.shape[0]
-    out = np.empty((v, masses.size))
-    for start in range(0, v, _CHUNK_VOXELS):
-        chunk = samples[start:start + _CHUNK_VOXELS]
-        h = _bandwidths(chunk, config)
-        const = (h <= 0) | (chunk.max(axis=1) == chunk.min(axis=1))
-        if np.any(const):
-            out[start:start + chunk.shape[0]][const] = chunk[const, 0][:, None]
-        live = ~const
-        if np.any(live):
-            x, cdf = _kde_lattice_cdf(chunk[live], h[live], config.lattice)
-            out_rows = np.nonzero(live)[0] + start
-            out[out_rows] = _invert_cdf_rows(x, cdf, masses)
-    return out
+    return _kde_quantile_rows(samples, [_quantile_masses(qval)], config)[0]
 
 
 def estimate_quantiles(samples, qval: float, config: KdeConfig = KdeConfig()) -> QuantilePdf:
@@ -221,17 +259,61 @@ class GmmModel:
         order = np.argsort(self.means, kind="stable")
         return GmmModel(self.weights[order], self.means[order], self.sigmas[order])
 
-    def log_likelihood(self, samples: np.ndarray) -> float:
-        return float(np.sum(_gmm_log_pdf(samples, self.weights, self.means, self.sigmas)))
 
+def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None = None):
+    """EM fits of k-component mixtures to every row of (V, M) samples.
 
-def _gmm_log_pdf(x, w, mu, sg):
-    safe = np.maximum(sg, 1e-300)
-    z = (x[:, None] - mu[None, :]) / safe[None, :]
-    logc = np.log(np.maximum(w, 1e-300)) - np.log(safe) - 0.5 * np.log(2.0 * np.pi)
-    logp = logc[None, :] - 0.5 * z * z
-    peak = logp.max(axis=1, keepdims=True)
-    return peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))
+    Returns (weights, means, sigmas), each (V, k).  Every row runs the
+    one-sample-set EM of fit_gmm_em with its arithmetic and reductions, so a
+    row's result does not depend on the rows batched with it; a row leaves the
+    active set once its own stopping test fires.  A list passed as trace
+    collects the mean log-likelihoods of the active rows at each iteration.
+    """
+    v, m = samples.shape
+    if k < 1:
+        raise VolumeError("fit_gmm_em needs k >= 1")
+    if m < k:
+        raise VolumeError(f"need at least k={k} samples, got {m}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise VolumeError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    floor = np.maximum(_GMM_SIGMA_FLOOR_REL * (samples.max(axis=1) - samples.min(axis=1)), 1e-12)
+    pooled = np.std(samples, axis=1, ddof=1) if m > 1 else np.zeros(v)
+    if k == 1:
+        # One component: the EM fixed point is the moment fit.
+        return np.ones((v, 1)), samples.mean(axis=1)[:, None], np.maximum(pooled, floor)[:, None]
+
+    edges = np.quantile(samples, np.linspace(0, 1, k + 1), axis=1).T
+    mu = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    sg = np.repeat(np.maximum(pooled / k, floor)[:, None], k, axis=1)
+    w = np.full((v, k), 1.0 / k)
+    fit = np.empty((3, v, k))
+    rows, s, prev_ll = np.arange(v), samples, np.full(v, -np.inf)
+    for it in range(max_iter):
+        safe = np.maximum(sg, 1e-300)
+        z = (s[:, :, None] - mu[:, None, :]) / safe[:, None, :]
+        logp = (np.log(np.maximum(w, 1e-300)) - np.log(safe))[:, None, :] - 0.5 * z * z
+        peak = logp.max(axis=2, keepdims=True)
+        p = np.exp(logp - peak)
+        norm = p.sum(axis=2, keepdims=True)
+        ll = np.mean(np.log(norm[:, :, 0]) + peak[:, :, 0], axis=1) - 0.5 * np.log(2.0 * np.pi)
+        if trace is not None:
+            trace.append(ll)
+        resp = p / norm
+        nk = np.maximum(resp.sum(axis=1), 1e-300)
+        w = nk / m
+        mu = (resp * s[:, :, None]).sum(axis=1) / nk
+        var = (resp * (s[:, :, None] - mu[:, None, :]) ** 2).sum(axis=1) / nk
+        sg = np.maximum(np.sqrt(var), floor[:, None])
+        done = ((ll - prev_ll < 1e-8) & np.isfinite(prev_ll)) | (it == max_iter - 1)
+        if done.any():
+            fit[:, rows[done]] = w[done], mu[done], sg[done]
+            keep = ~done
+            rows, s, w, mu, sg, floor, ll = (a[keep] for a in (rows, s, w, mu, sg, floor, ll))
+            if rows.size == 0:
+                break
+        prev_ll = ll
+    weights, means, sigmas = fit
+    return weights / weights.sum(axis=1, keepdims=True), means, sigmas
 
 
 def fit_gmm_em(samples, k: int, seed: int = 0, max_iter: int = 100,
@@ -240,58 +322,22 @@ def fit_gmm_em(samples, k: int, seed: int = 0, max_iter: int = 100,
 
     Means start at the midpoints of k equal-mass empirical quantile pieces,
     sigmas at the pooled sigma / k, weights equal.  Stops when the mean
-    log-likelihood moves by less than 1e-8.  The seed argument is accepted for
-    interface stability; the deterministic initialization never consumes it.
-    A list passed as trace collects the per-iteration mean log-likelihood.
+    log-likelihood moves by less than 1e-8, or after max_iter >= 1
+    iterations.  The seed argument is accepted for interface stability; the
+    deterministic initialization never consumes it.  A list passed as trace
+    collects the per-iteration mean log-likelihood.
     """
     del seed
     s = np.asarray(samples, dtype=np.float64).ravel()
-    if k < 1:
-        raise VolumeError("fit_gmm_em needs k >= 1")
-    if s.size < k:
-        raise VolumeError(f"need at least k={k} samples, got {s.size}")
-    if k == 1:
-        # One component: the EM fixed point is the moment fit.
-        mu, sg = (s.mean(), np.std(s, ddof=1)) if s.size > 1 else (s.mean(), 0.0)
-        rng_width = float(s.max() - s.min())
-        floor = max(_GMM_SIGMA_FLOOR_REL * rng_width, 1e-12)
-        return GmmModel(np.ones(1), np.array([mu]), np.array([max(sg, floor)]))
-
-    rng_width = float(s.max() - s.min())
-    floor = max(_GMM_SIGMA_FLOOR_REL * rng_width, 1e-12)
-    edges = np.quantile(s, np.linspace(0, 1, k + 1))
-    mu = 0.5 * (edges[:-1] + edges[1:])
-    pooled = np.std(s, ddof=1) if s.size > 1 else 0.0
-    sg = np.full(k, max(pooled / k, floor))
-    w = np.full(k, 1.0 / k)
-
-    prev_ll = -np.inf
-    for _ in range(max_iter):
-        safe = np.maximum(sg, 1e-300)
-        z = (s[:, None] - mu[None, :]) / safe[None, :]
-        logp = (np.log(np.maximum(w, 1e-300)) - np.log(safe))[None, :] - 0.5 * z * z
-        peak = logp.max(axis=1, keepdims=True)
-        p = np.exp(logp - peak)
-        norm = p.sum(axis=1, keepdims=True)
-        ll = float(np.mean(np.log(norm[:, 0]) + peak[:, 0]) - 0.5 * np.log(2.0 * np.pi))
-        if trace is not None:
-            trace.append(ll)
-        resp = p / norm
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-300)
-        w = nk / s.size
-        mu = (resp * s[:, None]).sum(axis=0) / nk
-        var = (resp * (s[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
-        sg = np.maximum(np.sqrt(var), floor)
-        if ll - prev_ll < 1e-8 and np.isfinite(prev_ll):
-            break
-        prev_ll = ll
-    w = w / w.sum()
-    return GmmModel(w, mu, sg)
+    lls = [] if trace is not None else None
+    w, mu, sg = _gmm_em_rows(s[None, :], k, max_iter, lls)
+    if trace is not None:
+        trace.extend(float(ll[0]) for ll in lls)
+    return GmmModel(w[0], mu[0], sg[0])
 
 
-def _fit_voxel_models(samples: np.ndarray, kind: str, *, qval=None, k=None, seed=0,
-                      max_iter=100, config: KdeConfig = KdeConfig(), threads: int = 1):
+def _fit_voxel_models(samples: np.ndarray, kind: str, *, qval=None, k=None, max_iter=100,
+                      config: KdeConfig = KdeConfig(), threads: int = 1):
     """Shared per-voxel fitting over (V, M) sample sets."""
     v, m = samples.shape
     if kind == "mean":
@@ -310,43 +356,17 @@ def _fit_voxel_models(samples: np.ndarray, kind: str, *, qval=None, k=None, seed
             raise VolumeError("quantile model needs qval")
         if m < 2:
             raise VolumeError("quantile model needs M >= 2")
-        if threads > 1:
-            starts = list(range(0, v, _CHUNK_VOXELS))
-            parts = [None] * len(starts)
-
-            def work(slot):
-                lo = starts[slot]
-                parts[slot] = _batch_quantiles(samples[lo:lo + _CHUNK_VOXELS], qval, config)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, range(len(starts))))
-            boundaries = np.concatenate(parts, axis=0)
-        else:
-            boundaries = _batch_quantiles(samples, qval, config)
-        return QuantileModel(qval, boundaries)
+        parts = _map_chunks(lambda lo, hi: _batch_quantiles(samples[lo:hi], qval, config),
+                            v, threads)
+        return QuantileModel(qval, np.concatenate(parts))
     if kind == "gmm":
         if k is None:
             raise VolumeError("gmm model needs k")
-        weights = np.empty((v, k))
-        means = np.empty((v, k))
-        sigmas = np.empty((v, k))
-
-        def fit_range(lo, hi):
-            for row in range(lo, hi):
-                try:
-                    g = fit_gmm_em(samples[row], k, seed=seed, max_iter=max_iter)
-                except VolumeError as e:
-                    raise VolumeError(f"voxel {row}: {e}") from e
-                weights[row], means[row], sigmas[row] = g.weights, g.means, g.sigmas
-
-        if threads > 1:
-            bounds = list(range(0, v, _CHUNK_VOXELS)) + [v]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda i: fit_range(bounds[i], bounds[i + 1]),
-                              range(len(bounds) - 1)))
-        else:
-            fit_range(0, v)
-        return GmmVolumeModel(k, weights, means, sigmas)
+        parts = _map_chunks(lambda lo, hi: _gmm_em_rows(samples[lo:hi], k, max_iter), v, threads)
+        params = [np.concatenate(p) for p in zip(*parts)]
+        if not all(np.all(np.isfinite(p)) for p in params):
+            raise VolumeError("gmm fit produced non-finite parameters")
+        return GmmVolumeModel(k, *params)
     raise VolumeError(f"unknown model kind {kind!r}")
 
 
@@ -357,8 +377,8 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
     if kind != "mean" and ensemble.member_count < 2:
         raise VolumeError("non-mean models need an ensemble with M >= 2")
     samples = ensemble.stacked()
-    model = _fit_voxel_models(samples, kind, qval=qval, k=k, seed=seed,
-                              max_iter=max_iter, config=config, threads=threads)
+    model = _fit_voxel_models(samples, kind, qval=qval, k=k, max_iter=max_iter,
+                              config=config, threads=threads)
     return DistributionVolume(ensemble.dims, ensemble.spacing, ensemble.origin, model)
 
 
@@ -366,34 +386,12 @@ def quantile_volumes_multi(ensemble: EnsembleVolume, qvals, config: KdeConfig = 
                            threads: int = 1) -> dict[float, DistributionVolume]:
     """Quantile volumes for several qvals from a single KDE pass."""
     samples = ensemble.stacked()
-    v = samples.shape[0]
-    masses = {qv: _quantile_masses(qv) for qv in qvals}
-    outs = {qv: np.empty((v, m.size)) for qv, m in masses.items()}
-
-    def do_chunk(start):
-        chunk = samples[start:start + _CHUNK_VOXELS]
-        h = _bandwidths(chunk, config)
-        const = (h <= 0) | (chunk.max(axis=1) == chunk.min(axis=1))
-        live = ~const
-        if np.any(live):
-            x, cdf = _kde_lattice_cdf(chunk[live], h[live], config.lattice)
-        rows_live = np.nonzero(live)[0]
-        for qv, mass in masses.items():
-            out = outs[qv]
-            if np.any(const):
-                out[start:start + chunk.shape[0]][const] = chunk[const, 0][:, None]
-            if rows_live.size:
-                out[rows_live + start] = _invert_cdf_rows(x, cdf, mass)
-
-    starts = list(range(0, v, _CHUNK_VOXELS))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_chunk, starts))
-    else:
-        for s0 in starts:
-            do_chunk(s0)
+    masses = [_quantile_masses(qv) for qv in qvals]
+    parts = _map_chunks(lambda lo, hi: _kde_quantile_rows(samples[lo:hi], masses, config),
+                        samples.shape[0], threads)
     geo = (ensemble.dims, ensemble.spacing, ensemble.origin)
-    return {qv: DistributionVolume(*geo, QuantileModel(qv, outs[qv])) for qv in qvals}
+    return {qv: DistributionVolume(*geo, QuantileModel(qv, np.concatenate(b)))
+            for qv, b in zip(qvals, zip(*parts))}
 
 
 def downsample_hixel(hi: ScalarGrid, brick, kind: str, *, qval=None, k=None, seed: int = 0,
@@ -420,7 +418,7 @@ def downsample_hixel(hi: ScalarGrid, brick, kind: str, *, qval=None, k=None, see
         hi.origin[2] + 0.5 * (bz - 1) * hi.spacing[2],
     )
     mean_grid = ScalarGrid((vx, vy, vz), spacing, origin, samples.mean(axis=1))
-    model = _fit_voxel_models(samples, kind, qval=qval, k=k, seed=seed,
-                              max_iter=max_iter, config=config, threads=threads)
+    model = _fit_voxel_models(samples, kind, qval=qval, k=k, max_iter=max_iter,
+                              config=config, threads=threads)
     vol = DistributionVolume((vx, vy, vz), spacing, origin, model)
     return vol, mean_grid

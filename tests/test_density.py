@@ -15,6 +15,7 @@ from uqdvr.density import (
     quantile_volumes_multi,
     silverman_bandwidth,
 )
+from uqdvr.synth import NoiseSpec, make_ensemble as make_noise_ensemble, sample_field
 from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
 
 
@@ -192,6 +193,16 @@ class TestBuildVolume:
         b = build_distribution_volume(ens, "quantile", qval=0.25, threads=4)
         assert np.array_equal(a.model.boundaries, b.model.boundaries)
 
+    def test_gmm_thread_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(density, "_CHUNK_VOXELS", 16)
+        rng = np.random.default_rng(14)
+        members = [rng.normal(0, 1, 96) + (rng.random(96) < 0.3) for _ in range(16)]
+        ens = make_ensemble(members, (4, 4, 6))
+        a = build_distribution_volume(ens, "gmm", k=2, threads=1)
+        b = build_distribution_volume(ens, "gmm", k=2, threads=4)
+        for name in ("weights", "means", "sigmas"):
+            assert getattr(a.model, name).tobytes() == getattr(b.model, name).tobytes()
+
     def test_parametric_fits_match_scalar_helpers(self):
         rng = np.random.default_rng(4)
         members = [rng.normal(0, 1, 8) for _ in range(10)]
@@ -276,3 +287,163 @@ class TestKdeConfig:
         x, _ = kde_cdf(s, KdeConfig(bandwidth=0.5))
         assert abs(x[0] - (0.0 - 1.5)) < 1e-12
         assert abs(x[-1] - (1.0 + 1.5)) < 1e-12
+
+
+def _direct_sum_lattice_cdf(samples, h, lattice):
+    """Reference KDE CDF: the O(V*M*L) direct kernel sum on each row's lattice
+    [min - 3h, max + 3h], trapezoid-accumulated and normalised."""
+    lo = samples.min(axis=1) - 3.0 * h
+    du = (samples.max(axis=1) + 3.0 * h - lo) / (lattice - 1)
+    x = lo[:, None] + du[:, None] * np.arange(lattice)[None, :]
+    pdf = np.zeros_like(x)
+    for col in range(samples.shape[1]):
+        z = (x - samples[:, col][:, None]) / h[:, None]
+        pdf += np.exp(-0.5 * z * z)
+    cdf = np.concatenate([np.zeros((len(x), 1)), np.cumsum(pdf[:, :-1] + pdf[:, 1:], axis=1)], axis=1)
+    return x, np.maximum.accumulate(cdf / cdf[:, -1:], axis=1)
+
+
+def _interp_rows(x, cdf, masses):
+    """Reference inversion: np.interp row by row, made monotone."""
+    return np.array([np.maximum.accumulate(np.interp(masses, c, r)) for r, c in zip(x, cdf)])
+
+
+def _per_voxel_em(s, k, max_iter=100):
+    """Reference one-sample-set EM (deterministic start, stop at a mean
+    log-likelihood step below 1e-8); returns (weights, means, sigmas, iterations)."""
+    floor = max(1e-6 * float(s.max() - s.min()), 1e-12)
+    if k == 1:
+        return np.ones(1), np.array([s.mean()]), np.array([max(np.std(s, ddof=1), floor)]), 0
+    edges = np.quantile(s, np.linspace(0, 1, k + 1))
+    mu = 0.5 * (edges[:-1] + edges[1:])
+    sg = np.full(k, max(np.std(s, ddof=1) / k, floor))
+    w = np.full(k, 1.0 / k)
+    prev_ll = -np.inf
+    for it in range(max_iter):
+        safe = np.maximum(sg, 1e-300)
+        z = (s[:, None] - mu[None, :]) / safe[None, :]
+        logp = (np.log(np.maximum(w, 1e-300)) - np.log(safe))[None, :] - 0.5 * z * z
+        peak = logp.max(axis=1, keepdims=True)
+        p = np.exp(logp - peak)
+        norm = p.sum(axis=1, keepdims=True)
+        ll = float(np.mean(np.log(norm[:, 0]) + peak[:, 0]) - 0.5 * np.log(2.0 * np.pi))
+        resp = p / norm
+        nk = np.maximum(resp.sum(axis=0), 1e-300)
+        w = nk / s.size
+        mu = (resp * s[:, None]).sum(axis=0) / nk
+        var = (resp * (s[:, None] - mu[None, :]) ** 2).sum(axis=0) / nk
+        sg = np.maximum(np.sqrt(var), floor)
+        if ll - prev_ll < 1e-8 and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    return w / w.sum(), mu, sg, it + 1
+
+
+def _tangle_samples(n=16, members=50, seed=3):
+    """(n^3, members) bimodal-noise tangle samples with constant and two-valued rows."""
+    gt = sample_field("tangle", (n, n, n))
+    s = make_noise_ensemble(gt, NoiseSpec(kind="bimodal", members=members, seed=seed)).stacked().copy()
+    s[:40] = 0.25
+    s[40:80] = np.where(np.arange(members) % 3 == 0, 1.0, 0.0)
+    return s
+
+
+class TestBinnedKde:
+    @pytest.mark.parametrize("bandwidth", [0.03, "auto"])
+    @pytest.mark.parametrize("lattice", [512, 2048])
+    def test_interior_boundaries_match_direct_sum(self, bandwidth, lattice):
+        rng = np.random.default_rng(21)
+        v, m = 300, 50
+        modes = rng.random((v, m)) < rng.uniform(0.2, 0.8, (v, 1))
+        s = np.where(modes, rng.normal(0.3, 0.04, (v, m)), rng.normal(0.7, 0.06, (v, m)))
+        cfg = KdeConfig(bandwidth=bandwidth, lattice=lattice)
+        masses = np.arange(9) / 8
+        x, cdf = _direct_sum_lattice_cdf(s, density._bandwidths(s, cfg), lattice)
+        ref = _interp_rows(x, cdf, masses)
+        got = density._batch_quantiles(s, 0.125, cfg)
+        np.testing.assert_allclose(got[:, 1:-1], ref[:, 1:-1], rtol=0, atol=1e-4)
+        np.testing.assert_allclose(got[:, [0, -1]], ref[:, [0, -1]], rtol=0, atol=1e-12)
+
+    def test_vectorised_inversion_matches_interp(self):
+        rng = np.random.default_rng(22)
+        v, n = 200, 64
+        steps = rng.random((v, n - 1)) * (rng.random((v, n - 1)) < 0.6)  # flat stretches
+        cdf = np.concatenate([np.zeros((v, 1)), np.cumsum(steps, axis=1)], axis=1)
+        cdf /= cdf[:, -1:]
+        x = np.cumsum(rng.random((v, n)), axis=1)
+        masses = np.concatenate([np.arange(17) / 16, cdf[0, 5:8]])
+        masses.sort()
+        got = density._invert_cdf_rows(x, cdf, masses)
+        assert np.array_equal(got, _interp_rows(x, cdf, masses))
+
+
+class TestBatchedEm:
+    def test_bit_identical_to_per_voxel_loop(self):
+        s = _tangle_samples()
+        assert s.shape[0] >= 4096
+        for k in (1, 2, 3):
+            w, mu, sg = density._gmm_em_rows(s, k, max_iter=10)
+            iters = []
+            for row in range(s.shape[0]):
+                rw, rmu, rsg, n = _per_voxel_em(s[row], k, max_iter=10)
+                iters.append(n)
+                assert w[row].tobytes() == rw.tobytes(), (k, row)
+                assert mu[row].tobytes() == rmu.tobytes(), (k, row)
+                assert sg[row].tobytes() == rsg.tobytes(), (k, row)
+            if k == 2:  # both stopping paths are exercised
+                assert 0 < iters.count(10) < len(iters)
+
+    def test_scalar_trace_matches_reference(self):
+        s = _tangle_samples(n=4)
+        for row in (0, 45, 63):
+            trace = []
+            g = fit_gmm_em(s[row], 2, trace=trace)
+            rw, rmu, rsg, n = _per_voxel_em(s[row], 2)
+            assert len(trace) == n
+            for got, ref in ((g.weights, rw), (g.means, rmu), (g.sigmas, rsg)):
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
+    def test_max_iter_validated(self, max_iter):
+        s = np.random.default_rng(0).normal(size=40)
+        for k in (1, 2):
+            with pytest.raises(VolumeError):
+                fit_gmm_em(s, k, max_iter=max_iter)
+        ens = make_ensemble([np.full(8, float(i)) for i in range(4)], (2, 2, 2))
+        with pytest.raises(VolumeError):
+            build_distribution_volume(ens, "gmm", k=2, max_iter=max_iter)
+
+
+class TestChunkIndependence:
+    def test_permuted_rows_give_identical_bytes(self):
+        s = _tangle_samples(n=17, members=20)  # more than one chunk
+        assert s.shape[0] > density._CHUNK_VOXELS
+        perm = np.random.default_rng(23).permutation(s.shape[0])
+        cfg = KdeConfig(bandwidth=0.03)
+        for kind, kw in (("quantile", {"qval": 0.125, "config": cfg}),
+                         ("quantile", {"qval": 0.25}), ("gmm", {"k": 2})):
+            a = density._fit_voxel_models(s, kind, **kw)
+            b = density._fit_voxel_models(s[perm], kind, **kw)
+            names = ("boundaries",) if kind == "quantile" else ("weights", "means", "sigmas")
+            for name in names:
+                pa, pb = getattr(a, name)[perm], getattr(b, name)
+                for row in range(s.shape[0]):
+                    assert pa[row].tobytes() == pb[row].tobytes(), (kind, name, row)
+
+
+class TestKdeConfigBoundary:
+    @pytest.mark.parametrize("kw", [
+        {"bandwidth": float("inf")}, {"bandwidth": float("nan")}, {"bandwidth": "wide"},
+        {"bandwidth": 0.0}, {"bandwidth": None},
+        {"lattice": float("inf")}, {"lattice": float("nan")}, {"lattice": 100.7},
+        {"lattice": 512.0}, {"lattice": "512"}, {"lattice": 10**9}, {"lattice": 65537},
+        {"lattice": 63},
+    ])
+    def test_rejected_when_built(self, kw):
+        with pytest.raises(VolumeError):
+            KdeConfig(**kw)
+
+    def test_accepted_range(self):
+        assert KdeConfig(lattice=65536).lattice == 65536
+        assert KdeConfig(lattice=np.int64(64)).lattice == 64
+        assert KdeConfig(bandwidth=np.float32(0.5)).bandwidth == 0.5
