@@ -181,13 +181,28 @@ class NumericDensity:
         return float(np.trapezoid(self.x * self.pdf, self.x))
 
 
+def _box_spectrum_tables(f_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """rFFT tables for unit-mass boxes [0, s] rasterized onto cells of width du
+    centred on 0, du, 2du, ...: with m = ceil(s/du - 1/2) the box covers half
+    of cell 0, all of cells 1..m-1 and part of cell m, so its spectrum is
+    ramp[m]/s + phase[m]/du.  Rows m = 0..f_len; ramp[0] evaluates to exactly
+    0, so a box narrower than half a cell is a point mass of 1/du in cell 0."""
+    m = np.arange(f_len + 1)
+    k = np.arange(f_len // 2 + 1)
+    phase = np.exp(-2j * np.pi * ((m[:, None] * k[None, :]) % f_len) / f_len)
+    inner = np.cumsum(phase, axis=0) - phase - 1.0  # sum_{c=1}^{m-1} r^c
+    ramp = 0.5 + inner - (m[:, None] - 0.5) * phase
+    return phase, ramp
+
+
 def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: np.ndarray,
                               npoints: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Density of sum_i w_i U_i for batches of scaled uniforms.
 
     centers/widths/weights are (V, K).  Returns (origins (V,), pdf (V, F), du)
-    where row v's lattice is origins[v] + arange(F)*du[v].  Iterated numeric
-    convolution runs in the frequency domain; zero-width factors act as shifts.
+    where row v's lattice is origins[v] + arange(F)*du[v].  Each factor's box
+    is rasterized onto the lattice; one inverse rFFT turns the product of
+    their exact spectra into the density.  Zero-width factors act as shifts.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     d = np.atleast_2d(np.asarray(widths, dtype=np.float64))
@@ -205,19 +220,13 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     span = np.where(total > 0, total, 1.0)
     du = span / (npoints - 1)
 
+    phase, ramp = _box_spectrum_tables(f_len)
+    cells = np.clip(np.ceil(s / du[:, None] - 0.5), 0, f_len).astype(np.int64)  # (V, K)
+    inv_s = 1.0 / np.where(s > 0, s, 1.0)
+    inv_du = (1.0 / du)[:, None]
     spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
-    cell_idx = np.arange(f_len)
     for i in range(k):
-        si = s[:, i][:, None]
-        lo_cell = cell_idx[None, :] * du[:, None] - 0.5 * du[:, None]
-        hi_cell = lo_cell + du[:, None]
-        overlap = np.clip(np.minimum(hi_cell, si) - np.maximum(lo_cell, 0.0), 0.0, None)
-        fac = np.where(si > 0, overlap / np.maximum(si * du[:, None], 1e-300), 0.0)
-        point = s[:, i] <= 0
-        if np.any(point):
-            fac[point, 0] = 1.0 / du[point]
-            fac[point, 1:] = 0.0
-        spec *= np.fft.rfft(fac, axis=1)
+        spec *= ramp[cells[:, i]] * inv_s[:, i, None] + phase[cells[:, i]] * inv_du
     pdf = np.fft.irfft(spec, n=f_len, axis=1) * du[:, None] ** (k - 1)
     np.clip(pdf, 0.0, None, out=pdf)
     degen = total <= 0

@@ -35,6 +35,7 @@ from .volcore import (
     ScalarGrid,
     UniformModel,
     VolumeError,
+    require_finite,
 )
 
 CHUNK_PIXELS = 4096
@@ -71,6 +72,8 @@ class Camera:
         eye = np.asarray(self.eye, dtype=np.float64)
         at = np.asarray(self.look_at, dtype=np.float64)
         up = np.asarray(self.up, dtype=np.float64)
+        for name, vec in (("eye", eye), ("look-at", at), ("up", up)):
+            require_finite(vec, f"camera {name}")
         if np.allclose(eye, at):
             raise VolumeError("camera eye must differ from look-at")
         fwd = at - eye
@@ -163,8 +166,14 @@ class RenderJob:
                 raise VolumeError("mean grid must be congruent with the volume")
         elif self.tf is None:
             raise VolumeError(f"scheme {self.scheme!r} needs a 1D transfer function")
-        if not (self.step > 0):
-            raise VolumeError("step must be positive")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise VolumeError("step must be finite and positive")
+        if self.mc_samples < 1:
+            raise VolumeError("mc_samples must be at least 1")
+        if self.tf2d_samples < 1:
+            raise VolumeError("tf2d_samples must be at least 1")
+        if self.conv_lattice < 2:
+            raise VolumeError("conv_lattice must be at least 2")
         if not (0.0 < self.termination <= 1.0):
             raise VolumeError("termination must lie in (0, 1]")
         if self.quantile_subrange is not None:
@@ -286,16 +295,19 @@ def _classify_chunk(state: _SchemeState, pos: np.ndarray, rng) -> np.ndarray:
     if scheme == "gmm-mc":
         a = pos.shape[0]
         n = job.mc_samples
+        k = m.k
+        means, sigmas = m.means.ravel(), m.sigmas.ravel()
         x = np.zeros((a, n))
         for c in range(8):
             vox = idx8[:, c]
             cum = np.cumsum(m.weights[vox], axis=1)
-            cum[:, -1] = 1.0
             u = rng.random((a, n))
-            comp = (u[:, None, :] < cum[:, :, None]).argmax(axis=1)
-            mval = np.take_along_axis(m.means[vox], comp, axis=1)
-            sval = np.take_along_axis(m.sigmas[vox], comp, axis=1)
-            x += w8[:, c][:, None] * (mval + sval * rng.standard_normal((a, n)))
+            # The first component whose cumulative weight exceeds u; the last
+            # takes whatever mass rounding leaves above the others.
+            comp = (u[:, None, :] >= cum[:, :-1, None]).sum(axis=1)
+            flat_comp = vox[:, None] * k + comp
+            x += w8[:, c][:, None] * (means[flat_comp]
+                                      + sigmas[flat_comp] * rng.standard_normal((a, n)))
         return job.tf.sample(x).mean(axis=1)
 
     if scheme == "tf2d":

@@ -56,6 +56,12 @@ def _as_vec3(v) -> Vec3:
     return v
 
 
+def require_finite(values, what: str) -> None:
+    """Raise VolumeError unless every entry of values is finite."""
+    if not np.all(np.isfinite(values)):
+        raise VolumeError(f"{what} must be finite")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -85,8 +91,7 @@ class ScalarGrid:
             raise VolumeError(
                 f"value count {vals.size} != nx*ny*nz = {self.voxel_count}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise VolumeError("grid values must be finite")
+        require_finite(vals, "grid values")
         object.__setattr__(self, "values", _frozen(vals))
 
     @property
@@ -134,8 +139,7 @@ class QuantilePdf:
         b = np.ascontiguousarray(self.boundaries, dtype=np.float64).ravel()
         if b.size < 2:
             raise VolumeError("a quantile pdf needs at least two boundaries")
-        if not np.all(np.isfinite(b)):
-            raise VolumeError("quantile boundaries must be finite")
+        require_finite(b, "quantile boundaries")
         if np.any(np.diff(b) < 0):
             raise VolumeError("quantile boundaries must be nondecreasing")
         q = b.size - 1
@@ -175,8 +179,7 @@ class MeanFieldModel:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(v)):
-            raise VolumeError("mean-field values must be finite")
+        require_finite(v, "mean-field values")
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -194,8 +197,8 @@ class UniformModel:
         w = np.ascontiguousarray(self.width, dtype=np.float64).ravel()
         if c.size != w.size:
             raise VolumeError("uniform center/width grids must be congruent")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(w))):
-            raise VolumeError("uniform parameters must be finite")
+        require_finite(c, "uniform parameters")
+        require_finite(w, "uniform parameters")
         if np.any(w < 0):
             raise VolumeError("uniform widths must be nonnegative")
         object.__setattr__(self, "center", _frozen(c))
@@ -216,8 +219,8 @@ class GaussianModel:
         s = np.ascontiguousarray(self.sigma, dtype=np.float64).ravel()
         if m.size != s.size:
             raise VolumeError("gaussian mean/sigma grids must be congruent")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
-            raise VolumeError("gaussian parameters must be finite")
+        require_finite(m, "gaussian parameters")
+        require_finite(s, "gaussian parameters")
         if np.any(s < 0):
             raise VolumeError("gaussian sigmas must be nonnegative")
         object.__setattr__(self, "mean", _frozen(m))
@@ -272,8 +275,7 @@ class QuantileModel:
         q = b.shape[1] - 1
         if abs(q * self.qval - 1.0) > 1e-9:
             raise VolumeError(f"q*qval must equal 1 (q={q}, qval={self.qval})")
-        if not np.all(np.isfinite(b)):
-            raise VolumeError("quantile boundaries must be finite")
+        require_finite(b, "quantile boundaries")
         if np.any(np.diff(b, axis=1) < 0):
             raise VolumeError("quantile boundaries must be nondecreasing")
         object.__setattr__(self, "qval", float(self.qval))
@@ -298,8 +300,7 @@ class SamplesModel:
         s = np.ascontiguousarray(self.samples, dtype=np.float64).reshape(-1, count)
         if count < 1:
             raise VolumeError("samples model needs M >= 1")
-        if not np.all(np.isfinite(s)):
-            raise VolumeError("samples must be finite")
+        require_finite(s, "samples")
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "samples", _frozen(s))
 

@@ -36,6 +36,8 @@ from uqdvr.render import RenderJob, default_camera, diff_image, raycast, render_
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field
 from uqdvr.volcore import DistributionVolume, QuantileModel, QuantilePdf, ScalarGrid
 
+pytestmark = pytest.mark.slow
+
 
 def report(criterion, ok, detail=""):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} {detail}")

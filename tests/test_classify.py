@@ -10,9 +10,11 @@ from uqdvr.classify import (
     expected_color_parametric,
     expected_color_quantile_mean,
     expected_color_quantile_range,
+    gauss_hermite_batch,
     gradient_stencil,
     load_tf1d,
     load_tf2d,
+    quantile_range_batch,
     save_tf1d,
     save_tf2d,
     sobol_points,
@@ -371,3 +373,157 @@ class TestTransferFunction2DIO:
         p.write_bytes(b"nope\n" + b"\x00" * 16)
         with pytest.raises(VolumeError):
             load_tf2d(p)
+
+
+class TestNonFiniteTransferFunctions:
+    @pytest.mark.parametrize("row, col", [(0, 0), (1, 0), (1, 2), (2, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tf1d_rejects_non_finite(self, row, col, bad):
+        pts = np.array([[0.0, 0, 0, 0, 0], [0.5, 0.2, 0.4, 0.6, 0.8], [1.0, 1, 1, 1, 1]])
+        pts[row, col] = bad
+        with pytest.raises(VolumeError, match="finite"):
+            TransferFunction1D(pts)
+
+    def test_tf1d_file_with_nan_rejected(self, tmp_path):
+        p = tmp_path / "tf.txt"
+        p.write_text("0 0 0 0 0\nnan 1 1 1 1\n")
+        with pytest.raises(VolumeError):
+            load_tf1d(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tf2d_rejects_non_finite_table(self, bad):
+        table = np.full((3, 3, 4), 0.5)
+        table[1, 2, 3] = bad
+        with pytest.raises(VolumeError, match="finite"):
+            TransferFunction2D(table, 1.0)
+
+    @pytest.mark.parametrize("gmax", [np.inf, np.nan])
+    def test_tf2d_rejects_non_finite_gmax(self, gmax):
+        with pytest.raises(VolumeError):
+            TransferFunction2D(np.full((2, 2, 4), 0.5), gmax)
+
+
+def random_tf(rng, n):
+    x = np.cumsum(rng.uniform(0.02, 0.3, n)) - 0.3
+    return TransferFunction1D(np.column_stack([x, rng.random((n, 4))]))
+
+
+def dense_gaussian_oracle(tf, mu, sigma, nodes=64):
+    """E[TF(N(mu, sigma^2))] by Gauss-Legendre quadrature on each smooth piece
+    of TF * pdf over mu +- 12 sigma (pieces split at the knots)."""
+    if sigma == 0:
+        return tf.sample(mu)
+    lo, hi = mu - 12 * sigma, mu + 12 * sigma
+    cuts = np.concatenate([[lo], tf.knots[(tf.knots > lo) & (tf.knots < hi)], [hi]])
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    out = np.zeros(4)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        x = 0.5 * (b - a) * t + 0.5 * (a + b)
+        pdf = np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
+        out += 0.5 * (b - a) * (w * pdf) @ tf.sample(x)
+    return out
+
+
+class TestGaussianClosedForm:
+    def check(self, tf, mu, sigma):
+        mu = np.asarray(mu, dtype=np.float64)
+        sigma = np.asarray(sigma, dtype=np.float64)
+        got = gauss_hermite_batch(mu, sigma, tf)
+        want = np.array([dense_gaussian_oracle(tf, m, s) for m, s in zip(mu, sigma)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tfs_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        tf = random_tf(rng, int(rng.integers(2, 9)))
+        mu = rng.uniform(tf.knots[0] - 0.5, tf.knots[-1] + 0.5, 40)
+        sigma = rng.uniform(0.0, 0.6, 40)
+        self.check(tf, mu, sigma)
+
+    def test_zero_sigma_rows_are_lookups(self):
+        tf = random_tf(np.random.default_rng(1), 5)
+        mu = np.linspace(-1.0, 2.0, 13)
+        got = gauss_hermite_batch(mu, np.zeros(13), tf)
+        np.testing.assert_array_equal(got, tf.sample(mu))
+
+    def test_sigma_far_below_knot_spacing(self):
+        tf = random_tf(np.random.default_rng(2), 6)
+        mu = np.concatenate([tf.knots, tf.knots + 1e-9, np.linspace(-0.2, 1.2, 9)])
+        self.check(tf, mu, np.full(mu.size, 1e-6))
+        tiny = gauss_hermite_batch(mu, np.full(mu.size, 1e-300), tf)
+        np.testing.assert_allclose(tiny, tf.sample(mu), rtol=0, atol=1e-12)
+
+    def test_mu_far_outside_knots(self):
+        tf = random_tf(np.random.default_rng(3), 4)
+        mu = np.array([-50.0, -1e6, 80.0, 3e7])
+        sigma = np.array([0.3, 2.0, 0.05, 1.0])
+        self.check(tf, mu, sigma)
+        got = gauss_hermite_batch(mu, sigma, tf)
+        np.testing.assert_allclose(got[:2], tf.points[[0, 0], 1:], atol=1e-12)
+        np.testing.assert_allclose(got[2:], tf.points[[-1, -1], 1:], atol=1e-9)
+
+    def test_single_knot_tf_is_constant(self):
+        tf = TransferFunction1D([[0.5, 0.1, 0.2, 0.3, 0.4]])
+        got = gauss_hermite_batch(np.array([0.0, 0.5, 9.0]), np.array([1.0, 0.0, 0.1]), tf)
+        np.testing.assert_allclose(got, np.tile([0.1, 0.2, 0.3, 0.4], (3, 1)), atol=1e-15)
+
+    def test_gmm_parametric_matches_dense_oracle(self):
+        rng = np.random.default_rng(4)
+        tf = random_tf(rng, 7)
+        g = GmmModel([0.2, 0.5, 0.3], [0.1, 0.45, 0.9], [0.0, 0.03, 0.2])
+        want = sum(w * dense_gaussian_oracle(tf, m, s)
+                   for w, m, s in zip(g.weights, g.means, g.sigmas))
+        np.testing.assert_allclose(expected_color_parametric(g, tf), want, atol=1e-7)
+
+
+def legacy_integral_to(tf, x):
+    """The clip-and-mask antiderivative the segment tables replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    knots, vals = tf.points[:, 0], tf.points[:, 1:]
+    mid = 0.5 * (vals[:-1] + vals[1:])
+    cum = np.vstack([np.zeros(4), np.cumsum(mid * np.diff(knots)[:, None], axis=0)])
+    seg = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 1)
+    x0, v0 = knots[seg], vals[seg]
+    dx = (x - x0)[..., None]
+    out = cum[seg] + v0 * dx
+    interior = seg < knots.size - 1
+    if np.any(interior):
+        nxt = np.minimum(seg + 1, knots.size - 1)
+        width = knots[nxt] - x0
+        ok = width[..., None] > 0
+        slope = np.where(ok, (vals[nxt] - v0) / np.where(ok, width[..., None], 1.0), 0.0)
+        out = out + np.where(interior[..., None], 0.5 * slope * dx * dx, 0.0)
+    below = x < knots[0]
+    if np.any(below):
+        out = np.where(below[..., None], vals[0] * (x - knots[0])[..., None], out)
+    return out
+
+
+def legacy_quantile_range_batch(boundaries, qval, tf):
+    """Per-piece averages from two antiderivative calls per piece."""
+    a, b = boundaries[:, :-1], boundaries[:, 1:]
+    width = b - a
+    safe = np.where(width > 0, width, 1.0)
+    avg = (legacy_integral_to(tf, b) - legacy_integral_to(tf, a)) / safe[..., None]
+    avg = np.where((width > 0)[..., None], avg, tf.sample(a))
+    return qval * avg.sum(axis=1)
+
+
+class TestQuantileRangeLegacyOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_two_sided_averages(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        tf = random_tf(rng, int(rng.integers(1, 8)))
+        q = int(rng.choice([1, 4, 8, 32]))
+        bnd = np.sort(rng.normal(0.4, 0.6, (500, q + 1)), axis=1)
+        bnd[::5, 1:] = bnd[::5, :1]  # all pieces zero-width
+        bnd[1::7, q // 2:] = bnd[1::7, q // 2, None]  # upper pieces zero-width
+        bnd[2::9] = np.sort(rng.choice(tf.knots, (bnd[2::9].shape)), axis=1)  # on knots
+        got = quantile_range_batch(bnd, 1.0 / q, tf)
+        assert np.array_equal(got, legacy_quantile_range_batch(bnd, 1.0 / q, tf))
+
+    def test_integral_to_bit_identical(self):
+        rng = np.random.default_rng(9)
+        tf = random_tf(rng, 6)
+        x = np.concatenate([rng.uniform(-2, 3, 2000), tf.knots])
+        assert np.array_equal(tf.integral_to(x), legacy_integral_to(tf, x))

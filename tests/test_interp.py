@@ -17,6 +17,7 @@ from uqdvr.interp import (
     quantile_interp_3d_rational,
     sample_gmm_mc,
     trilinear_coords,
+    uniform_sum_density_batch,
 )
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
 
@@ -233,6 +234,78 @@ class TestInterpUniform:
         at = np.interp(oracle, dens.x, cdf)
         emp = np.arange(1, oracle.size + 1) / oracle.size
         assert np.max(np.abs(at - emp)) < 0.02
+
+    def test_trilinear_mixed_widths_match_independent_mc(self):
+        rng = np.random.default_rng(13)
+        w = corner_weights(0.2, 0.65, 0.4)
+        centers = rng.uniform(0.0, 1.0, 8)
+        widths = rng.uniform(0.05, 0.6, 8)
+        widths[[1, 6]] = 0.0
+        dens = interp_uniform(centers, widths, w)
+        sets = [c + d * (rng.random(10**5) - 0.5) for c, d in zip(centers, widths)]
+        oracle = mc_oracle_interp(sets, w, 10**5, seed=4, coupling="independent")
+        at = np.interp(oracle, dens.x, dens.cdf())
+        emp = np.arange(1, oracle.size + 1) / oracle.size
+        assert np.max(np.abs(at - emp)) < 0.01
+
+
+def rasterized_uniform_sum_density(centers, widths, weights, npoints):
+    """Rasterize each factor's box onto the lattice cells, then multiply the
+    factors' rFFTs: the reference for the analytic box spectra."""
+    c, d, w = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (centers, widths, weights))
+    v, k = c.shape
+    s = np.abs(w) * d
+    total = s.sum(axis=1)
+    origins = (w * c).sum(axis=1) - 0.5 * total
+    f_len = 1 << int(np.ceil(np.log2(npoints + 2 * k + 4)))
+    du = np.where(total > 0, total, 1.0) / (npoints - 1)
+    spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
+    cell = np.arange(f_len)
+    for i in range(k):
+        si = s[:, i][:, None]
+        lo = cell[None, :] * du[:, None] - 0.5 * du[:, None]
+        overlap = np.clip(np.minimum(lo + du[:, None], si) - np.maximum(lo, 0.0), 0.0, None)
+        fac = np.where(si > 0, overlap / np.maximum(si * du[:, None], 1e-300), 0.0)
+        point = s[:, i] <= 0
+        fac[point, 0] = 1.0 / du[point]
+        fac[point, 1:] = 0.0
+        spec *= np.fft.rfft(fac, axis=1)
+    pdf = np.clip(np.fft.irfft(spec, n=f_len, axis=1) * du[:, None] ** (k - 1), 0.0, None)
+    degen = total <= 0
+    pdf[degen] = 0.0
+    pdf[degen, 0] = 1.0 / du[degen]
+    return origins, pdf, du
+
+
+class TestUniformSumSpectra:
+    @pytest.mark.parametrize("npoints", [2, 17, 64, 512])
+    def test_matches_rasterized_rfft(self, npoints):
+        rng = np.random.default_rng(npoints)
+        v = 400
+        centers = rng.uniform(-1, 1, (v, 8))
+        widths = rng.uniform(0, 0.5, (v, 8))
+        weights = rng.dirichlet(np.ones(8), v)
+        weights[::6] *= rng.choice([-1.0, 1.0], (weights[::6].shape))
+        widths[::3, 2] = 0.0  # point-mass factors
+        widths[1::5, :4] = 1e-9  # boxes narrower than half a cell: m = 0
+        widths[2::11] = 0.0  # all-degenerate rows
+        widths[3::13, 0] = 50.0  # one factor spans the lattice: m near npoints
+        got = uniform_sum_density_batch(centers, widths, weights, npoints)
+        want = rasterized_uniform_sum_density(centers, widths, weights, npoints)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[2], want[2])
+        scale = want[1].max(axis=1, keepdims=True)
+        assert np.max(np.abs(got[1] - want[1]) / scale) < 1e-12
+
+    def test_cell_boundary_widths(self):
+        # Widths at exact half-cell multiples sit on the m = ceil(s/du - 1/2) edges.
+        du = 0.1
+        halves = np.arange(0, 12) * 0.5 * du
+        for h in halves:
+            widths = np.array([[h, 2.0 - h]])
+            got = uniform_sum_density_batch([[0.0, 0.0]], widths, [[1.0, 1.0]], 21)
+            want = rasterized_uniform_sum_density([[0.0, 0.0]], widths, [[1.0, 1.0]], 21)
+            assert np.max(np.abs(got[1] - want[1])) / want[1].max() < 1e-12
 
 
 class TestGmmOrdered:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uqdvr import render
 from uqdvr.classify import TransferFunction1D, TransferFunction2D
 from uqdvr.density import build_distribution_volume
 from uqdvr.render import (
@@ -19,6 +20,7 @@ from uqdvr.synth import NoiseSpec, make_ensemble, sample_field
 from uqdvr.volcore import (
     DistributionVolume,
     GaussianModel,
+    GmmVolumeModel,
     MeanFieldModel,
     QuantileModel,
     ScalarGrid,
@@ -74,6 +76,89 @@ class TestCamera:
         _, d = camera_rays(cam)
         assert d[0][2] > 0  # first pixel looks up (top row)
         assert d[6][2] < 0  # last row looks down
+
+
+    @pytest.mark.parametrize("field", ["eye", "look_at", "up"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, field, bad):
+        vecs = {"eye": [-3.0, 0.0, 0.0], "look_at": [0.0, 0.0, 0.0], "up": [0.0, 0.0, 1.0]}
+        vecs[field][1] = bad
+        with pytest.raises(VolumeError, match="finite"):
+            Camera(tuple(vecs["eye"]), tuple(vecs["look_at"]), tuple(vecs["up"]), 30, 8, 8)
+
+
+class TestRenderJobBounds:
+    @pytest.mark.parametrize("field, value", [
+        ("step", np.inf), ("step", np.nan), ("step", 0.0), ("step", -0.5),
+        ("mc_samples", 0), ("mc_samples", -3),
+        ("tf2d_samples", 0),
+        ("conv_lattice", 1), ("conv_lattice", 0),
+    ])
+    def test_invalid_values_rejected_at_construction(self, field, value):
+        grid = sample_field("constant(0.5)", (4, 4, 4))
+        vol = mean_volume(grid)
+        with pytest.raises(VolumeError):
+            RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), **{field: value})
+
+    def test_smallest_valid_values_accepted(self):
+        grid = sample_field("constant(0.5)", (4, 4, 4))
+        vol = mean_volume(grid)
+        RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), step=1e-3,
+                  mc_samples=1, tf2d_samples=1, conv_lattice=2)
+
+
+def argmax_gmm_mc_chunk(state, pos, rng):
+    """The gmm-mc classification with the argmax component pick and
+    take_along_axis gathers that the count-based pick replaced."""
+    job = state.job
+    vol = job.volume
+    m = vol.model
+    nx, ny, nz = vol.dims
+    nd = np.array([nx, ny, nz], dtype=np.float64)
+    g = np.clip((pos - vol.world_min[None, :]) / np.asarray(vol.spacing)[None, :], 0.0, nd - 1.0)
+    base = np.maximum(np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64)), 0)
+    frac = g - base
+    flat = base[:, 0] + nx * (base[:, 1] + ny * base[:, 2])
+    bits = np.arange(8)
+    w8 = (np.stack([1 - frac[:, 0], frac[:, 0]], 1)[:, bits & 1]
+          * np.stack([1 - frac[:, 1], frac[:, 1]], 1)[:, (bits >> 1) & 1]
+          * np.stack([1 - frac[:, 2], frac[:, 2]], 1)[:, (bits >> 2) & 1])
+    idx8 = flat[:, None] + state.corner_flat[None, :]
+    a, n = pos.shape[0], job.mc_samples
+    x = np.zeros((a, n))
+    for c in range(8):
+        vox = idx8[:, c]
+        cum = np.cumsum(m.weights[vox], axis=1)
+        cum[:, -1] = 1.0
+        u = rng.random((a, n))
+        comp = (u[:, None, :] < cum[:, :, None]).argmax(axis=1)
+        mval = np.take_along_axis(m.means[vox], comp, axis=1)
+        sval = np.take_along_axis(m.sigmas[vox], comp, axis=1)
+        x += w8[:, c][:, None] * (mval + sval * rng.standard_normal((a, n)))
+    return job.tf.sample(x).mean(axis=1)
+
+
+class TestGmmMcComponentPick:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pixels_match_argmax_pick(self, k, monkeypatch):
+        rng = np.random.default_rng(30 + k)
+        dims = (7, 6, 5)
+        nvox = 7 * 6 * 5
+        weights = rng.dirichlet(np.ones(k), nvox)
+        if k > 1:
+            weights[::4, 0] = 0.0  # empty components
+            weights[::4] /= weights[::4].sum(axis=1, keepdims=True)
+            weights[1::5] = np.eye(k)[rng.integers(0, k, weights[1::5].shape[0])]
+        means = rng.uniform(0.0, 1.0, (nvox, k))
+        sigmas = rng.uniform(0.0, 0.15, (nvox, k))
+        vol = DistributionVolume(dims, (1, 1, 1), (0, 0, 0),
+                                 GmmVolumeModel(k, weights, means, sigmas))
+        job = RenderJob(vol, "gmm-mc", default_camera(vol, 20, 16), tf=band_tf(),
+                        seed=k, mc_samples=12)
+        got = raycast(job, threads=2)
+        monkeypatch.setattr(render, "_classify_chunk", argmax_gmm_mc_chunk)
+        want = raycast(job, threads=2)
+        assert np.array_equal(got.pixels, want.pixels)
 
 
 class TestRaycast:
