@@ -51,7 +51,6 @@ class TransferFunction1D:
         mid = 0.5 * (vals[:-1] + vals[1:])
         cum = np.vstack([np.zeros(4), np.cumsum(mid * np.diff(x)[:, None], axis=0)])
         tables = {
-            "_slopes": slopes,
             "_seg_x": np.concatenate([x[:1], x]),
             "_seg_cum": np.vstack([cum[:1], cum]),
             "_seg_val": np.vstack([vals[:1], vals]),
@@ -214,7 +213,7 @@ def gauss_hermite_batch(mu: np.ndarray, sigma: np.ndarray,
     with np.errstate(over="ignore"):  # sigma << |d|: z -> +-inf, H -> max(d, 0)
         z = d / s
         h = d * ndtr(z) + s * (_INV_SQRT_2PI * np.exp(-0.5 * z * z))
-    out = tf.points[0, 1:] + (h[:, :-1] - h[:, 1:]) @ tf._slopes
+    out = tf.points[0, 1:] + (h[:, :-1] - h[:, 1:]) @ tf._seg_slope[1:-1]
     if np.any(point):
         out[point] = tf.sample(mu[point])
     return out

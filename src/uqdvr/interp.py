@@ -181,17 +181,31 @@ class NumericDensity:
         return float(np.trapezoid(self.x * self.pdf, self.x))
 
 
-def _box_spectrum_tables(f_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """rFFT tables for unit-mass boxes [0, s] rasterized onto cells of width du
+def _box_spectra(m: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """rFFT terms of unit-mass boxes [0, s] rasterized onto cells of width du
     centred on 0, du, 2du, ...: with m = ceil(s/du - 1/2) the box covers half
     of cell 0, all of cells 1..m-1 and part of cell m, so its spectrum is
-    ramp[m]/s + phase[m]/du.  Rows m = 0..f_len; ramp[0] evaluates to exactly
-    0, so a box narrower than half a cell is a point mass of 1/du in cell 0."""
-    m = np.arange(f_len + 1)
+    ramp/s + phase/du.  Returns (len(m), f_len/2 + 1) rows for the given m
+    only, gathered from one table of 2F unit roots.  With r = exp(-2 pi i k/F),
+    sum_{c=1}^{m-1} r^c is taken in the Dirichlet form
+    r^(m/2) sin((m-1) pi k/F) / sin(pi k/F) (m - 1 at k = 0).
+    m = 0 rows are exactly 0, so a box narrower than half a cell is a point
+    mass of 1/du in cell 0."""
+    mask = 2 * f_len - 1  # index mod 2F (F is a power of two)
+    theta = np.pi * np.arange(f_len) / f_len
+    h = np.empty(2 * f_len, dtype=np.complex128)  # h[j] = exp(-i pi j/F)
+    h.real[:f_len], h.imag[:f_len] = np.cos(theta), -np.sin(theta)
+    h[f_len:] = -h[:f_len]
     k = np.arange(f_len // 2 + 1)
-    phase = np.exp(-2j * np.pi * ((m[:, None] * k[None, :]) % f_len) / f_len)
-    inner = np.cumsum(phase, axis=0) - phase - 1.0  # sum_{c=1}^{m-1} r^c
+    mk = m[:, None] * k[None, :]
+    phase = h[(2 * mk) & mask]  # r^m
+    inner = np.empty(phase.shape, dtype=np.complex128)
+    inner[:, 0] = m - 1
+    # sin(pi j/F) = -Im h[j]; the signs cancel in the ratio.
+    sin_ratio = h.imag[(mk[:, 1:] - k[1:]) & mask] / h.imag[k[1:]]
+    inner[:, 1:] = h[mk[:, 1:] & mask] * sin_ratio
     ramp = 0.5 + inner - (m[:, None] - 0.5) * phase
+    ramp[m == 0] = 0.0
     return phase, ramp
 
 
@@ -220,13 +234,17 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     span = np.where(total > 0, total, 1.0)
     du = span / (npoints - 1)
 
-    phase, ramp = _box_spectrum_tables(f_len)
     cells = np.clip(np.ceil(s / du[:, None] - 0.5), 0, f_len).astype(np.int64)  # (V, K)
     inv_s = 1.0 / np.where(s > 0, s, 1.0)
     inv_du = (1.0 / du)[:, None]
+    # Spectra only for the distinct m in use: s_i <= total bounds m by npoints - 1,
+    # so there are at most min(V*K, npoints) rows.
+    rows, idx = np.unique(cells, return_inverse=True)
+    phase, ramp = _box_spectra(rows, f_len)
+    idx = idx.reshape(cells.shape)
     spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
     for i in range(k):
-        spec *= ramp[cells[:, i]] * inv_s[:, i, None] + phase[cells[:, i]] * inv_du
+        spec *= ramp[idx[:, i]] * inv_s[:, i, None] + phase[idx[:, i]] * inv_du
     pdf = np.fft.irfft(spec, n=f_len, axis=1) * du[:, None] ** (k - 1)
     np.clip(pdf, 0.0, None, out=pdf)
     degen = total <= 0

@@ -251,7 +251,10 @@ class TestInterpUniform:
 
 def rasterized_uniform_sum_density(centers, widths, weights, npoints):
     """Rasterize each factor's box onto the lattice cells, then multiply the
-    factors' rFFTs: the reference for the analytic box spectra."""
+    factors' rFFTs: the reference for the analytic box spectra.  Overlaps are
+    taken in cell units, so interior cells are exactly one cell wide; in length
+    units (lo + du) - lo rounds by about eps * m, which reaches 1e-12 relative
+    at the largest lattices."""
     c, d, w = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (centers, widths, weights))
     v, k = c.shape
     s = np.abs(w) * d
@@ -263,9 +266,9 @@ def rasterized_uniform_sum_density(centers, widths, weights, npoints):
     cell = np.arange(f_len)
     for i in range(k):
         si = s[:, i][:, None]
-        lo = cell[None, :] * du[:, None] - 0.5 * du[:, None]
-        overlap = np.clip(np.minimum(lo + du[:, None], si) - np.maximum(lo, 0.0), 0.0, None)
-        fac = np.where(si > 0, overlap / np.maximum(si * du[:, None], 1e-300), 0.0)
+        cells = si / du[:, None]  # box width in cells
+        overlap = np.clip(np.minimum(cell + 0.5, cells) - np.maximum(cell - 0.5, 0.0), 0.0, None)
+        fac = np.where(si > 0, overlap / np.where(si > 0, si, 1.0), 0.0)
         point = s[:, i] <= 0
         fac[point, 0] = 1.0 / du[point]
         fac[point, 1:] = 0.0
@@ -306,6 +309,21 @@ class TestUniformSumSpectra:
             got = uniform_sum_density_batch([[0.0, 0.0]], widths, [[1.0, 1.0]], 21)
             want = rasterized_uniform_sum_density([[0.0, 0.0]], widths, [[1.0, 1.0]], 21)
             assert np.max(np.abs(got[1] - want[1])) / want[1].max() < 1e-12
+
+    @pytest.mark.parametrize("lattice", [4096, 65536])
+    def test_interp_uniform_large_lattice(self, lattice):
+        # One row on a long lattice, up to the largest KdeConfig allows: the
+        # spectra are built for the row's own m values, so memory stays O(F).
+        rng = np.random.default_rng(lattice)
+        centers = rng.uniform(0.0, 1.0, 8)
+        widths = rng.uniform(0.0, 0.6, 8)
+        widths[[1, 5]] = [0.0, 1e-9]  # a point mass and an m = 0 box
+        w = corner_weights(0.3, 0.6, 0.2)
+        dens = interp_uniform(centers, widths, w, KdeConfig(lattice=lattice))
+        origins, want, du = rasterized_uniform_sum_density(centers[None], widths[None],
+                                                           w[None], lattice)
+        np.testing.assert_array_equal(dens.x, origins[0] + np.arange(want.shape[1]) * du[0])
+        assert np.max(np.abs(dens.pdf - want[0])) / want.max() < 1e-12
 
 
 class TestGmmOrdered:
