@@ -18,6 +18,7 @@ from .volcore import (
     EnsembleVolume,
     GaussianModel,
     GmmVolumeModel,
+    MAX_LATTICE,
     MeanFieldModel,
     QuantileModel,
     QuantilePdf,
@@ -26,6 +27,7 @@ from .volcore import (
     UniformModel,
     VolumeError,
     _quantile_masses,
+    require_positive,
 )
 
 # Sigma floor for EM fits, relative to the sample range.
@@ -57,10 +59,10 @@ class KdeConfig:
             lattice = operator.index(lattice)
         except (TypeError, ValueError):
             raise VolumeError(f"bad KDE bandwidth {bw!r} or lattice {lattice!r}") from None
-        if bw != "auto" and not (np.isfinite(bw) and bw > 0):
-            raise VolumeError("explicit bandwidth must be finite and positive")
-        if not 64 <= lattice <= 65536:
-            raise VolumeError("lattice resolution must lie in [64, 65536]")
+        if bw != "auto":
+            require_positive(bw, "explicit bandwidth")
+        if not 64 <= lattice <= MAX_LATTICE:
+            raise VolumeError(f"lattice resolution must lie in [64, {MAX_LATTICE}]")
         object.__setattr__(self, "bandwidth", bw)
         object.__setattr__(self, "lattice", lattice)
 

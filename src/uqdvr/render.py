@@ -8,17 +8,18 @@ any thread count.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import classify as _classify
 from .classify import (
     NEIGHBOR_OFFSETS,
     TransferFunction1D,
     TransferFunction2D,
+    derivative_matrices,
     expected_color_2d_batch,
     gauss_hermite_batch,
     quantile_mean_batch,
@@ -30,15 +31,19 @@ from .volcore import (
     DistributionVolume,
     GaussianModel,
     GmmVolumeModel,
+    MAX_LATTICE,
     MeanFieldModel,
     QuantileModel,
     ScalarGrid,
     UniformModel,
     VolumeError,
     require_finite,
+    require_positive,
 )
 
 CHUNK_PIXELS = 4096
+# Most samples a ray may take: the bounding-box diagonal over the step length.
+MAX_RAY_SAMPLES = 1 << 16
 
 SCHEMES = ("mean", "uniform", "gaussian", "gmm-ordered", "gmm-mc",
            "quantile-range", "quantile-mean", "tf2d")
@@ -166,14 +171,23 @@ class RenderJob:
                 raise VolumeError("mean grid must be congruent with the volume")
         elif self.tf is None:
             raise VolumeError(f"scheme {self.scheme!r} needs a 1D transfer function")
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise VolumeError("step must be finite and positive")
+        require_positive(self.step, "step")
+        step_len = self.step * min(self.volume.spacing)
+        diagonal = float(np.linalg.norm(self.volume.world_max - self.volume.world_min))
+        if diagonal > MAX_RAY_SAMPLES * step_len:
+            raise VolumeError(f"step {self.step} takes more than {MAX_RAY_SAMPLES} "
+                              "samples along the volume diagonal")
+        for name in ("mc_samples", "tf2d_samples", "conv_lattice"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise VolumeError(f"{name} must be an integer") from None
         if self.mc_samples < 1:
             raise VolumeError("mc_samples must be at least 1")
         if self.tf2d_samples < 1:
             raise VolumeError("tf2d_samples must be at least 1")
-        if self.conv_lattice < 2:
-            raise VolumeError("conv_lattice must be at least 2")
+        if not 2 <= self.conv_lattice <= MAX_LATTICE:
+            raise VolumeError(f"conv_lattice must lie in [2, {MAX_LATTICE}]")
         if not (0.0 < self.termination <= 1.0):
             raise VolumeError("termination must lie in (0, 1]")
         if self.quantile_subrange is not None:
@@ -221,7 +235,7 @@ class _SchemeState:
                                             seed=job.seed)
             self.neigh_flat = (NEIGHBOR_OFFSETS[:, 0] + nx * (NEIGHBOR_OFFSETS[:, 1]
                                + ny * NEIGHBOR_OFFSETS[:, 2]))
-            self.deriv = _classify._derivative_matrices(job.volume.spacing)
+            self.deriv = derivative_matrices(job.volume.spacing)
 
 
 def _corner_weights_batch(frac: np.ndarray) -> np.ndarray:

@@ -21,6 +21,9 @@ EPS_WIDTH = 1e-12
 # Finite-support clamp for Gaussian quantile extraction; mass error < 1e-8.
 GAUSS_TAIL_SIGMAS = 6.0
 
+# Largest value lattice a KDE fit or a uniform-sum convolution may use.
+MAX_LATTICE = 65536
+
 QVOL_MAGIC = b"QVOL1"
 DVOL_MAGIC = b"DVOL1"
 
@@ -62,6 +65,13 @@ def require_finite(values, what: str) -> None:
         raise VolumeError(f"{what} must be finite")
 
 
+def require_positive(values, what: str) -> None:
+    """Raise VolumeError unless every entry of values is finite and positive."""
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise VolumeError(f"{what} must be finite and positive, got {values}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -84,8 +94,8 @@ class ScalarGrid:
         object.__setattr__(self, "dims", _as_dims(self.dims))
         object.__setattr__(self, "spacing", _as_vec3(self.spacing))
         object.__setattr__(self, "origin", _as_vec3(self.origin))
-        if any(s <= 0 for s in self.spacing):
-            raise VolumeError(f"spacing must be positive, got {self.spacing}")
+        require_positive(self.spacing, "spacing")
+        require_finite(self.origin, "origin")
         vals = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
         if vals.size != self.voxel_count:
             raise VolumeError(
@@ -143,6 +153,7 @@ class QuantilePdf:
         if np.any(np.diff(b) < 0):
             raise VolumeError("quantile boundaries must be nondecreasing")
         q = b.size - 1
+        require_finite(self.qval, "qval")
         if abs(q * self.qval - 1.0) > 1e-9:
             raise VolumeError(f"q*qval must equal 1 (q={q}, qval={self.qval})")
         object.__setattr__(self, "qval", float(self.qval))
@@ -249,6 +260,8 @@ class GmmVolumeModel:
         s = np.ascontiguousarray(self.sigmas, dtype=np.float64).reshape(-1, k)
         if not (w.shape == m.shape == s.shape):
             raise VolumeError("gmm parameter grids must be congruent")
+        for arr in (w, m, s):
+            require_finite(arr, "gmm parameters")
         if np.any(w < 0) or np.any(s < 0):
             raise VolumeError("gmm weights and sigmas must be nonnegative")
         if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-6):
@@ -273,6 +286,7 @@ class QuantileModel:
         if b.ndim != 2 or b.shape[1] < 2:
             raise VolumeError("quantile boundaries must be (nvox, q+1)")
         q = b.shape[1] - 1
+        require_finite(self.qval, "qval")
         if abs(q * self.qval - 1.0) > 1e-9:
             raise VolumeError(f"q*qval must equal 1 (q={q}, qval={self.qval})")
         require_finite(b, "quantile boundaries")
@@ -327,8 +341,8 @@ class DistributionVolume:
         object.__setattr__(self, "dims", _as_dims(self.dims))
         object.__setattr__(self, "spacing", _as_vec3(self.spacing))
         object.__setattr__(self, "origin", _as_vec3(self.origin))
-        if any(s <= 0 for s in self.spacing):
-            raise VolumeError(f"spacing must be positive, got {self.spacing}")
+        require_positive(self.spacing, "spacing")
+        require_finite(self.origin, "origin")
         nvox = self.voxel_count
         if self.model.voxel_count != nvox:
             raise VolumeError(

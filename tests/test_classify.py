@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from uqdvr import classify
 from uqdvr.classify import (
     GradientStencil,
     TransferFunction1D,
     TransferFunction2D,
+    derivative_matrices,
     expected_color_2d,
     expected_color_2d_batch,
     expected_color_parametric,
@@ -527,3 +531,258 @@ class TestQuantileRangeLegacyOracle:
         tf = random_tf(rng, 6)
         x = np.concatenate([rng.uniform(-2, 3, 2000), tf.knots])
         assert np.array_equal(tf.integral_to(x), legacy_integral_to(tf, x))
+
+
+def interp_sample(tf, x):
+    """The four-np.interp lookup that the segment-table sample replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape + (4,))
+    for ch in range(4):
+        out[..., ch] = np.interp(x, tf.points[:, 0], tf.points[:, ch + 1])
+    return out
+
+
+def fancy_index_integral_to(tf, x):
+    """The fancy-index antiderivative that the np.take gathers replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    seg = np.searchsorted(tf.points[:, 0], x, side="right")
+    dx = (x - tf._seg_x[seg])[..., None]
+    return tf._seg_cum[seg] + tf._seg_val[seg] * dx + 0.5 * tf._seg_slope[seg] * dx * dx
+
+
+def probe_points(rng, tf):
+    """Random x, every knot, points below and above the knots, and a sorted
+    lattice across them."""
+    lo, hi = tf.knots[0], tf.knots[-1]
+    return np.concatenate([
+        rng.uniform(lo - 1.0, hi + 1.0, 300),
+        tf.knots,
+        [lo - 1e-12, lo - 5.0, -1e300, hi + 1e-12, hi + 5.0, 1e300],
+        np.linspace(lo - 0.5, hi + 0.5, 257),
+    ])
+
+
+class TestTableLookupOracles:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sample_bit_identical_to_interp(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        tf = random_tf(rng, 1 + seed)  # seed 0 is the one-knot TF
+        x = probe_points(rng, tf)
+        assert np.array_equal(tf.sample(x), interp_sample(tf, x))
+        grid = rng.uniform(tf.knots[0] - 1, tf.knots[-1] + 1, (7, 5))
+        assert np.array_equal(tf.sample(grid), interp_sample(tf, grid))
+        assert np.array_equal(tf.sample(x[3]), interp_sample(tf, x[3]))
+
+    def test_many_blocks_and_empty(self):
+        rng = np.random.default_rng(7)
+        tf = random_tf(rng, 6)
+        x = rng.uniform(tf.knots[0] - 1, tf.knots[-1] + 1, (3, classify._BLOCK + 1001))
+        assert np.array_equal(tf.sample(x), interp_sample(tf, x))
+        assert np.array_equal(tf.integral_to(x), fancy_index_integral_to(tf, x))
+        assert np.array_equal(tf.sample(x.T), interp_sample(tf, x.T))  # non-contiguous
+        assert tf.sample(np.empty((0, 3))).shape == (0, 3, 4)
+
+    def test_sample_infinite_and_nan(self):
+        tf = random_tf(np.random.default_rng(5), 4)
+        x = np.array([-np.inf, np.inf])
+        assert np.array_equal(tf.sample(x), interp_sample(tf, x))
+        assert np.all(np.isnan(tf.sample(np.nan)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integral_to_bit_identical_to_fancy_index(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        tf = random_tf(rng, 1 + seed)
+        x = probe_points(rng, tf)[:-6]  # |x| = 1e300 overflows dx * dx
+        x = np.concatenate([x, tf.knots[:1] - 1e-12, tf.knots[-1:] + 1e-12])
+        assert np.array_equal(tf.integral_to(x), fancy_index_integral_to(tf, x))
+        rows = np.sort(rng.uniform(tf.knots[0] - 1, tf.knots[-1] + 1, (9, 6)), axis=1)
+        assert np.array_equal(tf.integral_to(rows), fancy_index_integral_to(tf, rows))
+
+
+def gather_expected_color_2d_batch(centers, widths, w, u, tf2, points, degenerate=None):
+    """The per-point bilinear gathers and mean that the splat replaced."""
+    offsets = points.T - 0.5
+    x = (w * centers).sum(axis=1, keepdims=True) + (w * widths) @ offsets
+    y = (u * centers).sum(axis=1, keepdims=True) + (u * widths) @ offsets
+    if degenerate is not None and np.any(degenerate):
+        y = np.where(degenerate[:, None], 0.0, y)
+    return tf2.sample(x, np.clip(y, 0.0, tf2.gmax)).mean(axis=1)
+
+
+def render_like_rows(rng, p, m=32):
+    centers = rng.uniform(0.0, 1.0, (p, m))
+    widths = rng.uniform(0.0, 0.4, (p, m))
+    widths[::5] = 0.0
+    w = np.zeros((p, m))
+    w[:, :8] = rng.dirichlet(np.ones(8), p)
+    u = rng.normal(0.0, 2.0, (p, m))
+    degenerate = np.zeros(p, dtype=bool)
+    degenerate[1::4] = True
+    return centers, widths, w, u, degenerate
+
+
+class TestSplatExpectation2d:
+    @pytest.mark.parametrize("rows, cols, n", [(64, 64, 1024), (2, 2, 64), (5, 9, 256),
+                                               (300, 300, 16)])
+    def test_matches_gather_oracle(self, rows, cols, n):
+        rng = np.random.default_rng(rows + cols + n)
+        tf2 = TransferFunction2D(rng.random((rows, cols, 4)), 1.5)
+        args = render_like_rows(rng, 40)
+        pts = sobol_points(32, n, seed=3)
+        got = expected_color_2d_batch(*args[:4], tf2, pts, degenerate=args[4])
+        want = gather_expected_color_2d_batch(*args[:4], tf2, pts, degenerate=args[4])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_mean_sample_matches_pointwise_mean(self):
+        rng = np.random.default_rng(11)
+        tf2 = checker_tf2d(rows=7, cols=4, gmax=2.0)
+        x = rng.uniform(-0.2, 1.2, (30, 77))
+        y = rng.uniform(-0.5, 2.5, (30, 77))
+        y[4] = 0.0
+        want = tf2.sample(x, np.clip(y, 0.0, tf2.gmax)).mean(axis=1)
+        np.testing.assert_allclose(tf2.mean_sample(x, y), want, rtol=0, atol=1e-12)
+
+    def test_rows_independent_of_block(self):
+        rng = np.random.default_rng(12)
+        tf2 = TransferFunction2D(rng.random((64, 64, 4)), 1.0)
+        x = rng.uniform(0.0, 1.0, (37, 1024))
+        y = rng.uniform(0.0, 1.0, (37, 1024))
+        assert 37 > classify._BLOCK // 4096  # more than one block
+        whole = tf2.mean_sample(x, y)
+        single = np.vstack([tf2.mean_sample(x[i:i + 1], y[i:i + 1]) for i in range(37)])
+        # Only the BLAS summation order of a row's 4096 products may differ.
+        np.testing.assert_allclose(whole, single, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(tf2.mean_sample(x[5:9], y[5:9]), whole[5:9])
+
+
+def tf1d_lines():
+    token = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(0.0, 1.0).map(repr),
+        st.text(max_size=3),
+    )
+    return st.lists(st.lists(token, max_size=6).map(" ".join), max_size=6).map("\n".join)
+
+
+@st.composite
+def tf2d_files(draw):
+    rows = draw(st.integers(-3, 5))
+    cols = draw(st.integers(-3, 5))
+    gmax = draw(st.floats(allow_nan=True, allow_infinity=True))
+    header = f"{rows} {cols} {gmax!r}\n".encode("ascii")
+    n = max(rows, 0) * max(cols, 0) * 4
+    values = draw(st.lists(st.floats(-0.5, 1.5, width=32), min_size=n, max_size=n))
+    body = np.asarray(values, dtype="<f4").tobytes() + draw(st.binary(max_size=3))
+    return header + body
+
+
+def valid_tf1d():
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.floats(-1e3, 1e3),
+        st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1),
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), min_size=n, max_size=n),
+    )).map(lambda t: TransferFunction1D(np.column_stack(
+        [t[0] + np.concatenate([[0.0], np.cumsum(t[1])]), np.asarray(t[2])])))
+
+
+def valid_tf2d():
+    return st.tuples(st.integers(2, 6), st.integers(2, 6), st.floats(1e-6, 1e6),
+                     st.integers(0, 2**32 - 1)).map(
+        lambda t: TransferFunction2D(np.random.default_rng(t[3]).random((t[0], t[1], 4)), t[2]))
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTransferFunctionLoaderFuzz:
+    def check_tf1d(self, path):
+        try:
+            tf = load_tf1d(path)
+        except VolumeError:
+            return
+        p = tf.points
+        assert np.all(np.isfinite(p)) and np.all(np.diff(p[:, 0]) > 0)
+        assert np.all((p[:, 1:] >= 0) & (p[:, 1:] <= 1))
+
+    def check_tf2d(self, path):
+        try:
+            tf2 = load_tf2d(path)
+        except VolumeError:
+            return
+        assert tf2.table.shape[0] >= 2 and tf2.table.shape[1] >= 2
+        assert np.all((tf2.table >= 0) & (tf2.table <= 1))
+        assert np.isfinite(tf2.gmax) and tf2.gmax > 0
+
+    @FUZZ
+    @given(raw=st.binary(max_size=200))
+    def test_tf1d_any_bytes(self, tmp_path, raw):
+        p = tmp_path / "tf.txt"
+        p.write_bytes(raw)
+        self.check_tf1d(p)
+
+    @FUZZ
+    @given(text=tf1d_lines())
+    def test_tf1d_any_text(self, tmp_path, text):
+        p = tmp_path / "tf.txt"
+        p.write_bytes(text.encode("utf-8", "surrogatepass"))
+        self.check_tf1d(p)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=200))
+    def test_tf2d_any_bytes(self, tmp_path, raw):
+        p = tmp_path / "tf2.bin"
+        p.write_bytes(raw)
+        self.check_tf2d(p)
+
+    @FUZZ
+    @given(raw=tf2d_files())
+    def test_tf2d_any_header_and_payload(self, tmp_path, raw):
+        p = tmp_path / "tf2.bin"
+        p.write_bytes(raw)
+        self.check_tf2d(p)
+
+    @pytest.mark.parametrize("text", [b"0 1 1 1 x\n", b"0 0 0 0 0\n\xff\xfe 1 1 1 1\n"])
+    def test_tf1d_bad_tokens(self, tmp_path, text):
+        p = tmp_path / "tf.txt"
+        p.write_bytes(text)
+        with pytest.raises(VolumeError):
+            load_tf1d(p)
+
+    @pytest.mark.parametrize("header", [b"-2 -2 1\n", b"0 4 1\n", b"1 3 1\n"])
+    def test_tf2d_bad_dims(self, tmp_path, header):
+        rows, cols = (abs(int(v)) for v in header.split()[:2])
+        p = tmp_path / "tf2.bin"
+        p.write_bytes(header + np.full(rows * cols * 4, 0.5, "<f4").tobytes())
+        with pytest.raises(VolumeError):
+            load_tf2d(p)
+
+    @FUZZ
+    @given(tf=valid_tf1d())
+    def test_tf1d_round_trip(self, tmp_path, tf):
+        p = tmp_path / "tf.txt"
+        save_tf1d(tf, p)
+        back = load_tf1d(p)
+        np.testing.assert_allclose(back.points, tf.points, rtol=1e-8, atol=1e-12)
+        text = p.read_bytes()
+        save_tf1d(back, p)
+        assert p.read_bytes() == text
+
+    @FUZZ
+    @given(tf2=valid_tf2d())
+    def test_tf2d_round_trip(self, tmp_path, tf2):
+        p = tmp_path / "tf2.bin"
+        save_tf2d(tf2, p)
+        back = load_tf2d(p)
+        assert np.array_equal(back.table, tf2.table.astype(np.float32))
+        assert back.gmax == float(f"{tf2.gmax:.9g}")
+        raw = p.read_bytes()
+        save_tf2d(back, p)
+        assert p.read_bytes() == raw
+
+
+def test_derivative_matrices_is_public():
+    d = derivative_matrices((1.0, 2.0, 4.0))
+    assert d.shape == (3, 8, 32)
+    np.testing.assert_allclose(d.sum(axis=2), 0.0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(d).sum(axis=2), [[1.0] * 8, [0.5] * 8, [0.25] * 8])

@@ -354,3 +354,36 @@ class TestImageIO:
         save_image(img, p, sidecar=False)
         want = b"P6\n2 2\n255\n" + bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
         assert p.read_bytes() == want
+
+
+class TestRenderWorkBounds:
+    def job(self, **kw):
+        grid = sample_field("constant(0.5)", (5, 5, 5))
+        vol = mean_volume(grid)
+        return RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), **kw)
+
+    def test_conv_lattice_cap_shared_with_kde(self):
+        from uqdvr.density import KdeConfig
+        from uqdvr.volcore import MAX_LATTICE
+
+        KdeConfig(lattice=MAX_LATTICE)
+        self.job(conv_lattice=MAX_LATTICE)
+        with pytest.raises(VolumeError):
+            KdeConfig(lattice=MAX_LATTICE + 1)
+        with pytest.raises(VolumeError, match="conv_lattice"):
+            self.job(conv_lattice=MAX_LATTICE + 1)
+
+    @pytest.mark.parametrize("field", ["mc_samples", "tf2d_samples", "conv_lattice"])
+    def test_sample_counts_must_be_integers(self, field):
+        with pytest.raises(VolumeError, match="integer"):
+            self.job(**{field: 2.5})
+        assert getattr(self.job(**{field: np.int64(3)}), field) == 3
+
+    def test_samples_per_ray_capped(self):
+        vol = self.job().volume
+        diagonal = np.linalg.norm(vol.world_max - vol.world_min) / min(vol.spacing)
+        smallest = diagonal / render.MAX_RAY_SAMPLES
+        self.job(step=smallest * 1.001)
+        for step in (smallest * 0.999, 1e-300, 5e-324):
+            with pytest.raises(VolumeError, match="samples"):
+                self.job(step=step)

@@ -257,3 +257,58 @@ class TestVoxelPdf:
             pdf = voxel_pdf(vol, (0, 0, 0), qval=0.125)
             assert np.all(np.diff(pdf.boundaries) >= 0)
             assert abs(pdf.q * pdf.qval - 1.0) < 1e-9
+
+
+class TestFiniteParameters:
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_quantile_qval_rejected(self, bad):
+        with pytest.raises(VolumeError):
+            QuantilePdf(bad, [0.0, 1.0])
+        with pytest.raises(VolumeError):
+            QuantileModel(bad, np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("cls", ["grid", "volume"])
+    @pytest.mark.parametrize("field", ["spacing", "origin"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_spacing_and_origin_rejected(self, cls, field, bad):
+        geo = {"spacing": [1.0, 1.0, 1.0], "origin": [0.0, 0.0, 0.0]}
+        geo[field][1] = bad
+        with pytest.raises(VolumeError, match="finite"):
+            if cls == "grid":
+                ScalarGrid((2, 1, 1), geo["spacing"], geo["origin"], [0.0, 1.0])
+            else:
+                DistributionVolume((2, 1, 1), geo["spacing"], geo["origin"],
+                                   MeanFieldModel([0.0, 1.0]))
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0])
+    def test_non_positive_spacing_rejected(self, spacing):
+        with pytest.raises(VolumeError, match="positive"):
+            ScalarGrid((2, 1, 1), (1.0, spacing, 1.0), (0, 0, 0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("field", ["weights", "means", "sigmas"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gmm_parameters_rejected(self, field, bad):
+        params = {"weights": [[0.5, 0.5]], "means": [[0.2, 0.7]], "sigmas": [[0.1, 0.2]]}
+        params[field][0][1] = bad
+        with pytest.raises(VolumeError):
+            GmmVolumeModel(2, params["weights"], params["means"], params["sigmas"])
+
+    def test_require_positive(self):
+        volcore.require_positive([1e-300, 2.0], "x")
+        for bad in ([1.0, 0.0], [np.nan], [np.inf], -1.0):
+            with pytest.raises(VolumeError, match="x must be finite and positive"):
+                volcore.require_positive(bad, "x")
+
+    def test_nan_qval_header_rejected(self, tmp_path):
+        vol = make_quantile_volume(np.random.default_rng(5), q=4)
+        p = tmp_path / "v.qvol"
+        save_qvol(vol, p)
+        raw = bytearray(p.read_bytes())
+        import struct
+
+        struct.pack_into("<d", raw, volcore._QVOL_HEADER.size - 8, np.nan)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(VolumeError):
+            load_qvol(p)
