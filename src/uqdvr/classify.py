@@ -28,6 +28,11 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # cut a 1D lookup of 256k lattice points from ~12 to 5-7 ms, and the 2D splat
 # of 576 rows of 1024 points from ~62 ms (blocks of 256 rows) to ~20 ms.
 _BLOCK = 1 << 14
+# The 2D splat costs about R*C per row (it fills and contracts every table
+# cell), the pointwise gathers about n.  Splat only while R*C <= this many
+# times n: on the same box the splat won 1.9-5.8x at R*C/n <= 16, and the
+# gathers won or tied at R*C/n >= 64 except at 512^2 cells with n = 4096.
+_SPLAT_CELLS_PER_POINT = 16
 
 
 @dataclass(frozen=True)
@@ -161,15 +166,20 @@ class TransferFunction2D:
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "gmax", float(self.gmax))
 
-    def sample(self, x, y) -> np.ndarray:
-        """Bilinear RGBA at (intensity x, gradient magnitude y)."""
+    def _cell(self, x, y):
+        """Clamped lower-left cell (r0, c0) and fractions (fu, fv) of (x, y)."""
         rows, cols, _ = self.table.shape
         u = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0) * (cols - 1)
         v = np.clip(np.asarray(y, dtype=np.float64), 0.0, self.gmax) / self.gmax * (rows - 1)
         c0 = np.minimum(u.astype(np.int64), cols - 2)
         r0 = np.minimum(v.astype(np.int64), rows - 2)
-        fu = (u - c0)[..., None]
-        fv = (v - r0)[..., None]
+        return r0, c0, u - c0, v - r0
+
+    def sample(self, x, y) -> np.ndarray:
+        """Bilinear RGBA at (intensity x, gradient magnitude y)."""
+        r0, c0, fu, fv = self._cell(x, y)
+        fu = fu[..., None]
+        fv = fv[..., None]
         t = self.table
         top = t[r0, c0] * (1 - fu) + t[r0, c0 + 1] * fu
         bot = t[r0 + 1, c0] * (1 - fu) + t[r0 + 1, c0 + 1] * fu
@@ -178,27 +188,29 @@ class TransferFunction2D:
     def mean_sample(self, x, y) -> np.ndarray:
         """Mean of sample(x, y) over the last axis of (P, n) points; (P, 4).
 
-        Each row's bilinear corner weights are splatted onto the table cells
-        with one bincount, then contracted with the flattened table in one
-        matmul, per block of rows.  Agrees with sample(x, y).mean(axis=-1) to
+        For tables of at most _SPLAT_CELLS_PER_POINT * n cells, each row's
+        bilinear corner weights are splatted onto the table cells with one
+        bincount, then contracted with the flattened table in one matmul, per
+        block of rows.  That agrees with sample(x, y).mean(axis=-1) to
         rounding; BLAS may sum a row in an order that depends on the block.
+        Larger tables take the pointwise lookups, a block of rows at a time.
         """
         rows, cols, _ = self.table.shape
         cells = rows * cols
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         p, n = x.shape
+        out = np.empty((p, 4))
+        if cells > _SPLAT_CELLS_PER_POINT * n:
+            block = max(1, _BLOCK // n)
+            for s in range(0, p, block):
+                out[s:s + block] = self.sample(x[s:s + block], y[s:s + block]).mean(axis=1)
+            return out
         flat = self.table.reshape(cells, 4)
         block = max(1, _BLOCK // max(cells, n))
-        out = np.empty((p, 4))
         for s in range(0, p, block):
             e = min(s + block, p)
-            u = np.clip(x[s:e], 0.0, 1.0) * (cols - 1)
-            v = np.clip(y[s:e], 0.0, self.gmax) / self.gmax * (rows - 1)
-            c0 = np.minimum(u.astype(np.int64), cols - 2)
-            r0 = np.minimum(v.astype(np.int64), rows - 2)
-            fu = u - c0
-            fv = v - r0
+            r0, c0, fu, fv = self._cell(x[s:e], y[s:e])
             corner = r0 * cols + c0 + (np.arange(e - s) * cells)[:, None]
             idx = np.concatenate([corner, corner + 1, corner + cols, corner + (cols + 1)],
                                  axis=None)

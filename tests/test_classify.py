@@ -633,11 +633,14 @@ class TestSplatExpectation2d:
         want = gather_expected_color_2d_batch(*args[:4], tf2, pts, degenerate=args[4])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_mean_sample_matches_pointwise_mean(self):
+    @pytest.mark.parametrize("n, splat", [(77, True), (1, False)])
+    def test_mean_sample_matches_pointwise_mean(self, n, splat):
         rng = np.random.default_rng(11)
         tf2 = checker_tf2d(rows=7, cols=4, gmax=2.0)
-        x = rng.uniform(-0.2, 1.2, (30, 77))
-        y = rng.uniform(-0.5, 2.5, (30, 77))
+        # n = 1 puts the 28-cell table above the splat bound: pointwise path.
+        assert (7 * 4 <= classify._SPLAT_CELLS_PER_POINT * n) == splat
+        x = rng.uniform(-0.2, 1.2, (30, n))
+        y = rng.uniform(-0.5, 2.5, (30, n))
         y[4] = 0.0
         want = tf2.sample(x, np.clip(y, 0.0, tf2.gmax)).mean(axis=1)
         np.testing.assert_allclose(tf2.mean_sample(x, y), want, rtol=0, atol=1e-12)
@@ -647,12 +650,17 @@ class TestSplatExpectation2d:
         tf2 = TransferFunction2D(rng.random((64, 64, 4)), 1.0)
         x = rng.uniform(0.0, 1.0, (37, 1024))
         y = rng.uniform(0.0, 1.0, (37, 1024))
-        assert 37 > classify._BLOCK // 4096  # more than one block
+        block = classify._BLOCK // 4096
+        assert 37 > block  # more than one block
         whole = tf2.mean_sample(x, y)
         single = np.vstack([tf2.mean_sample(x[i:i + 1], y[i:i + 1]) for i in range(37)])
         # Only the BLAS summation order of a row's 4096 products may differ.
         np.testing.assert_allclose(whole, single, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(tf2.mean_sample(x[5:9], y[5:9]), whole[5:9])
+        np.testing.assert_allclose(tf2.mean_sample(x[5:9], y[5:9]), whole[5:9],
+                                   rtol=0, atol=1e-14)
+        # A call whose rows are exactly one block of the whole call.
+        np.testing.assert_array_equal(tf2.mean_sample(x[block:2 * block], y[block:2 * block]),
+                                      whole[block:2 * block])
 
 
 def tf1d_lines():
