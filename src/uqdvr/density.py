@@ -338,34 +338,52 @@ def fit_gmm_em(samples, k: int, seed: int = 0, max_iter: int = 100,
     return GmmModel(w[0], mu[0], sg[0])
 
 
-def _fit_voxel_models(samples: np.ndarray, kind: str, *, qval=None, k=None, max_iter=100,
-                      config: KdeConfig = KdeConfig(), threads: int = 1):
-    """Shared per-voxel fitting over (V, M) sample sets."""
-    v, m = samples.shape
+def _fit_rows(fit, rows, v: int, threads: int) -> list:
+    """Concatenated outputs of fit over the (chunk, M) blocks rows(lo, hi) of v
+    rows; fit maps one block to a tuple of per-row arrays."""
+    parts = _map_chunks(lambda lo, hi: fit(rows(lo, hi)), v, threads)
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _moment_rows(samples: np.ndarray, kind: str) -> tuple:
+    """Moment-fit parameters of each row of (V, M) samples."""
     if kind == "mean":
-        return MeanFieldModel(samples.mean(axis=1))
+        return (samples.mean(axis=1),)
     if kind == "uniform":
         lo, hi = samples.min(axis=1), samples.max(axis=1)
-        return UniformModel(0.5 * (lo + hi), hi - lo)
-    if kind == "gaussian":
-        if m < 2:
+        return 0.5 * (lo + hi), hi - lo
+    return samples.mean(axis=1), np.std(samples, axis=1, ddof=1)
+
+
+_MOMENT_MODELS = {"mean": MeanFieldModel, "uniform": UniformModel, "gaussian": GaussianModel}
+
+
+def _fit_voxel_models(source, kind: str, *, qval=None, k=None, max_iter=100,
+                      config: KdeConfig = KdeConfig(), threads: int = 1):
+    """Shared per-voxel fitting over the sample sets of a (V, M) array or an
+    ensemble, read one _CHUNK_VOXELS row block at a time.  Each row's fit
+    depends on that row only, so the blocks never change the result."""
+    if isinstance(source, EnsembleVolume):
+        v, m, rows = source.voxel_count, source.member_count, source.rows
+    else:
+        (v, m), rows = source.shape, lambda lo, hi: source[lo:hi]
+    if kind in _MOMENT_MODELS:
+        if kind == "gaussian" and m < 2:
             raise VolumeError("gaussian model needs M >= 2")
-        return GaussianModel(samples.mean(axis=1), np.std(samples, axis=1, ddof=1))
+        return _MOMENT_MODELS[kind](*_fit_rows(lambda s: _moment_rows(s, kind), rows, v, threads))
     if kind == "samples":
-        return SamplesModel(m, samples)
+        return SamplesModel(m, rows(0, v))
     if kind == "quantile":
         if qval is None:
             raise VolumeError("quantile model needs qval")
         if m < 2:
             raise VolumeError("quantile model needs M >= 2")
-        parts = _map_chunks(lambda lo, hi: _batch_quantiles(samples[lo:hi], qval, config),
-                            v, threads)
-        return QuantileModel(qval, np.concatenate(parts))
+        (bounds,) = _fit_rows(lambda s: (_batch_quantiles(s, qval, config),), rows, v, threads)
+        return QuantileModel(qval, bounds)
     if kind == "gmm":
         if k is None:
             raise VolumeError("gmm model needs k")
-        parts = _map_chunks(lambda lo, hi: _gmm_em_rows(samples[lo:hi], k, max_iter), v, threads)
-        params = [np.concatenate(p) for p in zip(*parts)]
+        params = _fit_rows(lambda s: _gmm_em_rows(s, k, max_iter), rows, v, threads)
         if not all(np.all(np.isfinite(p)) for p in params):
             raise VolumeError("gmm fit produced non-finite parameters")
         return GmmVolumeModel(k, *params)
@@ -378,8 +396,7 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
     """Fit the chosen model independently at every voxel of an ensemble."""
     if kind != "mean" and ensemble.member_count < 2:
         raise VolumeError("non-mean models need an ensemble with M >= 2")
-    samples = ensemble.stacked()
-    model = _fit_voxel_models(samples, kind, qval=qval, k=k, max_iter=max_iter,
+    model = _fit_voxel_models(ensemble, kind, qval=qval, k=k, max_iter=max_iter,
                               config=config, threads=threads)
     return DistributionVolume(ensemble.dims, ensemble.spacing, ensemble.origin, model)
 
@@ -387,13 +404,11 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
 def quantile_volumes_multi(ensemble: EnsembleVolume, qvals, config: KdeConfig = KdeConfig(),
                            threads: int = 1) -> dict[float, DistributionVolume]:
     """Quantile volumes for several qvals from a single KDE pass."""
-    samples = ensemble.stacked()
     masses = [_quantile_masses(qv) for qv in qvals]
-    parts = _map_chunks(lambda lo, hi: _kde_quantile_rows(samples[lo:hi], masses, config),
-                        samples.shape[0], threads)
+    bounds = _fit_rows(lambda s: _kde_quantile_rows(s, masses, config), ensemble.rows,
+                       ensemble.voxel_count, threads)
     geo = (ensemble.dims, ensemble.spacing, ensemble.origin)
-    return {qv: DistributionVolume(*geo, QuantileModel(qv, np.concatenate(b)))
-            for qv, b in zip(qvals, zip(*parts))}
+    return {qv: DistributionVolume(*geo, QuantileModel(qv, b)) for qv, b in zip(qvals, bounds)}
 
 
 def downsample_hixel(hi: ScalarGrid, brick, kind: str, *, qval=None, k=None, seed: int = 0,

@@ -209,6 +209,11 @@ def _box_spectra(m: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
     return phase, ramp
 
 
+def uniform_lattice_len(npoints: int, k: int) -> int:
+    """Cells F of the lattice uniform_sum_density_batch returns for k factors."""
+    return 1 << int(np.ceil(np.log2(npoints + 2 * k + 4)))
+
+
 def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: np.ndarray,
                               npoints: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Density of sum_i w_i U_i for batches of scaled uniforms.
@@ -229,7 +234,7 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     total = s.sum(axis=1)
     origins = m.sum(axis=1) - 0.5 * total
 
-    f_len = 1 << int(np.ceil(np.log2(npoints + 2 * k + 4)))
+    f_len = uniform_lattice_len(npoints, k)
     # Degenerate rows (all factors are point masses) get a one-cell spike.
     span = np.where(total > 0, total, 1.0)
     du = span / (npoints - 1)

@@ -26,7 +26,7 @@ from .classify import (
     quantile_range_batch,
     sobol_points,
 )
-from .interp import uniform_sum_density_batch
+from .interp import uniform_lattice_len, uniform_sum_density_batch
 from .volcore import (
     DistributionVolume,
     GaussianModel,
@@ -44,6 +44,9 @@ from .volcore import (
 CHUNK_PIXELS = 4096
 # Most samples a ray may take: the bounding-box diagonal over the step length.
 MAX_RAY_SAMPLES = 1 << 16
+# Rows x lattice cells of one `uniform` classification block: a full chunk is
+# one block at the default conv_lattice, and MAX_LATTICE takes 8 rows at a time.
+UNIFORM_BLOCK_CELLS = 1 << 20
 
 SCHEMES = ("mean", "uniform", "gaussian", "gmm-ordered", "gmm-mc",
            "quantile-range", "quantile-mean", "tf2d")
@@ -129,6 +132,8 @@ class Image:
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.pixels, dtype=np.float32)
+        if self.width < 1 or self.height < 1:
+            raise VolumeError("image size must be positive")
         if p.shape != (self.height, self.width, 4):
             raise VolumeError("image pixels must be (height, width, 4)")
         if not np.all(np.isfinite(p)):
@@ -275,13 +280,17 @@ def _classify_chunk(state: _SchemeState, pos: np.ndarray, rng) -> np.ndarray:
         return gauss_hermite_batch(mu, np.sqrt(var), job.tf)
 
     if scheme == "uniform":
-        centers = m.center[idx8]
-        widths = m.width[idx8]
-        origins, pdf, du = uniform_sum_density_batch(centers, widths, w8, job.conv_lattice)
-        xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
-        mass = pdf * du[:, None]
-        mass /= mass.sum(axis=1, keepdims=True)
-        return np.einsum("an,anc->ac", mass, job.tf.sample(xs))
+        rgba = np.empty((pos.shape[0], 4))
+        step = max(1, UNIFORM_BLOCK_CELLS // uniform_lattice_len(job.conv_lattice, 8))
+        for lo in range(0, pos.shape[0], step):
+            rows = idx8[lo:lo + step]
+            origins, pdf, du = uniform_sum_density_batch(m.center[rows], m.width[rows],
+                                                         w8[lo:lo + step], job.conv_lattice)
+            xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
+            mass = pdf * du[:, None]
+            mass /= mass.sum(axis=1, keepdims=True)
+            rgba[lo:lo + step] = np.einsum("an,anc->ac", mass, job.tf.sample(xs))
+        return rgba
 
     if scheme in ("quantile-range", "quantile-mean"):
         bnd = np.einsum("ac,acq->aq", w8, m.boundaries[idx8])
@@ -473,7 +482,10 @@ def save_image(img: Image, path, sidecar: bool = True) -> None:
 
 
 def load_image_f32(path) -> Image:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise VolumeError(f"cannot read {path}: {e}") from e
     nl = raw.find(b"\n")
     if nl < 0:
         raise VolumeError(f"{path}: missing f32 sidecar header")
@@ -483,7 +495,7 @@ def load_image_f32(path) -> Image:
     except ValueError as e:
         raise VolumeError(f"{path}: bad f32 sidecar header") from e
     body = raw[nl + 1:]
-    if len(body) != w * h * 4 * 4:
-        raise VolumeError(f"{path}: f32 sidecar payload size mismatch")
+    if w < 1 or h < 1 or len(body) != w * h * 4 * 4:
+        raise VolumeError(f"{path}: f32 sidecar of {w}x{h} pixels with a {len(body)}-byte payload")
     pixels = np.frombuffer(body, dtype="<f4").reshape(h, w, 4)
     return Image(w, h, pixels)

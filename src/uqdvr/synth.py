@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volcore import EnsembleVolume, ScalarGrid, VolumeError, load_raw, save_raw
+from .volcore import EnsembleVolume, FormatError, ScalarGrid, VolumeError, load_raw, save_raw
 
 _DEFAULT_BOXES = {
     "tangle": ((-2.5, -2.5, -2.5), (2.5, 2.5, 2.5)),
@@ -229,8 +229,12 @@ def load_ensemble(path) -> EnsembleVolume:
     path = Path(path)
     manifest = path / "ensemble.txt" if path.is_dir() else path
     outdir = manifest.parent
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read ensemble manifest {manifest}: {e}") from e
     fields = {}
-    for line in manifest.read_text().splitlines():
+    for line in text.splitlines():
         if "=" in line:
             key, val = line.split("=", 1)
             fields[key.strip()] = val.strip()

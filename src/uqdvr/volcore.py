@@ -311,9 +311,9 @@ class SamplesModel:
 
     def __post_init__(self):
         count = int(self.count)
-        s = np.ascontiguousarray(self.samples, dtype=np.float64).reshape(-1, count)
         if count < 1:
             raise VolumeError("samples model needs M >= 1")
+        s = np.ascontiguousarray(self.samples, dtype=np.float64).reshape(-1, count)
         require_finite(s, "samples")
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "samples", _frozen(s))
@@ -402,9 +402,17 @@ class EnsembleVolume:
     def origin(self) -> Vec3:
         return self.members[0].origin
 
+    @property
+    def voxel_count(self) -> int:
+        return self.members[0].voxel_count
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) block."""
+        return np.stack([g.values[lo:hi] for g in self.members], axis=1)
+
     def stacked(self) -> np.ndarray:
         """Member values as (nvox, M); the per-voxel sample sets."""
-        return np.stack([g.values for g in self.members], axis=1)
+        return self.rows(0, self.voxel_count)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +550,8 @@ def load_dvol(path) -> DistributionVolume:
     kind = _DVOL_KINDS[tag]
     nvox = nx * ny * nz
     per_voxel = {"mean": 1, "uniform": 2, "gaussian": 2, "gmm": 3 * extra, "samples": extra}[kind]
+    if per_voxel < 1:
+        raise FormatError(f"{path}: {kind} volume with no values per voxel")
     expected = _DVOL_HEADER.size + nvox * per_voxel * 4
     if len(raw) != expected:
         raise FormatError(f"{path}: payload size {len(raw)} != {expected}")

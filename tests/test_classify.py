@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,25 @@ from uqdvr.classify import (
 )
 from uqdvr.density import GmmModel
 from uqdvr.interp import NumericDensity, TrilinearCoords, trilinear_coords
-from uqdvr.volcore import QuantilePdf, ScalarGrid, VolumeError
+from uqdvr.render import Image, load_image_f32, save_image
+from uqdvr.synth import load_ensemble, save_ensemble
+from uqdvr.volcore import (
+    DistributionVolume,
+    EnsembleVolume,
+    GaussianModel,
+    GmmVolumeModel,
+    MeanFieldModel,
+    QuantileModel,
+    QuantilePdf,
+    SamplesModel,
+    ScalarGrid,
+    UniformModel,
+    VolumeError,
+    load_dvol,
+    load_qvol,
+    save_dvol,
+    save_qvol,
+)
 
 
 def ramp_tf():
@@ -787,6 +807,248 @@ class TestTransferFunctionLoaderFuzz:
         raw = p.read_bytes()
         save_tf2d(back, p)
         assert p.read_bytes() == raw
+
+
+# Small dims, plus one so large that only a size check can reject it.
+LOADER_DIM = st.sampled_from([0, 1, 2, 3, 2**32 - 1])
+ANY_F64 = st.floats(width=64)
+F32_VALUES = st.floats(-2.0, 2.0, width=32)
+
+
+def _payload(draw, n, sort_width=None):
+    """n f32 values (random bytes when n is large), sometimes sorted in rows,
+    with a few stray bytes now and then."""
+    if n > 64:
+        return draw(st.binary(max_size=64))
+    values = np.asarray(draw(st.lists(F32_VALUES, min_size=n, max_size=n)), dtype="<f4")
+    if sort_width and n and draw(st.booleans()):
+        values = np.sort(values.reshape(-1, sort_width), axis=1)
+    return values.tobytes() + draw(st.binary(max_size=3))
+
+
+@st.composite
+def qvol_files(draw):
+    dims = draw(st.tuples(LOADER_DIM, LOADER_DIM, LOADER_DIM))
+    q = draw(st.integers(0, 9))
+    qval = draw(st.one_of(st.just(1.0 / max(q, 1)), ANY_F64))
+    header = struct.pack("<5s3I3d3dId", b"QVOL1", *dims,
+                         *draw(st.tuples(ANY_F64, ANY_F64, ANY_F64)),
+                         *draw(st.tuples(ANY_F64, ANY_F64, ANY_F64)), q, qval)
+    return header + _payload(draw, dims[0] * dims[1] * dims[2] * (q + 1), q + 1)
+
+
+@st.composite
+def dvol_files(draw):
+    tag, extra = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    dims = draw(st.tuples(LOADER_DIM, LOADER_DIM, LOADER_DIM))
+    header = struct.pack("<5sB3I3d3dI", b"DVOL1", tag, *dims,
+                         *draw(st.tuples(ANY_F64, ANY_F64, ANY_F64)),
+                         *draw(st.tuples(ANY_F64, ANY_F64, ANY_F64)), extra)
+    per_voxel = [1, 2, 2, 3 * extra, extra, 1][tag]
+    return header + _payload(draw, dims[0] * dims[1] * dims[2] * per_voxel)
+
+
+@st.composite
+def image_files(draw):
+    w, h = draw(st.integers(-3, 4)), draw(st.integers(-3, 4))
+    values = st.floats(width=32, allow_nan=draw(st.booleans()))
+    n = abs(w * h) * 4
+    body = np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype="<f4")
+    return f"{w} {h}\n".encode("ascii") + body.tobytes() + draw(st.binary(max_size=3))
+
+
+@st.composite
+def ensemble_manifests(draw):
+    """Manifest text over two 2x2x2 member files; any field may be garbage."""
+    def field(valid):
+        return draw(st.one_of(st.just(valid), st.text(max_size=12)))
+
+    vec = st.sampled_from(["1,1,1", "0.5,2,1e-3", "1,nan,1", "1,-1,1", "1,1", "0,0,inf"])
+    lines = [f"members={field(str(draw(st.integers(-1, 3))))}",
+             f"dims={field(draw(st.sampled_from(['2,2,2', '2,2,1', '8,1,1', '0,2,4'])))}",
+             f"spacing={field(draw(vec))}", f"origin={field(draw(vec))}"]
+    lines = draw(st.permutations(lines))[:draw(st.integers(0, 4))]
+    return "\n".join(lines + draw(st.lists(st.text(max_size=12), max_size=2)))
+
+
+def valid_volume(model_of):
+    """DistributionVolumes of small random dims, spacing and origin whose
+    model is model_of(rng, nvox)."""
+    def build(t):
+        dims, seed = t
+        rng = np.random.default_rng(seed)
+        nvox = dims[0] * dims[1] * dims[2]
+        spacing = tuple(rng.uniform(0.1, 3.0, 3))
+        return DistributionVolume(dims, spacing, tuple(rng.normal(size=3)), model_of(rng, nvox))
+    dim = st.integers(1, 4)
+    return st.tuples(st.tuples(dim, dim, dim), st.integers(0, 2**32 - 1)).map(build)
+
+
+def _f32(a):
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+
+def _quantile_model(rng, nvox):
+    q = int(rng.choice([1, 2, 4, 8]))
+    return QuantileModel(1.0 / q, np.sort(_f32(rng.normal(size=(nvox, q + 1))), axis=1))
+
+
+def _gmm_model(rng, nvox):
+    k = int(rng.integers(1, 4))
+    w = rng.random((nvox, k)) + 0.1
+    return GmmVolumeModel(k, w / w.sum(axis=1, keepdims=True), rng.normal(size=(nvox, k)),
+                          rng.random((nvox, k)))
+
+
+DVOL_MODELS = [
+    lambda rng, nvox: MeanFieldModel(rng.normal(size=nvox)),
+    lambda rng, nvox: UniformModel(rng.normal(size=nvox), rng.random(nvox)),
+    lambda rng, nvox: GaussianModel(rng.normal(size=nvox), rng.random(nvox)),
+    _gmm_model,
+    lambda rng, nvox: SamplesModel(3, rng.normal(size=(nvox, 3))),
+]
+
+
+class TestVolumeLoaderFuzz:
+    """Any input to a volume, image or ensemble loader gives a valid object or
+    a VolumeError, and every writer's files load back to what was written."""
+
+    def check_volume(self, load, path):
+        try:
+            vol = load(path)
+        except VolumeError:
+            return
+        assert min(vol.dims) >= 1 and vol.model.voxel_count == np.prod(vol.dims)
+        assert np.all(np.isfinite(vol.spacing)) and min(vol.spacing) > 0
+        assert np.all(np.isfinite(vol.origin))
+        for arr in vars(vol.model).values():
+            if isinstance(arr, np.ndarray):
+                assert np.all(np.isfinite(arr))
+
+    def check_image(self, path):
+        try:
+            img = load_image_f32(path)
+        except VolumeError:
+            return
+        assert img.width >= 1 and img.height >= 1
+        assert img.pixels.shape == (img.height, img.width, 4)
+        assert np.all(np.isfinite(img.pixels))
+
+    @FUZZ
+    @given(raw=st.binary(max_size=200), magic=st.sampled_from([b"", b"QVOL1", b"DVOL1"]))
+    def test_volume_any_bytes(self, tmp_path, raw, magic):
+        p = tmp_path / "vol.bin"
+        p.write_bytes(magic + raw)
+        self.check_volume(load_qvol, p)
+        self.check_volume(load_dvol, p)
+
+    @FUZZ
+    @given(raw=qvol_files())
+    def test_qvol_any_header_and_payload(self, tmp_path, raw):
+        p = tmp_path / "vol.qvol"
+        p.write_bytes(raw)
+        self.check_volume(load_qvol, p)
+
+    @FUZZ
+    @given(raw=dvol_files())
+    def test_dvol_any_header_and_payload(self, tmp_path, raw):
+        p = tmp_path / "vol.dvol"
+        p.write_bytes(raw)
+        self.check_volume(load_dvol, p)
+
+    @pytest.mark.parametrize("tag", [3, 4])
+    def test_dvol_without_values_per_voxel(self, tmp_path, tag):
+        p = tmp_path / "vol.dvol"
+        dims = (2**32 - 1,) * 3
+        p.write_bytes(struct.pack("<5sB3I3d3dI", b"DVOL1", tag, *dims, 1, 1, 1, 0, 0, 0, 0))
+        with pytest.raises(VolumeError, match="no values per voxel"):
+            load_dvol(p)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=100))
+    def test_image_any_bytes(self, tmp_path, raw):
+        p = tmp_path / "img.f32"
+        p.write_bytes(raw)
+        self.check_image(p)
+
+    @FUZZ
+    @given(raw=image_files())
+    def test_image_any_header_and_payload(self, tmp_path, raw):
+        p = tmp_path / "img.f32"
+        p.write_bytes(raw)
+        self.check_image(p)
+
+    @FUZZ
+    @given(text=ensemble_manifests(), raw=st.binary(max_size=100), use_raw=st.booleans())
+    def test_ensemble_any_manifest(self, tmp_path, text, raw, use_raw):
+        for m in range(2):
+            (tmp_path / f"member_{m:03d}.f32raw").write_bytes(np.full(8, m, "<f4").tobytes())
+        manifest = tmp_path / "ensemble.txt"
+        manifest.write_bytes(raw if use_raw else text.encode("utf-8", "surrogatepass"))
+        try:
+            ens = load_ensemble(tmp_path)
+        except VolumeError:
+            return
+        assert isinstance(ens, EnsembleVolume) and 1 <= ens.member_count <= 2
+        assert ens.voxel_count == 8 and min(ens.spacing) > 0
+        assert np.all(np.isfinite(ens.origin))
+
+    @FUZZ
+    @given(vol=valid_volume(_quantile_model))
+    def test_qvol_round_trip(self, tmp_path, vol):
+        p = tmp_path / "vol.qvol"
+        save_qvol(vol, p)
+        back = load_qvol(p)
+        assert (back.dims, back.spacing, back.origin) == (vol.dims, vol.spacing, vol.origin)
+        assert back.model.qval == vol.model.qval
+        assert np.array_equal(back.model.boundaries, vol.model.boundaries)
+        raw = p.read_bytes()
+        save_qvol(back, p)
+        assert p.read_bytes() == raw
+
+    @FUZZ
+    @given(vol=st.sampled_from(DVOL_MODELS).flatmap(valid_volume))
+    def test_dvol_round_trip(self, tmp_path, vol):
+        p = tmp_path / "vol.dvol"
+        save_dvol(vol, p)
+        back = load_dvol(p)
+        assert (back.dims, back.spacing, back.origin) == (vol.dims, vol.spacing, vol.origin)
+        assert type(back.model) is type(vol.model)
+        for name, arr in vars(vol.model).items():
+            if isinstance(arr, np.ndarray):
+                assert np.array_equal(getattr(back.model, name), _f32(arr)), name
+        raw = p.read_bytes()
+        save_dvol(back, p)
+        assert p.read_bytes() == raw
+
+    @FUZZ
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1))
+    def test_image_round_trip(self, tmp_path, shape, seed):
+        h, w = shape
+        img = Image(w, h, np.random.default_rng(seed).normal(size=(h, w, 4)))
+        save_image(img, tmp_path / "img.ppm")
+        side = tmp_path / "img.ppm.f32"
+        back = load_image_f32(side)
+        assert (back.width, back.height) == (w, h)
+        assert np.array_equal(back.pixels, img.pixels)
+        raw = side.read_bytes()
+        save_image(back, tmp_path / "img.ppm")
+        assert side.read_bytes() == raw
+
+    @FUZZ
+    @given(members=st.integers(1, 3), dims=st.tuples(*[st.integers(1, 3)] * 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ensemble_round_trip(self, tmp_path, members, dims, seed):
+        rng = np.random.default_rng(seed)
+        spacing, origin = tuple(rng.uniform(0.1, 3.0, 3)), tuple(rng.normal(size=3))
+        nvox = dims[0] * dims[1] * dims[2]
+        ens = EnsembleVolume(tuple(ScalarGrid(dims, spacing, origin, rng.normal(size=nvox))
+                                   for _ in range(members)))
+        save_ensemble(ens, tmp_path / "ens")
+        back = load_ensemble(tmp_path / "ens")
+        assert back.member_count == members
+        assert (back.dims, back.spacing, back.origin) == (dims, spacing, origin)
+        assert np.array_equal(back.stacked(), _f32(ens.stacked()))
 
 
 def test_derivative_matrices_is_public():

@@ -26,6 +26,21 @@ class TestDiffCommand:
         assert "rmse=0" in out
 
 
+class TestLoadErrors:
+    def test_bad_inputs_exit_2_without_traceback(self, tmp_path, capsys):
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "ensemble.txt").write_bytes(b"\x80members=2\n")
+        for ens in ("missing", "bad"):
+            code, _, err = run_cli(["estimate", "--ensemble", str(tmp_path / ens),
+                                    "--model", "mean", "--out", str(tmp_path / "m.dvol")], capsys)
+            assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        (tmp_path / "empty.f32").write_bytes(b"0 5\n")
+        for img in ("missing.f32", "empty.f32"):
+            path = str(tmp_path / img)
+            code, _, err = run_cli(["diff", "--img", path, "--ref", path], capsys)
+            assert code == 2 and err.startswith("error: ")
+
+
 class TestPipelineSmoke:
     def test_gen_estimate_constant_gives_flat_qvol(self, tmp_path, capsys):
         ens_dir = tmp_path / "ens"

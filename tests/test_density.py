@@ -447,3 +447,95 @@ class TestKdeConfigBoundary:
         assert KdeConfig(lattice=65536).lattice == 65536
         assert KdeConfig(lattice=np.int64(64)).lattice == 64
         assert KdeConfig(bandwidth=np.float32(0.5)).bandwidth == 0.5
+
+
+ROW_KINDS = [("mean", {}), ("uniform", {}), ("gaussian", {}),
+             ("quantile", {"qval": 0.125}), ("gmm", {"k": 2, "max_iter": 20})]
+
+
+def _whole_array_fit(s, kind, qval=None, k=None, max_iter=100):
+    """Each model's parameters from one call over the whole (V, M) array."""
+    if kind == "mean":
+        return {"values": s.mean(axis=1)}
+    if kind == "uniform":
+        lo, hi = s.min(axis=1), s.max(axis=1)
+        return {"center": 0.5 * (lo + hi), "width": hi - lo}
+    if kind == "gaussian":
+        return {"mean": s.mean(axis=1), "sigma": np.std(s, axis=1, ddof=1)}
+    if kind == "quantile":
+        return {"boundaries": density._batch_quantiles(s, qval, KdeConfig())}
+    w, mu, sg = density._gmm_em_rows(s, k, max_iter)
+    return {"weights": w, "means": mu, "sigmas": sg}
+
+
+def _assert_same_bytes(model, params):
+    for name, want in params.items():
+        assert getattr(model, name).tobytes() == want.tobytes(), name
+
+
+class TestRowSourceFits:
+    """Fits read (chunk, M) row blocks; 17*16*16 = 4352 voxels make one full
+    chunk and a partial one."""
+
+    @pytest.fixture(scope="class")
+    def ens(self):
+        gt = sample_field("tangle", (17, 16, 16))
+        return make_noise_ensemble(gt, NoiseSpec(kind="bimodal", members=12, seed=4))
+
+    @pytest.mark.parametrize("kind,kw", ROW_KINDS)
+    def test_ensemble_fit_matches_whole_array_oracle(self, ens, kind, kw):
+        assert ens.voxel_count % density._CHUNK_VOXELS != 0
+        vol = build_distribution_volume(ens, kind, threads=2, **kw)
+        _assert_same_bytes(vol.model, _whole_array_fit(ens.stacked(), kind, **kw))
+
+    @pytest.mark.parametrize("kind,kw", ROW_KINDS)
+    def test_hixel_fit_matches_whole_array_oracle(self, kind, kw):
+        hi = sample_field("tangle", (34, 32, 32))
+        vol, mean_grid = downsample_hixel(hi, (2, 2, 2), kind, threads=2, **kw)
+        bricks = hi.values3d.reshape(16, 2, 16, 2, 17, 2).transpose(0, 2, 4, 1, 3, 5)
+        s = np.ascontiguousarray(bricks.reshape(-1, 8))
+        assert s.shape[0] % density._CHUNK_VOXELS != 0
+        _assert_same_bytes(vol.model, _whole_array_fit(s, kind, **kw))
+        assert mean_grid.values.tobytes() == s.mean(axis=1).tobytes()
+
+    def test_thread_count_gives_identical_bytes(self, ens):
+        def fits(threads):
+            out = [build_distribution_volume(ens, kind, threads=threads, **kw).model
+                   for kind, kw in ROW_KINDS]
+            multi = quantile_volumes_multi(ens, [0.5, 0.125], threads=threads)
+            return out + [v.model for v in multi.values()]
+
+        for a, b in zip(fits(1), fits(4)):
+            for name, arr in vars(a).items():
+                if isinstance(arr, np.ndarray):
+                    assert arr.tobytes() == getattr(b, name).tobytes(), (type(a), name)
+
+    def test_no_whole_volume_copy(self, ens, monkeypatch):
+        def refuse(self):
+            raise AssertionError("stacked() called")
+
+        blocks = []
+        rows = EnsembleVolume.rows
+
+        def recording_rows(self, lo, hi):
+            blocks.append(hi - lo)
+            return rows(self, lo, hi)
+
+        monkeypatch.setattr(EnsembleVolume, "stacked", refuse)
+        monkeypatch.setattr(EnsembleVolume, "rows", recording_rows)
+        for kind, kw in ROW_KINDS:
+            build_distribution_volume(ens, kind, **kw)
+        quantile_volumes_multi(ens, [0.5, 0.125], threads=2)
+        assert max(blocks) == density._CHUNK_VOXELS
+        assert sum(blocks) == (len(ROW_KINDS) + 1) * ens.voxel_count
+        # The samples model stores every sample set, so it reads them in one block.
+        vol = build_distribution_volume(ens, "samples")
+        assert blocks[-1] == ens.voxel_count
+        assert vol.model.samples.shape == (ens.voxel_count, ens.member_count)
+
+    def test_rows_are_contiguous_blocks_of_stacked(self, ens):
+        full = ens.stacked()
+        for lo, hi in ((0, 1), (100, 4196), (4300, 4352), (7, 7)):
+            block = ens.rows(lo, hi)
+            assert block.flags.c_contiguous and block.dtype == np.float64
+            assert np.array_equal(block, full[lo:hi])

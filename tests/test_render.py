@@ -343,6 +343,19 @@ class TestImageIO:
         back = load_image_f32(tmp_path / "img.ppm.f32")
         assert np.array_equal(back.pixels, img.pixels)
 
+    @pytest.mark.parametrize("raw", [b"-1 -4\n" + bytes(64), b"0 5\n", b"5 0\n", b"-2 3\n"])
+    def test_empty_or_negative_size_rejected(self, tmp_path, raw):
+        p = tmp_path / "img.f32"
+        p.write_bytes(raw)
+        with pytest.raises(VolumeError, match="sidecar"):
+            load_image_f32(p)
+
+    def test_missing_file_is_a_volume_error(self, tmp_path):
+        with pytest.raises(VolumeError, match="cannot read"):
+            load_image_f32(tmp_path / "missing.f32")
+        with pytest.raises(VolumeError, match="size must be positive"):
+            Image(0, 5, np.zeros((5, 0, 4)))
+
     def test_two_by_two_gradient_golden(self, tmp_path):
         px = np.zeros((2, 2, 4), dtype=np.float32)
         px[0, 0, :3] = 0.0
@@ -354,6 +367,54 @@ class TestImageIO:
         save_image(img, p, sidecar=False)
         want = b"P6\n2 2\n255\n" + bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
         assert p.read_bytes() == want
+
+
+class TestUniformRowBlocks:
+    def job(self, conv_lattice=64):
+        gt = sample_field("tangle", (10, 10, 10))
+        ens = make_ensemble(gt, NoiseSpec("uniform", width=0.1, members=6, seed=6))
+        vol = build_distribution_volume(ens, "uniform")
+        return RenderJob(vol, "uniform", default_camera(vol, 24, 20), tf=band_tf(),
+                         conv_lattice=conv_lattice)
+
+    def record_blocks(self, monkeypatch):
+        blocks = []
+        conv = render.uniform_sum_density_batch
+
+        def recording(centers, widths, weights, npoints):
+            origins, pdf, du = conv(centers, widths, weights, npoints)
+            blocks.append(pdf.shape)
+            return origins, pdf, du
+
+        monkeypatch.setattr(render, "uniform_sum_density_batch", recording)
+        return blocks
+
+    @pytest.mark.parametrize("conv_lattice", [64, 200])
+    def test_small_blocks_give_identical_bytes(self, monkeypatch, conv_lattice):
+        job = self.job(conv_lattice)
+        blocks = self.record_blocks(monkeypatch)
+        whole = raycast(job, threads=2)
+        assert max(rows for rows, _ in blocks) > 7
+        f_len = blocks[0][1]
+        monkeypatch.setattr(render, "UNIFORM_BLOCK_CELLS", 7 * f_len)
+        blocks.clear()
+        split = raycast(job, threads=2)
+        assert max(rows for rows, _ in blocks) == 7
+        assert np.array_equal(whole.pixels, split.pixels)
+
+    def test_block_cells_bounded(self, monkeypatch):
+        from uqdvr.interp import uniform_lattice_len
+        from uqdvr.volcore import MAX_LATTICE
+
+        # One block per chunk at the default lattice; 8 rows at the largest.
+        cells = render.UNIFORM_BLOCK_CELLS
+        assert render.CHUNK_PIXELS * uniform_lattice_len(64, 8) <= cells
+        assert cells // uniform_lattice_len(MAX_LATTICE, 8) == 8
+        blocks = self.record_blocks(monkeypatch)
+        monkeypatch.setattr(render, "UNIFORM_BLOCK_CELLS", 1000)
+        raycast(self.job(200))
+        assert blocks[0][1] == uniform_lattice_len(200, 8) == 256
+        assert all(rows * f_len <= 1000 for rows, f_len in blocks)
 
 
 class TestRenderWorkBounds:

@@ -128,6 +128,16 @@ class TestEnsembleIO:
             np.testing.assert_allclose(a.values, b.values, atol=1e-7)
         assert back.spacing == pytest.approx(ens.spacing)
 
+    def test_unreadable_manifest_is_a_volume_error(self, tmp_path):
+        with pytest.raises(VolumeError, match="cannot read"):
+            load_ensemble(tmp_path / "missing")
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(VolumeError, match="cannot read"):
+            load_ensemble(tmp_path / "empty")
+        (tmp_path / "ensemble.txt").write_bytes(b"members=2\n\xff\xfe\n")
+        with pytest.raises(VolumeError, match="cannot read"):
+            load_ensemble(tmp_path)
+
 
 class TestBivariate:
     def test_deterministic_and_normalized(self):
