@@ -4,6 +4,7 @@ from .volcore import (
     DistributionVolume,
     EnsembleVolume,
     GaussianModel,
+    GmmModel,
     GmmVolumeModel,
     MeanFieldModel,
     QuantileModel,
@@ -19,7 +20,6 @@ from .volcore import (
     voxel_pdf,
 )
 from .density import (
-    GmmModel,
     KdeConfig,
     build_distribution_volume,
     downsample_hixel,

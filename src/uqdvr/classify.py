@@ -4,8 +4,9 @@ The 1D quantile schemes realize the expected-TF integral either by exact
 per-piece averaging of the piecewise-linear TF (quantile range) or by TF
 lookups at piece midpoints with density-proportional weights (quantile mean).
 Gaussian models use the closed-form expectation of the piecewise-linear TF
-(the Gaussian-convolved TF of Kniss et al., Vis 2005).  Batched variants carry
-the same math across many interpolated pdfs at once for the renderer.
+(the Gaussian-convolved TF of Kniss et al., Vis 2005).  Each scheme has one
+batch kernel over P rows, which the renderer calls on the output of the interp
+kernels; the scalar functions check their inputs and call it on one row.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from .density import GmmModel
-from .interp import NumericDensity, corner_weights
-from .volcore import (EPS_WIDTH, QuantilePdf, ScalarGrid, VolumeError, require_finite,
-                      require_positive)
+# The gradient stencil lives in interp; its names stay importable from here.
+from .interp import (GradientStencil, NumericDensity, derivative_matrices,  # noqa: F401
+                     gradient_stencil)
+from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, require_finite,
+                      require_int, require_positive)
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Points per block in the TF lookups (and table bins per block in the 2D
@@ -306,13 +308,21 @@ def gauss_hermite_batch(mu: np.ndarray, sigma: np.ndarray,
     return out
 
 
+def lattice_color_batch(origins: np.ndarray, pdf: np.ndarray, du: np.ndarray,
+                        tf: TransferFunction1D) -> np.ndarray:
+    """Expected RGBA of (P, F) densities on the lattices origins + arange(F)*du:
+    the TF at each lattice point weighted by its normalized mass pdf*du."""
+    xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
+    mass = pdf * du[:, None]
+    mass /= mass.sum(axis=1, keepdims=True)
+    return np.einsum("an,anc->ac", mass, tf.sample(xs))
+
+
 def numeric_density_color(density: NumericDensity, tf: TransferFunction1D) -> np.ndarray:
     du = density.x[1] - density.x[0]
-    mass = density.pdf * du
-    total = mass.sum()
-    if total <= 0:
-        raise VolumeError("numeric density carries no mass")
-    return np.einsum("n,nc->c", mass / total, tf.sample(density.x))
+    if not du > 0 or not np.sum(density.pdf) > 0:
+        raise VolumeError("numeric density needs an increasing lattice carrying mass")
+    return lattice_color_batch(density.x[:1], density.pdf[None, :], np.array([du]), tf)[0]
 
 
 def expected_color_parametric(model, tf: TransferFunction1D) -> np.ndarray:
@@ -324,103 +334,12 @@ def expected_color_parametric(model, tf: TransferFunction1D) -> np.ndarray:
     if isinstance(model, NumericDensity):
         return numeric_density_color(model, tf)
     if isinstance(model, (int, float, np.floating)):
+        require_finite(model, "scalar model")
         return tf.sample(np.float64(model))
-    mu, sigma = model
-    return gauss_hermite_batch(np.atleast_1d(np.float64(mu)),
-                               np.atleast_1d(np.float64(sigma)), tf)[0]
-
-
-# ---------------------------------------------------------------------------
-# Gradient reconstruction
-
-# The 32-voxel neighborhood of a cell under blended central differences:
-# the 8 corners plus the +-1 axis neighbors of each corner.
-
-
-def _build_neighborhood():
-    offsets = []
-    seen = {}
-
-    def add(o):
-        if o not in seen:
-            seen[o] = len(offsets)
-            offsets.append(o)
-        return seen[o]
-
-    corners = [(i & 1, (i >> 1) & 1, (i >> 2) & 1) for i in range(8)]
-    for c in corners:
-        add(c)
-    plus = np.zeros((8, 3), dtype=np.int64)
-    minus = np.zeros((8, 3), dtype=np.int64)
-    for ci, c in enumerate(corners):
-        for axis in range(3):
-            e = [0, 0, 0]
-            e[axis] = 1
-            plus[ci, axis] = add((c[0] + e[0], c[1] + e[1], c[2] + e[2]))
-            minus[ci, axis] = add((c[0] - e[0], c[1] - e[1], c[2] - e[2]))
-    return np.asarray(offsets, dtype=np.int64), plus, minus
-
-
-NEIGHBOR_OFFSETS, _PLUS_IDX, _MINUS_IDX = _build_neighborhood()
-_N_NEIGH = NEIGHBOR_OFFSETS.shape[0]
-
-
-def derivative_matrices(spacing) -> np.ndarray:
-    """(3, 8, 32) maps from corner trilinear weights to per-axis stencil weights."""
-    d = np.zeros((3, 8, _N_NEIGH))
-    for axis in range(3):
-        inv2h = 1.0 / (2.0 * spacing[axis])
-        for ci in range(8):
-            d[axis, ci, _PLUS_IDX[ci, axis]] += inv2h
-            d[axis, ci, _MINUS_IDX[ci, axis]] -= inv2h
-    return d
-
-
-@dataclass(frozen=True)
-class GradientStencil:
-    """Per-sample interpolation and directional-derivative weights over the
-    32-voxel neighborhood, plus the mean gradient there."""
-
-    indices: np.ndarray  # (32,) flat voxel ids
-    w: np.ndarray  # (32,) interpolation weights; nonzero on the 8 corners
-    u: np.ndarray  # (32,) directional-derivative weights
-    axis_weights: np.ndarray  # (3, 32) per-axis derivative weights
-    mean_gradient: np.ndarray  # (3,)
-    degenerate: bool
-
-
-def gradient_stencil(dims, spacing, coords, mean_grid: ScalarGrid) -> GradientStencil:
-    """Blended central-difference stencil at a trilinear sample point.
-
-    Needs every central-difference neighbor in bounds, i.e. the cell base at
-    least one voxel from the boundary.  A zero mean gradient flags the stencil
-    degenerate instead of raising.
-    """
-    nx, ny, nz = dims
-    bx, by, bz = coords.base
-    if not (1 <= bx <= nx - 3 and 1 <= by <= ny - 3 and 1 <= bz <= nz - 3):
-        raise VolumeError(
-            f"cell base {coords.base} too close to the boundary for central differences"
-        )
-    wts = corner_weights(*coords.frac)  # (8,)
-    deriv = derivative_matrices(spacing)  # (3, 8, 32)
-    axis_w = np.einsum("c,acn->an", wts, deriv)  # (3, 32)
-
-    off = NEIGHBOR_OFFSETS
-    flat = (bx + off[:, 0]) + nx * ((by + off[:, 1]) + ny * (bz + off[:, 2]))
-    vals = mean_grid.values[flat]
-    mean_grad = axis_w @ vals  # (3,)
-
-    w_full = np.zeros(_N_NEIGH)
-    w_full[:8] = wts
-    norm = float(np.linalg.norm(mean_grad))
-    if norm < 1e-12:
-        u = np.zeros(_N_NEIGH)
-        degenerate = True
-    else:
-        u = (mean_grad / norm) @ axis_w
-        degenerate = False
-    return GradientStencil(flat, w_full, u, axis_w, mean_grad, degenerate)
+    mu, sigma = np.asarray(model, dtype=np.float64).reshape(2, 1)
+    if not (np.isfinite(mu[0]) and 0.0 <= sigma[0] < np.inf):
+        raise VolumeError("a gaussian model needs a finite mu and a finite sigma >= 0")
+    return gauss_hermite_batch(mu, sigma, tf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +379,13 @@ def expected_color_2d(corner_models, stencil: GradientStencil, tf2: TransferFunc
     """
     if stencil.degenerate:
         raise VolumeError("degenerate stencil: mean gradient is zero")
-    centers = np.asarray([m[0] for m in corner_models], dtype=np.float64)
-    widths = np.asarray([m[1] for m in corner_models], dtype=np.float64)
-    if centers.size != stencil.indices.size:
+    n = require_int(n, "n")
+    rows = [np.asarray(v, dtype=np.float64).ravel() for v in
+            ([m[0] for m in corner_models], [m[1] for m in corner_models], stencil.w, stencil.u)]
+    if any(r.size != np.size(stencil.indices) for r in rows):
         raise VolumeError("need one (center, width) model per stencil voxel")
-    if np.any(widths < 0):
+    require_finite(rows, "corner models and stencil weights")
+    if np.any(rows[1] < 0):
         raise VolumeError("uniform widths must be nonnegative")
-    pts = sobol_points(centers.size, n, seed)
-    return expected_color_2d_batch(centers[None, :], widths[None, :],
-                                   stencil.w[None, :], stencil.u[None, :], tf2, pts)[0]
+    pts = sobol_points(rows[0].size, n, seed)
+    return expected_color_2d_batch(*(r[None, :] for r in rows), tf2, pts)[0]

@@ -8,7 +8,6 @@ high-resolution volumes.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ from .volcore import (
     DistributionVolume,
     EnsembleVolume,
     GaussianModel,
+    GmmModel,
     GmmVolumeModel,
     MAX_LATTICE,
     MeanFieldModel,
@@ -27,6 +27,8 @@ from .volcore import (
     UniformModel,
     VolumeError,
     _quantile_masses,
+    map_chunks,
+    require_int,
     require_positive,
 )
 
@@ -82,16 +84,6 @@ def _bandwidths(samples: np.ndarray, config: KdeConfig) -> np.ndarray:
         return np.full(v, config.bandwidth)
     sd = np.std(samples, axis=1, ddof=1)
     return 1.06 * sd * m ** (-0.2)
-
-
-def _map_chunks(fn, v: int, threads: int) -> list:
-    """[fn(lo, hi)] over consecutive _CHUNK_VOXELS row ranges of v rows; the
-    ranges never depend on threads, so neither do the results."""
-    bounds = [(lo, min(lo + _CHUNK_VOXELS, v)) for lo in range(0, v, _CHUNK_VOXELS)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda b: fn(*b), bounds))
-    return [fn(lo, hi) for lo, hi in bounds]
 
 
 def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
@@ -230,38 +222,6 @@ def fit_gaussian(samples) -> tuple[float, float]:
     return float(s.mean()), float(np.std(s, ddof=1))
 
 
-@dataclass(frozen=True)
-class GmmModel:
-    """One Gaussian mixture: k components of (weight, mean, sigma)."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64).ravel()
-        m = np.ascontiguousarray(self.means, dtype=np.float64).ravel()
-        s = np.ascontiguousarray(self.sigmas, dtype=np.float64).ravel()
-        if not (w.size == m.size == s.size >= 1):
-            raise VolumeError("gmm arrays must be congruent and nonempty")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-6:
-            raise VolumeError("gmm weights must be nonnegative and sum to 1")
-        if np.any(s < 0):
-            raise VolumeError("gmm sigmas must be nonnegative")
-        for name, arr in (("weights", w), ("means", m), ("sigmas", s)):
-            if not np.all(np.isfinite(arr)):
-                raise VolumeError(f"gmm {name} must be finite")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.weights.size
-
-    def sorted_by_mean(self) -> "GmmModel":
-        order = np.argsort(self.means, kind="stable")
-        return GmmModel(self.weights[order], self.means[order], self.sigmas[order])
-
-
 def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None = None):
     """EM fits of k-component mixtures to every row of (V, M) samples.
 
@@ -276,8 +236,7 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
         raise VolumeError("fit_gmm_em needs k >= 1")
     if m < k:
         raise VolumeError(f"need at least k={k} samples, got {m}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise VolumeError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    require_int(max_iter, "max_iter")
     floor = np.maximum(_GMM_SIGMA_FLOOR_REL * (samples.max(axis=1) - samples.min(axis=1)), 1e-12)
     pooled = np.std(samples, axis=1, ddof=1) if m > 1 else np.zeros(v)
     if k == 1:
@@ -341,7 +300,7 @@ def fit_gmm_em(samples, k: int, seed: int = 0, max_iter: int = 100,
 def _fit_rows(fit, rows, v: int, threads: int) -> list:
     """Concatenated outputs of fit over the (chunk, M) blocks rows(lo, hi) of v
     rows; fit maps one block to a tuple of per-row arrays."""
-    parts = _map_chunks(lambda lo, hi: fit(rows(lo, hi)), v, threads)
+    parts = map_chunks(lambda lo, hi: fit(rows(lo, hi)), v, threads, _CHUNK_VOXELS)
     return [np.concatenate(p) for p in zip(*parts)]
 
 

@@ -2,18 +2,23 @@
 
 Cell corners are ordered so that index bit 0 advances +x, bit 1 advances +y,
 and bit 2 advances +z; alpha blends along x, beta along y, gamma along z.
-All operations are pure functions over immutable inputs.
+
+The renderer calls one batch kernel per computation: `locate` finds cells and
+corner weights, then one kernel per model blends the corner parameters it
+gathers through idx8.  The scalar APIs check their inputs and call the same
+kernels on one row; the rational form and the MC/KS oracles stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .density import GmmModel, KdeConfig
-from .volcore import EPS_WIDTH, QuantilePdf, VolumeError
+from .density import KdeConfig
+from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, ScalarGrid, VolumeError,
+                      require_finite, require_int, require_positive, sort_components)
 
 # The interpolated PDF has exactly the QuantilePdf shape.
 InterpolatedPdf = QuantilePdf
@@ -33,61 +38,100 @@ class TrilinearCoords:
         object.__setattr__(self, "frac", frac)
 
 
+class Cells(NamedTuple):
+    """Cells of A points: (A, 3) base and frac, (A,) flat, (A, 8) idx8 and w8."""
+
+    base: np.ndarray
+    frac: np.ndarray
+    flat: np.ndarray
+    idx8: np.ndarray
+    w8: np.ndarray
+
+
+_CORNER_BITS = np.array([(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)])
+
+
+def _flat(dims, ijk: np.ndarray) -> np.ndarray:
+    """Flat x-fastest voxel ids of (..., 3) integer grid coordinates."""
+    nx, ny, _ = dims
+    return ijk[..., 0] + nx * (ijk[..., 1] + ny * ijk[..., 2])
+
+
+def corner_offsets(dims) -> np.ndarray:
+    """(8,) flat id offsets of a cell's corners from its base voxel."""
+    return _flat(dims, _CORNER_BITS)
+
+
+def locate(dims, spacing, origin, pos: np.ndarray) -> Cells:
+    """Cells of (A, 3) world positions clamped into the grid box (upper faces
+    go to the last cell of each axis): base voxel ids and corner weights."""
+    nd = np.asarray(dims, dtype=np.float64)
+    g = (pos - np.asarray(origin, dtype=np.float64)[None, :]) / np.asarray(spacing)[None, :]
+    g = np.clip(g, 0.0, nd - 1.0)
+    base = np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64))
+    base = np.maximum(base, 0)
+    frac = g - base
+    w = np.stack([1.0 - frac, frac], axis=2)  # (A, axis, bit)
+    bits = _CORNER_BITS
+    w8 = w[:, 0, bits[:, 0]] * w[:, 1, bits[:, 1]] * w[:, 2, bits[:, 2]]
+    flat = _flat(dims, base)
+    return Cells(base, frac, flat, flat[:, None] + corner_offsets(dims)[None, :], w8)
+
+
 def trilinear_coords(dims, spacing, origin, point) -> TrilinearCoords:
     """Locate a world-space point inside its grid cell; all 8 corners in bounds."""
     p = np.asarray(point, dtype=np.float64)
-    g = (p - np.asarray(origin)) / np.asarray(spacing)
-    nd = np.asarray(dims)
-    if np.any(g < 0) or np.any(g > nd - 1):
-        raise VolumeError(f"point {point} outside the grid")
-    base = np.minimum(g.astype(np.int64), nd - 2)
-    base = np.maximum(base, 0)
-    return TrilinearCoords(tuple(base), tuple(g - base))
+    require_positive(spacing, "spacing")
+    g = (p - np.asarray(origin)) / np.asarray(spacing)  # not finite if point or origin is not
+    if not np.all((g >= 0) & (g <= np.asarray(dims) - 1)):
+        raise VolumeError(f"point {point} with origin {origin} is not finite and inside the grid")
+    cells = locate(dims, spacing, origin, p[None, :])
+    return TrilinearCoords(tuple(cells.base[0]), tuple(cells.frac[0]))
 
 
 def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """The 8 trilinear weights in corner-bit order."""
-    wx = np.array([1.0 - alpha, alpha])
-    wy = np.array([1.0 - beta, beta])
-    wz = np.array([1.0 - gamma, gamma])
-    idx = np.arange(8)
-    return wx[idx & 1] * wy[(idx >> 1) & 1] * wz[(idx >> 2) & 1]
+    """The 8 trilinear weights in corner-bit order: those of the unit cell."""
+    frac = np.array([[alpha, beta, gamma]], dtype=np.float64)
+    if not np.all((frac >= 0.0) & (frac <= 1.0)):
+        raise VolumeError("alpha, beta and gamma must lie in [0, 1]")
+    return locate((2, 2, 2), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), frac).w8[0]
+
+
+def _vectors(*arrays) -> list[np.ndarray]:
+    """The inputs as float64 vectors, checked to be congruent, nonempty and finite."""
+    out = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
+    if out[0].size == 0 or any(a.size != out[0].size for a in out):
+        raise VolumeError("inputs must be nonempty vectors of one shared length")
+    require_finite(out, "inputs")
+    return out
 
 
 def quantile_interp_1d(a: QuantilePdf, b: QuantilePdf, alpha: float) -> InterpolatedPdf:
     """Linear quantile interpolation: same-rank boundaries blend linearly.
 
     This realizes the 1D width rule w_j = alpha*w_bj + (1-alpha)*w_aj, so the
-    density of piece j is qval / w_j.
+    density of piece j is qval / w_j.  It is the trilinear blend along x.
     """
-    if a.qval != b.qval or a.q != b.q:
-        raise VolumeError("quantile pdfs must share qval to interpolate")
-    if not (0.0 <= alpha <= 1.0):
-        raise VolumeError("alpha must lie in [0, 1]")
-    boundaries = (1.0 - alpha) * a.boundaries + alpha * b.boundaries
-    return QuantilePdf(a.qval, boundaries)
+    return quantile_interp_3d([a, b] * 4, alpha, 0.0, 0.0)
 
 
 def _corner_boundary_matrix(corners: Sequence[QuantilePdf]) -> tuple[float, np.ndarray]:
-    if len(corners) != 8:
-        raise VolumeError("trilinear interpolation needs exactly 8 corner pdfs")
-    qval = corners[0].qval
-    q = corners[0].q
-    for c in corners[1:]:
-        if c.qval != qval or c.q != q:
-            raise VolumeError("all 8 corners must share qval")
-    return qval, np.stack([c.boundaries for c in corners], axis=0)
+    if len(corners) != 8 or len({(c.qval, c.q) for c in corners}) != 1:
+        raise VolumeError("trilinear interpolation needs 8 corner pdfs sharing qval")
+    return corners[0].qval, np.stack([c.boundaries for c in corners], axis=0)
+
+
+def blend_quantiles(boundaries: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
+    """(A, q+1) same-rank blends of the corner rows of (V, q+1) boundaries."""
+    return np.einsum("ac,acq->aq", w8, boundaries[idx8])
 
 
 def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float,
                        gamma: float) -> InterpolatedPdf:
     """Trilinear quantile interpolation via the proven boundary-blend form."""
     qval, b = _corner_boundary_matrix(corners)
-    for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not (0.0 <= v <= 1.0):
-            raise VolumeError(f"{name} must lie in [0, 1]")
     w = corner_weights(alpha, beta, gamma)
-    return QuantilePdf(qval, w @ b)
+    return QuantilePdf(qval, blend_quantiles(b, np.arange(8)[None, :], w[None, :])[0])
 
 
 def quantile_interp_3d_rational(corners: Sequence[QuantilePdf], alpha: float, beta: float,
@@ -123,16 +167,10 @@ def mc_oracle_interp(corner_samples: Sequence[np.ndarray], weights, n: int,
     """
     if len(corner_samples) != len(tuple(weights)):
         raise VolumeError("one weight per corner sample set")
-    if n < 1:
-        raise VolumeError("n must be positive")
+    n = require_int(n, "n")
     if coupling not in ("ordered", "independent"):
         raise VolumeError(f"unknown coupling {coupling!r}")
-    sorted_sets = []
-    for s in corner_samples:
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size == 0:
-            raise VolumeError("corner sample sets must be nonempty")
-        sorted_sets.append(np.sort(s))
+    sorted_sets = [np.sort(_vectors(s)[0]) for s in corner_samples]
     rng = np.random.default_rng(seed)
     out = np.zeros(n)
     if coupling == "ordered":
@@ -146,14 +184,26 @@ def mc_oracle_interp(corner_samples: Sequence[np.ndarray], weights, n: int,
     return np.sort(out)
 
 
+def blend_mean(values: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
+    """(A,) trilinear blends of the corner entries of (V,) values."""
+    return np.einsum("ac,ac->a", w8, values[idx8])
+
+
+def blend_gaussian(mean: np.ndarray, sigma: np.ndarray, idx8: np.ndarray,
+                   w8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A,) mu = sum w mu_i and sigma = sqrt(sum w^2 sigma_i^2) over the corners."""
+    mu = blend_mean(mean, idx8, w8)
+    var = np.einsum("ac,ac->a", w8 * w8, sigma[idx8] ** 2)
+    return mu, np.sqrt(var)
+
+
 def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
     """Linear transform of mean and variance: mu = sum w mu_i, var = sum w^2 var_i."""
-    mu = np.asarray(means, dtype=np.float64)
-    sg = np.asarray(sigmas, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    mu, sg, w = _vectors(means, sigmas, weights)
     if np.any(sg < 0):
         raise VolumeError("sigmas must be nonnegative")
-    return float(w @ mu), float(np.sqrt((w * w) @ (sg * sg)))
+    mu, sg = blend_gaussian(mu, sg, np.arange(w.size)[None, :], w[None, :])
+    return float(mu[0]), float(sg[0])
 
 
 @dataclass(frozen=True)
@@ -168,6 +218,7 @@ class NumericDensity:
         p = np.ascontiguousarray(self.pdf, dtype=np.float64)
         if x.shape != p.shape or x.ndim != 1 or x.size < 2:
             raise VolumeError("numeric density needs matching 1D x/pdf lattices")
+        require_finite((x, p), "numeric density lattice and pdf")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", p)
 
@@ -176,9 +227,6 @@ class NumericDensity:
         inc = 0.5 * (self.pdf[:-1] + self.pdf[1:]) * du
         c = np.concatenate([[0.0], np.cumsum(inc)])
         return c / c[-1] if c[-1] > 0 else c
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.x * self.pdf, self.x))
 
 
 def _box_spectra(m: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +283,13 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     origins = m.sum(axis=1) - 0.5 * total
 
     f_len = uniform_lattice_len(npoints, k)
-    # Degenerate rows (all factors are point masses) get a one-cell spike.
-    span = np.where(total > 0, total, 1.0)
-    du = span / (npoints - 1)
+    # Point-mass rows get a one-cell spike: rows of zero width, and rows so
+    # narrow that the product of k spectra, each below 3/du, could overflow.
+    degen = total < (npoints - 1) * 3.0 * np.finfo(np.float64).max ** (-1.0 / k)
+    du = np.where(degen, 1.0, total) / (npoints - 1)
 
     cells = np.clip(np.ceil(s / du[:, None] - 0.5), 0, f_len).astype(np.int64)  # (V, K)
-    inv_s = 1.0 / np.where(s > 0, s, 1.0)
+    inv_s = 1.0 / np.where(cells > 0, s, 1.0)  # ramp is 0 where cells is 0
     inv_du = (1.0 / du)[:, None]
     # Spectra only for the distinct m in use: s_i <= total bounds m by npoints - 1,
     # so there are at most min(V*K, npoints) rows.
@@ -252,7 +301,6 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
         spec *= ramp[idx[:, i]] * inv_s[:, i, None] + phase[idx[:, i]] * inv_du
     pdf = np.fft.irfft(spec, n=f_len, axis=1) * du[:, None] ** (k - 1)
     np.clip(pdf, 0.0, None, out=pdf)
-    degen = total <= 0
     if np.any(degen):
         pdf[degen] = 0.0
         pdf[degen, 0] = 1.0 / du[degen]
@@ -261,54 +309,78 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
 
 def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) -> NumericDensity:
     """Density of the trilinear combination of uniform corner models."""
-    c = np.asarray(centers, dtype=np.float64).ravel()
-    d = np.asarray(widths, dtype=np.float64).ravel()
-    w = np.asarray(weights, dtype=np.float64).ravel()
+    c, d, w = _vectors(centers, widths, weights)
     origins, pdf, du = uniform_sum_density_batch(c[None, :], d[None, :], w[None, :],
                                                  config.lattice)
     x = origins[0] + np.arange(pdf.shape[1]) * float(du[0])
     return NumericDensity(x, pdf[0])
 
 
+def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
+                      idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean: weights
+    (renormalized) and means blend linearly, variances quadratically."""
+    ws = np.einsum("ac,ack->ak", w8, weights[idx8])
+    ws /= ws.sum(axis=1, keepdims=True)
+    mus = np.einsum("ac,ack->ak", w8, means[idx8])
+    cs = sigmas[idx8]
+    sgs = np.sqrt(np.einsum("ac,ack->ak", w8 * w8, cs * cs))
+    return ws, mus, sgs
+
+
+def _gmm_corners(corner_gmms: Sequence[GmmModel], weights):
+    """The corner weights, and the corner mixtures stacked (corners, k)."""
+    (w,) = _vectors(weights)
+    if len(corner_gmms) != w.size or len({g.k for g in corner_gmms}) != 1:
+        raise VolumeError("need one weight per corner GMM, all with the same k")
+    return w, [np.stack([getattr(g, a) for g in corner_gmms])
+               for a in ("weights", "means", "sigmas")]
+
+
 def interp_gmm_ordered(corner_gmms: Sequence[GmmModel], weights) -> GmmModel:
     """Rank-matched GMM interpolation: components sorted by mean, then each
     rank blends weights linearly and variances quadratically."""
-    k = corner_gmms[0].k
-    for g in corner_gmms[1:]:
-        if g.k != k:
-            raise VolumeError("all corner GMMs must share k")
-    w = np.asarray(weights, dtype=np.float64)
-    ordered = [g.sorted_by_mean() for g in corner_gmms]
-    cw = np.stack([g.weights for g in ordered])  # (8, k)
-    cm = np.stack([g.means for g in ordered])
-    cs = np.stack([g.sigmas for g in ordered])
-    out_w = w @ cw
-    out_w = out_w / out_w.sum()
-    out_m = w @ cm
-    out_s = np.sqrt((w * w) @ (cs * cs))
-    return GmmModel(out_w, out_m, out_s)
+    w, params = _gmm_corners(corner_gmms, weights)
+    ws, mus, sgs = blend_gmm_ordered(*sort_components(*params), np.arange(w.size)[None, :],
+                                     w[None, :])
+    return GmmModel(ws[0], mus[0], sgs[0])
+
+
+def sample_gmm_batch(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
+                     idx8: np.ndarray, w8: np.ndarray, n: int, rng) -> np.ndarray:
+    """(A, n) draws of sum_c w_c X_c with X_c from corner c's (V, k) mixture;
+    per corner, rng gives the (A, n) component-pick uniforms, then normals."""
+    a = idx8.shape[0]
+    k = weights.shape[1]
+    means, sigmas = means.ravel(), sigmas.ravel()
+    x = np.zeros((a, n))
+    for c in range(idx8.shape[1]):
+        vox = idx8[:, c]
+        cum = np.cumsum(weights[vox], axis=1)
+        u = rng.random((a, n))
+        # The first component whose cumulative weight exceeds u; the last
+        # takes whatever mass rounding leaves above the others.
+        comp = (u[:, None, :] >= cum[:, :-1, None]).sum(axis=1)
+        flat_comp = vox[:, None] * k + comp
+        x += w8[:, c][:, None] * (means[flat_comp]
+                                  + sigmas[flat_comp] * rng.standard_normal((a, n)))
+    return x
 
 
 def sample_gmm_mc(corner_gmms: Sequence[GmmModel], weights, n: int, seed: int) -> np.ndarray:
     """MC sampling of sum_i w_i X_i with X_i drawn independently from each
     corner's GMM; returns sorted realizations."""
-    if n < 1:
-        raise VolumeError("n must be positive")
-    rng = np.random.default_rng(seed)
-    out = np.zeros(n)
-    for w, g in zip(weights, corner_gmms):
-        cum = np.cumsum(g.weights)
-        cum[-1] = 1.0
-        comp = np.searchsorted(cum, rng.random(n), side="right")
-        comp = np.minimum(comp, g.k - 1)
-        out += w * (g.means[comp] + g.sigmas[comp] * rng.standard_normal(n))
-    return np.sort(out)
+    n = require_int(n, "n")
+    w, params = _gmm_corners(corner_gmms, weights)
+    x = sample_gmm_batch(*params, np.arange(w.size)[None, :], w[None, :], n,
+                         np.random.default_rng(seed))
+    return np.sort(x[0])
 
 
 def ks_distance(pdf: QuantilePdf, samples: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between a quantile pdf's piecewise-linear
     CDF and the empirical CDF of a sample list."""
-    s = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    s = np.sort(_vectors(samples)[0])
     n = s.size
     f = pdf.cdf(s)
     lo = np.arange(n) / n
@@ -323,9 +395,92 @@ def ks_distance(pdf: QuantilePdf, samples: np.ndarray) -> float:
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample KS distance between sorted or unsorted sample lists."""
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    a, b = (np.sort(_vectors(v)[0]) for v in (a, b))
     allv = np.concatenate([a, b])
     fa = np.searchsorted(a, allv, side="right") / a.size
     fb = np.searchsorted(b, allv, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
+
+
+# ---------------------------------------------------------------------------
+# Gradient reconstruction
+
+def _build_neighborhood():
+    """The 32-voxel neighborhood of a cell under blended central differences
+    (the 8 corners, then the +-1 axis neighbors of each corner in first-seen
+    order) and the (axis, corner, neighbor, sign) terms of the differences."""
+    index = {c: i for i, c in enumerate(map(tuple, _CORNER_BITS.tolist()))}
+    terms = []
+    for ci, c in enumerate(list(index)):
+        for axis in range(3):
+            for sign in (1, -1):
+                o = tuple(v + sign * (i == axis) for i, v in enumerate(c))
+                terms.append((axis, ci, index.setdefault(o, len(index)), sign))
+    return np.array(list(index), dtype=np.int64), terms
+
+
+NEIGHBOR_OFFSETS, _DIFF_TERMS = _build_neighborhood()
+_N_NEIGH = NEIGHBOR_OFFSETS.shape[0]
+
+
+def derivative_matrices(spacing) -> np.ndarray:
+    """(3, 8, 32) maps from corner trilinear weights to per-axis stencil weights."""
+    d = np.zeros((3, 8, _N_NEIGH))
+    for axis, ci, n, sign in _DIFF_TERMS:
+        d[axis, ci, n] += sign / (2.0 * spacing[axis])
+    return d
+
+
+@dataclass(frozen=True)
+class GradientStencil:
+    """Per-sample interpolation and directional-derivative weights over the
+    32-voxel neighborhood, plus the mean gradient there."""
+
+    indices: np.ndarray  # (32,) flat voxel ids
+    w: np.ndarray  # (32,) interpolation weights; nonzero on the 8 corners
+    u: np.ndarray  # (32,) directional-derivative weights
+    axis_weights: np.ndarray  # (3, 32) per-axis derivative weights
+    mean_gradient: np.ndarray  # (3,)
+    degenerate: bool
+
+
+def stencil_fits(dims, base: np.ndarray) -> np.ndarray:
+    """(A,) mask of the cell bases at least one voxel from every boundary."""
+    return np.all((base >= 1) & (base <= np.asarray(dims) - 3), axis=1)
+
+
+def gradient_stencil_batch(dims, flat: np.ndarray, w8: np.ndarray, deriv: np.ndarray,
+                           mean_values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The GradientStencil fields, one row per cell with base voxel flat and
+    corner weights w8: indices, w, u (A, 32), axis weights (A, 3, 32), mean
+    gradient (A, 3) and degenerate (A,); a zero mean gradient leaves u = 0."""
+    flat32 = flat[:, None] + _flat(dims, NEIGHBOR_OFFSETS)[None, :]
+    axis_w = np.einsum("ac,xcn->axn", w8, deriv)
+    mean_grad = np.einsum("axn,an->ax", axis_w, mean_values[flat32])
+    norm = np.linalg.norm(mean_grad, axis=1)
+    degenerate = norm < 1e-12
+    direction = mean_grad / np.where(degenerate, 1.0, norm)[:, None]
+    u = np.einsum("ax,axn->an", direction, axis_w)
+    u[degenerate] = 0.0
+    w32 = np.zeros((flat.size, _N_NEIGH))
+    w32[:, :8] = w8
+    return flat32, w32, u, axis_w, mean_grad, degenerate
+
+
+def gradient_stencil(dims, spacing, coords: TrilinearCoords,
+                     mean_grid: ScalarGrid) -> GradientStencil:
+    """Blended central-difference stencil at a trilinear sample point.
+
+    Needs every central-difference neighbor in bounds, i.e. the cell base at
+    least one voxel from the boundary.  A zero mean gradient flags the stencil
+    degenerate instead of raising.
+    """
+    base = np.array([coords.base])
+    if not stencil_fits(dims, base)[0]:
+        raise VolumeError(f"cell base {coords.base} too close to the boundary for central "
+                          "differences")
+    w8 = corner_weights(*coords.frac)[None, :]
+    rows = gradient_stencil_batch(dims, _flat(dims, base), w8, derivative_matrices(spacing),
+                                  mean_grid.values)
+    *fields, degenerate = (r[0] for r in rows)
+    return GradientStencil(*fields, bool(degenerate))

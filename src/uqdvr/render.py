@@ -4,24 +4,25 @@ front-to-back compositing, quartile views, difference images, and RMSE.
 Rays are processed in fixed-size pixel chunks; chunk boundaries and per-chunk
 seeds never depend on the worker count, so a job renders bit-identically for
 any thread count.
+
+One table maps each scheme to its model type and classifier, which calls an
+interp and a classify kernel by this module's names at call time.
 """
 
 from __future__ import annotations
 
-import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import interp
 from .classify import (
-    NEIGHBOR_OFFSETS,
     TransferFunction1D,
     TransferFunction2D,
-    derivative_matrices,
     expected_color_2d_batch,
     gauss_hermite_batch,
+    lattice_color_batch,
     quantile_mean_batch,
     quantile_range_batch,
     sobol_points,
@@ -37,8 +38,11 @@ from .volcore import (
     ScalarGrid,
     UniformModel,
     VolumeError,
+    map_chunks,
     require_finite,
+    require_int,
     require_positive,
+    sort_components,
 )
 
 CHUNK_PIXELS = 4096
@@ -47,20 +51,6 @@ MAX_RAY_SAMPLES = 1 << 16
 # Rows x lattice cells of one `uniform` classification block: a full chunk is
 # one block at the default conv_lattice, and MAX_LATTICE takes 8 rows at a time.
 UNIFORM_BLOCK_CELLS = 1 << 20
-
-SCHEMES = ("mean", "uniform", "gaussian", "gmm-ordered", "gmm-mc",
-           "quantile-range", "quantile-mean", "tf2d")
-
-_SCHEME_MODEL = {
-    "mean": MeanFieldModel,
-    "uniform": UniformModel,
-    "gaussian": GaussianModel,
-    "gmm-ordered": GmmVolumeModel,
-    "gmm-mc": GmmVolumeModel,
-    "quantile-range": QuantileModel,
-    "quantile-mean": QuantileModel,
-    "tf2d": UniformModel,
-}
 
 DIVERGING_BLUE = np.array([0.23, 0.30, 0.75])
 DIVERGING_WHITE = np.array([1.0, 1.0, 1.0])
@@ -159,9 +149,9 @@ class RenderJob:
     conv_lattice: int = 64
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if self.scheme not in _SCHEMES:
             raise VolumeError(f"unknown scheme {self.scheme!r}")
-        want = _SCHEME_MODEL[self.scheme]
+        want = _SCHEMES[self.scheme][0]
         if not isinstance(self.volume.model, want):
             raise VolumeError(
                 f"scheme {self.scheme!r} needs a {want.__name__} volume, "
@@ -183,14 +173,7 @@ class RenderJob:
             raise VolumeError(f"step {self.step} takes more than {MAX_RAY_SAMPLES} "
                               "samples along the volume diagonal")
         for name in ("mc_samples", "tf2d_samples", "conv_lattice"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise VolumeError(f"{name} must be an integer") from None
-        if self.mc_samples < 1:
-            raise VolumeError("mc_samples must be at least 1")
-        if self.tf2d_samples < 1:
-            raise VolumeError("tf2d_samples must be at least 1")
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not 2 <= self.conv_lattice <= MAX_LATTICE:
             raise VolumeError(f"conv_lattice must lie in [2, {MAX_LATTICE}]")
         if not (0.0 < self.termination <= 1.0):
@@ -227,137 +210,89 @@ class _SchemeState:
     def __init__(self, job: RenderJob):
         self.job = job
         m = job.volume.model
-        nx, ny, nz = job.volume.dims
-        bits = np.arange(8)
-        self.corner_flat = ((bits & 1) + nx * (((bits >> 1) & 1) + ny * ((bits >> 2) & 1)))
-        if isinstance(m, GmmVolumeModel):
-            order = np.argsort(m.means, axis=1, kind="stable")
-            self.gmm_weights = np.take_along_axis(m.weights, order, axis=1)
-            self.gmm_means = np.take_along_axis(m.means, order, axis=1)
-            self.gmm_sigmas = np.take_along_axis(m.sigmas, order, axis=1)
+        self.corner_flat = interp.corner_offsets(job.volume.dims)  # as interp.locate adds them
+        if job.scheme == "gmm-ordered":
+            self.gmm_sorted = sort_components(m.weights, m.means, m.sigmas)
         if job.scheme == "tf2d":
-            self.tf2d_points = sobol_points(NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
+            self.tf2d_points = sobol_points(interp.NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
                                             seed=job.seed)
-            self.neigh_flat = (NEIGHBOR_OFFSETS[:, 0] + nx * (NEIGHBOR_OFFSETS[:, 1]
-                               + ny * NEIGHBOR_OFFSETS[:, 2]))
-            self.deriv = derivative_matrices(job.volume.spacing)
+            self.deriv = interp.derivative_matrices(job.volume.spacing)
 
 
-def _corner_weights_batch(frac: np.ndarray) -> np.ndarray:
-    """(A, 8) trilinear weights in corner-bit order."""
-    a, b, g = frac[:, 0], frac[:, 1], frac[:, 2]
-    wx = np.stack([1.0 - a, a], axis=1)
-    wy = np.stack([1.0 - b, b], axis=1)
-    wz = np.stack([1.0 - g, g], axis=1)
-    bits = np.arange(8)
-    return wx[:, bits & 1] * wy[:, (bits >> 1) & 1] * wz[:, (bits >> 2) & 1]
+# Classifiers: (job, model, cells, state, rng) -> (A, 4) RGBA.
+
+
+def _mean_rgba(job, m, c, state, rng):
+    return job.tf.sample(interp.blend_mean(m.values, c.idx8, c.w8))
+
+
+def _gaussian_rgba(job, m, c, state, rng):
+    return gauss_hermite_batch(*interp.blend_gaussian(m.mean, m.sigma, c.idx8, c.w8), job.tf)
+
+
+def _uniform_rgba(job, m, c, state, rng):
+    rgba = np.empty((c.idx8.shape[0], 4))
+    step = max(1, UNIFORM_BLOCK_CELLS // uniform_lattice_len(job.conv_lattice, 8))
+    for lo in range(0, c.idx8.shape[0], step):
+        rows = c.idx8[lo:lo + step]
+        origins, pdf, du = uniform_sum_density_batch(m.center[rows], m.width[rows],
+                                                     c.w8[lo:lo + step], job.conv_lattice)
+        rgba[lo:lo + step] = lattice_color_batch(origins, pdf, du, job.tf)
+    return rgba
+
+
+def _quantile_rgba(job, m, c, state, rng):
+    """quantile-range or quantile-mean over the job's quantile subrange."""
+    bnd, qval = interp.blend_quantiles(m.boundaries, c.idx8, c.w8), m.qval
+    if job.quantile_subrange is not None:
+        lo, hi = job.quantile_subrange
+        bnd, qval = bnd[:, lo:hi + 1], 1.0 / (hi - lo)
+    kernel = quantile_range_batch if job.scheme == "quantile-range" else quantile_mean_batch
+    return kernel(bnd, qval, job.tf)
+
+
+def _gmm_ordered_rgba(job, m, c, state, rng):
+    ws, mus, sgs = interp.blend_gmm_ordered(*state.gmm_sorted, c.idx8, c.w8)
+    colors = gauss_hermite_batch(mus.ravel(), sgs.ravel(), job.tf).reshape(*mus.shape, 4)
+    return np.einsum("ak,akc->ac", ws, colors)
+
+
+def _gmm_mc_rgba(job, m, c, state, rng):
+    x = interp.sample_gmm_batch(m.weights, m.means, m.sigmas, c.idx8, c.w8, job.mc_samples, rng)
+    return job.tf.sample(x).mean(axis=1)
+
+
+def _tf2d_rgba(job, m, c, state, rng):
+    """Samples too close to the boundary for central differences stay clear."""
+    rgba = np.zeros((c.flat.shape[0], 4))
+    vidx = np.nonzero(interp.stencil_fits(job.volume.dims, c.base))[0]
+    if vidx.size:
+        flat32, w32, u, _, _, degenerate = interp.gradient_stencil_batch(
+            job.volume.dims, c.flat[vidx], c.w8[vidx], state.deriv, job.mean_grid.values)
+        rgba[vidx] = expected_color_2d_batch(m.center[flat32], m.width[flat32], w32, u, job.tf2,
+                                             state.tf2d_points, degenerate=degenerate)
+    return rgba
+
+
+_SCHEMES = {
+    "mean": (MeanFieldModel, _mean_rgba),
+    "uniform": (UniformModel, _uniform_rgba),
+    "gaussian": (GaussianModel, _gaussian_rgba),
+    "gmm-ordered": (GmmVolumeModel, _gmm_ordered_rgba),
+    "gmm-mc": (GmmVolumeModel, _gmm_mc_rgba),
+    "quantile-range": (QuantileModel, _quantile_rgba),
+    "quantile-mean": (QuantileModel, _quantile_rgba),
+    "tf2d": (UniformModel, _tf2d_rgba),
+}
+SCHEMES = tuple(_SCHEMES)
 
 
 def _classify_chunk(state: _SchemeState, pos: np.ndarray, rng) -> np.ndarray:
     """RGBA for sample positions inside the volume bounding box."""
     job = state.job
     vol = job.volume
-    nx, ny, nz = vol.dims
-    nd = np.array([nx, ny, nz], dtype=np.float64)
-    g = (pos - vol.world_min[None, :]) / np.asarray(vol.spacing)[None, :]
-    g = np.clip(g, 0.0, nd - 1.0)
-    base = np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64))
-    base = np.maximum(base, 0)
-    frac = g - base
-    flat = base[:, 0] + nx * (base[:, 1] + ny * base[:, 2])
-    w8 = _corner_weights_batch(frac)
-    idx8 = flat[:, None] + state.corner_flat[None, :]
-    m = vol.model
-    scheme = job.scheme
-
-    if scheme == "mean":
-        x = np.einsum("ac,ac->a", w8, m.values[idx8])
-        return job.tf.sample(x)
-
-    if scheme == "gaussian":
-        mu = np.einsum("ac,ac->a", w8, m.mean[idx8])
-        var = np.einsum("ac,ac->a", w8 * w8, m.sigma[idx8] ** 2)
-        return gauss_hermite_batch(mu, np.sqrt(var), job.tf)
-
-    if scheme == "uniform":
-        rgba = np.empty((pos.shape[0], 4))
-        step = max(1, UNIFORM_BLOCK_CELLS // uniform_lattice_len(job.conv_lattice, 8))
-        for lo in range(0, pos.shape[0], step):
-            rows = idx8[lo:lo + step]
-            origins, pdf, du = uniform_sum_density_batch(m.center[rows], m.width[rows],
-                                                         w8[lo:lo + step], job.conv_lattice)
-            xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
-            mass = pdf * du[:, None]
-            mass /= mass.sum(axis=1, keepdims=True)
-            rgba[lo:lo + step] = np.einsum("an,anc->ac", mass, job.tf.sample(xs))
-        return rgba
-
-    if scheme in ("quantile-range", "quantile-mean"):
-        bnd = np.einsum("ac,acq->aq", w8, m.boundaries[idx8])
-        qval = m.qval
-        if job.quantile_subrange is not None:
-            lo, hi = job.quantile_subrange
-            bnd = bnd[:, lo:hi + 1]
-            qval = 1.0 / (hi - lo)
-        if scheme == "quantile-range":
-            return quantile_range_batch(bnd, qval, job.tf)
-        return quantile_mean_batch(bnd, qval, job.tf)
-
-    if scheme == "gmm-ordered":
-        cw = state.gmm_weights[idx8]  # (A, 8, k)
-        cm = state.gmm_means[idx8]
-        cs = state.gmm_sigmas[idx8]
-        ws = np.einsum("ac,ack->ak", w8, cw)
-        ws /= ws.sum(axis=1, keepdims=True)
-        mus = np.einsum("ac,ack->ak", w8, cm)
-        sgs = np.sqrt(np.einsum("ac,ack->ak", w8 * w8, cs * cs))
-        a, k = mus.shape
-        colors = gauss_hermite_batch(mus.ravel(), sgs.ravel(), job.tf).reshape(a, k, 4)
-        return np.einsum("ak,akc->ac", ws, colors)
-
-    if scheme == "gmm-mc":
-        a = pos.shape[0]
-        n = job.mc_samples
-        k = m.k
-        means, sigmas = m.means.ravel(), m.sigmas.ravel()
-        x = np.zeros((a, n))
-        for c in range(8):
-            vox = idx8[:, c]
-            cum = np.cumsum(m.weights[vox], axis=1)
-            u = rng.random((a, n))
-            # The first component whose cumulative weight exceeds u; the last
-            # takes whatever mass rounding leaves above the others.
-            comp = (u[:, None, :] >= cum[:, :-1, None]).sum(axis=1)
-            flat_comp = vox[:, None] * k + comp
-            x += w8[:, c][:, None] * (means[flat_comp]
-                                      + sigmas[flat_comp] * rng.standard_normal((a, n)))
-        return job.tf.sample(x).mean(axis=1)
-
-    if scheme == "tf2d":
-        a = pos.shape[0]
-        rgba = np.zeros((a, 4))
-        valid = ((base[:, 0] >= 1) & (base[:, 0] <= nx - 3)
-                 & (base[:, 1] >= 1) & (base[:, 1] <= ny - 3)
-                 & (base[:, 2] >= 1) & (base[:, 2] <= nz - 3))
-        if not np.any(valid):
-            return rgba
-        vidx = np.nonzero(valid)[0]
-        flat32 = flat[vidx][:, None] + state.neigh_flat[None, :]  # (V, 32)
-        axis_w = np.einsum("ac,xcn->axn", w8[vidx], state.deriv)  # (V, 3, 32)
-        mean_grad = np.einsum("axn,an->ax", axis_w, job.mean_grid.values[flat32])
-        norm = np.linalg.norm(mean_grad, axis=1)
-        degenerate = norm < 1e-12
-        direction = mean_grad / np.where(degenerate, 1.0, norm)[:, None]
-        u = np.einsum("ax,axn->an", direction, axis_w)
-        u[degenerate] = 0.0
-        w32 = np.zeros((vidx.size, state.neigh_flat.size))
-        w32[:, :8] = w8[vidx]
-        rgba[vidx] = expected_color_2d_batch(
-            m.center[flat32], m.width[flat32], w32, u, job.tf2,
-            state.tf2d_points, degenerate=degenerate)
-        return rgba
-
-    raise VolumeError(f"unhandled scheme {scheme!r}")
+    cells = interp.locate(vol.dims, vol.spacing, vol.origin, pos)
+    return _SCHEMES[job.scheme][1](job, vol.model, cells, state, rng)
 
 
 def _render_chunk(state: _SchemeState, chunk_id: int, origins, dirs) -> np.ndarray:
@@ -409,19 +344,11 @@ def raycast(job: RenderJob, threads: int = 1) -> Image:
     n = origins.shape[0]
     state = _SchemeState(job)
     out = np.empty((n, 4))
-    starts = list(range(0, n, CHUNK_PIXELS))
 
-    def work(ci):
-        s = starts[ci]
-        e = min(s + CHUNK_PIXELS, n)
-        out[s:e] = _render_chunk(state, ci, origins[s:e], dirs[s:e])
+    def work(lo, hi):
+        out[lo:hi] = _render_chunk(state, lo // CHUNK_PIXELS, origins[lo:hi], dirs[lo:hi])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(starts))))
-    else:
-        for ci in range(len(starts)):
-            work(ci)
+    map_chunks(work, n, threads, CHUNK_PIXELS)
     pixels = np.clip(out, 0.0, 1.0).reshape(cam.height, cam.width, 4)
     return Image(cam.width, cam.height, pixels)
 

@@ -6,7 +6,9 @@ All binary formats are little-endian.
 
 from __future__ import annotations
 
+import operator
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -72,13 +74,65 @@ def require_positive(values, what: str) -> None:
         raise VolumeError(f"{what} must be finite and positive, got {values}")
 
 
+def require_int(value, what: str, lo: int = 1) -> int:
+    """value as an int; VolumeError unless it is an integer >= lo."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise VolumeError(f"{what} must be an integer") from None
+    if v < lo:
+        raise VolumeError(f"{what} must be at least {lo}")
+    return v
+
+
+def map_chunks(fn, v: int, threads: int, chunk: int) -> list:
+    """[fn(lo, hi)] over consecutive chunk-row ranges of v rows; the ranges
+    never depend on threads, so neither do the results."""
+    bounds = [(lo, min(lo + chunk, v)) for lo in range(0, v, chunk)]
+    if threads > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda b: fn(*b), bounds))
+    return [fn(lo, hi) for lo, hi in bounds]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
+class _Geometry:
+    """The dims, spacing and origin of a regular grid with x-fastest voxel ids."""
+
+    def _check_geometry(self) -> None:
+        object.__setattr__(self, "dims", _as_dims(self.dims))
+        object.__setattr__(self, "spacing", _as_vec3(self.spacing))
+        object.__setattr__(self, "origin", _as_vec3(self.origin))
+        require_positive(self.spacing, "spacing")
+        require_finite(self.origin, "origin")
+
+    @property
+    def voxel_count(self) -> int:
+        nx, ny, nz = self.dims
+        return nx * ny * nz
+
+    def flat_index(self, i: int, j: int, k: int) -> int:
+        nx, ny, nz = self.dims
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+            raise VolumeError(f"voxel index {(i, j, k)} out of bounds {self.dims}")
+        return i + nx * (j + ny * k)
+
+    @property
+    def world_min(self) -> np.ndarray:
+        return np.asarray(self.origin, dtype=np.float64)
+
+    @property
+    def world_max(self) -> np.ndarray:
+        d = np.asarray(self.dims, dtype=np.float64) - 1.0
+        return self.world_min + d * np.asarray(self.spacing, dtype=np.float64)
+
+
 @dataclass(frozen=True)
-class ScalarGrid:
+class ScalarGrid(_Geometry):
     """Deterministic scalar field on a regular grid.
 
     values holds nx*ny*nz intensities, x-fastest.  Immutable after
@@ -91,11 +145,7 @@ class ScalarGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        object.__setattr__(self, "spacing", _as_vec3(self.spacing))
-        object.__setattr__(self, "origin", _as_vec3(self.origin))
-        require_positive(self.spacing, "spacing")
-        require_finite(self.origin, "origin")
+        self._check_geometry()
         vals = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
         if vals.size != self.voxel_count:
             raise VolumeError(
@@ -105,33 +155,13 @@ class ScalarGrid:
         object.__setattr__(self, "values", _frozen(vals))
 
     @property
-    def voxel_count(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
-    @property
     def values3d(self) -> np.ndarray:
         """View shaped (nz, ny, nx); C order matches the x-fastest layout."""
         nx, ny, nz = self.dims
         return self.values.reshape(nz, ny, nx)
 
-    def flat_index(self, i: int, j: int, k: int) -> int:
-        nx, ny, nz = self.dims
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            raise VolumeError(f"voxel index {(i, j, k)} out of bounds {self.dims}")
-        return i + nx * (j + ny * k)
-
     def at(self, i: int, j: int, k: int) -> float:
         return float(self.values[self.flat_index(i, j, k)])
-
-    @property
-    def world_min(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=np.float64)
-
-    @property
-    def world_max(self) -> np.ndarray:
-        d = np.asarray(self.dims, dtype=np.float64) - 1.0
-        return self.world_min + d * np.asarray(self.spacing, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -146,18 +176,9 @@ class QuantilePdf:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        b = np.ascontiguousarray(self.boundaries, dtype=np.float64).ravel()
-        if b.size < 2:
-            raise VolumeError("a quantile pdf needs at least two boundaries")
-        require_finite(b, "quantile boundaries")
-        if np.any(np.diff(b) < 0):
-            raise VolumeError("quantile boundaries must be nondecreasing")
-        q = b.size - 1
-        require_finite(self.qval, "qval")
-        if abs(q * self.qval - 1.0) > 1e-9:
-            raise VolumeError(f"q*qval must equal 1 (q={q}, qval={self.qval})")
-        object.__setattr__(self, "qval", float(self.qval))
-        object.__setattr__(self, "boundaries", _frozen(b))
+        model = QuantileModel(self.qval, np.ravel(self.boundaries)[None, :])  # one voxel's checks
+        object.__setattr__(self, "qval", model.qval)
+        object.__setattr__(self, "boundaries", model.boundaries[0])
 
     @property
     def q(self) -> int:
@@ -242,6 +263,12 @@ class GaussianModel:
         return self.mean.size
 
 
+def sort_components(weights, means, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture parameters with the components of each row in stable mean order."""
+    order = np.argsort(means, axis=-1, kind="stable")
+    return tuple(np.take_along_axis(a, order, axis=-1) for a in (weights, means, sigmas))
+
+
 @dataclass(frozen=True)
 class GmmVolumeModel:
     """Per-voxel Gaussian mixtures with a shared component count k."""
@@ -274,6 +301,31 @@ class GmmVolumeModel:
     @property
     def voxel_count(self) -> int:
         return self.weights.shape[0]
+
+
+@dataclass(frozen=True)
+class GmmModel:
+    """One Gaussian mixture: k components of (weight, mean, sigma)."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    sigmas: np.ndarray
+
+    def __post_init__(self):
+        arrays = [np.ascontiguousarray(a, dtype=np.float64).ravel()
+                  for a in (self.weights, self.means, self.sigmas)]
+        if not (arrays[0].size == arrays[1].size == arrays[2].size >= 1):
+            raise VolumeError("gmm arrays must be congruent and nonempty")
+        GmmVolumeModel(arrays[0].size, *arrays)  # the checks of one voxel's mixture
+        for name, arr in zip(("weights", "means", "sigmas"), arrays):
+            object.__setattr__(self, name, arr)
+
+    @property
+    def k(self) -> int:
+        return self.weights.size
+
+    def sorted_by_mean(self) -> "GmmModel":
+        return GmmModel(*sort_components(self.weights, self.means, self.sigmas))
 
 
 @dataclass(frozen=True)
@@ -329,7 +381,7 @@ VoxelModel = Union[
 
 
 @dataclass(frozen=True)
-class DistributionVolume:
+class DistributionVolume(_Geometry):
     """3D grid whose voxels carry one shared uncertainty model."""
 
     dims: Dims
@@ -338,36 +390,12 @@ class DistributionVolume:
     model: VoxelModel
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        object.__setattr__(self, "spacing", _as_vec3(self.spacing))
-        object.__setattr__(self, "origin", _as_vec3(self.origin))
-        require_positive(self.spacing, "spacing")
-        require_finite(self.origin, "origin")
+        self._check_geometry()
         nvox = self.voxel_count
         if self.model.voxel_count != nvox:
             raise VolumeError(
                 f"model holds {self.model.voxel_count} voxels, dims need {nvox}"
             )
-
-    @property
-    def voxel_count(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
-    def flat_index(self, i: int, j: int, k: int) -> int:
-        nx, ny, nz = self.dims
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            raise VolumeError(f"voxel index {(i, j, k)} out of bounds {self.dims}")
-        return i + nx * (j + ny * k)
-
-    @property
-    def world_min(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=np.float64)
-
-    @property
-    def world_max(self) -> np.ndarray:
-        d = np.asarray(self.dims, dtype=np.float64) - 1.0
-        return self.world_min + d * np.asarray(self.spacing, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -1056,3 +1056,57 @@ def test_derivative_matrices_is_public():
     assert d.shape == (3, 8, 32)
     np.testing.assert_allclose(d.sum(axis=2), 0.0, atol=1e-15)
     np.testing.assert_allclose(np.abs(d).sum(axis=2), [[1.0] * 8, [0.5] * 8, [0.25] * 8])
+
+
+class TestScalarClassifyRaisesVolumeError:
+    """Bad inputs to the scalar classify entry points surface as VolumeError."""
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_expected_color_2d_sample_count(self, n):
+        st = two_voxel_stencil([0.5, 0.5], [1.0, -1.0])
+        with pytest.raises(VolumeError):
+            expected_color_2d([(0.4, 0.2), (0.6, 0.1)], st, checker_tf2d(), n=n, seed=0)
+
+    @pytest.mark.parametrize("models, w, u", [
+        ([(np.nan, 0.2), (0.6, 0.1)], [0.5, 0.5], [1.0, -1.0]),
+        ([(0.4, np.inf), (0.6, 0.1)], [0.5, 0.5], [1.0, -1.0]),
+        ([(0.4, 0.2), (0.6, 0.1)], [np.nan, 0.5], [1.0, -1.0]),
+        ([(0.4, 0.2), (0.6, 0.1)], [0.5, 0.5], [1.0, np.inf]),
+        ([(0.4, 0.2)], [0.5, 0.5], [1.0, -1.0]),
+    ])
+    def test_expected_color_2d_models(self, models, w, u):
+        with pytest.raises(VolumeError):
+            expected_color_2d(models, two_voxel_stencil(w, u), checker_tf2d(), n=16, seed=0)
+
+    @pytest.mark.parametrize("model", [
+        (np.nan, 0.1), (0.5, np.inf), (0.5, np.nan), (0.5, -0.1), np.nan, np.inf,
+    ])
+    def test_expected_color_parametric(self, model):
+        with pytest.raises(VolumeError):
+            expected_color_parametric(model, ramp_tf())
+
+    @pytest.mark.parametrize("x, pdf", [
+        (np.linspace(0, 1, 5), [1.0, np.nan, 1.0, 1.0, 1.0]),
+        (np.linspace(0, 1, 5), [1.0, np.inf, 1.0, 1.0, 1.0]),
+        ([0.0, np.nan, 0.5, 0.75, 1.0], np.ones(5)),
+    ])
+    def test_numeric_density_rejects_non_finite(self, x, pdf):
+        with pytest.raises(VolumeError):
+            NumericDensity(x, pdf)
+
+    def test_numeric_density_without_mass(self):
+        with pytest.raises(VolumeError):
+            expected_color_parametric(NumericDensity(np.linspace(0, 1, 5), np.zeros(5)),
+                                      ramp_tf())
+
+
+def test_gmm_model_lives_in_volcore_and_classify_skips_density():
+    import ast
+    import inspect
+
+    import uqdvr
+    from uqdvr import density, volcore
+
+    assert uqdvr.GmmModel is density.GmmModel is volcore.GmmModel is GmmModel
+    tree = ast.parse(inspect.getsource(classify))
+    assert "density" not in {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}

@@ -391,3 +391,123 @@ class TestSampleGmmMc:
         a = sample_gmm_mc(corners, w, 2000, seed=9)
         b = sample_gmm_mc(corners, w, 2000, seed=9)
         assert np.array_equal(a, b)
+
+
+class TestTrilinearCoordsRejectsNonFinite:
+    @pytest.mark.parametrize("spacing, origin, point", [
+        ((1, 1, 1), (0, 0, 0), (np.nan, 1, 1)),
+        ((1, 1, 1), (0, 0, 0), (1, np.inf, 1)),
+        ((1, 1, 1), (0, 0, 0), (1, 1, -np.inf)),
+        ((1, np.inf, 1), (0, 0, 0), (1, 1, 1)),
+        ((1, 1, np.nan), (0, 0, 0), (1, 1, 1)),
+        ((0, 1, 1), (0, 0, 0), (1, 1, 1)),
+        ((1, -1, 1), (0, 0, 0), (1, -1, 1)),
+        ((1, 1, 1), (np.nan, 0, 0), (1, 1, 1)),
+        ((1, 1, 1), (0, -np.inf, 0), (1, 1, 1)),
+    ])
+    def test_rejected(self, spacing, origin, point):
+        with pytest.raises(VolumeError):
+            trilinear_coords((4, 4, 4), spacing, origin, point)
+
+    @pytest.mark.parametrize("frac", [(np.nan, 0.5, 0.5), (0.5, -0.1, 0.5), (0.5, 0.5, 1.5)])
+    def test_corner_weights_reject_fractions_outside_the_cell(self, frac):
+        with pytest.raises(VolumeError):
+            corner_weights(*frac)
+
+
+def gmm_corners(n=8, k=2):
+    return [GmmModel(np.full(k, 1.0 / k), np.arange(k) + 0.1 * i, np.full(k, 0.2))
+            for i in range(n)]
+
+
+W8 = np.full(8, 0.125)
+WITH_NAN = np.where(np.arange(8) == 3, np.nan, 1.0)
+
+
+class TestScalarWrappersRaiseVolumeError:
+    """Every bad input of the scalar interp wrappers surfaces as VolumeError."""
+
+    @pytest.mark.parametrize("call", [
+        # 7 weights for 8 corners
+        lambda: interp_gaussian(np.zeros(8), np.ones(8), np.full(7, 1 / 7)),
+        lambda: interp_uniform(np.zeros(8), np.ones(8), np.full(7, 1 / 7)),
+        lambda: interp_gmm_ordered(gmm_corners(), np.full(7, 1 / 7)),
+        lambda: sample_gmm_mc(gmm_corners(), np.full(7, 1 / 7), 10, seed=0),
+        lambda: interp_gmm_ordered(gmm_corners(7), W8),
+        # non-finite centers, means and weights
+        lambda: interp_gaussian(WITH_NAN, np.ones(8), W8),
+        lambda: interp_gaussian(np.zeros(8), np.ones(8), WITH_NAN),
+        lambda: interp_uniform(WITH_NAN, np.ones(8), W8),
+        lambda: interp_uniform(np.zeros(8), np.ones(8) * np.inf, W8),
+        lambda: interp_gmm_ordered(gmm_corners(), WITH_NAN),
+        # negative widths and sigmas
+        lambda: interp_gaussian(np.zeros(8), -np.ones(8), W8),
+        lambda: interp_uniform(np.zeros(8), -np.ones(8), W8),
+        # empty corner sets
+        lambda: interp_gaussian([], [], []),
+        lambda: interp_uniform([], [], []),
+        # sample counts that are not integers >= 1
+        lambda: sample_gmm_mc(gmm_corners(), W8, 2.5, seed=0),
+        lambda: sample_gmm_mc(gmm_corners(), W8, 0, seed=0),
+        lambda: mc_oracle_interp([np.arange(3.0)] * 8, W8, 2.5, seed=0),
+        lambda: mc_oracle_interp([np.arange(3.0)] * 8, W8, 0, seed=0),
+        lambda: mc_oracle_interp([np.array([0.0, np.nan])] * 8, W8, 10, seed=0),
+        # empty or non-finite sample lists
+        lambda: ks_distance(QuantilePdf(0.5, [0.0, 1.0, 2.0]), []),
+        lambda: ks_distance(QuantilePdf(0.5, [0.0, 1.0, 2.0]), [0.5, np.nan]),
+        lambda: ks_two_sample([], [1.0, 2.0]),
+        lambda: ks_two_sample([1.0, 2.0], []),
+        lambda: ks_two_sample([1.0, np.inf], [1.0, 2.0]),
+        # quantile corners
+        lambda: quantile_interp_3d([QuantilePdf(0.5, [0.0, 1.0, 2.0])] * 7, 0.5, 0.5, 0.5),
+        lambda: quantile_interp_3d([QuantilePdf(0.5, [0.0, 1.0, 2.0])] * 8, np.nan, 0.5, 0.5),
+        lambda: quantile_interp_1d(QuantilePdf(0.5, [0.0, 1.0, 2.0]),
+                                   QuantilePdf(0.5, [0.0, 1.0, 2.0]), 1.5),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(VolumeError):
+            call()
+
+
+class TestScalarWrappersShareTheBatchKernels:
+    def test_one_row_of_the_batch_kernels(self):
+        from uqdvr.interp import blend_gaussian, blend_quantiles, locate
+
+        rng = np.random.default_rng(21)
+        dims, spacing, origin = (5, 4, 6), (0.5, 1.5, 0.75), (-1.0, 2.0, 0.3)
+        pos = np.asarray(origin) + rng.random((30, 3)) * (np.asarray(dims) - 1) * spacing
+        cells = locate(dims, spacing, origin, pos)
+        corners = [random_pdf(rng) for _ in range(8)]
+        bounds = np.stack([c.boundaries for c in corners])
+        blended = blend_quantiles(bounds, np.tile(np.arange(8), (30, 1)), cells.w8)
+        mus, sgs = rng.normal(size=8), rng.random(8)
+        mu, sg = blend_gaussian(mus, sgs, np.tile(np.arange(8), (30, 1)), cells.w8)
+        for i, p in enumerate(pos):
+            c = trilinear_coords(dims, spacing, origin, p)
+            assert c.base == tuple(cells.base[i])
+            assert np.array_equal(corner_weights(*c.frac), cells.w8[i])
+            out = quantile_interp_3d(corners, *c.frac)
+            np.testing.assert_allclose(out.boundaries, blended[i], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(interp_gaussian(mus, sgs, cells.w8[i]), (mu[i], sg[i]),
+                                       rtol=0, atol=1e-13)
+
+
+class TestUniformSumNarrowRows:
+    """Rows narrower than 3 DBL_MAX^(-1/k) lattice steps would overflow the
+    product of k spectra; they are point masses like zero-width rows."""
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310, 3.5e-283, 1e-40])
+    def test_point_mass_rows_stay_finite(self, tiny):
+        centers = np.full((3, 8), 0.3)
+        widths = np.zeros((3, 8))
+        widths[0, 3] = tiny
+        widths[1] = 0.2
+        widths[2, 5] = tiny  # a subnormal factor beside normal ones
+        widths[2, :4] = 0.1
+        weights = np.full((3, 8), 0.125)
+        origins, pdf, du = uniform_sum_density_batch(centers, widths, weights, 64)
+        assert np.all(np.isfinite(pdf))
+        assert np.count_nonzero(pdf[0]) == 1 and pdf[0, 0] == 1.0 / du[0]
+        want = uniform_sum_density_batch(centers[1:], np.where(widths[1:] == tiny, 0.0,
+                                                               widths[1:]), weights[1:], 64)
+        np.testing.assert_allclose(pdf[1:], want[1], rtol=0, atol=1e-9 * want[1].max())

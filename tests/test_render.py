@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from uqdvr import render
 from uqdvr.classify import TransferFunction1D, TransferFunction2D
@@ -448,3 +450,231 @@ class TestRenderWorkBounds:
         for step in (smallest * 0.999, 1e-300, 5e-324):
             with pytest.raises(VolumeError, match="samples"):
                 self.job(step=step)
+
+
+def small_volumes(dims=(7, 6, 8), spacing=(0.6, 0.9, 0.7), origin=(-1.0, 0.5, 0.2), seed=40):
+    """One volume per model type on a smooth random field, plus its mean grid."""
+    rng = np.random.default_rng(seed)
+    nvox = dims[0] * dims[1] * dims[2]
+    z, y, x = np.meshgrid(*(np.linspace(0, 1, n) for n in dims[::-1]), indexing="ij")
+    base = (0.5 + 0.3 * np.sin(3 * x + 2 * y) * np.cos(2 * z)).ravel()
+    base = base + 0.02 * rng.standard_normal(nvox)
+    k = 2
+    weights = rng.dirichlet(np.ones(k), nvox)
+    q = 4
+    incr = rng.uniform(0.0, 0.05, (nvox, q))
+    incr[::5, 1] = 0.0  # zero-width pieces
+    models = {
+        "mean": MeanFieldModel(base),
+        "gaussian": GaussianModel(base, np.where(np.arange(nvox) % 4 == 0, 0.0,
+                                                 rng.uniform(0, 0.1, nvox))),
+        "uniform": UniformModel(base, np.where(np.arange(nvox) % 3 == 0, 0.0,
+                                               rng.uniform(0, 0.2, nvox))),
+        "gmm": GmmVolumeModel(k, weights, base[:, None] + rng.normal(0, 0.1, (nvox, k)),
+                              rng.uniform(0, 0.08, (nvox, k))),
+        "quantile": QuantileModel(1.0 / q, np.cumsum(
+            np.concatenate([base[:, None] - 0.1, incr], axis=1), axis=1)),
+    }
+    vols = {key: DistributionVolume(dims, spacing, origin, m) for key, m in models.items()}
+    return vols, ScalarGrid(dims, spacing, origin, base)
+
+
+SCHEME_VOLUME = {"mean": "mean", "gaussian": "gaussian", "uniform": "uniform",
+                 "gmm-ordered": "gmm", "gmm-mc": "gmm", "quantile-range": "quantile",
+                 "quantile-mean": "quantile", "tf2d": "uniform"}
+
+
+def small_job(scheme, size=12, **kw):
+    vols, mean_grid = small_volumes()
+    vol = vols[SCHEME_VOLUME[scheme]]
+    extra = ({"tf2": TransferFunction2D(np.random.default_rng(3).random((5, 6, 4)), 1.0),
+              "mean_grid": mean_grid, "tf2d_samples": 16} if scheme == "tf2d"
+             else {"tf": band_tf()})
+    return RenderJob(vol, scheme, default_camera(vol, size, size), mc_samples=8,
+                     **extra, **kw)
+
+
+RENDER_KERNELS = ("uniform_sum_density_batch", "gauss_hermite_batch", "quantile_mean_batch",
+                  "quantile_range_batch", "expected_color_2d_batch")
+
+
+class TestRenderHooksReached:
+    """The renderer reaches every kernel through its own module names, so
+    wrapping those names sees all classification work."""
+
+    @pytest.mark.parametrize("scheme, used", [
+        ("mean", set()),
+        ("uniform", {"uniform_sum_density_batch"}),
+        ("gaussian", {"gauss_hermite_batch"}),
+        ("gmm-ordered", {"gauss_hermite_batch"}),
+        ("gmm-mc", set()),
+        ("quantile-range", {"quantile_range_batch"}),
+        ("quantile-mean", {"quantile_mean_batch"}),
+        ("tf2d", {"expected_color_2d_batch"}),
+    ])
+    def test_scheme_calls_its_kernels(self, monkeypatch, scheme, used):
+        calls = {name: 0 for name in RENDER_KERNELS + ("_classify_chunk", "tf.sample")}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in RENDER_KERNELS + ("_classify_chunk",):
+            monkeypatch.setattr(render, name, counting(name, getattr(render, name)))
+        monkeypatch.setattr(TransferFunction1D, "sample",
+                            counting("tf.sample", TransferFunction1D.sample))
+        render.raycast(small_job(scheme), threads=2)
+        assert calls["_classify_chunk"] > 0
+        assert {name for name in RENDER_KERNELS if calls[name]} == used
+        if scheme in ("mean", "uniform", "gmm-mc"):
+            assert calls["tf.sample"] > 0
+
+    def test_quartile_views_call_raycast_by_name(self, monkeypatch):
+        vol = small_volumes()[0]["quantile"]
+        job = RenderJob(vol, "quantile-range", default_camera(vol, 6, 6), tf=band_tf())
+        calls = []
+        orig = render.raycast
+
+        def recording(j, threads=1):
+            calls.append(j)
+            return orig(j, threads)
+
+        monkeypatch.setattr(render, "raycast", recording)
+        render_quartile_views(vol, job)
+        assert [j.quantile_subrange for j in calls] == [(0, 1), (1, 3), (3, 4)]
+
+
+class TestRenderMatchesScalarPipeline:
+    """Row i of the renderer's classification equals trilinear_coords, then
+    the scalar interpolation, then the scalar color, at the same point."""
+
+    @pytest.mark.parametrize("scheme", ["mean", "gaussian", "uniform", "quantile-range",
+                                        "quantile-mean", "gmm-ordered", "tf2d"])
+    def test_rows_agree(self, scheme):
+        from uqdvr.classify import (expected_color_2d, expected_color_parametric,
+                                    expected_color_quantile_mean,
+                                    expected_color_quantile_range, gradient_stencil)
+        from uqdvr.density import KdeConfig
+        from uqdvr.interp import (corner_weights, interp_gaussian, interp_gmm_ordered,
+                                  interp_uniform, quantile_interp_3d, trilinear_coords)
+        from uqdvr.volcore import GmmModel, QuantilePdf
+
+        job = small_job(scheme)
+        vol, m, tf = job.volume, job.volume.model, job.tf
+        rng = np.random.default_rng(len(scheme))
+        pos = vol.world_min + rng.random((40, 3)) * (vol.world_max - vol.world_min)
+        pos[:4] = [vol.world_min, vol.world_max, [vol.world_max[0], *vol.world_min[1:]],
+                   0.5 * (vol.world_min + vol.world_max)]
+        got = render._classify_chunk(render._SchemeState(job), pos, None)
+        for i, p in enumerate(pos):
+            c = trilinear_coords(vol.dims, vol.spacing, vol.origin, p)
+            ids = [vol.flat_index(c.base[0] + (b & 1), c.base[1] + ((b >> 1) & 1),
+                                  c.base[2] + ((b >> 2) & 1)) for b in range(8)]
+            w = corner_weights(*c.frac)
+            if scheme == "mean":
+                want = expected_color_parametric(interp_gaussian(m.values[ids], np.zeros(8), w), tf)
+            elif scheme == "gaussian":
+                want = expected_color_parametric(interp_gaussian(m.mean[ids], m.sigma[ids], w), tf)
+            elif scheme == "uniform":
+                dens = interp_uniform(m.center[ids], m.width[ids], w,
+                                      KdeConfig(lattice=job.conv_lattice))
+                want = expected_color_parametric(dens, tf)
+            elif scheme.startswith("quantile"):
+                pdf = quantile_interp_3d([QuantilePdf(m.qval, m.boundaries[j]) for j in ids],
+                                         *c.frac)
+                color = (expected_color_quantile_range if scheme == "quantile-range"
+                         else expected_color_quantile_mean)
+                want = color(pdf, tf)
+            elif scheme == "gmm-ordered":
+                gmms = [GmmModel(m.weights[j], m.means[j], m.sigmas[j]) for j in ids]
+                want = expected_color_parametric(interp_gmm_ordered(gmms, w), tf)
+            else:
+                try:
+                    st = gradient_stencil(vol.dims, vol.spacing, c, job.mean_grid)
+                except VolumeError:
+                    assert np.all(got[i] == 0.0)  # too close to the boundary
+                    continue
+                models = list(zip(m.center[st.indices], m.width[st.indices]))
+                want = expected_color_2d(models, st, job.tf2, n=job.tf2d_samples, seed=job.seed)
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+
+
+def render_jobs():
+    """Any RenderJob the constructors accept, on volumes of 2-5 voxels per
+    axis, with zero widths and sigmas allowed and cameras inside or outside
+    the volume; None when a constructor rejects the draw."""
+    values = st.floats(-2.0, 2.0)
+    scales = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+    @st.composite
+    def jobs(draw):
+        dims = tuple(draw(st.integers(2, 5)) for _ in range(3))
+        nvox = dims[0] * dims[1] * dims[2]
+        spacing = tuple(draw(st.floats(0.1, 3.0)) for _ in range(3))
+        origin = tuple(draw(values) for _ in range(3))
+        scheme = draw(st.sampled_from(render.SCHEMES))
+        arr = lambda elems: np.array(draw(st.lists(elems, min_size=nvox, max_size=nvox)))
+        kind = SCHEME_VOLUME[scheme]
+        if kind == "mean":
+            model = MeanFieldModel(arr(values))
+        elif kind == "gaussian":
+            model = GaussianModel(arr(values), arr(scales))
+        elif kind == "uniform":
+            model = UniformModel(arr(values), arr(scales))
+        elif kind == "quantile":
+            q = draw(st.sampled_from([1, 2, 4]))
+            incr = np.stack([arr(scales) for _ in range(q)], axis=1)
+            model = QuantileModel(1.0 / q, np.cumsum(np.concatenate(
+                [arr(values)[:, None], incr], axis=1), axis=1))
+        else:
+            k = draw(st.integers(1, 3))
+            w = np.stack([arr(st.floats(0.0, 1.0)) for _ in range(k)], axis=1) + 1e-3
+            model = GmmVolumeModel(k, w / w.sum(axis=1, keepdims=True),
+                                   np.stack([arr(values) for _ in range(k)], axis=1),
+                                   np.stack([arr(scales) for _ in range(k)], axis=1))
+        vol = DistributionVolume(dims, spacing, origin, model)
+        lo, hi = vol.world_min, vol.world_max
+        inside = draw(st.booleans())
+        t = np.array([draw(st.floats(0.0, 1.0)) for _ in range(3)])
+        eye = lo + t * (hi - lo) if inside else hi + (hi - lo + 1.0) * draw(st.floats(0.5, 2.0))
+        look = lo + np.array([draw(st.floats(0.0, 1.0)) for _ in range(3)]) * (hi - lo)
+        extra = {"tf": band_tf()}
+        if scheme == "tf2d":
+            extra = {"tf2": TransferFunction2D(np.random.default_rng(0).random((3, 4, 4)), 1.0),
+                     "mean_grid": ScalarGrid(dims, spacing, origin, arr(values)),
+                     "tf2d_samples": draw(st.sampled_from([1, 2, 8]))}
+        if kind == "quantile" and draw(st.booleans()):
+            lo_q = draw(st.integers(0, model.q - 1))
+            extra["quantile_subrange"] = (lo_q, draw(st.integers(lo_q + 1, model.q)))
+        try:
+            cam = Camera(tuple(eye), tuple(look), (0.0, 0.0, 1.0), draw(st.floats(10, 120)), 3, 2)
+            return RenderJob(vol, scheme, cam, step=draw(st.floats(0.2, 1.5)),
+                             termination=draw(st.floats(0.5, 1.0)),
+                             mc_samples=draw(st.integers(1, 4)),
+                             conv_lattice=draw(st.integers(2, 16)),
+                             seed=draw(st.integers(0, 3)), **extra)
+        except VolumeError:
+            return None
+
+    return jobs()
+
+
+class TestRaycastFuzz:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(render_jobs())
+    def test_valid_jobs_render_finite_pixels_in_unit_range(self, job):
+        assume(job is not None)
+        px = raycast(job, threads=1).pixels
+        assert np.all(np.isfinite(px))
+        assert px.min() >= 0.0 and px.max() <= 1.0
+
+
+def test_uniform_render_with_subnormal_width_is_finite():
+    widths = np.zeros(30)
+    widths[-1] = 3.54463326e-283
+    vol = DistributionVolume((2, 3, 5), (1, 1, 1), (0, 0, 0), UniformModel(np.zeros(30), widths))
+    cam = Camera((3.0, 5.0, 9.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0, 3, 2)
+    px = raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0, termination=1.0)).pixels
+    assert np.all(np.isfinite(px))
