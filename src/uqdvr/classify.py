@@ -308,11 +308,10 @@ def gauss_hermite_batch(mu: np.ndarray, sigma: np.ndarray,
     return out
 
 
-def lattice_color_batch(origins: np.ndarray, pdf: np.ndarray, du: np.ndarray,
+def lattice_color_batch(xs: np.ndarray, pdf: np.ndarray, du: np.ndarray,
                         tf: TransferFunction1D) -> np.ndarray:
-    """Expected RGBA of (P, F) densities on the lattices origins + arange(F)*du:
-    the TF at each lattice point weighted by its normalized mass pdf*du."""
-    xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
+    """Expected RGBA of (P, F) densities at the (P, F) lattice points xs of
+    steps du: the TF at each point weighted by its normalized mass pdf*du."""
     mass = pdf * du[:, None]
     mass /= mass.sum(axis=1, keepdims=True)
     return np.einsum("an,anc->ac", mass, tf.sample(xs))
@@ -322,7 +321,7 @@ def numeric_density_color(density: NumericDensity, tf: TransferFunction1D) -> np
     du = density.x[1] - density.x[0]
     if not du > 0 or not np.sum(density.pdf) > 0:
         raise VolumeError("numeric density needs an increasing lattice carrying mass")
-    return lattice_color_batch(density.x[:1], density.pdf[None, :], np.array([du]), tf)[0]
+    return lattice_color_batch(density.x[None, :], density.pdf[None, :], np.array([du]), tf)[0]
 
 
 def expected_color_parametric(model, tf: TransferFunction1D) -> np.ndarray:

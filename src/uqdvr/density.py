@@ -198,28 +198,26 @@ def kde_cdf(samples, config: KdeConfig = KdeConfig()):
     return x[0], cdf[0]
 
 
-def fit_mean(samples) -> float:
+def _fit_moments(samples, kind: str, least: int) -> tuple:
+    """_moment_rows of one sample set of at least `least` samples, as floats."""
     s = np.asarray(samples, dtype=np.float64).ravel()
-    if s.size < 1:
-        raise VolumeError("fit_mean needs at least 1 sample")
-    return float(s.mean())
+    if s.size < least:
+        raise VolumeError(f"fit_{kind} needs at least {least} samples")
+    return tuple(float(p[0]) for p in _moment_rows(s[None, :], kind))
+
+
+def fit_mean(samples) -> float:
+    return _fit_moments(samples, "mean", 1)[0]
 
 
 def fit_uniform(samples) -> tuple[float, float]:
     """Midrange and range."""
-    s = np.asarray(samples, dtype=np.float64).ravel()
-    if s.size < 1:
-        raise VolumeError("fit_uniform needs at least 1 sample")
-    lo, hi = float(s.min()), float(s.max())
-    return 0.5 * (lo + hi), hi - lo
+    return _fit_moments(samples, "uniform", 1)
 
 
 def fit_gaussian(samples) -> tuple[float, float]:
     """Sample mean and unbiased sample sigma."""
-    s = np.asarray(samples, dtype=np.float64).ravel()
-    if s.size < 2:
-        raise VolumeError("fit_gaussian needs at least 2 samples")
-    return float(s.mean()), float(np.std(s, ddof=1))
+    return _fit_moments(samples, "gaussian", 2)
 
 
 def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None = None):
@@ -232,8 +230,7 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
     collects the mean log-likelihoods of the active rows at each iteration.
     """
     v, m = samples.shape
-    if k < 1:
-        raise VolumeError("fit_gmm_em needs k >= 1")
+    k = require_int(k, "fit_gmm_em k")
     if m < k:
         raise VolumeError(f"need at least k={k} samples, got {m}")
     require_int(max_iter, "max_iter")

@@ -62,6 +62,13 @@ def corner_offsets(dims) -> np.ndarray:
     return _flat(dims, _CORNER_BITS)
 
 
+def _cell_weights(frac: np.ndarray) -> np.ndarray:
+    """(A, 8) trilinear corner weights of (A, 3) in-cell fractions."""
+    w = np.stack([1.0 - frac, frac], axis=2)  # (A, axis, bit)
+    bits = _CORNER_BITS
+    return w[:, 0, bits[:, 0]] * w[:, 1, bits[:, 1]] * w[:, 2, bits[:, 2]]
+
+
 def locate(dims, spacing, origin, pos: np.ndarray) -> Cells:
     """Cells of (A, 3) world positions clamped into the grid box (upper faces
     go to the last cell of each axis): base voxel ids and corner weights."""
@@ -71,30 +78,30 @@ def locate(dims, spacing, origin, pos: np.ndarray) -> Cells:
     base = np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64))
     base = np.maximum(base, 0)
     frac = g - base
-    w = np.stack([1.0 - frac, frac], axis=2)  # (A, axis, bit)
-    bits = _CORNER_BITS
-    w8 = w[:, 0, bits[:, 0]] * w[:, 1, bits[:, 1]] * w[:, 2, bits[:, 2]]
     flat = _flat(dims, base)
-    return Cells(base, frac, flat, flat[:, None] + corner_offsets(dims)[None, :], w8)
+    return Cells(base, frac, flat, flat[:, None] + corner_offsets(dims)[None, :],
+                 _cell_weights(frac))
 
 
 def trilinear_coords(dims, spacing, origin, point) -> TrilinearCoords:
     """Locate a world-space point inside its grid cell; all 8 corners in bounds."""
-    p = np.asarray(point, dtype=np.float64)
     require_positive(spacing, "spacing")
-    g = (p - np.asarray(origin)) / np.asarray(spacing)  # not finite if point or origin is not
-    if not np.all((g >= 0) & (g <= np.asarray(dims) - 1)):
-        raise VolumeError(f"point {point} with origin {origin} is not finite and inside the grid")
-    cells = locate(dims, spacing, origin, p[None, :])
+    require_finite(origin, "origin")
+    p = np.asarray(point, dtype=np.float64)[None, :]
+    lo = np.asarray(origin, dtype=np.float64)
+    hi = lo + (np.asarray(dims) - 1) * np.asarray(spacing, dtype=np.float64)
+    if not np.all((p >= lo) & (p <= hi)):  # NaN fails both
+        raise VolumeError(f"point {point} is not finite and inside the grid box [{lo}, {hi}]")
+    cells = locate(dims, spacing, origin, p)
     return TrilinearCoords(tuple(cells.base[0]), tuple(cells.frac[0]))
 
 
 def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """The 8 trilinear weights in corner-bit order: those of the unit cell."""
+    """The 8 trilinear weights in corner-bit order."""
     frac = np.array([[alpha, beta, gamma]], dtype=np.float64)
     if not np.all((frac >= 0.0) & (frac <= 1.0)):
         raise VolumeError("alpha, beta and gamma must lie in [0, 1]")
-    return locate((2, 2, 2), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), frac).w8[0]
+    return _cell_weights(frac)[0]
 
 
 def _vectors(*arrays) -> list[np.ndarray]:
@@ -283,9 +290,12 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     origins = m.sum(axis=1) - 0.5 * total
 
     f_len = uniform_lattice_len(npoints, k)
-    # Point-mass rows get a one-cell spike: rows of zero width, and rows so
-    # narrow that the product of k spectra, each below 3/du, could overflow.
-    degen = total < (npoints - 1) * 3.0 * np.finfo(np.float64).max ** (-1.0 / k)
+    # Point-mass rows get a one-cell spike at their mean: rows of zero width,
+    # and rows so narrow that the inverse transform could overflow.  Each of
+    # the k spectra has modulus at most 1/du, so the F summed terms stay below
+    # F/du^k.
+    degen = total < (npoints - 1) * (f_len / np.finfo(np.float64).max) ** (1.0 / k)
+    origins[degen] = m.sum(axis=1)[degen]
     du = np.where(degen, 1.0, total) / (npoints - 1)
 
     cells = np.clip(np.ceil(s / du[:, None] - 0.5), 0, f_len).astype(np.int64)  # (V, K)

@@ -237,18 +237,26 @@ def _uniform_rgba(job, m, c, state, rng):
         rows = c.idx8[lo:lo + step]
         origins, pdf, du = uniform_sum_density_batch(m.center[rows], m.width[rows],
                                                      c.w8[lo:lo + step], job.conv_lattice)
-        rgba[lo:lo + step] = lattice_color_batch(origins, pdf, du, job.tf)
+        xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
+        rgba[lo:lo + step] = lattice_color_batch(xs, pdf, du, job.tf)
     return rgba
 
 
-def _quantile_rgba(job, m, c, state, rng):
-    """quantile-range or quantile-mean over the job's quantile subrange."""
+def _blended_quantiles(job, m, c):
+    """Blended boundaries over the job's quantile subrange, and their qval."""
     bnd, qval = interp.blend_quantiles(m.boundaries, c.idx8, c.w8), m.qval
     if job.quantile_subrange is not None:
         lo, hi = job.quantile_subrange
         bnd, qval = bnd[:, lo:hi + 1], 1.0 / (hi - lo)
-    kernel = quantile_range_batch if job.scheme == "quantile-range" else quantile_mean_batch
-    return kernel(bnd, qval, job.tf)
+    return bnd, qval
+
+
+def _quantile_range_rgba(job, m, c, state, rng):
+    return quantile_range_batch(*_blended_quantiles(job, m, c), job.tf)
+
+
+def _quantile_mean_rgba(job, m, c, state, rng):
+    return quantile_mean_batch(*_blended_quantiles(job, m, c), job.tf)
 
 
 def _gmm_ordered_rgba(job, m, c, state, rng):
@@ -280,8 +288,8 @@ _SCHEMES = {
     "gaussian": (GaussianModel, _gaussian_rgba),
     "gmm-ordered": (GmmVolumeModel, _gmm_ordered_rgba),
     "gmm-mc": (GmmVolumeModel, _gmm_mc_rgba),
-    "quantile-range": (QuantileModel, _quantile_rgba),
-    "quantile-mean": (QuantileModel, _quantile_rgba),
+    "quantile-range": (QuantileModel, _quantile_range_rgba),
+    "quantile-mean": (QuantileModel, _quantile_mean_rgba),
     "tf2d": (UniformModel, _tf2d_rgba),
 }
 SCHEMES = tuple(_SCHEMES)

@@ -74,14 +74,14 @@ def require_positive(values, what: str) -> None:
         raise VolumeError(f"{what} must be finite and positive, got {values}")
 
 
-def require_int(value, what: str, lo: int = 1) -> int:
-    """value as an int; VolumeError unless it is an integer >= lo."""
+def require_int(value, what: str) -> int:
+    """value as an int; VolumeError unless it is an integer >= 1."""
     try:
         v = operator.index(value)
     except TypeError:
         raise VolumeError(f"{what} must be an integer") from None
-    if v < lo:
-        raise VolumeError(f"{what} must be at least {lo}")
+    if v < 1:
+        raise VolumeError(f"{what} must be at least 1")
     return v
 
 
@@ -229,8 +229,7 @@ class UniformModel:
         w = np.ascontiguousarray(self.width, dtype=np.float64).ravel()
         if c.size != w.size:
             raise VolumeError("uniform center/width grids must be congruent")
-        require_finite(c, "uniform parameters")
-        require_finite(w, "uniform parameters")
+        require_finite((c, w), "uniform parameters")
         if np.any(w < 0):
             raise VolumeError("uniform widths must be nonnegative")
         object.__setattr__(self, "center", _frozen(c))
@@ -251,8 +250,7 @@ class GaussianModel:
         s = np.ascontiguousarray(self.sigma, dtype=np.float64).ravel()
         if m.size != s.size:
             raise VolumeError("gaussian mean/sigma grids must be congruent")
-        require_finite(m, "gaussian parameters")
-        require_finite(s, "gaussian parameters")
+        require_finite((m, s), "gaussian parameters")
         if np.any(s < 0):
             raise VolumeError("gaussian sigmas must be nonnegative")
         object.__setattr__(self, "mean", _frozen(m))
@@ -279,16 +277,13 @@ class GmmVolumeModel:
     sigmas: np.ndarray  # (nvox, k)
 
     def __post_init__(self):
-        k = int(self.k)
-        if k < 1:
-            raise VolumeError("gmm needs k >= 1")
+        k = require_int(self.k, "gmm k")
         w = np.ascontiguousarray(self.weights, dtype=np.float64).reshape(-1, k)
         m = np.ascontiguousarray(self.means, dtype=np.float64).reshape(-1, k)
         s = np.ascontiguousarray(self.sigmas, dtype=np.float64).reshape(-1, k)
         if not (w.shape == m.shape == s.shape):
             raise VolumeError("gmm parameter grids must be congruent")
-        for arr in (w, m, s):
-            require_finite(arr, "gmm parameters")
+        require_finite((w, m, s), "gmm parameters")
         if np.any(w < 0) or np.any(s < 0):
             raise VolumeError("gmm weights and sigmas must be nonnegative")
         if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-6):

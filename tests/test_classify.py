@@ -1099,6 +1099,16 @@ class TestScalarClassifyRaisesVolumeError:
             expected_color_parametric(NumericDensity(np.linspace(0, 1, 5), np.zeros(5)),
                                       ramp_tf())
 
+    def test_numeric_density_samples_its_own_lattice(self):
+        # The TF is read at the stored points, also on a non-uniform lattice.
+        tf = TransferFunction1D(np.array([[0.0, 0, 0, 0, 0], [0.5, 1, 0, 0, 1],
+                                          [1.0, 0, 1, 0, 1]]))
+        x = np.array([0.0, 0.1, 0.5, 0.9])
+        pdf = np.array([0.0, 1.0, 3.0, 0.0])
+        want = (pdf / pdf.sum()) @ tf.sample(x)
+        np.testing.assert_allclose(expected_color_parametric(NumericDensity(x, pdf), tf), want,
+                                   rtol=0, atol=1e-15)
+
 
 def test_gmm_model_lives_in_volcore_and_classify_skips_density():
     import ast

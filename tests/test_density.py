@@ -413,6 +413,11 @@ class TestBatchedEm:
         with pytest.raises(VolumeError):
             build_distribution_volume(ens, "gmm", k=2, max_iter=max_iter)
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.5])
+    def test_k_validated(self, k):
+        with pytest.raises(VolumeError):
+            fit_gmm_em(np.random.default_rng(0).normal(size=40), k)
+
 
 class TestChunkIndependence:
     def test_permuted_rows_give_identical_bytes(self):

@@ -17,6 +17,7 @@ from uqdvr.interp import (
     quantile_interp_3d_rational,
     sample_gmm_mc,
     trilinear_coords,
+    uniform_lattice_len,
     uniform_sum_density_batch,
 )
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
@@ -493,8 +494,8 @@ class TestScalarWrappersShareTheBatchKernels:
 
 
 class TestUniformSumNarrowRows:
-    """Rows narrower than 3 DBL_MAX^(-1/k) lattice steps would overflow the
-    product of k spectra; they are point masses like zero-width rows."""
+    """Rows narrower than (F/DBL_MAX)^(1/k) lattice steps could overflow the
+    inverse transform of k spectra; they are point masses like zero-width rows."""
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-310, 3.5e-283, 1e-40])
     def test_point_mass_rows_stay_finite(self, tiny):
@@ -511,3 +512,21 @@ class TestUniformSumNarrowRows:
         want = uniform_sum_density_batch(centers[1:], np.where(widths[1:] == tiny, 0.0,
                                                                widths[1:]), weights[1:], 64)
         np.testing.assert_allclose(pdf[1:], want[1], rtol=0, atol=1e-9 * want[1].max())
+
+    @pytest.mark.parametrize("k, npoints", [(2, 2), (2, 64), (3, 8), (8, 64), (8, 1024),
+                                            (50, 64)])
+    def test_threshold_rows(self, k, npoints):
+        # Just below the threshold a row is a spike at its mean; just above it
+        # the spectra are used and stay finite.
+        f_len = uniform_lattice_len(npoints, k)
+        edge = (npoints - 1) * (f_len / np.finfo(np.float64).max) ** (1.0 / k)
+        centers = np.linspace(0.2, 0.7, 2 * k).reshape(2, k)
+        weights = np.full((2, k), 1.0 / k)
+        widths = np.zeros((2, k))
+        widths[0, 0] = 0.999 * edge * k
+        widths[1, :] = 1.001 * edge * k
+        origins, pdf, du = uniform_sum_density_batch(centers, widths, weights, npoints)
+        assert np.all(np.isfinite(pdf)) and pdf[1].sum() > 0
+        assert np.count_nonzero(pdf[0]) == 1 and pdf[0, 0] == 1.0 / du[0]
+        assert origins[0] == (weights[0] * centers[0]).sum()
+

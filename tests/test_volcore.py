@@ -295,6 +295,11 @@ class TestFiniteParameters:
         with pytest.raises(VolumeError):
             GmmVolumeModel(2, params["weights"], params["means"], params["sigmas"])
 
+    @pytest.mark.parametrize("k", [0, 1.5, 2.0])
+    def test_gmm_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(VolumeError, match="gmm k must be"):
+            GmmVolumeModel(k, [[0.5, 0.5]], [[0.2, 0.7]], [[0.1, 0.2]])
+
     def test_require_positive(self):
         volcore.require_positive([1e-300, 2.0], "x")
         for bad in ([1.0, 0.0], [np.nan], [np.inf], -1.0):
