@@ -21,7 +21,7 @@ from scipy.stats import qmc
 # The gradient stencil lives in interp; its names stay importable from here.
 from .interp import (GradientStencil, NumericDensity, derivative_matrices,  # noqa: F401
                      gradient_stencil)
-from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, require_finite,
+from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, read_file, require_finite,
                       require_int, require_positive)
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -128,7 +128,7 @@ def save_tf1d(tf: TransferFunction1D, path) -> None:
 
 def load_tf1d(path) -> TransferFunction1D:
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise VolumeError(f"{path}: transfer function is not UTF-8 text") from e
     rows = []
@@ -231,7 +231,7 @@ def save_tf2d(tf: TransferFunction2D, path) -> None:
 
 
 def load_tf2d(path) -> TransferFunction2D:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     nl = raw.find(b"\n")
     if nl < 0:
         raise VolumeError(f"{path}: missing TF2D header line")

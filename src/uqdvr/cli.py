@@ -17,7 +17,6 @@ from .synth import NoiseSpec, load_ensemble, make_ensemble, sample_field, save_e
 from .volcore import (
     DistributionVolume,
     MeanFieldModel,
-    ScalarGrid,
     VolumeError,
     load_raw,
     load_volume,
@@ -51,19 +50,23 @@ def parse_noise(text: str, members: int, seed: int) -> NoiseSpec:
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            if not val:
-                raise argparse.ArgumentTypeError(f"bad noise option {item!r}")
-            kwargs[key.strip()] = float(val)
+            try:
+                kwargs[key.strip()] = float(val)
+            except ValueError:
+                raise VolumeError(f"bad noise option {item!r}") from None
     try:
         return NoiseSpec(kind=kind.strip(), members=members, seed=seed, **kwargs)
-    except (TypeError, VolumeError) as e:
-        raise argparse.ArgumentTypeError(f"bad noise spec {text!r}: {e}") from e
+    except TypeError as e:
+        raise VolumeError(f"bad noise spec {text!r}: {e}") from e
 
 
 def parse_camera(text: str, volume, width: int, height: int) -> Camera:
     if text.startswith("preset:"):
         return presets.preset_camera(text.split(":", 1)[1], volume, width, height)
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
     if len(vals) != 10:
         raise VolumeError("camera needs 10 values: eye, look-at, up, fov")
     return Camera(tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9]),
@@ -79,8 +82,11 @@ def resolve_tf1d(text: str):
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
-    env = os.environ.get("UQDVR_THREADS")
-    return int(env) if env else 1
+    env = os.environ.get("UQDVR_THREADS") or "1"
+    try:
+        return int(env)
+    except ValueError:
+        raise VolumeError(f"UQDVR_THREADS must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +94,11 @@ def _threads(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    spec = parse_noise(args.noise, args.members, args.seed)
     gt = sample_field(args.field, args.dims)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_raw(gt, out / "gt.f32raw", "f32")
-    spec = parse_noise(args.noise, args.members, args.seed)
     _stage(f"gen: field={args.field} dims={args.dims} members={spec.members}")
     ens = make_ensemble(gt, spec)
     save_ensemble(ens, out, spec, field=args.field)
@@ -108,8 +114,7 @@ def cmd_estimate(args) -> int:
         hi = load_raw(args.volume, args.dims, args.encoding)
         _stage(f"estimate: hixel {args.model} brick={args.brick}")
         vol, mean_grid = downsample_hixel(hi, args.brick, args.model, qval=args.qval,
-                                          k=args.k, seed=args.seed, config=cfg,
-                                          threads=threads)
+                                          k=args.k, config=cfg, threads=threads)
         save_raw(mean_grid, Path(args.out).with_suffix(".mean.f32raw"), "f32")
     else:
         if args.ensemble is None:
@@ -117,7 +122,7 @@ def cmd_estimate(args) -> int:
         ens = load_ensemble(args.ensemble)
         _stage(f"estimate: {args.model} from M={ens.member_count} ensemble")
         vol = build_distribution_volume(ens, args.model, qval=args.qval, k=args.k,
-                                        seed=args.seed, config=cfg, threads=threads)
+                                        config=cfg, threads=threads)
     if isinstance(vol.model, volcore.QuantileModel):
         save_qvol(vol, args.out)
     else:
@@ -186,65 +191,58 @@ def _resolve_manifest_camera(manifest, volume, width, height) -> Camera:
     return parse_camera(",".join(str(v) for v in cam), volume, width, height)
 
 
-def _resolve_manifest_tf(manifest):
-    tf = manifest.get("tf", "preset:tangle")
-    return resolve_tf1d(tf)
-
-
-def _mean_volume(grid: ScalarGrid) -> DistributionVolume:
-    return DistributionVolume(grid.dims, grid.spacing, grid.origin,
-                              MeanFieldModel(grid.values))
-
-
 def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     """Execute a manifest end to end; returns the result rows and writes
     images plus results.csv (scheme, q, M, rmse) under outdir."""
+    try:
+        field, dims = manifest["field"], tuple(int(d) for d in manifest["dims"])
+        mode = manifest.get("mode", "ensemble")
+        width, height = manifest.get("size", [256, 256])
+        step = manifest.get("step", 0.5)
+        seed = manifest.get("seed", 0)
+        qvals = [float(q) for q in manifest.get("qvals", [])]
+        models = list(manifest.get("models", []))
+        fit_kinds = [render.scheme_model(scheme).kind for scheme in models]
+        qschemes = list(manifest.get("quantile_schemes", ["quantile-mean"]))
+        cfg = KdeConfig(bandwidth=manifest.get("kde_bandwidth", "auto"),
+                        lattice=int(manifest.get("kde_lattice", 512)))
+        noise = {"kind": None, **manifest.get("noise", {"kind": "bimodal"})}
+        specs = [NoiseSpec(**noise, members=int(m), seed=seed)
+                 for m in manifest.get("members", [50])] if mode == "ensemble" else []
+    except (KeyError, TypeError, ValueError) as e:
+        raise VolumeError(f"bad experiment manifest: {e}") from None
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mode = manifest.get("mode", "ensemble")
-    field = manifest["field"]
-    dims = tuple(manifest["dims"])
-    width, height = manifest.get("size", [256, 256])
-    step = manifest.get("step", 0.5)
-    seed = manifest.get("seed", 0)
-    qvals = [float(q) for q in manifest.get("qvals", [])]
-    models = list(manifest.get("models", []))
-    qschemes = list(manifest.get("quantile_schemes", ["quantile-mean"]))
-    cfg = KdeConfig(bandwidth=manifest.get("kde_bandwidth", "auto"),
-                    lattice=int(manifest.get("kde_lattice", 512)))
 
     gt = sample_field(field, dims)
-    tf = _resolve_manifest_tf(manifest)
+    gt_vol = DistributionVolume(gt.dims, gt.spacing, gt.origin, MeanFieldModel(gt.values))
+    tf = resolve_tf1d(manifest.get("tf", "preset:tangle"))
+    camera = _resolve_manifest_camera(manifest, gt_vol, width, height)
 
     rows: list[dict] = []
 
-    def render_to(tag, volume, scheme, camera):
+    def render_to(tag, volume, scheme):
         job = RenderJob(volume, scheme, camera, tf=tf, step=step, seed=seed)
         img = raycast(job, threads=threads)
         save_image(img, outdir / f"{tag}.ppm")
         return img
 
+    def add_row(tag, volume, scheme, q, m):
+        _, rmse = diff_image(render_to(tag, volume, scheme), ref)
+        rows.append({"scheme": scheme, "q": q, "M": m, "rmse": rmse})
+
     if mode == "ensemble":
-        gt_vol = _mean_volume(gt)
-        camera = _resolve_manifest_camera(manifest, gt_vol, width, height)
         _stage("experiment: rendering ground truth")
-        ref = render_to("ground_truth", gt_vol, "mean", camera)
-        noise_cfg = dict(manifest.get("noise", {"kind": "bimodal"}))
-        kind = noise_cfg.pop("kind")
-        for m in manifest.get("members", [50]):
-            spec = NoiseSpec(kind=kind, members=int(m), seed=seed, **noise_cfg)
+        ref = render_to("ground_truth", gt_vol, "mean")
+        for spec in specs:
+            m = spec.members
             _stage(f"experiment: M={m} ensemble")
             ens = make_ensemble(gt, spec)
-            for model in models:
-                scheme = {"mean": "mean", "uniform": "uniform", "gaussian": "gaussian",
-                          "gmm-ordered": "gmm-ordered", "gmm-mc": "gmm-mc"}[model]
-                vkind = "gmm" if model.startswith("gmm") else model
-                vol = build_distribution_volume(ens, vkind, k=manifest.get("k", 4),
-                                                seed=seed, config=cfg, threads=threads)
+            for scheme, kind in zip(models, fit_kinds):
+                vol = build_distribution_volume(ens, kind, k=manifest.get("k", 4), config=cfg,
+                                                threads=threads)
                 _stage(f"experiment: render {scheme} M={m}")
-                img = render_to(f"{scheme}_m{m}", vol, scheme, camera)
-                _, rmse = diff_image(img, ref)
-                rows.append({"scheme": scheme, "q": "", "M": m, "rmse": rmse})
+                add_row(f"{scheme}_m{m}", vol, scheme, "", m)
             if qvals:
                 _stage(f"experiment: quantile volumes M={m}")
                 qvols = quantile_volumes_multi(ens, qvals, config=cfg, threads=threads)
@@ -252,33 +250,24 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
                     q = int(round(1.0 / qv))
                     for scheme in qschemes:
                         _stage(f"experiment: render {scheme} q={q} M={m}")
-                        img = render_to(f"{scheme}_q{q}_m{m}", qvols[qv], scheme, camera)
-                        _, rmse = diff_image(img, ref)
-                        rows.append({"scheme": scheme, "q": q, "M": m, "rmse": rmse})
+                        add_row(f"{scheme}_q{q}_m{m}", qvols[qv], scheme, q, m)
     elif mode == "hixel":
         brick = tuple(manifest.get("brick", [4, 4, 4]))
-        hi_vol = _mean_volume(gt)
-        camera = _resolve_manifest_camera(manifest, hi_vol, width, height)
         _stage("experiment: rendering full-resolution reference")
-        ref = render_to("full_resolution", hi_vol, "mean", camera)
+        ref = render_to("full_resolution", gt_vol, "mean")
         m = brick[0] * brick[1] * brick[2]
-        for model in models:
-            vol, mean_grid = downsample_hixel(gt, brick, model, k=manifest.get("k", 4),
-                                              seed=seed, config=cfg, threads=threads)
-            scheme = model
+        for scheme, kind in zip(models, fit_kinds):
+            vol, _ = downsample_hixel(gt, brick, kind, k=manifest.get("k", 4), config=cfg,
+                                      threads=threads)
             _stage(f"experiment: render hixel {scheme}")
-            img = render_to(f"hixel_{scheme}", vol, scheme, camera)
-            _, rmse = diff_image(img, ref)
-            rows.append({"scheme": scheme, "q": "", "M": m, "rmse": rmse})
+            add_row(f"hixel_{scheme}", vol, scheme, "", m)
         for qv in qvals:
-            vol, _ = downsample_hixel(gt, brick, "quantile", qval=qv, seed=seed,
-                                      config=cfg, threads=threads)
+            vol, _ = downsample_hixel(gt, brick, "quantile", qval=qv, config=cfg,
+                                      threads=threads)
             q = int(round(1.0 / qv))
             for scheme in qschemes:
                 _stage(f"experiment: render hixel {scheme} q={q}")
-                img = render_to(f"hixel_{scheme}_q{q}", vol, scheme, camera)
-                _, rmse = diff_image(img, ref)
-                rows.append({"scheme": scheme, "q": q, "M": m, "rmse": rmse})
+                add_row(f"hixel_{scheme}_q{q}", vol, scheme, q, m)
     else:
         raise VolumeError(f"unknown experiment mode {mode!r}")
 
@@ -291,7 +280,13 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
 
 
 def cmd_experiment(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    raw = volcore.read_file(args.manifest)
+    try:
+        manifest = json.loads(raw)
+    except ValueError as e:
+        raise VolumeError(f"{args.manifest}: not a JSON manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise VolumeError(f"{args.manifest}: a manifest is a JSON object")
     rows = run_experiment(manifest, args.out, threads=_threads(args))
     for row in rows:
         print(f"scheme={row['scheme']} q={row['q']} M={row['M']} rmse={row['rmse']:.6f}")
@@ -346,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dims", type=parse_dims, default=None)
     e.add_argument("--encoding", default="f32", choices=sorted(volcore.RAW_ENCODINGS))
     e.add_argument("--brick", type=parse_dims, default=None)
-    e.add_argument("--model", required=True,
-                   choices=["mean", "uniform", "gaussian", "gmm", "quantile", "samples"])
+    e.add_argument("--model", required=True, choices=list(volcore.MODEL_KINDS))
     e.add_argument("--qval", type=float, default=None)
     e.add_argument("--k", type=int, default=None)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int, default=0,
+                   help="accepted and unused: every fit is deterministic")
     e.add_argument("--kde-lattice", type=int, default=512)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_estimate)

@@ -15,16 +15,14 @@ import numpy as np
 from .volcore import (
     DistributionVolume,
     EnsembleVolume,
-    GaussianModel,
     GmmModel,
     GmmVolumeModel,
     MAX_LATTICE,
-    MeanFieldModel,
+    MODEL_KINDS,
     QuantileModel,
     QuantilePdf,
     SamplesModel,
     ScalarGrid,
-    UniformModel,
     VolumeError,
     _quantile_masses,
     map_chunks,
@@ -274,18 +272,15 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
     return weights / weights.sum(axis=1, keepdims=True), means, sigmas
 
 
-def fit_gmm_em(samples, k: int, seed: int = 0, max_iter: int = 100,
-               trace: list | None = None) -> GmmModel:
+def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) -> GmmModel:
     """Standard EM with deterministic initialization.
 
     Means start at the midpoints of k equal-mass empirical quantile pieces,
     sigmas at the pooled sigma / k, weights equal.  Stops when the mean
     log-likelihood moves by less than 1e-8, or after max_iter >= 1
-    iterations.  The seed argument is accepted for interface stability; the
-    deterministic initialization never consumes it.  A list passed as trace
-    collects the per-iteration mean log-likelihood.
+    iterations.  A list passed as trace collects the per-iteration mean
+    log-likelihood.
     """
-    del seed
     s = np.asarray(samples, dtype=np.float64).ravel()
     lls = [] if trace is not None else None
     w, mu, sg = _gmm_em_rows(s[None, :], k, max_iter, lls)
@@ -311,7 +306,7 @@ def _moment_rows(samples: np.ndarray, kind: str) -> tuple:
     return samples.mean(axis=1), np.std(samples, axis=1, ddof=1)
 
 
-_MOMENT_MODELS = {"mean": MeanFieldModel, "uniform": UniformModel, "gaussian": GaussianModel}
+_MOMENT_MODELS = {kind: MODEL_KINDS[kind] for kind in ("mean", "uniform", "gaussian")}
 
 
 def _fit_voxel_models(source, kind: str, *, qval=None, k=None, max_iter=100,
@@ -347,8 +342,8 @@ def _fit_voxel_models(source, kind: str, *, qval=None, k=None, max_iter=100,
 
 
 def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None, k=None,
-                              seed: int = 0, max_iter: int = 100,
-                              config: KdeConfig = KdeConfig(), threads: int = 1) -> DistributionVolume:
+                              max_iter: int = 100, config: KdeConfig = KdeConfig(),
+                              threads: int = 1) -> DistributionVolume:
     """Fit the chosen model independently at every voxel of an ensemble."""
     if kind != "mean" and ensemble.member_count < 2:
         raise VolumeError("non-mean models need an ensemble with M >= 2")
@@ -367,7 +362,7 @@ def quantile_volumes_multi(ensemble: EnsembleVolume, qvals, config: KdeConfig = 
     return {qv: DistributionVolume(*geo, QuantileModel(qv, b)) for qv, b in zip(qvals, bounds)}
 
 
-def downsample_hixel(hi: ScalarGrid, brick, kind: str, *, qval=None, k=None, seed: int = 0,
+def downsample_hixel(hi: ScalarGrid, brick, kind: str, *, qval=None, k=None,
                      max_iter: int = 100, config: KdeConfig = KdeConfig(),
                      threads: int = 1) -> tuple[DistributionVolume, ScalarGrid]:
     """Brick a high-resolution grid into per-brick sample sets and fit models.

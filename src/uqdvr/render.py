@@ -39,6 +39,7 @@ from .volcore import (
     UniformModel,
     VolumeError,
     map_chunks,
+    read_file,
     require_finite,
     require_int,
     require_positive,
@@ -149,9 +150,7 @@ class RenderJob:
     conv_lattice: int = 64
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise VolumeError(f"unknown scheme {self.scheme!r}")
-        want = _SCHEMES[self.scheme][0]
+        want = scheme_model(self.scheme)
         if not isinstance(self.volume.model, want):
             raise VolumeError(
                 f"scheme {self.scheme!r} needs a {want.__name__} volume, "
@@ -295,6 +294,13 @@ _SCHEMES = {
 SCHEMES = tuple(_SCHEMES)
 
 
+def scheme_model(scheme: str) -> type:
+    """The voxel-model class that a scheme renders."""
+    if scheme not in _SCHEMES:
+        raise VolumeError(f"unknown scheme {scheme!r}")
+    return _SCHEMES[scheme][0]
+
+
 def _classify_chunk(state: _SchemeState, pos: np.ndarray, rng) -> np.ndarray:
     """RGBA for sample positions inside the volume bounding box."""
     job = state.job
@@ -417,10 +423,7 @@ def save_image(img: Image, path, sidecar: bool = True) -> None:
 
 
 def load_image_f32(path) -> Image:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise VolumeError(f"cannot read {path}: {e}") from e
+    raw = read_file(path)
     nl = raw.find(b"\n")
     if nl < 0:
         raise VolumeError(f"{path}: missing f32 sidecar header")

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .volcore import EnsembleVolume, FormatError, ScalarGrid, VolumeError, load_raw, save_raw
+from .volcore import (EnsembleVolume, FormatError, ScalarGrid, VolumeError, load_raw,
+                      require_finite, require_int, save_raw)
 
 _DEFAULT_BOXES = {
     "tangle": ((-2.5, -2.5, -2.5), (2.5, 2.5, 2.5)),
@@ -51,12 +52,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "bimodal"):
             raise VolumeError(f"unknown noise kind {self.kind!r}")
+        require_finite((self.sigma, self.width, self.p_main, self.offset, self.outlier_sigma),
+                       "noise parameters")
+        object.__setattr__(self, "members", require_int(self.members, "ensemble members"))
         if not (0.0 <= self.p_main <= 1.0):
             raise VolumeError("p_main must lie in [0, 1]")
         if self.sigma < 0 or self.width < 0 or self.outlier_sigma < 0:
             raise VolumeError("noise scales must be nonnegative")
-        if self.members < 1:
-            raise VolumeError("need at least one ensemble member")
 
     def analytic_mean(self) -> float:
         if self.kind == "bimodal":
@@ -71,9 +73,11 @@ def parse_field_name(name: str) -> tuple[str, tuple[float, ...]]:
     m = _FIELD_RE.match(name.strip())
     if not m:
         raise VolumeError(f"cannot parse field name {name!r}")
-    kind = m.group(1)
-    args = tuple(float(v) for v in m.group(2).split(",")) if m.group(2) else ()
-    return kind, args
+    try:
+        args = tuple(float(v) for v in m.group(2).split(",")) if m.group(2) else ()
+    except ValueError:
+        raise VolumeError(f"cannot parse field name {name!r}") from None
+    return m.group(1), args
 
 
 def _lattice(dims, box):
@@ -106,8 +110,8 @@ def sample_field(name: str, dims, box=None) -> ScalarGrid:
     """Evaluate a named closed-form field on the voxel lattice and min-max
     normalize to [0, 1]; zero-range fields pass through unnormalized."""
     dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise VolumeError("fields need dims >= 2 per axis")
+    if len(dims) != 3 or any(d < 2 for d in dims):
+        raise VolumeError("fields need three dims >= 2")
     kind, args = parse_field_name(name)
     if box is None:
         box = _DEFAULT_BOXES.get(kind, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))

@@ -11,7 +11,6 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -205,60 +204,64 @@ class QuantilePdf:
 # Per-voxel payload containers.  One model tag applies to the whole volume.
 
 
-@dataclass(frozen=True)
-class MeanFieldModel:
-    values: np.ndarray  # (nvox,)
+class VoxelModel:
+    """A per-voxel model, declared by its kind name, its parameter FIELDS in
+    DVOL1 payload order, the NONNEG fields that must be >= 0, and WIDTH, the
+    integer field (if any) that gives the row length of (nvox, width) fields.
+    The constructor check and the DVOL1 layout are derived from these."""
+
+    kind: str
+    FIELDS: tuple[str, ...]
+    NONNEG: tuple[str, ...] = ()
+    WIDTH: str | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
-        require_finite(v, "mean-field values")
-        object.__setattr__(self, "values", _frozen(v))
+        width = None
+        if self.WIDTH:
+            width = require_int(getattr(self, self.WIDTH), f"{self.kind} {self.WIDTH}")
+            object.__setattr__(self, self.WIDTH, width)
+        self._check_fields(width)
+
+    def _check_fields(self, width: int | None) -> None:
+        """Store each field as a frozen contiguous float64 array, (nvox,) when
+        width is None else (nvox, width), once the fields are congruent and
+        finite and the NONNEG ones nonnegative."""
+        arrays = [np.ascontiguousarray(getattr(self, f), dtype=np.float64) for f in self.FIELDS]
+        if len({a.size for a in arrays}) > 1 or (width and arrays[0].size % width):
+            raise VolumeError(f"{self.kind} parameter grids must be congruent")
+        for name, a in zip(self.FIELDS, arrays):
+            a = a.ravel() if width is None else a.reshape(-1, width)
+            require_finite(a, f"{self.kind} parameters")
+            if name in self.NONNEG and np.any(a < 0):
+                raise VolumeError(f"{self.kind} {name} must be nonnegative")
+            object.__setattr__(self, name, _frozen(a))
 
     @property
     def voxel_count(self) -> int:
-        return self.values.size
+        return getattr(self, self.FIELDS[0]).shape[0]
 
 
 @dataclass(frozen=True)
-class UniformModel:
+class MeanFieldModel(VoxelModel):
+    kind, FIELDS = "mean", ("values",)
+
+    values: np.ndarray  # (nvox,)
+
+
+@dataclass(frozen=True)
+class UniformModel(VoxelModel):
+    kind, FIELDS, NONNEG = "uniform", ("center", "width"), ("width",)
+
     center: np.ndarray  # (nvox,)
     width: np.ndarray  # (nvox,)
 
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.center, dtype=np.float64).ravel()
-        w = np.ascontiguousarray(self.width, dtype=np.float64).ravel()
-        if c.size != w.size:
-            raise VolumeError("uniform center/width grids must be congruent")
-        require_finite((c, w), "uniform parameters")
-        if np.any(w < 0):
-            raise VolumeError("uniform widths must be nonnegative")
-        object.__setattr__(self, "center", _frozen(c))
-        object.__setattr__(self, "width", _frozen(w))
-
-    @property
-    def voxel_count(self) -> int:
-        return self.center.size
-
 
 @dataclass(frozen=True)
-class GaussianModel:
+class GaussianModel(VoxelModel):
+    kind, FIELDS, NONNEG = "gaussian", ("mean", "sigma"), ("sigma",)
+
     mean: np.ndarray  # (nvox,)
     sigma: np.ndarray  # (nvox,)
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.mean, dtype=np.float64).ravel()
-        s = np.ascontiguousarray(self.sigma, dtype=np.float64).ravel()
-        if m.size != s.size:
-            raise VolumeError("gaussian mean/sigma grids must be congruent")
-        require_finite((m, s), "gaussian parameters")
-        if np.any(s < 0):
-            raise VolumeError("gaussian sigmas must be nonnegative")
-        object.__setattr__(self, "mean", _frozen(m))
-        object.__setattr__(self, "sigma", _frozen(s))
-
-    @property
-    def voxel_count(self) -> int:
-        return self.mean.size
 
 
 def sort_components(weights, means, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,8 +271,10 @@ def sort_components(weights, means, sigmas) -> tuple[np.ndarray, np.ndarray, np.
 
 
 @dataclass(frozen=True)
-class GmmVolumeModel:
+class GmmVolumeModel(VoxelModel):
     """Per-voxel Gaussian mixtures with a shared component count k."""
+
+    kind, FIELDS, NONNEG, WIDTH = "gmm", ("weights", "means", "sigmas"), ("weights", "sigmas"), "k"
 
     k: int
     weights: np.ndarray  # (nvox, k)
@@ -277,25 +282,9 @@ class GmmVolumeModel:
     sigmas: np.ndarray  # (nvox, k)
 
     def __post_init__(self):
-        k = require_int(self.k, "gmm k")
-        w = np.ascontiguousarray(self.weights, dtype=np.float64).reshape(-1, k)
-        m = np.ascontiguousarray(self.means, dtype=np.float64).reshape(-1, k)
-        s = np.ascontiguousarray(self.sigmas, dtype=np.float64).reshape(-1, k)
-        if not (w.shape == m.shape == s.shape):
-            raise VolumeError("gmm parameter grids must be congruent")
-        require_finite((w, m, s), "gmm parameters")
-        if np.any(w < 0) or np.any(s < 0):
-            raise VolumeError("gmm weights and sigmas must be nonnegative")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-6):
+        super().__post_init__()
+        if np.any(np.abs(self.weights.sum(axis=1) - 1.0) > 1e-6):
             raise VolumeError("gmm weights must sum to 1 within 1e-6")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "weights", _frozen(w))
-        object.__setattr__(self, "means", _frozen(m))
-        object.__setattr__(self, "sigmas", _frozen(s))
-
-    @property
-    def voxel_count(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -307,13 +296,9 @@ class GmmModel:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.ascontiguousarray(a, dtype=np.float64).ravel()
-                  for a in (self.weights, self.means, self.sigmas)]
-        if not (arrays[0].size == arrays[1].size == arrays[2].size >= 1):
-            raise VolumeError("gmm arrays must be congruent and nonempty")
-        GmmVolumeModel(arrays[0].size, *arrays)  # the checks of one voxel's mixture
-        for name, arr in zip(("weights", "means", "sigmas"), arrays):
-            object.__setattr__(self, name, arr)
+        model = GmmVolumeModel(np.size(self.weights), self.weights, self.means, self.sigmas)
+        for name in model.FIELDS:  # the checks of one voxel's mixture
+            object.__setattr__(self, name, getattr(model, name)[0])
 
     @property
     def k(self) -> int:
@@ -324,55 +309,40 @@ class GmmModel:
 
 
 @dataclass(frozen=True)
-class QuantileModel:
+class QuantileModel(VoxelModel):
+    kind, FIELDS = "quantile", ("boundaries",)
+
     qval: float
     boundaries: np.ndarray  # (nvox, q+1)
 
     def __post_init__(self):
-        b = np.ascontiguousarray(self.boundaries, dtype=np.float64)
-        if b.ndim != 2 or b.shape[1] < 2:
+        shape = np.shape(self.boundaries)
+        if len(shape) != 2 or shape[1] < 2:
             raise VolumeError("quantile boundaries must be (nvox, q+1)")
-        q = b.shape[1] - 1
         require_finite(self.qval, "qval")
-        if abs(q * self.qval - 1.0) > 1e-9:
-            raise VolumeError(f"q*qval must equal 1 (q={q}, qval={self.qval})")
-        require_finite(b, "quantile boundaries")
-        if np.any(np.diff(b, axis=1) < 0):
+        if abs((shape[1] - 1) * self.qval - 1.0) > 1e-9:
+            raise VolumeError(f"q*qval must equal 1 (q={shape[1] - 1}, qval={self.qval})")
+        self._check_fields(shape[1])
+        if np.any(np.diff(self.boundaries, axis=1) < 0):
             raise VolumeError("quantile boundaries must be nondecreasing")
         object.__setattr__(self, "qval", float(self.qval))
-        object.__setattr__(self, "boundaries", _frozen(b))
 
     @property
     def q(self) -> int:
         return self.boundaries.shape[1] - 1
 
-    @property
-    def voxel_count(self) -> int:
-        return self.boundaries.shape[0]
-
 
 @dataclass(frozen=True)
-class SamplesModel:
+class SamplesModel(VoxelModel):
+    kind, FIELDS, WIDTH = "samples", ("samples",), "count"
+
     count: int
     samples: np.ndarray  # (nvox, M)
 
-    def __post_init__(self):
-        count = int(self.count)
-        if count < 1:
-            raise VolumeError("samples model needs M >= 1")
-        s = np.ascontiguousarray(self.samples, dtype=np.float64).reshape(-1, count)
-        require_finite(s, "samples")
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "samples", _frozen(s))
 
-    @property
-    def voxel_count(self) -> int:
-        return self.samples.shape[0]
-
-
-VoxelModel = Union[
-    MeanFieldModel, UniformModel, GaussianModel, GmmVolumeModel, QuantileModel, SamplesModel
-]
+# The index of each class is its DVOL1 model tag.
+_DVOL_MODELS = (MeanFieldModel, UniformModel, GaussianModel, GmmVolumeModel, SamplesModel)
+MODEL_KINDS = {cls.kind: cls for cls in (*_DVOL_MODELS, QuantileModel)}
 
 
 @dataclass(frozen=True)
@@ -442,24 +412,44 @@ class EnsembleVolume:
 # Raw volume I/O
 
 
+def read_file(path, limit: int = -1) -> bytes:
+    """The first limit bytes of a file (all of it when limit < 0); FormatError
+    when it cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            return f.read(limit)
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+
+
+def _unpack_header(raw: bytes, header: struct.Struct, magic: bytes, path) -> list:
+    """The header fields after the magic; FormatError when raw is shorter than
+    the header or starts with another magic."""
+    if len(raw) < header.size:
+        raise FormatError(f"{path}: truncated header")
+    found, *fields = header.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
+    return fields
+
+
+def _payload(raw: bytes, offset: int, rows: int, cols: int, dtype, path) -> np.ndarray:
+    """raw[offset:] as a float64 (rows, cols) array; FormatError unless it
+    holds exactly rows*cols values of dtype."""
+    dtype = np.dtype(dtype)
+    expected = offset + rows * cols * dtype.itemsize
+    if len(raw) != expected:
+        raise FormatError(f"{path}: payload size {len(raw)} != {expected}")
+    return np.frombuffer(raw, dtype=dtype, offset=offset).astype(np.float64).reshape(rows, cols)
+
+
 def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> ScalarGrid:
     """Read a raw volume file; integer encodings are normalized to [0, 1]."""
     dims = _as_dims(dims)
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    nvox = dims[0] * dims[1] * dims[2]
-    expected = nvox * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: size {len(raw)} != {expected} for dims {dims} encoding {encoding}"
-        )
-    vals = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    vals = _payload(read_file(path), 0, dims[0] * dims[1] * dims[2], 1, dtype, path).ravel()
     if denom is not None:
         vals = vals / denom
     elif not np.all(np.isfinite(vals)):
@@ -501,22 +491,10 @@ def save_qvol(volume: DistributionVolume, path) -> None:
 
 
 def load_qvol(path) -> DistributionVolume:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    if len(raw) < _QVOL_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, nx, ny, nz, sx, sy, sz, ox, oy, oz, q, qval = _QVOL_HEADER.unpack_from(raw)
-    if magic != QVOL_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    nvox = nx * ny * nz
-    expected = _QVOL_HEADER.size + nvox * (q + 1) * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw)} != {expected}")
-    boundaries = np.frombuffer(raw, dtype="<f4", offset=_QVOL_HEADER.size)
-    boundaries = boundaries.astype(np.float64).reshape(nvox, q + 1)
+    raw = read_file(path)
+    nx, ny, nz, sx, sy, sz, ox, oy, oz, q, qval = _unpack_header(raw, _QVOL_HEADER,
+                                                                   QVOL_MAGIC, path)
+    boundaries = _payload(raw, _QVOL_HEADER.size, nx * ny * nz, q + 1, "<f4", path)
     # QuantileModel validates qval*q, monotonicity, and finiteness.
     model = QuantileModel(qval=qval, boundaries=boundaries)
     return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), model)
@@ -526,82 +504,44 @@ def load_qvol(path) -> DistributionVolume:
 # DVOL1: container for the non-quantile models (artifact plumbing)
 #
 #   magic "DVOL1" | tag u8 | nx ny nz u32 | spacing f64*3 | origin f64*3 |
-#   extra u32 (k for gmm, M for samples, else 0) | per-voxel f32 payload.
+#   extra u32 (the WIDTH field: k for gmm, M for samples, else 0) |
+#   per-voxel f32 payload: the model's FIELDS interleaved, column by column
+#   for (nvox, width) fields (gmm: w0 mu0 sigma0 w1 ...).
 
 _DVOL_HEADER = struct.Struct("<5sB3I3d3dI")
 
-_DVOL_TAGS = {"mean": 0, "uniform": 1, "gaussian": 2, "gmm": 3, "samples": 4}
-_DVOL_KINDS = {v: k for k, v in _DVOL_TAGS.items()}
-
-
-def _dvol_payload(model: VoxelModel) -> tuple[int, int, np.ndarray]:
-    if isinstance(model, MeanFieldModel):
-        return _DVOL_TAGS["mean"], 0, model.values[:, None]
-    if isinstance(model, UniformModel):
-        return _DVOL_TAGS["uniform"], 0, np.stack([model.center, model.width], axis=1)
-    if isinstance(model, GaussianModel):
-        return _DVOL_TAGS["gaussian"], 0, np.stack([model.mean, model.sigma], axis=1)
-    if isinstance(model, GmmVolumeModel):
-        interleaved = np.stack([model.weights, model.means, model.sigmas], axis=2)
-        return _DVOL_TAGS["gmm"], model.k, interleaved.reshape(model.voxel_count, -1)
-    if isinstance(model, SamplesModel):
-        return _DVOL_TAGS["samples"], model.count, model.samples
-    raise VolumeError(f"save_dvol does not handle {type(model).__name__}; use save_qvol")
-
 
 def save_dvol(volume: DistributionVolume, path) -> None:
-    tag, extra, payload = _dvol_payload(volume.model)
-    header = _DVOL_HEADER.pack(
-        DVOL_MAGIC, tag, *volume.dims, *volume.spacing, *volume.origin, extra
-    )
-    Path(path).write_bytes(header + payload.astype("<f4").tobytes())
+    m = volume.model
+    if type(m) not in _DVOL_MODELS:
+        raise VolumeError(f"save_dvol does not handle {type(m).__name__}; use save_qvol")
+    header = _DVOL_HEADER.pack(DVOL_MAGIC, _DVOL_MODELS.index(type(m)), *volume.dims,
+                               *volume.spacing, *volume.origin,
+                               getattr(m, m.WIDTH) if m.WIDTH else 0)
+    payload = np.stack([getattr(m, f).astype("<f4") for f in m.FIELDS], axis=-1)
+    Path(path).write_bytes(header + payload.tobytes())
 
 
 def load_dvol(path) -> DistributionVolume:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    if len(raw) < _DVOL_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, tag, nx, ny, nz, sx, sy, sz, ox, oy, oz, extra = _DVOL_HEADER.unpack_from(raw)
-    if magic != DVOL_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if tag not in _DVOL_KINDS:
+    raw = read_file(path)
+    tag, nx, ny, nz, sx, sy, sz, ox, oy, oz, extra = _unpack_header(raw, _DVOL_HEADER,
+                                                                     DVOL_MAGIC, path)
+    if tag >= len(_DVOL_MODELS):
         raise FormatError(f"{path}: unknown model tag {tag}")
-    kind = _DVOL_KINDS[tag]
-    nvox = nx * ny * nz
-    per_voxel = {"mean": 1, "uniform": 2, "gaussian": 2, "gmm": 3 * extra, "samples": extra}[kind]
-    if per_voxel < 1:
-        raise FormatError(f"{path}: {kind} volume with no values per voxel")
-    expected = _DVOL_HEADER.size + nvox * per_voxel * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw)} != {expected}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=_DVOL_HEADER.size).astype(np.float64)
-    flat = flat.reshape(nvox, per_voxel)
-    if kind == "mean":
-        model: VoxelModel = MeanFieldModel(flat[:, 0])
-    elif kind == "uniform":
-        model = UniformModel(flat[:, 0], flat[:, 1])
-    elif kind == "gaussian":
-        model = GaussianModel(flat[:, 0], flat[:, 1])
-    elif kind == "gmm":
-        p = flat.reshape(nvox, extra, 3)
-        model = GmmVolumeModel(extra, p[:, :, 0], p[:, :, 1], p[:, :, 2])
-    else:
-        model = SamplesModel(extra, flat)
-    return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), model)
+    cls = _DVOL_MODELS[tag]
+    lead = (extra,) if cls.WIDTH else ()
+    width = extra if cls.WIDTH else 1
+    if width < 1:
+        raise FormatError(f"{path}: {cls.kind} volume with no values per voxel")
+    nvox, nfields = nx * ny * nz, len(cls.FIELDS)
+    flat = _payload(raw, _DVOL_HEADER.size, nvox, width * nfields, "<f4", path)
+    fields = np.moveaxis(flat.reshape(nvox, width, nfields), -1, 0)
+    return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), cls(*lead, *fields))
 
 
 def load_volume(path, dims=None, encoding="f32") -> DistributionVolume:
     """Open a QVOL1/DVOL1 file, or a raw file (needs dims) as a mean field."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            magic = f.read(5)
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
+    magic = read_file(path, len(QVOL_MAGIC))
     if magic == QVOL_MAGIC:
         return load_qvol(path)
     if magic == DVOL_MAGIC:

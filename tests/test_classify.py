@@ -742,6 +742,12 @@ class TestTransferFunctionLoaderFuzz:
         assert np.all((tf2.table >= 0) & (tf2.table <= 1))
         assert np.isfinite(tf2.gmax) and tf2.gmax > 0
 
+    @pytest.mark.parametrize("load", [load_tf1d, load_tf2d])
+    def test_unreadable_path_is_a_volume_error(self, tmp_path, load):
+        for path in (tmp_path / "missing.tf", tmp_path):
+            with pytest.raises(VolumeError, match="cannot read"):
+                load(path)
+
     @FUZZ
     @given(raw=st.binary(max_size=200))
     def test_tf1d_any_bytes(self, tmp_path, raw):

@@ -41,6 +41,44 @@ class TestLoadErrors:
             assert code == 2 and err.startswith("error: ")
 
 
+class TestMalformedInput:
+    MANIFESTS = {
+        "empty-manifest": "{}",
+        "bad-json": "{",
+        "unknown-model": json.dumps({"field": "tangle", "dims": [4, 4, 4], "size": [8, 8],
+                                     "noise": {"kind": "gaussian"}, "members": [2],
+                                     "models": ["nope"]}),
+        "noise-key": json.dumps({"field": "tangle", "dims": [4, 4, 4],
+                                 "noise": {"kind": "gaussian", "sigmaa": 1.0}}),
+        "short-dims": json.dumps({"field": "tangle", "dims": [4, 4]}),
+    }
+
+    @pytest.mark.parametrize("case", ["camera", "noise", "field", "empty-manifest", "bad-json",
+                                      "unknown-model", "noise-key", "short-dims",
+                                      "threads-env", "tf-path"])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
+        raw = tmp_path / "v.f32raw"
+        raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
+        render = ["render", "--scheme", "mean", "--volume", str(raw), "--dims", "2,2,2",
+                  "--size", "8x8", "--out", str(tmp_path / "o.ppm")]
+        gen = ["gen", "--dims", "4,4,4", "--out", str(tmp_path / "ens")]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(self.MANIFESTS.get(case, "{}"))
+        argv = {
+            "camera": render + ["--tf", "preset:tangle", "--camera", "1,2,x,0,0,0,0,0,1,30"],
+            "noise": gen + ["--field", "tangle", "--noise", "bimodal:foo"],
+            "field": gen + ["--field", "linear(a,b,c)"],
+            "threads-env": ["estimate", "--ensemble", str(tmp_path), "--model", "mean",
+                            "--out", str(tmp_path / "m.dvol")],
+            "tf-path": render + ["--tf", str(tmp_path / "missing.tf")],
+        }.get(case, ["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
+        if case == "threads-env":
+            monkeypatch.setenv("UQDVR_THREADS", "abc")
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, err
+        assert not (tmp_path / "ens").exists()
+
+
 class TestPipelineSmoke:
     def test_gen_estimate_constant_gives_flat_qvol(self, tmp_path, capsys):
         ens_dir = tmp_path / "ens"

@@ -177,11 +177,11 @@ class TestBuildVolume:
         dims = (3, 2, 2)
         members = [rng.normal(0, 1, 12) for _ in range(20)]
         ens = make_ensemble(members, dims)
-        a = build_distribution_volume(ens, "quantile", qval=0.25, seed=9)
-        b = build_distribution_volume(ens, "quantile", qval=0.25, seed=9)
+        a = build_distribution_volume(ens, "quantile", qval=0.25)
+        b = build_distribution_volume(ens, "quantile", qval=0.25)
         assert np.array_equal(a.model.boundaries, b.model.boundaries)
-        ga = build_distribution_volume(ens, "gmm", k=2, seed=9)
-        gb = build_distribution_volume(ens, "gmm", k=2, seed=9)
+        ga = build_distribution_volume(ens, "gmm", k=2)
+        gb = build_distribution_volume(ens, "gmm", k=2)
         assert np.array_equal(ga.model.means, gb.model.means)
 
     def test_thread_count_does_not_change_results(self):

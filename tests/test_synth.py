@@ -115,6 +115,12 @@ class TestMakeEnsemble:
         with pytest.raises(VolumeError):
             NoiseSpec("gaussian", p_main=1.5)
 
+    @pytest.mark.parametrize("field, value", [("sigma", np.nan), ("offset", np.inf),
+                                              ("width", np.nan), ("members", 2.5)])
+    def test_non_finite_or_fractional_fields_rejected(self, field, value):
+        with pytest.raises(VolumeError):
+            NoiseSpec("bimodal", **{field: value})
+
 
 class TestEnsembleIO:
     def test_round_trip(self, tmp_path):

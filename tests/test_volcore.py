@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,34 @@ class TestDvol:
             assert back.spacing == vol.spacing
 
 
+    # sha256 of save_dvol output for fixed 4-voxel volumes, one per DVOL1
+    # model tag; a layout change made alike in save and load changes these.
+    GOLDEN = {
+        "mean": "19959a7065433beea831aa6486ef114d4ca6bcedca189ddc234a6136dcebcc9c",
+        "uniform": "1a75c381a61427ca5cdb9f6052f2dfcd6ec1bfaae2523600e9e79e25f9daf452",
+        "gaussian": "dc5fa14ce49346187775c2c5fcfbc69519a08087419ab02e046e0e77774dd1d3",
+        "gmm": "e4164e948a115a37ead8099e81ab1b361b9181d03faea90a3722b4627ee8fbb6",
+        "samples": "e688c6fb6ecc13b5bfd2a3f03e26485fd2a20ee8c6929eac105e4832889f5f60",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, kind):
+        x = np.array([0.5, -1.25, 2.0, 3.75])
+        w = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0], [0.125, 0.875]])
+        model = {
+            "mean": lambda: MeanFieldModel(x),
+            "uniform": lambda: UniformModel(x, np.abs(x) / 2),
+            "gaussian": lambda: GaussianModel(-x, np.abs(x) / 3),
+            "gmm": lambda: GmmVolumeModel(2, w, np.stack([x, 2 * x], axis=1),
+                                          np.stack([np.abs(x), 0.1 + np.abs(x)], axis=1)),
+            "samples": lambda: SamplesModel(3, np.stack([x, x + 1, x * x], axis=1)),
+        }[kind]()
+        p = tmp_path / f"{kind}.dvol"
+        vol = DistributionVolume((2, 1, 2), (0.5, 1.0, 2.0), (-1.0, 0.0, 3.0), model)
+        volcore.save_dvol(vol, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.GOLDEN[kind]
+
+
 class TestVoxelPdf:
     def test_uniform_quartiles(self):
         m = UniformModel(np.array([0.5]), np.array([1.0]))
@@ -317,3 +347,41 @@ class TestFiniteParameters:
         p.write_bytes(bytes(raw))
         with pytest.raises(VolumeError):
             load_qvol(p)
+
+
+# Keyword arguments of a valid 2-voxel model of each kind, and the fields
+# that must be nonnegative.
+VALID_MODELS = {
+    "mean": ({"values": [0.1, 0.2]}, ()),
+    "uniform": ({"center": [0.1, 0.2], "width": [0.3, 0.0]}, ("width",)),
+    "gaussian": ({"mean": [0.1, 0.2], "sigma": [0.3, 0.0]}, ("sigma",)),
+    "gmm": ({"k": 2, "weights": [[0.5, 0.5], [0.25, 0.75]], "means": [[0.0, 1.0], [0.2, 0.4]],
+             "sigmas": [[0.1, 0.2], [0.0, 0.3]]}, ("weights", "sigmas")),
+    "quantile": ({"qval": 0.5, "boundaries": [[0.0, 0.5, 1.0], [0.2, 0.2, 0.3]]}, ()),
+    "samples": ({"count": 3, "samples": [[0.0, 0.1, 0.2], [1.0, 1.0, 1.0]]}, ()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(volcore.MODEL_KINDS))
+def test_every_model_rejects_bad_fields(kind):
+    """NaN, inf, non-congruent fields and a negative value in each
+    nonnegative field are VolumeErrors for every per-voxel model."""
+    cls, (valid, nonneg) = volcore.MODEL_KINDS[kind], VALID_MODELS[kind]
+    assert cls(**valid).voxel_count == 2
+
+    def rejected(field, value, match=None):
+        with pytest.raises(VolumeError, match=match):
+            cls(**{**valid, field: value})
+
+    for field in cls.FIELDS:
+        good = np.array(valid[field], dtype=np.float64)
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = good.copy()
+            arr.flat[-1] = bad
+            rejected(field, arr, "finite")
+        if kind != "mean":  # one value short of the other fields or of a whole row
+            rejected(field, good.ravel()[:-1])
+    for field in nonneg:
+        arr = np.array(valid[field], dtype=np.float64)
+        arr.flat[0], arr.flat[1] = -0.5, arr.flat[0] + arr.flat[1] + 0.5  # gmm rows still sum to 1
+        rejected(field, arr, "nonnegative")
