@@ -11,7 +11,8 @@ from pathlib import Path
 
 from . import presets, render, volcore
 from .classify import load_tf1d, load_tf2d
-from .density import KdeConfig, build_distribution_volume, downsample_hixel, quantile_volumes_multi
+from .density import (KdeConfig, brick_ensemble, build_distribution_volume, downsample_hixel,
+                      quantile_volumes_multi)
 from .render import Camera, RenderJob, diff_image, load_image_f32, raycast, render_quartile_views, save_image
 from .synth import NoiseSpec, load_ensemble, make_ensemble, sample_field, save_ensemble
 from .volcore import (
@@ -20,6 +21,9 @@ from .volcore import (
     VolumeError,
     load_raw,
     load_volume,
+    require_int,
+    require_ints,
+    require_positive,
     save_dvol,
     save_qvol,
     save_raw,
@@ -112,9 +116,9 @@ def cmd_estimate(args) -> int:
         if args.volume is None or args.dims is None:
             raise VolumeError("hixel estimation needs --volume and --dims")
         hi = load_raw(args.volume, args.dims, args.encoding)
-        _stage(f"estimate: hixel {args.model} brick={args.brick}")
         vol, mean_grid = downsample_hixel(hi, args.brick, args.model, qval=args.qval,
                                           k=args.k, config=cfg, threads=threads)
+        _stage(f"estimate: fitted hixel {args.model} brick={args.brick}")
         save_raw(mean_grid, Path(args.out).with_suffix(".mean.f32raw"), "f32")
     else:
         if args.ensemble is None:
@@ -193,31 +197,46 @@ def _resolve_manifest_camera(manifest, volume, width, height) -> Camera:
 
 def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     """Execute a manifest end to end; returns the result rows and writes
-    images plus results.csv (scheme, q, M, rmse) under outdir."""
+    images plus results.csv (scheme, q, M, rmse) under outdir.
+
+    Every sample set runs the same fits and renders: in ensemble mode one
+    noise ensemble per members entry, in hixel mode the bricks of the
+    ground truth as one ensemble on the brick-centre lattice."""
     try:
-        field, dims = manifest["field"], tuple(int(d) for d in manifest["dims"])
+        field, dims = manifest["field"], require_ints(manifest["dims"], 3, "dims")
         mode = manifest.get("mode", "ensemble")
-        width, height = manifest.get("size", [256, 256])
-        step = manifest.get("step", 0.5)
-        seed = manifest.get("seed", 0)
+        width, height = require_ints(manifest.get("size", [256, 256]), 2, "image size")
+        step = float(manifest.get("step", 0.5))
+        require_positive(step, "step")
+        seed = require_int(manifest.get("seed", 0), "seed", 0)
+        k = require_int(manifest.get("k", 4), "k")
         qvals = [float(q) for q in manifest.get("qvals", [])]
         models = list(manifest.get("models", []))
         fit_kinds = [render.scheme_model(scheme).kind for scheme in models]
         qschemes = list(manifest.get("quantile_schemes", ["quantile-mean"]))
+        qkinds = [render.scheme_model(scheme).kind for scheme in qschemes]
+        if "quantile" in fit_kinds or any(kind != "quantile" for kind in qkinds):
+            raise VolumeError("quantile schemes belong in quantile_schemes, the others in models")
         cfg = KdeConfig(bandwidth=manifest.get("kde_bandwidth", "auto"),
-                        lattice=int(manifest.get("kde_lattice", 512)))
+                        lattice=manifest.get("kde_lattice", 512))
+        if mode not in ("ensemble", "hixel"):
+            raise VolumeError(f"unknown experiment mode {mode!r}")
         noise = {"kind": None, **manifest.get("noise", {"kind": "bimodal"})}
-        specs = [NoiseSpec(**noise, members=int(m), seed=seed)
+        specs = [NoiseSpec(**noise, members=m, seed=seed)
                  for m in manifest.get("members", [50])] if mode == "ensemble" else []
     except (KeyError, TypeError, ValueError) as e:
         raise VolumeError(f"bad experiment manifest: {e}") from None
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     gt = sample_field(field, dims)
+    if mode == "hixel":
+        sample_sets = [brick_ensemble(gt, manifest.get("brick", [4, 4, 4]))]
+    else:
+        sample_sets = (make_ensemble(gt, spec) for spec in specs)
     gt_vol = DistributionVolume(gt.dims, gt.spacing, gt.origin, MeanFieldModel(gt.values))
     tf = resolve_tf1d(manifest.get("tf", "preset:tangle"))
     camera = _resolve_manifest_camera(manifest, gt_vol, width, height)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     rows: list[dict] = []
 
@@ -227,49 +246,27 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         save_image(img, outdir / f"{tag}.ppm")
         return img
 
-    def add_row(tag, volume, scheme, q, m):
+    def add_row(name, volume, scheme, q, m):
+        tag = f"hixel_{name}" if mode == "hixel" else f"{name}_m{m}"
         _, rmse = diff_image(render_to(tag, volume, scheme), ref)
         rows.append({"scheme": scheme, "q": q, "M": m, "rmse": rmse})
 
-    if mode == "ensemble":
-        _stage("experiment: rendering ground truth")
-        ref = render_to("ground_truth", gt_vol, "mean")
-        for spec in specs:
-            m = spec.members
-            _stage(f"experiment: M={m} ensemble")
-            ens = make_ensemble(gt, spec)
-            for scheme, kind in zip(models, fit_kinds):
-                vol = build_distribution_volume(ens, kind, k=manifest.get("k", 4), config=cfg,
-                                                threads=threads)
-                _stage(f"experiment: render {scheme} M={m}")
-                add_row(f"{scheme}_m{m}", vol, scheme, "", m)
-            if qvals:
-                _stage(f"experiment: quantile volumes M={m}")
-                qvols = quantile_volumes_multi(ens, qvals, config=cfg, threads=threads)
-                for qv in qvals:
-                    q = int(round(1.0 / qv))
-                    for scheme in qschemes:
-                        _stage(f"experiment: render {scheme} q={q} M={m}")
-                        add_row(f"{scheme}_q{q}_m{m}", qvols[qv], scheme, q, m)
-    elif mode == "hixel":
-        brick = tuple(manifest.get("brick", [4, 4, 4]))
-        _stage("experiment: rendering full-resolution reference")
-        ref = render_to("full_resolution", gt_vol, "mean")
-        m = brick[0] * brick[1] * brick[2]
+    _stage(f"experiment: {mode} mode, rendering the reference")
+    ref = render_to("ground_truth" if mode == "ensemble" else "full_resolution", gt_vol, "mean")
+    for ens in sample_sets:
+        m = ens.member_count
         for scheme, kind in zip(models, fit_kinds):
-            vol, _ = downsample_hixel(gt, brick, kind, k=manifest.get("k", 4), config=cfg,
-                                      threads=threads)
-            _stage(f"experiment: render hixel {scheme}")
-            add_row(f"hixel_{scheme}", vol, scheme, "", m)
-        for qv in qvals:
-            vol, _ = downsample_hixel(gt, brick, "quantile", qval=qv, config=cfg,
-                                      threads=threads)
-            q = int(round(1.0 / qv))
-            for scheme in qschemes:
-                _stage(f"experiment: render hixel {scheme} q={q}")
-                add_row(f"hixel_{scheme}_q{q}", vol, scheme, q, m)
-    else:
-        raise VolumeError(f"unknown experiment mode {mode!r}")
+            vol = build_distribution_volume(ens, kind, k=k, config=cfg, threads=threads)
+            _stage(f"experiment: render {scheme} M={m}")
+            add_row(scheme, vol, scheme, "", m)
+        if qvals:
+            _stage(f"experiment: quantile volumes M={m}")
+            qvols = quantile_volumes_multi(ens, qvals, config=cfg, threads=threads)
+            for qv in qvals:
+                q = int(round(1.0 / qv))
+                for scheme in qschemes:
+                    _stage(f"experiment: render {scheme} q={q} M={m}")
+                    add_row(f"{scheme}_q{q}", qvols[qv], scheme, q, m)
 
     with open(outdir / "results.csv", "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=["scheme", "q", "M", "rmse"])

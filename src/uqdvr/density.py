@@ -1,8 +1,9 @@
 """Per-voxel probability model estimation from noise samples.
 
 Covers Gaussian-kernel KDE reduced to quantile representations, moment-fit
-parametric models, EM-fit Gaussian mixtures, and hixel-style downsampling of
-high-resolution volumes.
+parametric models and EM-fit Gaussian mixtures.  Every fit reads the sample
+sets of an EnsembleVolume; hixel bricks of a high-resolution volume become one
+with brick_ensemble.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .volcore import (
     _quantile_masses,
     map_chunks,
     require_int,
+    require_ints,
     require_positive,
 )
 
@@ -67,21 +69,18 @@ class KdeConfig:
         object.__setattr__(self, "lattice", lattice)
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 * sigma-hat * n^(-1/5)."""
-    s = np.asarray(samples, dtype=np.float64)
-    n = s.size
-    sd = float(np.std(s, ddof=1)) if n > 1 else 0.0
-    return 1.06 * sd * n ** (-0.2)
-
-
 def _bandwidths(samples: np.ndarray, config: KdeConfig) -> np.ndarray:
-    """Per-row bandwidths for (V, M) sample sets."""
+    """Per-row bandwidths for (V, M) sample sets; "auto" is Silverman's rule."""
     v, m = samples.shape
     if config.bandwidth != "auto":
         return np.full(v, config.bandwidth)
-    sd = np.std(samples, axis=1, ddof=1)
+    sd = np.std(samples, axis=1, ddof=1) if m > 1 else np.zeros(v)
     return 1.06 * sd * m ** (-0.2)
+
+
+def silverman_bandwidth(samples) -> float:
+    """1.06 * sigma-hat * n^(-1/5) for n samples; 0 when n = 1."""
+    return float(_bandwidths(np.asarray(samples, dtype=np.float64).reshape(1, -1), KdeConfig())[0])
 
 
 def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
@@ -289,10 +288,12 @@ def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) 
     return GmmModel(w[0], mu[0], sg[0])
 
 
-def _fit_rows(fit, rows, v: int, threads: int) -> list:
-    """Concatenated outputs of fit over the (chunk, M) blocks rows(lo, hi) of v
-    rows; fit maps one block to a tuple of per-row arrays."""
-    parts = map_chunks(lambda lo, hi: fit(rows(lo, hi)), v, threads, _CHUNK_VOXELS)
+def _fit_rows(fit, ensemble: EnsembleVolume, threads: int) -> list:
+    """Concatenated outputs of fit over the (chunk, M) row blocks of an
+    ensemble; fit maps one block to a tuple of per-row arrays.  Each row's fit
+    depends on that row only, so the blocks never change the result."""
+    parts = map_chunks(lambda lo, hi: fit(ensemble.rows(lo, hi)), ensemble.voxel_count, threads,
+                       _CHUNK_VOXELS)
     return [np.concatenate(p) for p in zip(*parts)]
 
 
@@ -309,84 +310,65 @@ def _moment_rows(samples: np.ndarray, kind: str) -> tuple:
 _MOMENT_MODELS = {kind: MODEL_KINDS[kind] for kind in ("mean", "uniform", "gaussian")}
 
 
-def _fit_voxel_models(source, kind: str, *, qval=None, k=None, max_iter=100,
-                      config: KdeConfig = KdeConfig(), threads: int = 1):
-    """Shared per-voxel fitting over the sample sets of a (V, M) array or an
-    ensemble, read one _CHUNK_VOXELS row block at a time.  Each row's fit
-    depends on that row only, so the blocks never change the result."""
-    if isinstance(source, EnsembleVolume):
-        v, m, rows = source.voxel_count, source.member_count, source.rows
-    else:
-        (v, m), rows = source.shape, lambda lo, hi: source[lo:hi]
-    if kind in _MOMENT_MODELS:
-        if kind == "gaussian" and m < 2:
-            raise VolumeError("gaussian model needs M >= 2")
-        return _MOMENT_MODELS[kind](*_fit_rows(lambda s: _moment_rows(s, kind), rows, v, threads))
-    if kind == "samples":
-        return SamplesModel(m, rows(0, v))
-    if kind == "quantile":
-        if qval is None:
-            raise VolumeError("quantile model needs qval")
-        if m < 2:
-            raise VolumeError("quantile model needs M >= 2")
-        (bounds,) = _fit_rows(lambda s: (_batch_quantiles(s, qval, config),), rows, v, threads)
-        return QuantileModel(qval, bounds)
-    if kind == "gmm":
-        if k is None:
-            raise VolumeError("gmm model needs k")
-        params = _fit_rows(lambda s: _gmm_em_rows(s, k, max_iter), rows, v, threads)
-        if not all(np.all(np.isfinite(p)) for p in params):
-            raise VolumeError("gmm fit produced non-finite parameters")
-        return GmmVolumeModel(k, *params)
-    raise VolumeError(f"unknown model kind {kind!r}")
-
-
 def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None, k=None,
                               max_iter: int = 100, config: KdeConfig = KdeConfig(),
                               threads: int = 1) -> DistributionVolume:
     """Fit the chosen model independently at every voxel of an ensemble."""
-    if kind != "mean" and ensemble.member_count < 2:
+    if kind == "quantile":
+        if qval is None:
+            raise VolumeError("quantile model needs qval")
+        return quantile_volumes_multi(ensemble, [qval], config, threads)[qval]
+    m = ensemble.member_count
+    if kind != "mean" and m < 2:
         raise VolumeError("non-mean models need an ensemble with M >= 2")
-    model = _fit_voxel_models(ensemble, kind, qval=qval, k=k, max_iter=max_iter,
-                              config=config, threads=threads)
+    if kind in _MOMENT_MODELS:
+        model = _MOMENT_MODELS[kind](*_fit_rows(lambda s: _moment_rows(s, kind), ensemble, threads))
+    elif kind == "samples":
+        model = SamplesModel(m, ensemble.rows(0, ensemble.voxel_count))
+    elif kind == "gmm":
+        if k is None:
+            raise VolumeError("gmm model needs k")
+        params = _fit_rows(lambda s: _gmm_em_rows(s, k, max_iter), ensemble, threads)
+        if not all(np.all(np.isfinite(p)) for p in params):
+            raise VolumeError("gmm fit produced non-finite parameters")
+        model = GmmVolumeModel(k, *params)
+    else:
+        raise VolumeError(f"unknown model kind {kind!r}")
     return DistributionVolume(ensemble.dims, ensemble.spacing, ensemble.origin, model)
 
 
 def quantile_volumes_multi(ensemble: EnsembleVolume, qvals, config: KdeConfig = KdeConfig(),
                            threads: int = 1) -> dict[float, DistributionVolume]:
     """Quantile volumes for several qvals from a single KDE pass."""
+    if ensemble.member_count < 2:
+        raise VolumeError("quantile model needs M >= 2")
     masses = [_quantile_masses(qv) for qv in qvals]
-    bounds = _fit_rows(lambda s: _kde_quantile_rows(s, masses, config), ensemble.rows,
-                       ensemble.voxel_count, threads)
+    bounds = _fit_rows(lambda s: _kde_quantile_rows(s, masses, config), ensemble, threads)
     geo = (ensemble.dims, ensemble.spacing, ensemble.origin)
     return {qv: DistributionVolume(*geo, QuantileModel(qv, b)) for qv, b in zip(qvals, bounds)}
 
 
-def downsample_hixel(hi: ScalarGrid, brick, kind: str, *, qval=None, k=None,
-                     max_iter: int = 100, config: KdeConfig = KdeConfig(),
-                     threads: int = 1) -> tuple[DistributionVolume, ScalarGrid]:
-    """Brick a high-resolution grid into per-brick sample sets and fit models.
-
-    Returns the fitted distribution volume plus the companion per-brick mean
-    grid.  The low-res grid point sits at the brick center.
-    """
-    bx, by, bz = (int(b) for b in brick)
+def brick_ensemble(hi: ScalarGrid, brick) -> EnsembleVolume:
+    """The bricks of a high-resolution grid as an ensemble on the lattice of
+    brick centres: member j holds voxel j (x fastest) of every brick."""
+    bx, by, bz = require_ints(brick, 3, "brick size")
     nx, ny, nz = hi.dims
     if nx % bx or ny % by or nz % bz:
         raise VolumeError(f"dims {hi.dims} not divisible by brick {(bx, by, bz)}")
-    vx, vy, vz = nx // bx, ny // by, nz // bz
-    blocks = hi.values3d.reshape(vz, bz, vy, by, vx, bx)
-    samples = blocks.transpose(0, 2, 4, 1, 3, 5).reshape(vz * vy * vx, bz * by * bx)
-    samples = np.ascontiguousarray(samples)
+    dims = (nx // bx, ny // by, nz // bz)
+    blocks = hi.values3d.reshape(dims[2], bz, dims[1], by, dims[0], bx)
+    members = blocks.transpose(1, 3, 5, 0, 2, 4).reshape(bz * by * bx, -1)
+    b = (bx, by, bz)
+    spacing = tuple(s * n for s, n in zip(hi.spacing, b))
+    origin = tuple(o + 0.5 * (n - 1) * s for o, s, n in zip(hi.origin, hi.spacing, b))
+    return EnsembleVolume(tuple(ScalarGrid(dims, spacing, origin, v) for v in members))
 
-    spacing = (hi.spacing[0] * bx, hi.spacing[1] * by, hi.spacing[2] * bz)
-    origin = (
-        hi.origin[0] + 0.5 * (bx - 1) * hi.spacing[0],
-        hi.origin[1] + 0.5 * (by - 1) * hi.spacing[1],
-        hi.origin[2] + 0.5 * (bz - 1) * hi.spacing[2],
-    )
-    mean_grid = ScalarGrid((vx, vy, vz), spacing, origin, samples.mean(axis=1))
-    model = _fit_voxel_models(samples, kind, qval=qval, k=k, max_iter=max_iter,
-                              config=config, threads=threads)
-    vol = DistributionVolume((vx, vy, vz), spacing, origin, model)
-    return vol, mean_grid
+
+def downsample_hixel(hi: ScalarGrid, brick, kind: str,
+                     **fit) -> tuple[DistributionVolume, ScalarGrid]:
+    """build_distribution_volume(brick_ensemble(hi, brick), kind, **fit) and
+    the grid of per-brick means."""
+    ens = brick_ensemble(hi, brick)
+    mean = build_distribution_volume(ens, "mean", threads=fit.get("threads", 1)).model.values
+    mean_grid = ScalarGrid(ens.dims, ens.spacing, ens.origin, mean)
+    return build_distribution_volume(ens, kind, **fit), mean_grid

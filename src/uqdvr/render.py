@@ -42,6 +42,7 @@ from .volcore import (
     read_file,
     require_finite,
     require_int,
+    require_ints,
     require_positive,
     sort_components,
 )
@@ -173,13 +174,19 @@ class RenderJob:
                               "samples along the volume diagonal")
         for name in ("mc_samples", "tf2d_samples", "conv_lattice"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
         if not 2 <= self.conv_lattice <= MAX_LATTICE:
             raise VolumeError(f"conv_lattice must lie in [2, {MAX_LATTICE}]")
+        require_finite(self.termination, "termination")
         if not (0.0 < self.termination <= 1.0):
             raise VolumeError("termination must lie in (0, 1]")
+        require_finite(self.background, "background")
+        bg = np.asarray(self.background, dtype=np.float64)
+        if bg.shape != (4,) or np.any((bg < 0) | (bg > 1)):
+            raise VolumeError(f"background must be 4 values in [0, 1], got {self.background}")
         if self.quantile_subrange is not None:
-            lo, hi = self.quantile_subrange
-            q = self.volume.model.q
+            lo, hi = require_ints(self.quantile_subrange, 2, "quantile subrange end", 0)
+            q = getattr(self.volume.model, "q", 0)  # no piece range outside a quantile volume
             if not (0 <= lo < hi <= q):
                 raise VolumeError(f"quantile subrange {self.quantile_subrange} outside [0, {q}]")
         if any(d < 2 for d in self.volume.dims):

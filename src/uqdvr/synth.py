@@ -55,6 +55,7 @@ class NoiseSpec:
         require_finite((self.sigma, self.width, self.p_main, self.offset, self.outlier_sigma),
                        "noise parameters")
         object.__setattr__(self, "members", require_int(self.members, "ensemble members"))
+        object.__setattr__(self, "seed", require_int(self.seed, "noise seed", 0))
         if not (0.0 <= self.p_main <= 1.0):
             raise VolumeError("p_main must lie in [0, 1]")
         if self.sigma < 0 or self.width < 0 or self.outlier_sigma < 0:

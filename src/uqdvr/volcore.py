@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 # Width floor applied whenever a quantile width is turned into a density.
 # Stored boundaries may be exactly equal; the floor never enters storage.
@@ -61,8 +61,12 @@ def _as_vec3(v) -> Vec3:
 
 
 def require_finite(values, what: str) -> None:
-    """Raise VolumeError unless every entry of values is finite."""
-    if not np.all(np.isfinite(values)):
+    """Raise VolumeError unless values are numbers and every one is finite."""
+    try:
+        finite = np.all(np.isfinite(values))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
         raise VolumeError(f"{what} must be finite")
 
 
@@ -73,15 +77,23 @@ def require_positive(values, what: str) -> None:
         raise VolumeError(f"{what} must be finite and positive, got {values}")
 
 
-def require_int(value, what: str) -> int:
-    """value as an int; VolumeError unless it is an integer >= 1."""
+def require_int(value, what: str, least: int = 1) -> int:
+    """value as an int; VolumeError unless it is an integer >= least."""
     try:
         v = operator.index(value)
     except TypeError:
         raise VolumeError(f"{what} must be an integer") from None
-    if v < 1:
-        raise VolumeError(f"{what} must be at least 1")
+    if v < least:
+        raise VolumeError(f"{what} must be at least {least}")
     return v
+
+
+def require_ints(values, n: int, what: str, least: int = 1) -> tuple[int, ...]:
+    """values as a tuple of n ints; VolumeError unless there are n of them and
+    each is an integer >= least."""
+    if not np.iterable(values) or len(values) != n:
+        raise VolumeError(f"{what} must be {n} integers, got {values!r}")
+    return tuple(require_int(v, what, least) for v in values)
 
 
 def map_chunks(fn, v: int, threads: int, chunk: int) -> list:
@@ -201,6 +213,74 @@ class QuantilePdf:
         return float(np.sum(mids) * self.qval)
 
 
+# ---------------------------------------------------------------------------
+# Quantile boundaries of one voxel's distribution, for each model kind
+
+
+def _quantile_masses(qval: float) -> np.ndarray:
+    q = int(round(1.0 / qval))
+    if abs(q * qval - 1.0) > 1e-9 or q < 1:
+        raise VolumeError(f"qval {qval} is not a unit fraction")
+    return np.arange(q + 1, dtype=np.float64) * qval
+
+
+def constant_quantiles(value: float, qval: float) -> np.ndarray:
+    return np.full(_quantile_masses(qval).size, value)
+
+
+def gaussian_quantiles(mean: float, sigma: float, qval: float) -> np.ndarray:
+    """Gaussian quantile boundaries with outermost values clamped to mu +- 6 sigma."""
+    masses = _quantile_masses(qval)
+    if sigma == 0.0:
+        return np.full(masses.size, mean)
+    z = np.empty(masses.size)
+    z[0] = -GAUSS_TAIL_SIGMAS
+    z[-1] = GAUSS_TAIL_SIGMAS
+    z[1:-1] = ndtri(masses[1:-1])
+    return mean + sigma * z
+
+
+def uniform_quantiles(center: float, width: float, qval: float) -> np.ndarray:
+    masses = _quantile_masses(qval)
+    return (center - 0.5 * width) + width * masses
+
+
+def empirical_quantiles(samples: np.ndarray, qval: float) -> np.ndarray:
+    """Linear interpolation between adjacent order statistics (inclusive rule)."""
+    masses = _quantile_masses(qval)
+    return np.quantile(np.asarray(samples, dtype=np.float64), masses)
+
+
+def gmm_quantiles(weights, means, sigmas, qval: float) -> np.ndarray:
+    """Mixture quantiles by bisection on the mixture CDF; tails clamped at 6 sigma."""
+    masses = _quantile_masses(qval)
+    w = np.asarray(weights, dtype=np.float64)
+    mu = np.asarray(means, dtype=np.float64)
+    sg = np.asarray(sigmas, dtype=np.float64)
+    lo = float(np.min(mu - GAUSS_TAIL_SIGMAS * sg))
+    hi = float(np.max(mu + GAUSS_TAIL_SIGMAS * sg))
+    if hi <= lo:
+        return np.full(masses.size, lo)
+
+    def cdf(x):
+        safe = np.maximum(sg, 1e-300)
+        comp = ndtr((x[:, None] - mu[None, :]) / safe[None, :])
+        return comp @ w
+
+    out = np.empty(masses.size)
+    out[0], out[-1] = lo, hi
+    interior = masses[1:-1]
+    a = np.full(interior.size, lo)
+    b = np.full(interior.size, hi)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        below = cdf(mid) < interior
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    out[1:-1] = 0.5 * (a + b)
+    return np.maximum.accumulate(out)
+
+
 # Per-voxel payload containers.  One model tag applies to the whole volume.
 
 
@@ -208,7 +288,9 @@ class VoxelModel:
     """A per-voxel model, declared by its kind name, its parameter FIELDS in
     DVOL1 payload order, the NONNEG fields that must be >= 0, and WIDTH, the
     integer field (if any) that gives the row length of (nvox, width) fields.
-    The constructor check and the DVOL1 layout are derived from these."""
+    The constructor check and the DVOL1 layout are derived from these.
+    QUANTILES maps one voxel's FIELDS values and a qval to its quantile
+    boundaries."""
 
     kind: str
     FIELDS: tuple[str, ...]
@@ -240,10 +322,18 @@ class VoxelModel:
     def voxel_count(self) -> int:
         return getattr(self, self.FIELDS[0]).shape[0]
 
+    def voxel_pdf(self, flat: int, qval: float | None) -> QuantilePdf:
+        """Quantile representation of voxel flat at the target qval, which
+        parametric models need; the quantile model passes its pdf through."""
+        if qval is None:
+            raise VolumeError("parametric models need a target qval")
+        params = (getattr(self, f)[flat] for f in self.FIELDS)
+        return QuantilePdf(qval, self.QUANTILES(*params, qval))
+
 
 @dataclass(frozen=True)
 class MeanFieldModel(VoxelModel):
-    kind, FIELDS = "mean", ("values",)
+    kind, FIELDS, QUANTILES = "mean", ("values",), staticmethod(constant_quantiles)
 
     values: np.ndarray  # (nvox,)
 
@@ -251,6 +341,7 @@ class MeanFieldModel(VoxelModel):
 @dataclass(frozen=True)
 class UniformModel(VoxelModel):
     kind, FIELDS, NONNEG = "uniform", ("center", "width"), ("width",)
+    QUANTILES = staticmethod(uniform_quantiles)
 
     center: np.ndarray  # (nvox,)
     width: np.ndarray  # (nvox,)
@@ -259,6 +350,7 @@ class UniformModel(VoxelModel):
 @dataclass(frozen=True)
 class GaussianModel(VoxelModel):
     kind, FIELDS, NONNEG = "gaussian", ("mean", "sigma"), ("sigma",)
+    QUANTILES = staticmethod(gaussian_quantiles)
 
     mean: np.ndarray  # (nvox,)
     sigma: np.ndarray  # (nvox,)
@@ -275,6 +367,7 @@ class GmmVolumeModel(VoxelModel):
     """Per-voxel Gaussian mixtures with a shared component count k."""
 
     kind, FIELDS, NONNEG, WIDTH = "gmm", ("weights", "means", "sigmas"), ("weights", "sigmas"), "k"
+    QUANTILES = staticmethod(gmm_quantiles)
 
     k: int
     weights: np.ndarray  # (nvox, k)
@@ -331,10 +424,17 @@ class QuantileModel(VoxelModel):
     def q(self) -> int:
         return self.boundaries.shape[1] - 1
 
+    def voxel_pdf(self, flat: int, qval: float | None) -> QuantilePdf:
+        """The stored pdf of voxel flat; qval, if given, must be the stored one."""
+        if qval is not None and abs(qval - self.qval) > 1e-12:
+            raise VolumeError(f"volume stores qval={self.qval}, cannot serve qval={qval}")
+        return QuantilePdf(self.qval, self.boundaries[flat])
+
 
 @dataclass(frozen=True)
 class SamplesModel(VoxelModel):
     kind, FIELDS, WIDTH = "samples", ("samples",), "count"
+    QUANTILES = staticmethod(empirical_quantiles)
 
     count: int
     samples: np.ndarray  # (nvox, M)
@@ -552,96 +652,7 @@ def load_volume(path, dims=None, encoding="f32") -> DistributionVolume:
     return DistributionVolume(grid.dims, grid.spacing, grid.origin, MeanFieldModel(grid.values))
 
 
-# ---------------------------------------------------------------------------
-# Quantile extraction per voxel
-
-
-def _quantile_masses(qval: float) -> np.ndarray:
-    q = int(round(1.0 / qval))
-    if abs(q * qval - 1.0) > 1e-9 or q < 1:
-        raise VolumeError(f"qval {qval} is not a unit fraction")
-    return np.arange(q + 1, dtype=np.float64) * qval
-
-
-def gaussian_quantiles(mean: float, sigma: float, qval: float) -> np.ndarray:
-    """Gaussian quantile boundaries with outermost values clamped to mu +- 6 sigma."""
-    masses = _quantile_masses(qval)
-    if sigma == 0.0:
-        return np.full(masses.size, mean)
-    z = np.empty(masses.size)
-    z[0] = -GAUSS_TAIL_SIGMAS
-    z[-1] = GAUSS_TAIL_SIGMAS
-    z[1:-1] = ndtri(masses[1:-1])
-    return mean + sigma * z
-
-
-def uniform_quantiles(center: float, width: float, qval: float) -> np.ndarray:
-    masses = _quantile_masses(qval)
-    return (center - 0.5 * width) + width * masses
-
-
-def empirical_quantiles(samples: np.ndarray, qval: float) -> np.ndarray:
-    """Linear interpolation between adjacent order statistics (inclusive rule)."""
-    masses = _quantile_masses(qval)
-    return np.quantile(np.asarray(samples, dtype=np.float64), masses)
-
-
-def gmm_quantiles(weights, means, sigmas, qval: float) -> np.ndarray:
-    """Mixture quantiles by bisection on the mixture CDF; tails clamped at 6 sigma."""
-    from scipy.special import ndtr
-
-    masses = _quantile_masses(qval)
-    w = np.asarray(weights, dtype=np.float64)
-    mu = np.asarray(means, dtype=np.float64)
-    sg = np.asarray(sigmas, dtype=np.float64)
-    lo = float(np.min(mu - GAUSS_TAIL_SIGMAS * sg))
-    hi = float(np.max(mu + GAUSS_TAIL_SIGMAS * sg))
-    if hi <= lo:
-        return np.full(masses.size, lo)
-
-    def cdf(x):
-        safe = np.maximum(sg, 1e-300)
-        comp = ndtr((x[:, None] - mu[None, :]) / safe[None, :])
-        return comp @ w
-
-    out = np.empty(masses.size)
-    out[0], out[-1] = lo, hi
-    interior = masses[1:-1]
-    a = np.full(interior.size, lo)
-    b = np.full(interior.size, hi)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        below = cdf(mid) < interior
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    out[1:-1] = 0.5 * (a + b)
-    return np.maximum.accumulate(out)
-
-
 def voxel_pdf(volume: DistributionVolume, index, qval: float | None = None) -> QuantilePdf:
-    """Quantile representation of one voxel's distribution.
-
-    Parametric models need a target qval; the quantile model passes through.
-    """
+    """Quantile representation of one voxel's distribution (VoxelModel.voxel_pdf)."""
     i, j, k = index
-    flat = volume.flat_index(int(i), int(j), int(k))
-    m = volume.model
-    if isinstance(m, QuantileModel):
-        if qval is not None and abs(qval - m.qval) > 1e-12:
-            raise VolumeError(f"volume stores qval={m.qval}, cannot serve qval={qval}")
-        return QuantilePdf(m.qval, m.boundaries[flat])
-    if qval is None:
-        raise VolumeError("parametric models need a target qval")
-    if isinstance(m, MeanFieldModel):
-        masses = _quantile_masses(qval)
-        return QuantilePdf(qval, np.full(masses.size, m.values[flat]))
-    if isinstance(m, UniformModel):
-        return QuantilePdf(qval, uniform_quantiles(m.center[flat], m.width[flat], qval))
-    if isinstance(m, GaussianModel):
-        return QuantilePdf(qval, gaussian_quantiles(m.mean[flat], m.sigma[flat], qval))
-    if isinstance(m, GmmVolumeModel):
-        b = gmm_quantiles(m.weights[flat], m.means[flat], m.sigmas[flat], qval)
-        return QuantilePdf(qval, b)
-    if isinstance(m, SamplesModel):
-        return QuantilePdf(qval, empirical_quantiles(m.samples[flat], qval))
-    raise VolumeError(f"unhandled model {type(m).__name__}")
+    return volume.model.voxel_pdf(volume.flat_index(int(i), int(j), int(k)), qval)

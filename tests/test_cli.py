@@ -51,11 +51,30 @@ class TestMalformedInput:
         "noise-key": json.dumps({"field": "tangle", "dims": [4, 4, 4],
                                  "noise": {"kind": "gaussian", "sigmaa": 1.0}}),
         "short-dims": json.dumps({"field": "tangle", "dims": [4, 4]}),
+        **{case: json.dumps({"field": "tangle", "dims": [4, 4, 4], "size": [8, 8],
+                             "noise": {"kind": "gaussian"}, "members": [2], **bad})
+           for case, bad in (("seed-text", {"seed": "x"}), ("seed-negative", {"seed": -1}),
+                             ("step-text", {"step": "a"}), ("size-text", {"size": [8, "x"]}),
+                             ("k-zero", {"k": 0, "models": ["gmm-ordered"]}),
+                             ("quantile-model", {"models": ["quantile-mean"]}),
+                             ("mean-quantile-scheme", {"qvals": [0.5],
+                                                       "quantile_schemes": ["mean"]}),
+                             ("unknown-mode", {"mode": "bricks"}),
+                             ("dims-fraction", {"dims": [4.5, 4, 4]}),
+                             ("members-fraction", {"members": [2.5]}),
+                             ("lattice-fraction", {"kde_lattice": 100.5}),
+                             ("brick-zero", {"mode": "hixel", "brick": [0, 4, 4]}),
+                             ("brick-indivisible", {"mode": "hixel", "brick": [3, 4, 4]}))},
     }
 
     @pytest.mark.parametrize("case", ["camera", "noise", "field", "empty-manifest", "bad-json",
                                       "unknown-model", "noise-key", "short-dims",
-                                      "threads-env", "tf-path"])
+                                      "threads-env", "tf-path", "seed-text", "seed-negative",
+                                      "step-text", "size-text", "k-zero", "quantile-model",
+                                      "mean-quantile-scheme", "unknown-mode", "dims-fraction",
+                                      "members-fraction", "lattice-fraction",
+                                      "brick-zero", "brick-indivisible", "estimate-brick-zero",
+                                      "estimate-brick-negative"])
     def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
         raw = tmp_path / "v.f32raw"
         raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
@@ -71,6 +90,12 @@ class TestMalformedInput:
             "threads-env": ["estimate", "--ensemble", str(tmp_path), "--model", "mean",
                             "--out", str(tmp_path / "m.dvol")],
             "tf-path": render + ["--tf", str(tmp_path / "missing.tf")],
+            "estimate-brick-zero": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
+                                    "--brick", "0,4,4", "--model", "mean",
+                                    "--out", str(tmp_path / "h.dvol")],
+            "estimate-brick-negative": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
+                                        "--brick=-2,4,4", "--model", "mean",
+                                        "--out", str(tmp_path / "h.dvol")],
         }.get(case, ["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
         if case == "threads-env":
             monkeypatch.setenv("UQDVR_THREADS", "abc")
@@ -200,3 +225,65 @@ class TestExperimentCommand:
         assert a == b
         assert ((tmp_path / "a" / "results.csv").read_bytes()
                 == (tmp_path / "b" / "results.csv").read_bytes())
+
+
+class TestExperimentModes:
+    """Both modes of run_experiment on tiny manifests.  The fits and renders
+    are deterministic, so the recorded RMSE values must match to 1e-9."""
+
+    ENSEMBLE = {"mode": "ensemble", "field": "tangle", "dims": [8, 8, 8],
+                "noise": {"kind": "bimodal", "sigma": 0.05, "offset": 0.7},
+                "members": [4, 6], "models": ["mean", "uniform", "gaussian", "gmm-ordered"],
+                "k": 2, "qvals": [0.5, 0.25],
+                "quantile_schemes": ["quantile-mean", "quantile-range"],
+                "tf": "preset:tangle", "camera": "preset:tangle", "size": [16, 16], "seed": 3,
+                "kde_bandwidth": 0.03}
+    HIXEL = {"mode": "hixel", "field": "nested-spheres", "dims": [16, 16, 16], "brick": [4, 4, 4],
+             "models": ["mean", "gaussian"], "qvals": [0.25, 0.125],
+             "quantile_schemes": ["quantile-mean"], "tf": "preset:spheres",
+             "camera": "preset:spheres", "size": [16, 16], "seed": 3, "kde_bandwidth": 0.02}
+    ENSEMBLE_ROWS = [
+        ("mean", "", 4, 0.03113473995826244),
+        ("uniform", "", 4, 0.02617806587411682),
+        ("gaussian", "", 4, 0.03089143223736886),
+        ("gmm-ordered", "", 4, 0.022070850431930737),
+        ("quantile-mean", 2, 4, 0.031706497151491535),
+        ("quantile-range", 2, 4, 0.038113755073446755),
+        ("quantile-mean", 4, 4, 0.028632522943516637),
+        ("quantile-range", 4, 4, 0.03403771601286774),
+        ("mean", "", 6, 0.031094767695231264),
+        ("uniform", "", 6, 0.02712316148946432),
+        ("gaussian", "", 6, 0.03211896143443165),
+        ("gmm-ordered", "", 6, 0.022325163051359752),
+        ("quantile-mean", 2, 6, 0.03228923843309156),
+        ("quantile-range", 2, 6, 0.04148642198091579),
+        ("quantile-mean", 4, 6, 0.02951366978336252),
+        ("quantile-range", 4, 6, 0.03653102269162989),
+    ]
+    HIXEL_ROWS = [
+        ("mean", "", 64, 0.08651696471319428),
+        ("gaussian", "", 64, 0.10330409133892382),
+        ("quantile-mean", 4, 64, 0.12665376320286292),
+        ("quantile-mean", 8, 64, 0.11582411151668358),
+    ]
+
+    @pytest.mark.parametrize("mode", ["ensemble", "hixel"])
+    def test_outputs_and_rmse(self, tmp_path, mode):
+        manifest, want = ((self.ENSEMBLE, self.ENSEMBLE_ROWS) if mode == "ensemble"
+                          else (self.HIXEL, self.HIXEL_ROWS))
+        rows = run_experiment(manifest, tmp_path)
+        if mode == "ensemble":
+            names = ["ground_truth"] + [f"{s}_m{m}" if q == "" else f"{s}_q{q}_m{m}"
+                                        for s, q, m, _ in want]
+        else:
+            names = ["full_resolution"] + [f"hixel_{s}" if q == "" else f"hixel_{s}_q{q}"
+                                           for s, q, m, _ in want]
+        files = sorted(p.name for p in tmp_path.iterdir())
+        images = [f"{n}.ppm{x}" for n in names for x in ("", ".f32")]
+        assert files == sorted(["results.csv"] + images)
+        assert [(r["scheme"], r["q"], r["M"]) for r in rows] == [w[:3] for w in want]
+        csv_rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert [tuple(line.split(",")[:3]) for line in csv_rows] == [
+            (s, str(q), str(m)) for s, q, m, _ in want]
+        for r, w in zip(rows, want):
+            assert abs(r["rmse"] - w[3]) <= 1e-9, (r, w)

@@ -4,6 +4,7 @@ import pytest
 from uqdvr import density, volcore
 from uqdvr.density import (
     KdeConfig,
+    brick_ensemble,
     build_distribution_volume,
     downsample_hixel,
     estimate_quantiles,
@@ -236,6 +237,11 @@ class TestBuildVolume:
         with pytest.raises(VolumeError):
             build_distribution_volume(ens, "quantile", qval=0.5)
 
+    def test_multi_qval_needs_two_members(self):
+        ens = make_ensemble([np.arange(8.0)], (2, 2, 2))
+        with pytest.raises(VolumeError, match="M >= 2"):
+            quantile_volumes_multi(ens, [0.5, 0.25])
+
 
 class TestHixel:
     def test_constant_volume(self):
@@ -273,6 +279,38 @@ class TestHixel:
         assert vol.dims == (2, 2, 2)
         assert vol.spacing == (2.0, 4.0, 8.0)
         assert vol.origin == (1 + 0.75, 2 + 1.5, 3 + 3.0)
+
+    @pytest.mark.parametrize("brick", [(0, 4, 4), (-2, 4, 4), (2.5, 4, 4), (4, 4), (4, 4, 4, 4),
+                                       (3, 4, 4), (4, 4, 8), ("4", 4, 4), 4])
+    def test_bad_brick_sizes_rejected(self, brick):
+        hi = ScalarGrid((8, 8, 4), (1, 1, 1), (0, 0, 0), np.zeros(256))
+        with pytest.raises(VolumeError):
+            brick_ensemble(hi, brick)
+        with pytest.raises(VolumeError):
+            downsample_hixel(hi, brick, "mean")
+
+    def test_brick_ensemble_members_are_brick_voxels(self):
+        # Every voxel holds its own flat index, so member j of brick b must
+        # hold the index of voxel j (x fastest) inside brick b.
+        dims, brick = (4, 6, 4), (2, 3, 2)
+        hi = ScalarGrid(dims, (0.5, 1.0, 2.0), (1, 2, 3), np.arange(96.0))
+        ens = brick_ensemble(hi, np.array(brick))
+        assert ens.dims == (2, 2, 2) and ens.member_count == 12
+        assert ens.spacing == (1.0, 3.0, 4.0) and ens.origin == (1.25, 3.0, 4.0)
+        for b in range(ens.voxel_count):
+            bx, by, bz = b % 2, (b // 2) % 2, b // 4
+            for j in range(12):
+                x, y, z = 2 * bx + j % 2, 3 * by + (j // 2) % 3, 2 * bz + j // 6
+                assert ens.members[j].values[b] == x + 4 * (y + 6 * z)
+
+    def test_hixel_fit_is_the_brick_ensemble_fit(self):
+        hi = sample_field("nested-spheres", (16, 16, 16))
+        vol, mean = downsample_hixel(hi, (4, 4, 2), "quantile", qval=0.25, threads=2)
+        ens = brick_ensemble(hi, (4, 4, 2))
+        want = build_distribution_volume(ens, "quantile", qval=0.25)
+        assert vol.model.boundaries.tobytes() == want.model.boundaries.tobytes()
+        assert mean.values.tobytes() == ens.stacked().mean(axis=1).tobytes()
+        assert (vol.dims, vol.spacing, vol.origin) == (ens.dims, ens.spacing, ens.origin)
 
 
 class TestKdeConfig:
@@ -425,10 +463,15 @@ class TestChunkIndependence:
         assert s.shape[0] > density._CHUNK_VOXELS
         perm = np.random.default_rng(23).permutation(s.shape[0])
         cfg = KdeConfig(bandwidth=0.03)
+
+        def fit(rows, kind, kw):
+            ens = make_ensemble(rows.T, (rows.shape[0], 1, 1))
+            return build_distribution_volume(ens, kind, **kw).model
+
         for kind, kw in (("quantile", {"qval": 0.125, "config": cfg}),
                          ("quantile", {"qval": 0.25}), ("gmm", {"k": 2})):
-            a = density._fit_voxel_models(s, kind, **kw)
-            b = density._fit_voxel_models(s[perm], kind, **kw)
+            a = fit(s, kind, kw)
+            b = fit(s[perm], kind, kw)
             names = ("boundaries",) if kind == "quantile" else ("weights", "means", "sigmas")
             for name in names:
                 pa, pb = getattr(a, name)[perm], getattr(b, name)

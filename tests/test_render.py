@@ -95,6 +95,10 @@ class TestRenderJobBounds:
         ("mc_samples", 0), ("mc_samples", -3),
         ("tf2d_samples", 0),
         ("conv_lattice", 1), ("conv_lattice", 0),
+        ("background", (0, 0, 0)), ("background", (2, 0, 0, 1)), ("background", (0, 0, -0.1, 1)),
+        ("background", (0, 0, np.nan, 1)), ("background", "rgba"), ("background", None),
+        ("termination", "x"), ("termination", np.nan), ("termination", None),
+        ("seed", -1), ("seed", "x"), ("quantile_subrange", (0, 1)),
     ])
     def test_invalid_values_rejected_at_construction(self, field, value):
         grid = sample_field("constant(0.5)", (4, 4, 4))
@@ -107,6 +111,14 @@ class TestRenderJobBounds:
         vol = mean_volume(grid)
         RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), step=1e-3,
                   mc_samples=1, tf2d_samples=1, conv_lattice=2)
+
+    @pytest.mark.parametrize("sub", [(0.5, 2), (0, 2.0), (0, 1, 2), 1, (2, 2), (0, 9), (-1, 2)])
+    def test_quantile_subrange_is_an_integer_piece_range(self, sub):
+        vol = quantile_volume_from(sample_field("constant(0.5)", (4, 4, 4)), 0.1)
+        cam = default_camera(vol, 4, 4)
+        RenderJob(vol, "quantile-range", cam, tf=band_tf(), quantile_subrange=(0, 8))
+        with pytest.raises(VolumeError):
+            RenderJob(vol, "quantile-range", cam, tf=band_tf(), quantile_subrange=sub)
 
 
 def argmax_gmm_mc_chunk(state, pos, rng):

@@ -116,10 +116,16 @@ class TestMakeEnsemble:
             NoiseSpec("gaussian", p_main=1.5)
 
     @pytest.mark.parametrize("field, value", [("sigma", np.nan), ("offset", np.inf),
-                                              ("width", np.nan), ("members", 2.5)])
+                                              ("width", np.nan), ("members", 2.5),
+                                              ("seed", -1), ("seed", "x"), ("seed", 2.5),
+                                              ("sigma", "x")])
     def test_non_finite_or_fractional_fields_rejected(self, field, value):
         with pytest.raises(VolumeError):
             NoiseSpec("bimodal", **{field: value})
+
+    def test_seed_zero_accepted(self):
+        assert NoiseSpec("bimodal", seed=0).seed == 0
+        assert NoiseSpec("bimodal", seed=np.int64(3)).seed == 3
 
 
 class TestEnsembleIO:

@@ -272,6 +272,29 @@ class TestVoxelPdf:
         flat = vol.flat_index(1, 1, 1)
         assert np.array_equal(pdf.boundaries, vol.model.boundaries[flat])
 
+    def test_quantile_model_serves_only_its_qval(self):
+        vol = make_quantile_volume(np.random.default_rng(2), dims=(2, 2, 2), q=4)
+        assert voxel_pdf(vol, (0, 1, 0), qval=0.25).qval == 0.25
+        with pytest.raises(VolumeError, match="cannot serve"):
+            voxel_pdf(vol, (0, 1, 0), qval=0.5)
+
+    @pytest.mark.parametrize("kind", sorted(set(volcore.MODEL_KINDS) - {"quantile"}))
+    def test_every_kind_reads_its_own_voxel(self, kind):
+        # Voxel (1, 0, 1) of a 2x2x2 volume is flat index 5; it alone holds
+        # a nondegenerate distribution around 3.
+        spread = np.where(np.arange(8) == 5, 1.0, 0.0)
+        centre = 3.0 * spread
+        fields = {"mean": (centre,), "uniform": (centre, spread), "gaussian": (centre, spread),
+                  "gmm": (2, np.full((8, 2), 0.5),
+                          centre[:, None] + [[-0.5, 0.5]] * spread[:, None], np.full((8, 2), 0.1)),
+                  "samples": (3, centre[:, None] + [[-1.0, 0.0, 1.0]] * spread[:, None])}
+        vol = DistributionVolume((2, 2, 2), (1, 1, 1), (0, 0, 0),
+                                 volcore.MODEL_KINDS[kind](*fields[kind]))
+        pdf = voxel_pdf(vol, (1, 0, 1), qval=0.25)
+        other = voxel_pdf(vol, (0, 0, 1), qval=0.25)
+        assert pdf.q == 4 and abs(pdf.mean() - 3.0) < 0.05
+        assert np.all(np.abs(other.boundaries) < 0.7)
+
     def test_parametric_needs_qval(self):
         m = GaussianModel(np.zeros(1), np.ones(1))
         vol = DistributionVolume((1, 1, 1), (1, 1, 1), (0, 0, 0), m)
