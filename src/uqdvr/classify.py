@@ -21,8 +21,8 @@ from scipy.stats import qmc
 # The gradient stencil lives in interp; its names stay importable from here.
 from .interp import (GradientStencil, NumericDensity, derivative_matrices,  # noqa: F401
                      gradient_stencil)
-from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, read_file, require_finite,
-                      require_int, require_positive)
+from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, read_file, read_headed_f32,
+                      require_finite, require_int, require_positive)
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Points per block in the TF lookups (and table bins per block in the 2D
@@ -47,10 +47,9 @@ class TransferFunction1D:
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.points, dtype=np.float64)
+        p = require_finite(self.points, "TF1D knots and channels")
         if p.ndim != 2 or p.shape[1] != 5 or p.shape[0] < 1:
             raise VolumeError("TF1D needs an (n, 5) control-point table")
-        require_finite(p, "TF1D knots and channels")
         if np.any(np.diff(p[:, 0]) <= 0):
             raise VolumeError("TF1D intensities must be strictly increasing")
         if np.any(p[:, 1:] < 0) or np.any(p[:, 1:] > 1):
@@ -157,16 +156,15 @@ class TransferFunction2D:
     gmax: float
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.table, dtype=np.float64)
+        t = require_finite(self.table, "TF2D table")
         if t.ndim != 3 or t.shape[2] != 4 or t.shape[0] < 2 or t.shape[1] < 2:
             raise VolumeError("TF2D needs an (R>=2, C>=2, 4) table")
-        require_finite(t, "TF2D table")
-        require_positive(self.gmax, "TF2D gmax")
+        gmax = float(require_positive(self.gmax, "TF2D gmax", ()))
         if np.any(t < 0) or np.any(t > 1):
             raise VolumeError("TF2D channels must lie in [0, 1]")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-        object.__setattr__(self, "gmax", float(self.gmax))
+        object.__setattr__(self, "gmax", gmax)
 
     def _cell(self, x, y):
         """Clamped lower-left cell (r0, c0) and fractions (fu, fv) of (x, y)."""
@@ -231,23 +229,8 @@ def save_tf2d(tf: TransferFunction2D, path) -> None:
 
 
 def load_tf2d(path) -> TransferFunction2D:
-    raw = read_file(path)
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise VolumeError(f"{path}: missing TF2D header line")
-    try:
-        r_s, c_s, g_s = raw[:nl].decode("ascii").split()
-        rows, cols, gmax = int(r_s), int(c_s), float(g_s)
-    except ValueError as e:
-        raise VolumeError(f"{path}: bad TF2D header") from e
-    if rows < 2 or cols < 2:
-        raise VolumeError(f"{path}: TF2D needs at least 2x2 cells, got {rows}x{cols}")
-    body = raw[nl + 1:]
-    expected = rows * cols * 4 * 4
-    if len(body) != expected:
-        raise VolumeError(f"{path}: TF2D payload {len(body)} != {expected} bytes")
-    table = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(rows, cols, 4)
-    return TransferFunction2D(table, gmax)
+    (rows, cols, gmax), table = read_headed_f32(path, (int, int, float), "TF2D")
+    return TransferFunction2D(table.reshape(rows, cols, 4), gmax)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +316,11 @@ def expected_color_parametric(model, tf: TransferFunction1D) -> np.ndarray:
     if isinstance(model, NumericDensity):
         return numeric_density_color(model, tf)
     if isinstance(model, (int, float, np.floating)):
-        require_finite(model, "scalar model")
-        return tf.sample(np.float64(model))
-    mu, sigma = np.asarray(model, dtype=np.float64).reshape(2, 1)
-    if not (np.isfinite(mu[0]) and 0.0 <= sigma[0] < np.inf):
+        return tf.sample(require_finite(model, "scalar model"))
+    mu_sigma = require_finite(model, "a gaussian model (mu, sigma)", (2,))
+    if mu_sigma[1] < 0:
         raise VolumeError("a gaussian model needs a finite mu and a finite sigma >= 0")
-    return gauss_hermite_batch(mu, sigma, tf)[0]
+    return gauss_hermite_batch(mu_sigma[:1], mu_sigma[1:], tf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +361,12 @@ def expected_color_2d(corner_models, stencil: GradientStencil, tf2: TransferFunc
     if stencil.degenerate:
         raise VolumeError("degenerate stencil: mean gradient is zero")
     n = require_int(n, "n")
-    rows = [np.asarray(v, dtype=np.float64).ravel() for v in
-            ([m[0] for m in corner_models], [m[1] for m in corner_models], stencil.w, stencil.u)]
-    if any(r.size != np.size(stencil.indices) for r in rows):
-        raise VolumeError("need one (center, width) model per stencil voxel")
-    require_finite(rows, "corner models and stencil weights")
-    if np.any(rows[1] < 0):
+    voxels = np.size(stencil.indices)
+    models = require_finite(corner_models, "one (center, width) model per stencil voxel",
+                            (voxels, 2))
+    w, u = (require_finite(v, "stencil weights", (voxels,)) for v in (stencil.w, stencil.u))
+    if np.any(models[:, 1] < 0):
         raise VolumeError("uniform widths must be nonnegative")
-    pts = sobol_points(rows[0].size, n, seed)
-    return expected_color_2d_batch(*(r[None, :] for r in rows), tf2, pts)[0]
+    pts = sobol_points(voxels, n, seed)
+    return expected_color_2d_batch(models[None, :, 0], models[None, :, 1], w[None, :],
+                                   u[None, :], tf2, pts)[0]

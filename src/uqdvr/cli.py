@@ -206,8 +206,7 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         field, dims = manifest["field"], require_ints(manifest["dims"], 3, "dims")
         mode = manifest.get("mode", "ensemble")
         width, height = require_ints(manifest.get("size", [256, 256]), 2, "image size")
-        step = float(manifest.get("step", 0.5))
-        require_positive(step, "step")
+        step = float(require_positive(manifest.get("step", 0.5), "step", ()))
         seed = require_int(manifest.get("seed", 0), "seed", 0)
         k = require_int(manifest.get("k", 4), "k")
         qvals = [float(q) for q in manifest.get("qvals", [])]

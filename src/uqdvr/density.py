@@ -8,7 +8,6 @@ with brick_ensemble.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .volcore import (
     map_chunks,
     require_int,
     require_ints,
+    require_finite,
     require_positive,
 )
 
@@ -55,17 +55,12 @@ class KdeConfig:
     lattice: int = 512
 
     def __post_init__(self):
-        bw, lattice = self.bandwidth, self.lattice
-        try:
-            bw = bw if bw == "auto" else float(bw)
-            lattice = operator.index(lattice)
-        except (TypeError, ValueError):
-            raise VolumeError(f"bad KDE bandwidth {bw!r} or lattice {lattice!r}") from None
-        if bw != "auto":
-            require_positive(bw, "explicit bandwidth")
+        if not (isinstance(self.bandwidth, str) and self.bandwidth == "auto"):
+            bw = float(require_positive(self.bandwidth, "explicit bandwidth", ()))
+            object.__setattr__(self, "bandwidth", bw)
+        lattice = require_int(self.lattice, "KDE lattice")
         if not 64 <= lattice <= MAX_LATTICE:
             raise VolumeError(f"lattice resolution must lie in [64, {MAX_LATTICE}]")
-        object.__setattr__(self, "bandwidth", bw)
         object.__setattr__(self, "lattice", lattice)
 
 
@@ -78,9 +73,18 @@ def _bandwidths(samples: np.ndarray, config: KdeConfig) -> np.ndarray:
     return 1.06 * sd * m ** (-0.2)
 
 
+def _sample_set(samples, what: str, least: int) -> np.ndarray:
+    """One sample set as a (1, M) row; VolumeError unless it holds at least
+    least samples, all finite."""
+    s = require_finite(samples, f"{what} samples").reshape(1, -1)
+    if s.shape[1] < least:
+        raise VolumeError(f"{what} needs at least {least} samples")
+    return s
+
+
 def silverman_bandwidth(samples) -> float:
     """1.06 * sigma-hat * n^(-1/5) for n samples; 0 when n = 1."""
-    return float(_bandwidths(np.asarray(samples, dtype=np.float64).reshape(1, -1), KdeConfig())[0])
+    return float(_bandwidths(_sample_set(samples, "silverman_bandwidth", 1), KdeConfig())[0])
 
 
 def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
@@ -180,27 +184,21 @@ def estimate_quantiles(samples, qval: float, config: KdeConfig = KdeConfig()) ->
     The KDE CDF is formed on the eval lattice by trapezoid accumulation and
     inverted at masses {0, qval, ..., 1} by monotone linear interpolation.
     """
-    s = np.asarray(samples, dtype=np.float64).ravel()
-    if s.size < 2:
-        raise VolumeError("estimate_quantiles needs at least 2 samples")
-    boundaries = _batch_quantiles(s[None, :], qval, config)[0]
+    boundaries = _batch_quantiles(_sample_set(samples, "estimate_quantiles", 2), qval, config)[0]
     return QuantilePdf(qval, boundaries)
 
 
 def kde_cdf(samples, config: KdeConfig = KdeConfig()):
     """The (lattice, cdf) pair behind estimate_quantiles, for inspection/tests."""
-    s = np.asarray(samples, dtype=np.float64).ravel()
-    h = _bandwidths(s[None, :], config)
-    x, cdf = _kde_lattice_cdf(s[None, :], h, config.lattice)
+    s = _sample_set(samples, "kde_cdf", 1)
+    x, cdf = _kde_lattice_cdf(s, _bandwidths(s, config), config.lattice)
     return x[0], cdf[0]
 
 
 def _fit_moments(samples, kind: str, least: int) -> tuple:
     """_moment_rows of one sample set of at least `least` samples, as floats."""
-    s = np.asarray(samples, dtype=np.float64).ravel()
-    if s.size < least:
-        raise VolumeError(f"fit_{kind} needs at least {least} samples")
-    return tuple(float(p[0]) for p in _moment_rows(s[None, :], kind))
+    s = _sample_set(samples, f"fit_{kind}", least)
+    return tuple(float(p[0]) for p in _moment_rows(s, kind))
 
 
 def fit_mean(samples) -> float:
@@ -280,9 +278,8 @@ def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) 
     iterations.  A list passed as trace collects the per-iteration mean
     log-likelihood.
     """
-    s = np.asarray(samples, dtype=np.float64).ravel()
     lls = [] if trace is not None else None
-    w, mu, sg = _gmm_em_rows(s[None, :], k, max_iter, lls)
+    w, mu, sg = _gmm_em_rows(_sample_set(samples, "fit_gmm_em", 1), k, max_iter, lls)
     if trace is not None:
         trace.extend(float(ll[0]) for ll in lls)
     return GmmModel(w[0], mu[0], sg[0])

@@ -18,7 +18,8 @@ import numpy as np
 
 from .density import KdeConfig
 from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, ScalarGrid, VolumeError,
-                      require_finite, require_int, require_positive, sort_components)
+                      require_finite, require_int, require_ints, require_positive,
+                      sort_components)
 
 # The interpolated PDF has exactly the QuantilePdf shape.
 InterpolatedPdf = QuantilePdf
@@ -32,10 +33,9 @@ class TrilinearCoords:
     frac: tuple[float, float, float]
 
     def __post_init__(self):
-        base = tuple(int(v) for v in self.base)
-        frac = tuple(min(1.0, max(0.0, float(v))) for v in self.frac)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "frac", frac)
+        frac = np.clip(require_finite(self.frac, "cell fractions", (3,)), 0.0, 1.0)
+        object.__setattr__(self, "base", require_ints(self.base, 3, "cell base", 0))
+        object.__setattr__(self, "frac", tuple(frac.tolist()))
 
 
 class Cells(NamedTuple):
@@ -85,20 +85,20 @@ def locate(dims, spacing, origin, pos: np.ndarray) -> Cells:
 
 def trilinear_coords(dims, spacing, origin, point) -> TrilinearCoords:
     """Locate a world-space point inside its grid cell; all 8 corners in bounds."""
-    require_positive(spacing, "spacing")
-    require_finite(origin, "origin")
-    p = np.asarray(point, dtype=np.float64)[None, :]
-    lo = np.asarray(origin, dtype=np.float64)
-    hi = lo + (np.asarray(dims) - 1) * np.asarray(spacing, dtype=np.float64)
-    if not np.all((p >= lo) & (p <= hi)):  # NaN fails both
-        raise VolumeError(f"point {point} is not finite and inside the grid box [{lo}, {hi}]")
-    cells = locate(dims, spacing, origin, p)
+    dims = require_ints(dims, 3, "dims")
+    spacing = require_positive(spacing, "spacing", (3,))
+    lo = require_finite(origin, "origin", (3,))
+    p = require_finite(point, "point", (3,))[None, :]
+    hi = lo + (np.asarray(dims) - 1) * spacing
+    if not np.all((p >= lo) & (p <= hi)):
+        raise VolumeError(f"point {point} is not inside the grid box [{lo}, {hi}]")
+    cells = locate(dims, spacing, lo, p)
     return TrilinearCoords(tuple(cells.base[0]), tuple(cells.frac[0]))
 
 
 def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """The 8 trilinear weights in corner-bit order."""
-    frac = np.array([[alpha, beta, gamma]], dtype=np.float64)
+    frac = require_finite([[alpha, beta, gamma]], "alpha, beta and gamma", (1, 3))
     if not np.all((frac >= 0.0) & (frac <= 1.0)):
         raise VolumeError("alpha, beta and gamma must lie in [0, 1]")
     return _cell_weights(frac)[0]
@@ -106,10 +106,9 @@ def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 def _vectors(*arrays) -> list[np.ndarray]:
     """The inputs as float64 vectors, checked to be congruent, nonempty and finite."""
-    out = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
+    out = [require_finite(a, "inputs").ravel() for a in arrays]
     if out[0].size == 0 or any(a.size != out[0].size for a in out):
         raise VolumeError("inputs must be nonempty vectors of one shared length")
-    require_finite(out, "inputs")
     return out
 
 
@@ -221,11 +220,9 @@ class NumericDensity:
     pdf: np.ndarray
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
-        p = np.ascontiguousarray(self.pdf, dtype=np.float64)
+        x, p = (require_finite(a, "numeric density lattice and pdf") for a in (self.x, self.pdf))
         if x.shape != p.shape or x.ndim != 1 or x.size < 2:
             raise VolumeError("numeric density needs matching 1D x/pdf lattices")
-        require_finite((x, p), "numeric density lattice and pdf")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pdf", p)
 

@@ -39,7 +39,7 @@ from .volcore import (
     UniformModel,
     VolumeError,
     map_chunks,
-    read_file,
+    read_headed_f32,
     require_finite,
     require_int,
     require_ints,
@@ -69,20 +69,17 @@ class Camera:
     height: int
 
     def __post_init__(self):
-        eye = np.asarray(self.eye, dtype=np.float64)
-        at = np.asarray(self.look_at, dtype=np.float64)
-        up = np.asarray(self.up, dtype=np.float64)
-        for name, vec in (("eye", eye), ("look-at", at), ("up", up)):
-            require_finite(vec, f"camera {name}")
+        eye, at, up = (require_finite(getattr(self, name), f"camera {name}", (3,))
+                       for name in ("eye", "look_at", "up"))
         if np.allclose(eye, at):
             raise VolumeError("camera eye must differ from look-at")
-        fwd = at - eye
-        if np.linalg.norm(np.cross(fwd, up)) < 1e-12:
+        if np.linalg.norm(np.cross(at - eye, up)) < 1e-12:
             raise VolumeError("camera up must not be parallel to the view direction")
-        if not (0.0 < self.fov_deg < 180.0):
+        fov = float(require_finite(self.fov_deg, "vertical fov", ()))
+        if not (0.0 < fov < 180.0):
             raise VolumeError("vertical fov must lie in (0, 180) degrees")
-        if self.width < 1 or self.height < 1:
-            raise VolumeError("image size must be positive")
+        object.__setattr__(self, "fov_deg", fov)
+        require_ints((self.width, self.height), 2, "image size")
 
 
 def camera_rays(cam: Camera) -> tuple[np.ndarray, np.ndarray]:
@@ -124,9 +121,10 @@ class Image:
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.pixels, dtype=np.float32)
-        if self.width < 1 or self.height < 1:
+        width, height = require_ints((self.width, self.height), 2, "image size", 0)
+        if width < 1 or height < 1:
             raise VolumeError("image size must be positive")
-        if p.shape != (self.height, self.width, 4):
+        if p.shape != (height, width, 4):
             raise VolumeError("image pixels must be (height, width, 4)")
         if not np.all(np.isfinite(p)):
             raise VolumeError("image channels must be finite")
@@ -166,7 +164,7 @@ class RenderJob:
                 raise VolumeError("mean grid must be congruent with the volume")
         elif self.tf is None:
             raise VolumeError(f"scheme {self.scheme!r} needs a 1D transfer function")
-        require_positive(self.step, "step")
+        object.__setattr__(self, "step", float(require_positive(self.step, "step", ())))
         step_len = self.step * min(self.volume.spacing)
         diagonal = float(np.linalg.norm(self.volume.world_max - self.volume.world_min))
         if diagonal > MAX_RAY_SAMPLES * step_len:
@@ -177,13 +175,14 @@ class RenderJob:
         object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
         if not 2 <= self.conv_lattice <= MAX_LATTICE:
             raise VolumeError(f"conv_lattice must lie in [2, {MAX_LATTICE}]")
-        require_finite(self.termination, "termination")
+        object.__setattr__(self, "termination",
+                           float(require_finite(self.termination, "termination", ())))
         if not (0.0 < self.termination <= 1.0):
             raise VolumeError("termination must lie in (0, 1]")
-        require_finite(self.background, "background")
-        bg = np.asarray(self.background, dtype=np.float64)
-        if bg.shape != (4,) or np.any((bg < 0) | (bg > 1)):
+        bg = require_finite(self.background, "background", (4,))
+        if np.any((bg < 0) | (bg > 1)):
             raise VolumeError(f"background must be 4 values in [0, 1], got {self.background}")
+        object.__setattr__(self, "background", tuple(bg.tolist()))
         if self.quantile_subrange is not None:
             lo, hi = require_ints(self.quantile_subrange, 2, "quantile subrange end", 0)
             q = getattr(self.volume.model, "q", 0)  # no piece range outside a quantile volume
@@ -216,7 +215,6 @@ class _SchemeState:
     def __init__(self, job: RenderJob):
         self.job = job
         m = job.volume.model
-        self.corner_flat = interp.corner_offsets(job.volume.dims)  # as interp.locate adds them
         if job.scheme == "gmm-ordered":
             self.gmm_sorted = sort_components(m.weights, m.means, m.sigmas)
         if job.scheme == "tf2d":
@@ -402,8 +400,7 @@ def diff_image(img: Image, ref: Image, scale: float | None = None) -> tuple[Imag
     signed = a - b
     d = np.abs(signed)
     rmse = float(np.sqrt(np.mean(d * d)))
-    if scale is None:
-        scale = float(d.max())
+    scale = float(d.max() if scale is None else require_finite(scale, "diff scale", ()))
     if scale <= 0:
         scale = 1.0
     t = np.clip(signed / scale, -1.0, 1.0)
@@ -430,17 +427,5 @@ def save_image(img: Image, path, sidecar: bool = True) -> None:
 
 
 def load_image_f32(path) -> Image:
-    raw = read_file(path)
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise VolumeError(f"{path}: missing f32 sidecar header")
-    try:
-        w_s, h_s = raw[:nl].decode("ascii").split()
-        w, h = int(w_s), int(h_s)
-    except ValueError as e:
-        raise VolumeError(f"{path}: bad f32 sidecar header") from e
-    body = raw[nl + 1:]
-    if w < 1 or h < 1 or len(body) != w * h * 4 * 4:
-        raise VolumeError(f"{path}: f32 sidecar of {w}x{h} pixels with a {len(body)}-byte payload")
-    pixels = np.frombuffer(body, dtype="<f4").reshape(h, w, 4)
-    return Image(w, h, pixels)
+    (w, h), pixels = read_headed_f32(path, (int, int), "f32 sidecar")
+    return Image(w, h, pixels.reshape(h, w, 4))

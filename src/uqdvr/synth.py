@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .volcore import (EnsembleVolume, FormatError, ScalarGrid, VolumeError, load_raw,
-                      require_finite, require_int, save_raw)
+                      require_finite, require_int, require_ints, save_raw)
 
 _DEFAULT_BOXES = {
     "tangle": ((-2.5, -2.5, -2.5), (2.5, 2.5, 2.5)),
@@ -52,8 +52,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "bimodal"):
             raise VolumeError(f"unknown noise kind {self.kind!r}")
-        require_finite((self.sigma, self.width, self.p_main, self.offset, self.outlier_sigma),
-                       "noise parameters")
+        names = ("sigma", "width", "p_main", "offset", "outlier_sigma")
+        values = require_finite([getattr(self, n) for n in names], "noise parameters", (5,))
+        for name, value in zip(names, values.tolist()):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "members", require_int(self.members, "ensemble members"))
         object.__setattr__(self, "seed", require_int(self.seed, "noise seed", 0))
         if not (0.0 <= self.p_main <= 1.0):
@@ -110,9 +112,7 @@ def _nested_spheres(x, y, z, half_extent):
 def sample_field(name: str, dims, box=None) -> ScalarGrid:
     """Evaluate a named closed-form field on the voxel lattice and min-max
     normalize to [0, 1]; zero-range fields pass through unnormalized."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 2 for d in dims):
-        raise VolumeError("fields need three dims >= 2")
+    dims = require_ints(dims, 3, "field dims", 2)
     kind, args = parse_field_name(name)
     if box is None:
         box = _DEFAULT_BOXES.get(kind, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
@@ -177,9 +177,7 @@ def make_ensemble(gt: ScalarGrid, spec: NoiseSpec) -> EnsembleVolume:
 def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
     """Two smooth coupled fields for 2D-TF and fuzzy-fiber-surface tests:
     a radial pressure-like well and a shifted, nonlinearly warped companion."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise VolumeError("fields need dims >= 2 per axis")
+    dims = require_ints(dims, 3, "field dims", 2)
     box = ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     x, y, z = _lattice(dims, box)
     r2 = x * x + y * y + z * z

@@ -6,6 +6,7 @@ All binary formats are little-endian.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -46,35 +47,35 @@ class FormatError(VolumeError):
     """Malformed, truncated, or inconsistent volume file."""
 
 
-def _as_dims(dims) -> Dims:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise VolumeError(f"dims must be three positive integers, got {dims}")
-    return dims
-
-
-def _as_vec3(v) -> Vec3:
-    v = tuple(float(x) for x in v)
-    if len(v) != 3:
-        raise VolumeError(f"expected a 3-vector, got {v}")
-    return v
-
-
-def require_finite(values, what: str) -> None:
-    """Raise VolumeError unless values are numbers and every one is finite."""
+def _floats(values, shape) -> np.ndarray | None:
+    """values as a C-contiguous float64 array, or None unless they are numbers
+    (in the given shape, when there is one)."""
     try:
-        finite = np.all(np.isfinite(values))
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise VolumeError(f"{what} must be finite")
+        a = np.require(values, np.float64, "C")
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return a if shape is None or a.shape == shape else None
 
 
-def require_positive(values, what: str) -> None:
-    """Raise VolumeError unless every entry of values is finite and positive."""
-    v = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(v) & (v > 0)):
-        raise VolumeError(f"{what} must be finite and positive, got {values}")
+def _of_shape(shape) -> str:
+    return "" if shape is None else f" with shape {shape}"
+
+
+def require_finite(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """values as a checked C-contiguous float64 array; VolumeError unless they
+    are numbers, every one finite, in the given shape when there is one."""
+    a = _floats(values, shape)
+    if a is None or not np.all(np.isfinite(a)):
+        raise VolumeError(f"{what} must be finite{_of_shape(shape)}")
+    return a
+
+
+def require_positive(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """require_finite, and every entry positive."""
+    a = _floats(values, shape)
+    if a is None or not np.all(np.isfinite(a) & (a > 0)):
+        raise VolumeError(f"{what} must be finite and positive{_of_shape(shape)}, got {values}")
+    return a
 
 
 def require_int(value, what: str, least: int = 1) -> int:
@@ -99,6 +100,7 @@ def require_ints(values, n: int, what: str, least: int = 1) -> tuple[int, ...]:
 def map_chunks(fn, v: int, threads: int, chunk: int) -> list:
     """[fn(lo, hi)] over consecutive chunk-row ranges of v rows; the ranges
     never depend on threads, so neither do the results."""
+    threads = require_int(threads, "threads")
     bounds = [(lo, min(lo + chunk, v)) for lo in range(0, v, chunk)]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -115,11 +117,9 @@ class _Geometry:
     """The dims, spacing and origin of a regular grid with x-fastest voxel ids."""
 
     def _check_geometry(self) -> None:
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        object.__setattr__(self, "spacing", _as_vec3(self.spacing))
-        object.__setattr__(self, "origin", _as_vec3(self.origin))
-        require_positive(self.spacing, "spacing")
-        require_finite(self.origin, "origin")
+        object.__setattr__(self, "dims", require_ints(self.dims, 3, "dims"))
+        for name, check in (("spacing", require_positive), ("origin", require_finite)):
+            object.__setattr__(self, name, tuple(check(getattr(self, name), name, (3,)).tolist()))
 
     @property
     def voxel_count(self) -> int:
@@ -127,8 +127,9 @@ class _Geometry:
         return nx * ny * nz
 
     def flat_index(self, i: int, j: int, k: int) -> int:
+        i, j, k = require_ints((i, j, k), 3, "voxel index", 0)
         nx, ny, nz = self.dims
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+        if not (i < nx and j < ny and k < nz):
             raise VolumeError(f"voxel index {(i, j, k)} out of bounds {self.dims}")
         return i + nx * (j + ny * k)
 
@@ -157,12 +158,11 @@ class ScalarGrid(_Geometry):
 
     def __post_init__(self):
         self._check_geometry()
-        vals = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
+        vals = require_finite(self.values, "grid values").ravel()
         if vals.size != self.voxel_count:
             raise VolumeError(
                 f"value count {vals.size} != nx*ny*nz = {self.voxel_count}"
             )
-        require_finite(vals, "grid values")
         object.__setattr__(self, "values", _frozen(vals))
 
     @property
@@ -218,8 +218,9 @@ class QuantilePdf:
 
 
 def _quantile_masses(qval: float) -> np.ndarray:
-    q = int(round(1.0 / qval))
-    if abs(q * qval - 1.0) > 1e-9 or q < 1:
+    qval = float(require_positive(qval, "qval", ()))
+    q = round(1.0 / qval)
+    if abs(q * qval - 1.0) > 1e-9:
         raise VolumeError(f"qval {qval} is not a unit fraction")
     return np.arange(q + 1, dtype=np.float64) * qval
 
@@ -308,12 +309,11 @@ class VoxelModel:
         """Store each field as a frozen contiguous float64 array, (nvox,) when
         width is None else (nvox, width), once the fields are congruent and
         finite and the NONNEG ones nonnegative."""
-        arrays = [np.ascontiguousarray(getattr(self, f), dtype=np.float64) for f in self.FIELDS]
+        arrays = [require_finite(getattr(self, f), f"{self.kind} parameters") for f in self.FIELDS]
         if len({a.size for a in arrays}) > 1 or (width and arrays[0].size % width):
             raise VolumeError(f"{self.kind} parameter grids must be congruent")
         for name, a in zip(self.FIELDS, arrays):
             a = a.ravel() if width is None else a.reshape(-1, width)
-            require_finite(a, f"{self.kind} parameters")
             if name in self.NONNEG and np.any(a < 0):
                 raise VolumeError(f"{self.kind} {name} must be nonnegative")
             object.__setattr__(self, name, _frozen(a))
@@ -412,13 +412,13 @@ class QuantileModel(VoxelModel):
         shape = np.shape(self.boundaries)
         if len(shape) != 2 or shape[1] < 2:
             raise VolumeError("quantile boundaries must be (nvox, q+1)")
-        require_finite(self.qval, "qval")
-        if abs((shape[1] - 1) * self.qval - 1.0) > 1e-9:
-            raise VolumeError(f"q*qval must equal 1 (q={shape[1] - 1}, qval={self.qval})")
+        qval = float(require_positive(self.qval, "qval", ()))
+        if abs((shape[1] - 1) * qval - 1.0) > 1e-9:
+            raise VolumeError(f"q*qval must equal 1 (q={shape[1] - 1}, qval={qval})")
+        object.__setattr__(self, "qval", qval)
         self._check_fields(shape[1])
         if np.any(np.diff(self.boundaries, axis=1) < 0):
             raise VolumeError("quantile boundaries must be nondecreasing")
-        object.__setattr__(self, "qval", float(self.qval))
 
     @property
     def q(self) -> int:
@@ -426,7 +426,7 @@ class QuantileModel(VoxelModel):
 
     def voxel_pdf(self, flat: int, qval: float | None) -> QuantilePdf:
         """The stored pdf of voxel flat; qval, if given, must be the stored one."""
-        if qval is not None and abs(qval - self.qval) > 1e-12:
+        if qval is not None and abs(float(require_positive(qval, "qval", ())) - self.qval) > 1e-12:
             raise VolumeError(f"volume stores qval={self.qval}, cannot serve qval={qval}")
         return QuantilePdf(self.qval, self.boundaries[flat])
 
@@ -522,6 +522,24 @@ def read_file(path, limit: int = -1) -> bytes:
         raise FormatError(f"cannot read {path}: {e}") from e
 
 
+def read_headed_f32(path, kinds: tuple, what: str) -> tuple[list, np.ndarray]:
+    """The fields and payload of a file that starts with one ASCII line of
+    len(kinds) numbers, each parsed by its kind (int or float), followed by
+    four little-endian f32 channels per cell; the int fields, each at least 1,
+    count the cells.  FormatError, naming what, when the file does not."""
+    head, newline, body = read_file(path).partition(b"\n")
+    if not newline:
+        raise FormatError(f"{path}: missing {what} header")
+    try:
+        fields = [kind(v) for kind, v in zip(kinds, head.decode("ascii").split(), strict=True)]
+    except ValueError as e:
+        raise FormatError(f"{path}: bad {what} header") from e
+    counts = [f for f, kind in zip(fields, kinds) if kind is int]
+    if min(counts) < 1 or len(body) != 16 * math.prod(counts):
+        raise FormatError(f"{path}: {what} of {counts} cells with a {len(body)}-byte payload")
+    return fields, np.frombuffer(body, dtype="<f4")
+
+
 def _unpack_header(raw: bytes, header: struct.Struct, magic: bytes, path) -> list:
     """The header fields after the magic; FormatError when raw is shorter than
     the header or starts with another magic."""
@@ -545,7 +563,7 @@ def _payload(raw: bytes, offset: int, rows: int, cols: int, dtype, path) -> np.n
 
 def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> ScalarGrid:
     """Read a raw volume file; integer encodings are normalized to [0, 1]."""
-    dims = _as_dims(dims)
+    dims = require_ints(dims, 3, "dims")
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]
@@ -654,5 +672,5 @@ def load_volume(path, dims=None, encoding="f32") -> DistributionVolume:
 
 def voxel_pdf(volume: DistributionVolume, index, qval: float | None = None) -> QuantilePdf:
     """Quantile representation of one voxel's distribution (VoxelModel.voxel_pdf)."""
-    i, j, k = index
-    return volume.model.voxel_pdf(volume.flat_index(int(i), int(j), int(k)), qval)
+    flat = volume.flat_index(*require_ints(index, 3, "voxel index", 0))
+    return volume.model.voxel_pdf(flat, qval)

@@ -103,6 +103,19 @@ class TestMalformedInput:
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, err
         assert not (tmp_path / "ens").exists()
 
+    @pytest.mark.parametrize("case", ["threads-zero", "threads-negative", "threads-env-zero"])
+    def test_thread_counts_below_one_exit_2(self, tmp_path, capsys, monkeypatch, case):
+        raw = tmp_path / "v.f32raw"
+        raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
+        argv = {"threads-zero": ["--threads", "0"], "threads-negative": ["--threads=-1"]}.get(
+            case, []) + ["render", "--scheme", "mean", "--volume", str(raw), "--dims", "2,2,2",
+                         "--size", "8x8", "--tf", "preset:tangle", "--out", str(tmp_path / "o.ppm")]
+        if case == "threads-env-zero":
+            monkeypatch.setenv("UQDVR_THREADS", "0")
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err.splitlines()[-1].startswith("error: threads"), err
+        assert "Traceback" not in err and not (tmp_path / "o.ppm").exists()
+
 
 class TestPipelineSmoke:
     def test_gen_estimate_constant_gives_flat_qvol(self, tmp_path, capsys):

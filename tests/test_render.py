@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from uqdvr import interp
 from uqdvr import render
 from uqdvr.classify import TransferFunction1D, TransferFunction2D
 from uqdvr.density import build_distribution_volume
@@ -137,7 +138,7 @@ def argmax_gmm_mc_chunk(state, pos, rng):
     w8 = (np.stack([1 - frac[:, 0], frac[:, 0]], 1)[:, bits & 1]
           * np.stack([1 - frac[:, 1], frac[:, 1]], 1)[:, (bits >> 1) & 1]
           * np.stack([1 - frac[:, 2], frac[:, 2]], 1)[:, (bits >> 2) & 1])
-    idx8 = flat[:, None] + state.corner_flat[None, :]
+    idx8 = flat[:, None] + interp.corner_offsets(vol.dims)[None, :]
     a, n = pos.shape[0], job.mc_samples
     x = np.zeros((a, n))
     for c in range(8):
