@@ -107,9 +107,9 @@ def default_camera(volume, width: int, height: int, fov_deg: float = 35.0,
     """A diagonal view of the volume bounding box."""
     center = 0.5 * (volume.world_min + volume.world_max)
     extent = float(np.linalg.norm(volume.world_max - volume.world_min))
-    d = np.asarray(direction, dtype=np.float64)
-    d /= np.linalg.norm(d)
-    eye = center + distance * extent * d
+    d = require_finite(direction, "camera direction", (3,))
+    d = d / np.linalg.norm(d)
+    eye = center + float(require_finite(distance, "camera distance", ())) * extent * d
     return Camera(tuple(eye), tuple(center), (0.0, 0.0, 1.0), fov_deg, width, height)
 
 
@@ -120,14 +120,12 @@ class Image:
     pixels: np.ndarray  # (height, width, 4) float32, row-major from top-left
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.pixels, dtype=np.float32)
         width, height = require_ints((self.width, self.height), 2, "image size", 0)
         if width < 1 or height < 1:
             raise VolumeError("image size must be positive")
-        if p.shape != (height, width, 4):
-            raise VolumeError("image pixels must be (height, width, 4)")
-        if not np.all(np.isfinite(p)):
-            raise VolumeError("image channels must be finite")
+        # Checked after the float32 narrowing, which turns values beyond its range into inf.
+        with np.errstate(over="ignore"):
+            p = require_finite(self.pixels, "image channels", (height, width, 4), np.float32)
         object.__setattr__(self, "pixels", p)
 
 

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .volcore import (EnsembleVolume, FormatError, ScalarGrid, VolumeError, load_raw,
-                      require_finite, require_int, require_ints, save_raw)
+# load_raw stays importable from here: perfbench/tracer.py times synth.load_raw.
+from .volcore import (EnsembleVolume, FileEnsemble, FormatError, ScalarGrid, VolumeError,
+                      load_raw, require_finite, require_int, require_ints, save_raw)
 
 _DEFAULT_BOXES = {
     "tangle": ((-2.5, -2.5, -2.5), (2.5, 2.5, 2.5)),
@@ -227,8 +228,9 @@ def save_ensemble(ens: EnsembleVolume, outdir, spec: NoiseSpec | None = None,
     return manifest
 
 
-def load_ensemble(path) -> EnsembleVolume:
-    """Read an ensemble directory via its manifest file."""
+def load_ensemble(path) -> FileEnsemble:
+    """Open an ensemble directory via its manifest file.  The member files are
+    checked here and read block by block when the ensemble's rows are."""
     path = Path(path)
     manifest = path / "ensemble.txt" if path.is_dir() else path
     outdir = manifest.parent
@@ -248,8 +250,5 @@ def load_ensemble(path) -> EnsembleVolume:
         origin = tuple(float(v) for v in fields["origin"].split(","))
     except (KeyError, ValueError) as e:
         raise VolumeError(f"{manifest}: bad ensemble manifest: {e}") from e
-    members = []
-    for m in range(count):
-        grid = load_raw(outdir / f"member_{m:03d}.f32raw", dims, "f32", spacing, origin)
-        members.append(grid)
-    return EnsembleVolume(tuple(members))
+    paths = (outdir / f"member_{m:03d}.f32raw" for m in range(count))
+    return FileEnsemble(paths, dims, spacing, origin)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,11 +48,11 @@ class FormatError(VolumeError):
     """Malformed, truncated, or inconsistent volume file."""
 
 
-def _floats(values, shape) -> np.ndarray | None:
-    """values as a C-contiguous float64 array, or None unless they are numbers
-    (in the given shape, when there is one)."""
+def _floats(values, shape, dtype=np.float64) -> np.ndarray | None:
+    """values as a C-contiguous float array of dtype, or None unless they are
+    numbers (in the given shape, when there is one)."""
     try:
-        a = np.require(values, np.float64, "C")
+        a = np.require(values, dtype, "C")
     except (TypeError, ValueError, OverflowError):
         return None
     return a if shape is None or a.shape == shape else None
@@ -61,10 +62,12 @@ def _of_shape(shape) -> str:
     return "" if shape is None else f" with shape {shape}"
 
 
-def require_finite(values, what: str, shape: tuple | None = None) -> np.ndarray:
-    """values as a checked C-contiguous float64 array; VolumeError unless they
-    are numbers, every one finite, in the given shape when there is one."""
-    a = _floats(values, shape)
+def require_finite(values, what: str, shape: tuple | None = None,
+                   dtype=np.float64) -> np.ndarray:
+    """values as a checked C-contiguous float array of dtype (float64 unless
+    given); VolumeError unless they are numbers, every one finite once
+    converted, in the given shape when there is one."""
+    a = _floats(values, shape, dtype)
     if a is None or not np.all(np.isfinite(a)):
         raise VolumeError(f"{what} must be finite{_of_shape(shape)}")
     return a
@@ -91,8 +94,13 @@ def require_int(value, what: str, least: int = 1) -> int:
 
 def require_ints(values, n: int, what: str, least: int = 1) -> tuple[int, ...]:
     """values as a tuple of n ints; VolumeError unless there are n of them and
-    each is an integer >= least."""
-    if not np.iterable(values) or len(values) != n:
+    each is an integer >= least.  An iterable without a length, such as a
+    generator, is not n of anything."""
+    try:
+        sized = len(values) == n
+    except TypeError:
+        sized = False
+    if not sized:
         raise VolumeError(f"{what} must be {n} integers, got {values!r}")
     return tuple(require_int(v, what, least) for v in values)
 
@@ -409,14 +417,15 @@ class QuantileModel(VoxelModel):
     boundaries: np.ndarray  # (nvox, q+1)
 
     def __post_init__(self):
-        shape = np.shape(self.boundaries)
-        if len(shape) != 2 or shape[1] < 2:
+        b = _floats(self.boundaries, None)  # _check_fields makes the one finite pass
+        if b is None or b.ndim != 2 or b.shape[1] < 2:
             raise VolumeError("quantile boundaries must be (nvox, q+1)")
         qval = float(require_positive(self.qval, "qval", ()))
-        if abs((shape[1] - 1) * qval - 1.0) > 1e-9:
-            raise VolumeError(f"q*qval must equal 1 (q={shape[1] - 1}, qval={qval})")
+        if abs((b.shape[1] - 1) * qval - 1.0) > 1e-9:
+            raise VolumeError(f"q*qval must equal 1 (q={b.shape[1] - 1}, qval={qval})")
         object.__setattr__(self, "qval", qval)
-        self._check_fields(shape[1])
+        object.__setattr__(self, "boundaries", b)
+        self._check_fields(b.shape[1])
         if np.any(np.diff(self.boundaries, axis=1) < 0):
             raise VolumeError("quantile boundaries must be nondecreasing")
 
@@ -463,49 +472,88 @@ class DistributionVolume(_Geometry):
             )
 
 
-@dataclass(frozen=True)
-class EnsembleVolume:
-    """M member grids with identical dims/spacing/origin."""
+class EnsembleVolume(_Geometry):
+    """M member grids with identical dims/spacing/origin: the M samples of
+    every voxel, which the fits read as (chunk, M) row blocks.  Not modified
+    after construction; safe for concurrent reads."""
 
-    members: tuple[ScalarGrid, ...]
-
-    def __post_init__(self):
-        members = tuple(self.members)
+    def __init__(self, members):
+        members = tuple(members)
         if not members:
             raise VolumeError("an ensemble needs at least one member")
         first = members[0]
         for g in members[1:]:
             if (g.dims, g.spacing, g.origin) != (first.dims, first.spacing, first.origin):
                 raise VolumeError("ensemble members must be congruent")
-        object.__setattr__(self, "members", members)
+        self._members = members
+        self.dims, self.spacing, self.origin = first.dims, first.spacing, first.origin
+        self.member_count = len(members)
 
     @property
-    def member_count(self) -> int:
-        return len(self.members)
-
-    @property
-    def dims(self) -> Dims:
-        return self.members[0].dims
-
-    @property
-    def spacing(self) -> Vec3:
-        return self.members[0].spacing
-
-    @property
-    def origin(self) -> Vec3:
-        return self.members[0].origin
-
-    @property
-    def voxel_count(self) -> int:
-        return self.members[0].voxel_count
+    def members(self) -> tuple[ScalarGrid, ...]:
+        return self._members
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) block."""
-        return np.stack([g.values[lo:hi] for g in self.members], axis=1)
+        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64 block."""
+        return np.stack([g.values[lo:hi] for g in self._members], axis=1)
 
     def stacked(self) -> np.ndarray:
         """Member values as (nvox, M); the per-voxel sample sets."""
         return self.rows(0, self.voxel_count)
+
+
+def _with_fd(path, call, *args):
+    """call(fd, *args) on path opened for reading; FormatError when it cannot
+    be read."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return call(fd, *args)
+        finally:
+            os.close(fd)
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+
+
+class FileEnsemble(EnsembleVolume):
+    """An ensemble whose members stay on disk, one raw little-endian f32 file
+    per member grid.  Construction checks the geometry and that each file
+    holds exactly one grid; rows reads each block straight from the files, so
+    memory does not grow with the ensemble, and raises FormatError, naming the
+    file, for a non-finite value in the block."""
+
+    def __init__(self, paths, dims, spacing, origin):
+        self.dims, self.spacing, self.origin = dims, spacing, origin
+        self._check_geometry()
+        size = 4 * self.voxel_count
+        checked = []
+        for path in paths:  # stops at the first bad file of a long path iterable
+            found = _with_fd(path, os.fstat).st_size
+            if found != size:
+                raise FormatError(f"{path}: payload size {found} != {size}")
+            checked.append(path)
+        if not checked:
+            raise VolumeError("an ensemble needs at least one member")
+        self._paths = tuple(checked)
+        self.member_count = len(checked)
+
+    @property
+    def members(self) -> tuple[ScalarGrid, ...]:
+        """The member grids, read from the files on each access."""
+        return tuple(load_raw(p, self.dims, "f32", self.spacing, self.origin) for p in self._paths)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64
+        block: one positioned read per member file, one transposing copy."""
+        buf = np.empty((self.member_count, hi - lo), "<f4")
+        for path, row in zip(self._paths, buf):
+            if _with_fd(path, os.preadv, [row], 4 * lo) != row.nbytes:
+                raise FormatError(f"{path}: short read of voxels {lo}..{hi - 1}")
+        finite = np.isfinite(buf)
+        if not finite.all():
+            bad = self._paths[np.flatnonzero(~finite.all(axis=1))[0]]
+            raise FormatError(f"{bad}: non-finite f32 values")
+        return buf.T.astype(np.float64, order="C")
 
 
 # ---------------------------------------------------------------------------

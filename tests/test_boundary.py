@@ -44,6 +44,7 @@ SAMPLES = np.linspace(0.0, 1.0, 9)
 PROBES = {
     "grid-dims-fraction": lambda: grid(dims=(2.9, 2, 2)),
     "grid-dims-text": lambda: grid(dims=("a", 2, 2)),
+    "grid-dims-generator": lambda: grid(dims=(d for d in (2, 2, 2))),
     "grid-spacing-text": lambda: grid(spacing=("x", 1, 1)),
     "grid-spacing-none": lambda: grid(spacing=None),
     "volume-origin-text": lambda: DistributionVolume((2, 2, 2), (1, 1, 1), ("x", 0, 0),
@@ -54,6 +55,11 @@ PROBES = {
     "camera-width-fraction": lambda: camera(width=2.5),
     "camera-width-text": lambda: camera(width="4"),
     "camera-fov-text": lambda: camera(fov="x"),
+    "default-camera-direction-text": lambda: render.default_camera(mean_volume(), 4, 4,
+                                                                   direction="x"),
+    "image-pixels-text": lambda: render.Image(1, 1, "x"),
+    "image-pixel-beyond-f32": lambda: render.Image(1, 1, np.full((1, 1, 4), 1e39)),
+    "quantile-ragged-boundaries": lambda: volcore.QuantileModel(0.5, [[0, 1, 2], [0, 1]]),
     "coords-base-fraction": lambda: interp.TrilinearCoords((1.7, 0, 0), (0.5, 0.5, 0.5)),
     "job-step-text": lambda: job(step="x"),
     "tf1d-text-knot": lambda: classify.TransferFunction1D([["x", 0, 0, 0, 0], [1, 1, 1, 1, 1]]),
@@ -97,6 +103,9 @@ TARGETS = {
     "grid-origin": lambda v: grid(origin=v),
     "camera-width": lambda v: camera(width=v),
     "camera-height": lambda v: camera(height=v),
+    "camera-direction": lambda v: render.default_camera(mean_volume(), 4, 4, direction=v),
+    "image-pixels": lambda v: render.Image(1, 1, v),
+    "quantile-boundaries": lambda v: volcore.QuantileModel(0.5, v),
     "kde-bandwidth": lambda v: density.KdeConfig(bandwidth=v),
     "kde-lattice": lambda v: density.KdeConfig(lattice=v),
     "map-chunks-threads": lambda v: volcore.map_chunks(lambda lo, hi: hi - lo, 10, v, 4),

@@ -16,7 +16,8 @@ from uqdvr.density import (
     quantile_volumes_multi,
     silverman_bandwidth,
 )
-from uqdvr.synth import NoiseSpec, make_ensemble as make_noise_ensemble, sample_field
+from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_ensemble,
+                         sample_field, save_ensemble)
 from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
 
 
@@ -521,14 +522,18 @@ def _assert_same_bytes(model, params):
         assert getattr(model, name).tobytes() == want.tobytes(), name
 
 
+def _row_source_ensemble():
+    gt = sample_field("tangle", (17, 16, 16))
+    return make_noise_ensemble(gt, NoiseSpec(kind="bimodal", members=12, seed=4))
+
+
 class TestRowSourceFits:
     """Fits read (chunk, M) row blocks; 17*16*16 = 4352 voxels make one full
     chunk and a partial one."""
 
     @pytest.fixture(scope="class")
     def ens(self):
-        gt = sample_field("tangle", (17, 16, 16))
-        return make_noise_ensemble(gt, NoiseSpec(kind="bimodal", members=12, seed=4))
+        return _row_source_ensemble()
 
     @pytest.mark.parametrize("kind,kw", ROW_KINDS)
     def test_ensemble_fit_matches_whole_array_oracle(self, ens, kind, kw):
@@ -563,14 +568,14 @@ class TestRowSourceFits:
             raise AssertionError("stacked() called")
 
         blocks = []
-        rows = EnsembleVolume.rows
+        rows = type(ens).rows
 
         def recording_rows(self, lo, hi):
             blocks.append(hi - lo)
             return rows(self, lo, hi)
 
         monkeypatch.setattr(EnsembleVolume, "stacked", refuse)
-        monkeypatch.setattr(EnsembleVolume, "rows", recording_rows)
+        monkeypatch.setattr(type(ens), "rows", recording_rows)
         for kind, kw in ROW_KINDS:
             build_distribution_volume(ens, kind, **kw)
         quantile_volumes_multi(ens, [0.5, 0.125], threads=2)
@@ -587,3 +592,16 @@ class TestRowSourceFits:
             block = ens.rows(lo, hi)
             assert block.flags.c_contiguous and block.dtype == np.float64
             assert np.array_equal(block, full[lo:hi])
+
+
+class TestRowSourceFitsFromFiles(TestRowSourceFits):
+    """The same cases on the ensemble after save_ensemble/load_ensemble, whose
+    rows are read from the member files."""
+
+    test_hixel_fit_matches_whole_array_oracle = None  # reads no ensemble
+
+    @pytest.fixture(scope="class")
+    def ens(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ens")
+        save_ensemble(_row_source_ensemble(), path)
+        return load_ensemble(path)

@@ -65,3 +65,20 @@ def test_traced_fits_of_both_modes(tmp_path):
         ("mean", 512), ("quantile", 512), ("mean", 64), ("quantile", 64), ("gaussian", 64)]
     metrics = tracer.metrics(0)
     assert metrics["density.kde_s"] > 0 and metrics["density.const_voxels"] > 0
+
+
+def test_traced_estimate_from_saved_ensemble(tmp_path):
+    """The benchmark's traced estimate path: a file-backed ensemble, whose
+    constant voxels the tracer counts through its members."""
+    gt = synth.sample_field("constant(0.5)", (4, 4, 4))
+    synth.save_ensemble(synth.make_ensemble(gt, synth.NoiseSpec("gaussian", sigma=0.0,
+                                                                members=3)), tmp_path / "ens")
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert cli.main(["estimate", "--ensemble", str(tmp_path / "ens"), "--model", "gaussian",
+                         "--out", str(tmp_path / "g.dvol")]) == 0
+    finally:
+        tracer.restore()
+    fits = [s["attrs"] for s in tracer.spans if s["name"] == "density.fit"]
+    assert fits == [{"model": "gaussian", "voxels": 64, "const": 64}]

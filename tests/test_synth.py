@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from uqdvr.classify import TransferFunction2D
+from uqdvr.cli import main
+from uqdvr.density import build_distribution_volume
 from uqdvr.synth import (
     NoiseSpec,
     load_ensemble,
@@ -12,7 +16,7 @@ from uqdvr.synth import (
     sample_field,
     save_ensemble,
 )
-from uqdvr.volcore import VolumeError
+from uqdvr.volcore import EnsembleVolume, FormatError, VolumeError
 
 
 class TestSampleField:
@@ -149,6 +153,72 @@ class TestEnsembleIO:
         (tmp_path / "ensemble.txt").write_bytes(b"members=2\n\xff\xfe\n")
         with pytest.raises(VolumeError, match="cannot read"):
             load_ensemble(tmp_path)
+
+
+class TestFileEnsemble:
+    """load_ensemble checks the member files and the fits read them block by
+    block."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        gt = sample_field("tangle", (17, 16, 16))  # two 4,096-voxel blocks
+        save_ensemble(make_ensemble(gt, NoiseSpec("gaussian", members=3, seed=1)), tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("kind,kw", [("mean", {}), ("uniform", {}), ("gaussian", {}),
+                                         ("quantile", {"qval": 0.25}), ("gmm", {"k": 2}),
+                                         ("samples", {})])
+    def test_fit_matches_the_same_values_in_memory(self, saved, kind, kw):
+        files = load_ensemble(saved)
+        memory = EnsembleVolume(files.members)  # the f32 values, widened, in memory
+        a = build_distribution_volume(files, kind, threads=2, **kw).model
+        b = build_distribution_volume(memory, kind, **kw).model
+        for name, arr in vars(a).items():
+            if isinstance(arr, np.ndarray):
+                assert arr.tobytes() == getattr(b, name).tobytes(), name
+
+    def test_non_finite_member_value_fails_at_fit_time(self, saved, capsys):
+        member = saved / "member_001.f32raw"
+        values = np.fromfile(member, "<f4")
+        values[4300] = np.nan  # in the second block, read on a worker thread
+        values.tofile(member)
+        ens = load_ensemble(saved)
+        with pytest.raises(FormatError, match="member_001.f32raw: non-finite"):
+            build_distribution_volume(ens, "gaussian", threads=2)
+        code = main(["estimate", "--ensemble", str(saved), "--model", "mean",
+                     "--out", str(saved / "m.dvol")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: ") and "member_001.f32raw" in err
+        assert not (saved / "m.dvol").exists()
+
+    def test_truncated_member_fails_at_load(self, saved):
+        member = saved / "member_002.f32raw"
+        member.write_bytes(member.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="member_002.f32raw: payload size"):
+            load_ensemble(saved)
+
+    def test_missing_member_fails_at_load(self, saved):
+        (saved / "member_000.f32raw").unlink()
+        with pytest.raises(FormatError, match="cannot read .*member_000.f32raw"):
+            load_ensemble(saved)
+
+    def test_fit_memory_is_bounded_by_the_blocks(self, tmp_path):
+        dims, members = (48, 48, 48), 50
+        rng = np.random.default_rng(0)
+        for m in range(members):
+            rng.random(48**3, dtype=np.float32).tofile(tmp_path / f"member_{m:03d}.f32raw")
+        (tmp_path / "ensemble.txt").write_text(
+            f"members={members}\ndims=48,48,48\nspacing=1,1,1\norigin=0,0,0\n")
+        whole = 8 * 48**3 * members  # 44 MB of float64 samples
+        tracemalloc.start()
+        try:
+            vol = build_distribution_volume(load_ensemble(tmp_path), "gaussian", threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vol.dims == dims
+        assert peak < whole / 4, peak
 
 
 class TestBivariate:
