@@ -30,26 +30,24 @@ from .density import (
     fit_uniform,
 )
 from .interp import (
-    InterpolatedPdf,
+    GradientStencil,
     NumericDensity,
     TrilinearCoords,
+    gradient_stencil,
     interp_gaussian,
     interp_gmm_ordered,
     interp_uniform,
-    mc_oracle_interp,
     quantile_interp_1d,
     quantile_interp_3d,
     sample_gmm_mc,
 )
 from .classify import (
-    GradientStencil,
     TransferFunction1D,
     TransferFunction2D,
     expected_color_2d,
     expected_color_parametric,
     expected_color_quantile_mean,
     expected_color_quantile_range,
-    gradient_stencil,
 )
 from .render import (
     Camera,

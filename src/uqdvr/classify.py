@@ -18,9 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-# The gradient stencil lives in interp; its names stay importable from here.
-from .interp import (GradientStencil, NumericDensity, derivative_matrices,  # noqa: F401
-                     gradient_stencil)
+from .interp import GradientStencil, NumericDensity
 from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, read_file, read_headed_f32,
                       require_finite, require_int, require_positive)
 

@@ -134,28 +134,21 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _volume_for_render(args) -> DistributionVolume:
-    return load_volume(args.volume, dims=args.dims, encoding=args.encoding)
-
-
-def _job_from_args(args, volume) -> RenderJob:
+def _job_from_args(args) -> RenderJob:
+    volume = load_volume(args.volume, dims=args.dims, encoding=args.encoding)
     width, height = args.size
     cam = parse_camera(args.camera, volume, width, height)
     tf = resolve_tf1d(args.tf) if args.tf else None
     tf2 = load_tf2d(args.tf2d) if args.tf2d else None
-    mean_grid = None
-    if args.mean_volume:
-        mg = load_raw(args.mean_volume, volume.dims, "f32",
-                      volume.spacing, volume.origin)
-        mean_grid = mg
+    mean_grid = (load_raw(args.mean_volume, volume.dims, "f32", volume.spacing, volume.origin)
+                 if args.mean_volume else None)
     return RenderJob(volume, args.scheme, cam, tf=tf, tf2=tf2, step=args.step,
                      seed=args.seed, mean_grid=mean_grid,
                      mc_samples=args.mc_samples, tf2d_samples=args.tf2d_samples)
 
 
 def cmd_render(args) -> int:
-    volume = _volume_for_render(args)
-    job = _job_from_args(args, volume)
+    job = _job_from_args(args)
     _stage(f"render: scheme={args.scheme} size={args.size[0]}x{args.size[1]}")
     img = raycast(job, threads=_threads(args))
     save_image(img, args.out)
@@ -163,11 +156,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_quartiles(args) -> int:
-    volume = _volume_for_render(args)
     args.scheme = "quantile-range"
-    job = _job_from_args(args, volume)
+    job = _job_from_args(args)
     _stage("quartiles: lower / middle / upper")
-    views = render_quartile_views(volume, job, threads=_threads(args))
+    views = render_quartile_views(job.volume, job, threads=_threads(args))
     out = Path(args.out)
     for name, img in zip(("lower", "middle", "upper"), views):
         save_image(img, out.with_suffix(f".{name}{out.suffix or '.ppm'}"))

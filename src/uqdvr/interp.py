@@ -5,8 +5,8 @@ and bit 2 advances +z; alpha blends along x, beta along y, gamma along z.
 
 The renderer calls one batch kernel per computation: `locate` finds cells and
 corner weights, then one kernel per model blends the corner parameters it
-gathers through idx8.  The scalar APIs check their inputs and call the same
-kernels on one row; the rational form and the MC/KS oracles stay independent.
+gathers through idx8, each written with `blend`.  The scalar APIs check their
+inputs and call the same kernels on one row.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .density import KdeConfig
-from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, ScalarGrid, VolumeError,
-                      require_finite, require_int, require_ints, require_positive,
-                      sort_components)
-
-# The interpolated PDF has exactly the QuantilePdf shape.
-InterpolatedPdf = QuantilePdf
+from .volcore import (GmmModel, QuantilePdf, ScalarGrid, VolumeError, require_finite,
+                      require_int, require_ints, require_positive, sort_components)
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,12 @@ def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return _cell_weights(frac)[0]
 
 
+def blend(corners: np.ndarray, w8: np.ndarray) -> np.ndarray:
+    """(A, ...) blends of (A, 8, ...) corner parameters, gathered through
+    idx8, under (A, 8) corner weights w8: the one corner contraction."""
+    return np.einsum("ac,ac...->a...", w8, corners)
+
+
 def _vectors(*arrays) -> list[np.ndarray]:
     """The inputs as float64 vectors, checked to be congruent, nonempty and finite."""
     out = [require_finite(a, "inputs").ravel() for a in arrays]
@@ -112,7 +114,7 @@ def _vectors(*arrays) -> list[np.ndarray]:
     return out
 
 
-def quantile_interp_1d(a: QuantilePdf, b: QuantilePdf, alpha: float) -> InterpolatedPdf:
+def quantile_interp_1d(a: QuantilePdf, b: QuantilePdf, alpha: float) -> QuantilePdf:
     """Linear quantile interpolation: same-rank boundaries blend linearly.
 
     This realizes the 1D width rule w_j = alpha*w_bj + (1-alpha)*w_aj, so the
@@ -127,80 +129,18 @@ def _corner_boundary_matrix(corners: Sequence[QuantilePdf]) -> tuple[float, np.n
     return corners[0].qval, np.stack([c.boundaries for c in corners], axis=0)
 
 
-def blend_quantiles(boundaries: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
-    """(A, q+1) same-rank blends of the corner rows of (V, q+1) boundaries."""
-    return np.einsum("ac,acq->aq", w8, boundaries[idx8])
-
-
 def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float,
-                       gamma: float) -> InterpolatedPdf:
+                       gamma: float) -> QuantilePdf:
     """Trilinear quantile interpolation via the proven boundary-blend form."""
     qval, b = _corner_boundary_matrix(corners)
     w = corner_weights(alpha, beta, gamma)
-    return QuantilePdf(qval, blend_quantiles(b, np.arange(8)[None, :], w[None, :])[0])
-
-
-def quantile_interp_3d_rational(corners: Sequence[QuantilePdf], alpha: float, beta: float,
-                                gamma: float) -> np.ndarray:
-    """Per-piece densities from the rational form (terms t1..t7), kept as a
-    cross-check of the boundary-blend path; zero widths take the density floor."""
-    qval, b = _corner_boundary_matrix(corners)
-    widths = np.diff(b, axis=1)  # (8, q)
-    pr = qval / np.maximum(widths, EPS_WIDTH)
-    p1, p2, p3, p4, p5, p6, p7, p8 = pr
-
-    t1 = alpha * p1 + (1 - alpha) * p2
-    t2 = alpha * p3 + (1 - alpha) * p4
-    t3 = alpha * p5 + (1 - alpha) * p6
-    t4 = alpha * p7 + (1 - alpha) * p8
-    t5 = beta * p1 * p2 / t1 + (1 - beta) * p3 * p4 / t2
-    t6 = beta * p5 * p6 / t3 + (1 - beta) * p7 * p8 / t4
-    t7 = (gamma * p1 * p2 * p3 * p4 / (t1 * t2 * t5)
-          + (1 - gamma) * p5 * p6 * p7 * p8 / (t3 * t4 * t6))
-    return p1 * p2 * p3 * p4 * p5 * p6 * p7 * p8 / (t1 * t2 * t3 * t4 * t5 * t6 * t7)
-
-
-def mc_oracle_interp(corner_samples: Sequence[np.ndarray], weights, n: int,
-                     seed: int, coupling: str = "ordered") -> np.ndarray:
-    """Monte Carlo oracle for X = sum_i w_i X_i by with-replacement resampling
-    from the corner sample sets (test-only).  Returns sorted realizations.
-
-    coupling "ordered": every realization draws one shared rank u and combines
-    the corners' same-rank empirical quantiles, matching the order-statistics
-    coupling that quantile interpolation realizes.  coupling "independent":
-    each corner is resampled independently, matching the convolution semantics
-    of the parametric interpolation routes.
-    """
-    if len(corner_samples) != len(tuple(weights)):
-        raise VolumeError("one weight per corner sample set")
-    n = require_int(n, "n")
-    if coupling not in ("ordered", "independent"):
-        raise VolumeError(f"unknown coupling {coupling!r}")
-    sorted_sets = [np.sort(_vectors(s)[0]) for s in corner_samples]
-    rng = np.random.default_rng(seed)
-    out = np.zeros(n)
-    if coupling == "ordered":
-        u = rng.random(n)
-        for w, s in zip(weights, sorted_sets):
-            idx = np.minimum((u * s.size).astype(np.int64), s.size - 1)
-            out += w * s[idx]
-    else:
-        for w, s in zip(weights, sorted_sets):
-            out += w * s[rng.integers(0, s.size, n)]
-    return np.sort(out)
-
-
-def blend_mean(values: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
-    """(A,) trilinear blends of the corner entries of (V,) values."""
-    return np.einsum("ac,ac->a", w8, values[idx8])
+    return QuantilePdf(qval, blend(b[None], w[None])[0])
 
 
 def blend_gaussian(mean: np.ndarray, sigma: np.ndarray, idx8: np.ndarray,
                    w8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A,) mu = sum w mu_i and sigma = sqrt(sum w^2 sigma_i^2) over the corners."""
-    mu = blend_mean(mean, idx8, w8)
-    var = np.einsum("ac,ac->a", w8 * w8, sigma[idx8] ** 2)
-    return mu, np.sqrt(var)
+    return blend(mean[idx8], w8), np.sqrt(blend(sigma[idx8] ** 2, w8 * w8))
 
 
 def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
@@ -327,12 +267,9 @@ def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray
                       idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
     """(A, k) rank-matched blends of (V, k) mixtures sorted by mean: weights
     (renormalized) and means blend linearly, variances quadratically."""
-    ws = np.einsum("ac,ack->ak", w8, weights[idx8])
+    ws = blend(weights[idx8], w8)
     ws /= ws.sum(axis=1, keepdims=True)
-    mus = np.einsum("ac,ack->ak", w8, means[idx8])
-    cs = sigmas[idx8]
-    sgs = np.sqrt(np.einsum("ac,ack->ak", w8 * w8, cs * cs))
-    return ws, mus, sgs
+    return ws, blend(means[idx8], w8), np.sqrt(blend(sigmas[idx8] ** 2, w8 * w8))
 
 
 def _gmm_corners(corner_gmms: Sequence[GmmModel], weights):
@@ -382,31 +319,6 @@ def sample_gmm_mc(corner_gmms: Sequence[GmmModel], weights, n: int, seed: int) -
     x = sample_gmm_batch(*params, np.arange(w.size)[None, :], w[None, :], n,
                          np.random.default_rng(seed))
     return np.sort(x[0])
-
-
-def ks_distance(pdf: QuantilePdf, samples: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance between a quantile pdf's piecewise-linear
-    CDF and the empirical CDF of a sample list."""
-    s = np.sort(_vectors(samples)[0])
-    n = s.size
-    f = pdf.cdf(s)
-    lo = np.arange(n) / n
-    hi = np.arange(1, n + 1) / n
-    d_samples = max(np.max(np.abs(f - lo)), np.max(np.abs(f - hi)))
-    # The CDF difference is also extremal where the piecewise CDF has kinks.
-    masses = np.arange(pdf.q + 1) * pdf.qval
-    emp_at_b = np.searchsorted(s, pdf.boundaries, side="right") / n
-    d_knots = np.max(np.abs(masses - emp_at_b))
-    return float(max(d_samples, d_knots))
-
-
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample KS distance between sorted or unsorted sample lists."""
-    a, b = (np.sort(_vectors(v)[0]) for v in (a, b))
-    allv = np.concatenate([a, b])
-    fa = np.searchsorted(a, allv, side="right") / a.size
-    fb = np.searchsorted(b, allv, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ class _SchemeState:
 
 
 def _mean_rgba(job, m, c, state, rng):
-    return job.tf.sample(interp.blend_mean(m.values, c.idx8, c.w8))
+    return job.tf.sample(interp.blend(m.values[c.idx8], c.w8))
 
 
 def _gaussian_rgba(job, m, c, state, rng):
@@ -246,7 +246,7 @@ def _uniform_rgba(job, m, c, state, rng):
 
 def _blended_quantiles(job, m, c):
     """Blended boundaries over the job's quantile subrange, and their qval."""
-    bnd, qval = interp.blend_quantiles(m.boundaries, c.idx8, c.w8), m.qval
+    bnd, qval = interp.blend(m.boundaries[c.idx8], c.w8), m.qval
     if job.quantile_subrange is not None:
         lo, hi = job.quantile_subrange
         bnd, qval = bnd[:, lo:hi + 1], 1.0 / (hi - lo)

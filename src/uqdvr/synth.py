@@ -110,13 +110,24 @@ def _nested_spheres(x, y, z, half_extent):
     return out
 
 
-def sample_field(name: str, dims, box=None) -> ScalarGrid:
-    """Evaluate a named closed-form field on the voxel lattice and min-max
-    normalize to [0, 1]; zero-range fields pass through unnormalized."""
+def _normalized_grid(dims, box, vals: np.ndarray) -> ScalarGrid:
+    """vals on the lattice of box, min-max normalized to [0, 1]; zero-range
+    values pass through unnormalized."""
+    vals = vals.ravel()
+    lo, hi = vals.min(), vals.max()
+    if hi > lo:
+        vals = (vals - lo) / (hi - lo)
+    (x0, y0, z0), (x1, y1, z1) = box
+    spacing = ((x1 - x0) / (dims[0] - 1), (y1 - y0) / (dims[1] - 1), (z1 - z0) / (dims[2] - 1))
+    return ScalarGrid(dims, spacing, (x0, y0, z0), vals)
+
+
+def sample_field(name: str, dims) -> ScalarGrid:
+    """Evaluate a named closed-form field on the voxel lattice of its default
+    box and min-max normalize to [0, 1]."""
     dims = require_ints(dims, 3, "field dims", 2)
     kind, args = parse_field_name(name)
-    if box is None:
-        box = _DEFAULT_BOXES.get(kind, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+    box = _DEFAULT_BOXES.get(kind, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     x, y, z = _lattice(dims, box)
     if kind == "tangle":
         vals = _tangle(x, y, z)
@@ -136,13 +147,7 @@ def sample_field(name: str, dims, box=None) -> ScalarGrid:
         vals = np.full_like(x, args[0])
     else:
         raise VolumeError(f"unknown field {kind!r}")
-    vals = vals.ravel()
-    lo, hi = vals.min(), vals.max()
-    if hi > lo:
-        vals = (vals - lo) / (hi - lo)
-    (x0, y0, z0), (x1, y1, z1) = box
-    spacing = ((x1 - x0) / (dims[0] - 1), (y1 - y0) / (dims[1] - 1), (z1 - z0) / (dims[2] - 1))
-    return ScalarGrid(dims, spacing, (x0, y0, z0), vals)
+    return _normalized_grid(dims, box, vals)
 
 
 def _member_rng(seed: int, member: int) -> np.random.Generator:
@@ -185,16 +190,7 @@ def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
     a = np.exp(-1.6 * r2)
     rs2 = (x - 0.15) ** 2 + (y - 0.1) ** 2 + (z + 0.05) ** 2
     b = np.exp(-1.1 * rs2) ** 1.7
-
-    def norm(v):
-        v = v.ravel()
-        lo, hi = v.min(), v.max()
-        return (v - lo) / (hi - lo) if hi > lo else v
-
-    spacing = (2.0 / (dims[0] - 1), 2.0 / (dims[1] - 1), 2.0 / (dims[2] - 1))
-    ga = ScalarGrid(dims, spacing, box[0], norm(a))
-    gb = ScalarGrid(dims, spacing, box[0], norm(b))
-    return ga, gb
+    return _normalized_grid(dims, box, a), _normalized_grid(dims, box, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,101 @@
+"""Independent oracles of the interpolation tests: the rational per-piece form
+of trilinear quantile interpolation, a Monte Carlo resampling oracle, and
+Kolmogorov-Smirnov distances.  They use only the public API of uqdvr, so
+they check the package's kernels without sharing code with them."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from uqdvr.volcore import EPS_WIDTH, QuantilePdf, VolumeError, require_finite, require_int
+
+
+def _vectors(*arrays) -> list[np.ndarray]:
+    """The inputs as float64 vectors, checked to be congruent, nonempty and finite."""
+    out = [require_finite(a, "inputs").ravel() for a in arrays]
+    if out[0].size == 0 or any(a.size != out[0].size for a in out):
+        raise VolumeError("inputs must be nonempty vectors of one shared length")
+    return out
+
+
+def _corner_boundary_matrix(corners: Sequence[QuantilePdf]) -> tuple[float, np.ndarray]:
+    if len(corners) != 8 or len({(c.qval, c.q) for c in corners}) != 1:
+        raise VolumeError("trilinear interpolation needs 8 corner pdfs sharing qval")
+    return corners[0].qval, np.stack([c.boundaries for c in corners], axis=0)
+
+
+def quantile_interp_3d_rational(corners: Sequence[QuantilePdf], alpha: float, beta: float,
+                                gamma: float) -> np.ndarray:
+    """Per-piece densities from the rational form (terms t1..t7), kept as a
+    cross-check of the boundary-blend path; zero widths take the density floor."""
+    qval, b = _corner_boundary_matrix(corners)
+    widths = np.diff(b, axis=1)  # (8, q)
+    pr = qval / np.maximum(widths, EPS_WIDTH)
+    p1, p2, p3, p4, p5, p6, p7, p8 = pr
+
+    t1 = alpha * p1 + (1 - alpha) * p2
+    t2 = alpha * p3 + (1 - alpha) * p4
+    t3 = alpha * p5 + (1 - alpha) * p6
+    t4 = alpha * p7 + (1 - alpha) * p8
+    t5 = beta * p1 * p2 / t1 + (1 - beta) * p3 * p4 / t2
+    t6 = beta * p5 * p6 / t3 + (1 - beta) * p7 * p8 / t4
+    t7 = (gamma * p1 * p2 * p3 * p4 / (t1 * t2 * t5)
+          + (1 - gamma) * p5 * p6 * p7 * p8 / (t3 * t4 * t6))
+    return p1 * p2 * p3 * p4 * p5 * p6 * p7 * p8 / (t1 * t2 * t3 * t4 * t5 * t6 * t7)
+
+
+def mc_oracle_interp(corner_samples: Sequence[np.ndarray], weights, n: int,
+                     seed: int, coupling: str = "ordered") -> np.ndarray:
+    """Monte Carlo oracle for X = sum_i w_i X_i by with-replacement resampling
+    from the corner sample sets (test-only).  Returns sorted realizations.
+
+    coupling "ordered": every realization draws one shared rank u and combines
+    the corners' same-rank empirical quantiles, matching the order-statistics
+    coupling that quantile interpolation realizes.  coupling "independent":
+    each corner is resampled independently, matching the convolution semantics
+    of the parametric interpolation routes.
+    """
+    if len(corner_samples) != len(tuple(weights)):
+        raise VolumeError("one weight per corner sample set")
+    n = require_int(n, "n")
+    if coupling not in ("ordered", "independent"):
+        raise VolumeError(f"unknown coupling {coupling!r}")
+    sorted_sets = [np.sort(_vectors(s)[0]) for s in corner_samples]
+    rng = np.random.default_rng(seed)
+    out = np.zeros(n)
+    if coupling == "ordered":
+        u = rng.random(n)
+        for w, s in zip(weights, sorted_sets):
+            idx = np.minimum((u * s.size).astype(np.int64), s.size - 1)
+            out += w * s[idx]
+    else:
+        for w, s in zip(weights, sorted_sets):
+            out += w * s[rng.integers(0, s.size, n)]
+    return np.sort(out)
+
+
+def ks_distance(pdf: QuantilePdf, samples: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between a quantile pdf's piecewise-linear
+    CDF and the empirical CDF of a sample list."""
+    s = np.sort(_vectors(samples)[0])
+    n = s.size
+    f = pdf.cdf(s)
+    lo = np.arange(n) / n
+    hi = np.arange(1, n + 1) / n
+    d_samples = max(np.max(np.abs(f - lo)), np.max(np.abs(f - hi)))
+    # The CDF difference is also extremal where the piecewise CDF has kinks.
+    masses = np.arange(pdf.q + 1) * pdf.qval
+    emp_at_b = np.searchsorted(s, pdf.boundaries, side="right") / n
+    d_knots = np.max(np.abs(masses - emp_at_b))
+    return float(max(d_samples, d_knots))
+
+
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS distance between sorted or unsorted sample lists."""
+    a, b = (np.sort(_vectors(v)[0]) for v in (a, b))
+    allv = np.concatenate([a, b])
+    fa = np.searchsorted(a, allv, side="right") / a.size
+    fb = np.searchsorted(b, allv, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))

@@ -19,22 +19,16 @@ from uqdvr.classify import (
     expected_color_2d,
     expected_color_quantile_mean,
     expected_color_quantile_range,
-    gradient_stencil,
 )
 from uqdvr.cli import main as cli_main
 from uqdvr.cli import run_experiment
 from uqdvr.density import KdeConfig, build_distribution_volume, estimate_quantiles
-from uqdvr.interp import (
-    corner_weights,
-    ks_distance,
-    mc_oracle_interp,
-    quantile_interp_3d,
-    quantile_interp_3d_rational,
-    trilinear_coords,
-)
+from uqdvr.interp import corner_weights, gradient_stencil, quantile_interp_3d, trilinear_coords
 from uqdvr.render import RenderJob, default_camera, diff_image, raycast, render_quartile_views
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field
 from uqdvr.volcore import DistributionVolume, QuantileModel, QuantilePdf, ScalarGrid
+
+from oracles import ks_distance, mc_oracle_interp, quantile_interp_3d_rational
 
 pytestmark = pytest.mark.slow
 

@@ -10,14 +10,12 @@ from uqdvr.classify import (
     GradientStencil,
     TransferFunction1D,
     TransferFunction2D,
-    derivative_matrices,
     expected_color_2d,
     expected_color_2d_batch,
     expected_color_parametric,
     expected_color_quantile_mean,
     expected_color_quantile_range,
     gauss_hermite_batch,
-    gradient_stencil,
     load_tf1d,
     load_tf2d,
     quantile_range_batch,
@@ -26,7 +24,8 @@ from uqdvr.classify import (
     sobol_points,
 )
 from uqdvr.density import GmmModel
-from uqdvr.interp import NumericDensity, TrilinearCoords, trilinear_coords
+from uqdvr.interp import (NumericDensity, TrilinearCoords, derivative_matrices, gradient_stencil,
+                          trilinear_coords)
 from uqdvr.render import Image, load_image_f32, save_image
 from uqdvr.synth import load_ensemble, save_ensemble
 from uqdvr.volcore import (

@@ -9,18 +9,16 @@ from uqdvr.interp import (
     interp_gaussian,
     interp_gmm_ordered,
     interp_uniform,
-    ks_distance,
-    ks_two_sample,
-    mc_oracle_interp,
     quantile_interp_1d,
     quantile_interp_3d,
-    quantile_interp_3d_rational,
     sample_gmm_mc,
     trilinear_coords,
     uniform_lattice_len,
     uniform_sum_density_batch,
 )
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
+
+from oracles import ks_distance, ks_two_sample, mc_oracle_interp, quantile_interp_3d_rational
 
 
 def random_pdf(rng, q=4, min_width=1e-3, max_width=2.0):
@@ -472,7 +470,7 @@ class TestScalarWrappersRaiseVolumeError:
 
 class TestScalarWrappersShareTheBatchKernels:
     def test_one_row_of_the_batch_kernels(self):
-        from uqdvr.interp import blend_gaussian, blend_quantiles, locate
+        from uqdvr.interp import blend, blend_gaussian, locate
 
         rng = np.random.default_rng(21)
         dims, spacing, origin = (5, 4, 6), (0.5, 1.5, 0.75), (-1.0, 2.0, 0.3)
@@ -480,7 +478,7 @@ class TestScalarWrappersShareTheBatchKernels:
         cells = locate(dims, spacing, origin, pos)
         corners = [random_pdf(rng) for _ in range(8)]
         bounds = np.stack([c.boundaries for c in corners])
-        blended = blend_quantiles(bounds, np.tile(np.arange(8), (30, 1)), cells.w8)
+        blended = blend(bounds[np.tile(np.arange(8), (30, 1))], cells.w8)
         mus, sgs = rng.normal(size=8), rng.random(8)
         mu, sg = blend_gaussian(mus, sgs, np.tile(np.arange(8), (30, 1)), cells.w8)
         for i, p in enumerate(pos):

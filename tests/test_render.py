@@ -568,10 +568,11 @@ class TestRenderMatchesScalarPipeline:
     def test_rows_agree(self, scheme):
         from uqdvr.classify import (expected_color_2d, expected_color_parametric,
                                     expected_color_quantile_mean,
-                                    expected_color_quantile_range, gradient_stencil)
+                                    expected_color_quantile_range)
         from uqdvr.density import KdeConfig
-        from uqdvr.interp import (corner_weights, interp_gaussian, interp_gmm_ordered,
-                                  interp_uniform, quantile_interp_3d, trilinear_coords)
+        from uqdvr.interp import (corner_weights, gradient_stencil, interp_gaussian,
+                                  interp_gmm_ordered, interp_uniform, quantile_interp_3d,
+                                  trilinear_coords)
         from uqdvr.volcore import GmmModel, QuantilePdf
 
         job = small_job(scheme)
