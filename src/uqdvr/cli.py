@@ -180,13 +180,6 @@ def cmd_diff(args) -> int:
 # Experiment pipeline
 
 
-def _resolve_manifest_camera(manifest, volume, width, height) -> Camera:
-    cam = manifest.get("camera", "preset:tangle")
-    if isinstance(cam, str):
-        return parse_camera(cam, volume, width, height)
-    return parse_camera(",".join(str(v) for v in cam), volume, width, height)
-
-
 def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     """Execute a manifest end to end; returns the result rows and writes
     images plus results.csv (scheme, q, M, rmse) under outdir.
@@ -196,6 +189,10 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     ground truth as one ensemble on the brick-centre lattice."""
     try:
         field, dims = manifest["field"], require_ints(manifest["dims"], 3, "dims")
+        tf, cam = manifest.get("tf", "preset:tangle"), manifest.get("camera", "preset:tangle")
+        if not (isinstance(field, str) and isinstance(tf, str)):
+            raise TypeError("field and tf must be text")
+        cam = cam if isinstance(cam, str) else ",".join(str(v) for v in cam)
         mode = manifest.get("mode", "ensemble")
         width, height = require_ints(manifest.get("size", [256, 256]), 2, "image size")
         step = float(require_positive(manifest.get("step", 0.5), "step", ()))
@@ -224,8 +221,8 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     else:
         sample_sets = (make_ensemble(gt, spec) for spec in specs)
     gt_vol = DistributionVolume(gt.dims, gt.spacing, gt.origin, MeanFieldModel(gt.values))
-    tf = resolve_tf1d(manifest.get("tf", "preset:tangle"))
-    camera = _resolve_manifest_camera(manifest, gt_vol, width, height)
+    tf = resolve_tf1d(tf)
+    camera = parse_camera(cam, gt_vol, width, height)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -366,7 +363,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except VolumeError as e:
+    except (VolumeError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

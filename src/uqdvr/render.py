@@ -123,10 +123,8 @@ class Image:
         width, height = require_ints((self.width, self.height), 2, "image size", 0)
         if width < 1 or height < 1:
             raise VolumeError("image size must be positive")
-        # Checked after the float32 narrowing, which turns values beyond its range into inf.
-        with np.errstate(over="ignore"):
-            p = require_finite(self.pixels, "image channels", (height, width, 4), np.float32)
-        object.__setattr__(self, "pixels", p)
+        pixels = require_finite(self.pixels, "image channels", (height, width, 4), np.float32)
+        object.__setattr__(self, "pixels", pixels)
 
 
 @dataclass(frozen=True)
@@ -398,9 +396,9 @@ def diff_image(img: Image, ref: Image, scale: float | None = None) -> tuple[Imag
     signed = a - b
     d = np.abs(signed)
     rmse = float(np.sqrt(np.mean(d * d)))
-    scale = float(d.max() if scale is None else require_finite(scale, "diff scale", ()))
-    if scale <= 0:
-        scale = 1.0
+    if scale is None:  # identical images have no difference to scale by
+        scale = d.max() or 1.0
+    scale = float(require_positive(scale, "diff scale", ()))
     t = np.clip(signed / scale, -1.0, 1.0)
     w = np.abs(t)[..., None]
     cold = (1 - w) * DIVERGING_WHITE + w * DIVERGING_BLUE

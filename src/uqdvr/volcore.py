@@ -50,9 +50,11 @@ class FormatError(VolumeError):
 
 def _floats(values, shape, dtype=np.float64) -> np.ndarray | None:
     """values as a C-contiguous float array of dtype, or None unless they are
-    numbers (in the given shape, when there is one)."""
+    numbers (in the given shape, when there is one).  A narrowing dtype turns
+    values beyond its range into inf."""
     try:
-        a = np.require(values, dtype, "C")
+        with np.errstate(over="ignore"):
+            a = np.require(values, dtype, "C")
     except (TypeError, ValueError, OverflowError):
         return None
     return a if shape is None or a.shape == shape else None
@@ -623,6 +625,12 @@ def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.
     return ScalarGrid(dims, spacing, origin, vals)
 
 
+def _f32(values: np.ndarray, path) -> np.ndarray:
+    """values narrowed to little-endian f32; VolumeError, before anything is
+    written, for a value beyond the f32 range, which the loaders would reject."""
+    return require_finite(values, f"{path}: values narrowed to f32", dtype="<f4")
+
+
 def save_raw(grid: ScalarGrid, path, encoding: str) -> None:
     """Write a raw volume file; integer encodings assume values in [0, 1]."""
     if encoding not in RAW_ENCODINGS:
@@ -632,7 +640,7 @@ def save_raw(grid: ScalarGrid, path, encoding: str) -> None:
     if denom is not None:
         out = np.clip(np.rint(vals * denom), 0, denom).astype(dtype)
     else:
-        out = vals.astype(dtype)
+        out = _f32(vals, path)
     Path(path).write_bytes(out.tobytes())
 
 
@@ -652,7 +660,7 @@ def save_qvol(volume: DistributionVolume, path) -> None:
     header = _QVOL_HEADER.pack(
         QVOL_MAGIC, *volume.dims, *volume.spacing, *volume.origin, m.q, m.qval
     )
-    payload = m.boundaries.astype("<f4").tobytes()
+    payload = _f32(m.boundaries, path).tobytes()
     Path(path).write_bytes(header + payload)
 
 
@@ -684,7 +692,7 @@ def save_dvol(volume: DistributionVolume, path) -> None:
     header = _DVOL_HEADER.pack(DVOL_MAGIC, _DVOL_MODELS.index(type(m)), *volume.dims,
                                *volume.spacing, *volume.origin,
                                getattr(m, m.WIDTH) if m.WIDTH else 0)
-    payload = np.stack([getattr(m, f).astype("<f4") for f in m.FIELDS], axis=-1)
+    payload = np.stack([_f32(getattr(m, f), path) for f in m.FIELDS], axis=-1)
     Path(path).write_bytes(header + payload.tobytes())
 
 

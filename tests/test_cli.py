@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from uqdvr.cli import main, run_experiment
+from uqdvr.render import Image, save_image
+from uqdvr.synth import NoiseSpec, make_ensemble, sample_field, save_ensemble
 from uqdvr.volcore import load_qvol
 
 
@@ -64,8 +66,14 @@ class TestMalformedInput:
                              ("members-fraction", {"members": [2.5]}),
                              ("lattice-fraction", {"kde_lattice": 100.5}),
                              ("brick-zero", {"mode": "hixel", "brick": [0, 4, 4]}),
-                             ("brick-indivisible", {"mode": "hixel", "brick": [3, 4, 4]}))},
+                             ("brick-indivisible", {"mode": "hixel", "brick": [3, 4, 4]}),
+                             ("field-number", {"field": 5}), ("tf-number", {"tf": 5}),
+                             ("camera-number", {"camera": 5}))},
     }
+
+    # Outputs that cannot be written; these fail after a stage line is printed.
+    OUT_CASES = ("estimate-out-missing-dir", "estimate-out-dot", "render-out-missing-dir",
+                 "diff-out-missing-dir", "gen-out-file")
 
     @pytest.mark.parametrize("case", ["camera", "noise", "field", "empty-manifest", "bad-json",
                                       "unknown-model", "noise-key", "short-dims",
@@ -74,7 +82,8 @@ class TestMalformedInput:
                                       "mean-quantile-scheme", "unknown-mode", "dims-fraction",
                                       "members-fraction", "lattice-fraction",
                                       "brick-zero", "brick-indivisible", "estimate-brick-zero",
-                                      "estimate-brick-negative"])
+                                      "estimate-brick-negative", "field-number", "tf-number",
+                                      "camera-number", "diff-scale-negative", *OUT_CASES])
     def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
         raw = tmp_path / "v.f32raw"
         raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
@@ -83,6 +92,12 @@ class TestMalformedInput:
         gen = ["gen", "--dims", "4,4,4", "--out", str(tmp_path / "ens")]
         manifest = tmp_path / "m.json"
         manifest.write_text(self.MANIFESTS.get(case, "{}"))
+        save_image(Image(2, 2, np.zeros((2, 2, 4))), tmp_path / "a.ppm")
+        diff = ["diff", "--img", str(tmp_path / "a.ppm.f32"), "--ref", str(tmp_path / "a.ppm.f32")]
+        save_ensemble(make_ensemble(sample_field("constant(0.5)", (2, 2, 2)),
+                                    NoiseSpec("gaussian", members=2)), tmp_path / "e")
+        estimate = ["estimate", "--ensemble", str(tmp_path / "e"), "--model", "mean"]
+        nodir = str(tmp_path / "nodir" / "x")
         argv = {
             "camera": render + ["--tf", "preset:tangle", "--camera", "1,2,x,0,0,0,0,0,1,30"],
             "noise": gen + ["--field", "tangle", "--noise", "bimodal:foo"],
@@ -96,12 +111,20 @@ class TestMalformedInput:
             "estimate-brick-negative": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
                                         "--brick=-2,4,4", "--model", "mean",
                                         "--out", str(tmp_path / "h.dvol")],
+            "diff-scale-negative": diff + ["--scale", "-1"],
+            "estimate-out-missing-dir": estimate + ["--out", nodir],
+            "estimate-out-dot": estimate + ["--out", "."],
+            "render-out-missing-dir": render + ["--tf", "preset:tangle", "--out", nodir],
+            "diff-out-missing-dir": diff + ["--out", nodir],
+            "gen-out-file": gen + ["--field", "tangle", "--out", str(raw)],
         }.get(case, ["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
         if case == "threads-env":
             monkeypatch.setenv("UQDVR_THREADS", "abc")
+        monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(argv, capsys)
-        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, err
-        assert not (tmp_path / "ens").exists()
+        assert code == 2 and err.splitlines()[-1].startswith("error: "), err
+        assert "Traceback" not in err and (err.startswith("error: ") or case in self.OUT_CASES)
+        assert not (tmp_path / "ens").exists() and not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("case", ["threads-zero", "threads-negative", "threads-env-zero"])
     def test_thread_counts_below_one_exit_2(self, tmp_path, capsys, monkeypatch, case):

@@ -222,6 +222,38 @@ class TestDvol:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == self.GOLDEN[kind]
 
 
+class TestF32Payloads:
+    """Every saver narrows its f32 payload before writing: a value beyond the
+    f32 range is a VolumeError that leaves no file, and the range's ends
+    still reload."""
+
+    SAVERS = {
+        "raw": lambda x, p: save_raw(ScalarGrid((2, 1, 1), (1, 1, 1), (0, 0, 0), x), p, "f32"),
+        "qvol": lambda x, p: save_qvol(DistributionVolume((2, 1, 1), (1, 1, 1), (0, 0, 0),
+                                                          QuantileModel(1.0, np.sort(x)[None, :]
+                                                                        .repeat(2, 0))), p),
+        "dvol": lambda x, p: volcore.save_dvol(DistributionVolume((2, 1, 1), (1, 1, 1), (0, 0, 0),
+                                                                  MeanFieldModel(x)), p),
+    }
+
+    @pytest.mark.parametrize("saver", sorted(SAVERS))
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e300])
+    def test_beyond_f32_is_a_volume_error_and_no_file(self, tmp_path, saver, value):
+        p = tmp_path / "out"
+        with pytest.raises(VolumeError, match="f32"):
+            self.SAVERS[saver](np.array([0.0, value]), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("saver", sorted(SAVERS))
+    def test_f32_range_ends_round_trip(self, tmp_path, saver):
+        p = tmp_path / "out"
+        x = np.array([-3.4e38, 3.4e38])
+        self.SAVERS[saver](x, p)
+        vol = volcore.load_volume(p, dims=(2, 1, 1))
+        got = vol.model.boundaries[0] if saver == "qvol" else vol.model.values
+        np.testing.assert_array_equal(got, x.astype(np.float32))
+
+
 class TestVoxelPdf:
     def test_uniform_quartiles(self):
         m = UniformModel(np.array([0.5]), np.array([1.0]))
