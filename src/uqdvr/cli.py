@@ -112,6 +112,7 @@ def cmd_gen(args) -> int:
 def cmd_estimate(args) -> int:
     threads = _threads(args)
     cfg = KdeConfig(lattice=args.kde_lattice)
+    mean_grid = None
     if args.brick is not None:
         if args.volume is None or args.dims is None:
             raise VolumeError("hixel estimation needs --volume and --dims")
@@ -119,7 +120,6 @@ def cmd_estimate(args) -> int:
         vol, mean_grid = downsample_hixel(hi, args.brick, args.model, qval=args.qval,
                                           k=args.k, config=cfg, threads=threads)
         _stage(f"estimate: fitted hixel {args.model} brick={args.brick}")
-        save_raw(mean_grid, Path(args.out).with_suffix(".mean.f32raw"), "f32")
     else:
         if args.ensemble is None:
             raise VolumeError("estimation needs --ensemble or --volume with --brick")
@@ -131,6 +131,8 @@ def cmd_estimate(args) -> int:
         save_qvol(vol, args.out)
     else:
         save_dvol(vol, args.out)
+    if mean_grid is not None:  # after the save that rejects an --out such as "."
+        save_raw(mean_grid, Path(args.out).with_suffix(".mean.f32raw"), "f32")
     return 0
 
 

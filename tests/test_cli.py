@@ -72,8 +72,8 @@ class TestMalformedInput:
     }
 
     # Outputs that cannot be written; these fail after a stage line is printed.
-    OUT_CASES = ("estimate-out-missing-dir", "estimate-out-dot", "render-out-missing-dir",
-                 "diff-out-missing-dir", "gen-out-file")
+    OUT_CASES = ("estimate-out-missing-dir", "estimate-out-dot", "estimate-hixel-out-dot",
+                 "render-out-missing-dir", "diff-out-missing-dir", "gen-out-file")
 
     @pytest.mark.parametrize("case", ["camera", "noise", "field", "empty-manifest", "bad-json",
                                       "unknown-model", "noise-key", "short-dims",
@@ -114,6 +114,8 @@ class TestMalformedInput:
             "diff-scale-negative": diff + ["--scale", "-1"],
             "estimate-out-missing-dir": estimate + ["--out", nodir],
             "estimate-out-dot": estimate + ["--out", "."],
+            "estimate-hixel-out-dot": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
+                                       "--brick", "1,1,1", "--model", "mean", "--out", "."],
             "render-out-missing-dir": render + ["--tf", "preset:tangle", "--out", nodir],
             "diff-out-missing-dir": diff + ["--out", nodir],
             "gen-out-file": gen + ["--field", "tangle", "--out", str(raw)],
