@@ -158,11 +158,13 @@ def cmd_render(args) -> int:
 
 
 def cmd_quartiles(args) -> int:
+    out = Path(args.out)
+    if not out.name:  # the three view names derive from it
+        raise VolumeError(f"--out {args.out!r} names no file")
     args.scheme = "quantile-range"
     job = _job_from_args(args)
     _stage("quartiles: lower / middle / upper")
     views = render_quartile_views(job.volume, job, threads=_threads(args))
-    out = Path(args.out)
     for name, img in zip(("lower", "middle", "upper"), views):
         save_image(img, out.with_suffix(f".{name}{out.suffix or '.ppm'}"))
     return 0

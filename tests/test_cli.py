@@ -6,7 +6,7 @@ import pytest
 from uqdvr.cli import main, run_experiment
 from uqdvr.render import Image, save_image
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field, save_ensemble
-from uqdvr.volcore import load_qvol
+from uqdvr.volcore import DistributionVolume, QuantileModel, load_qvol, save_qvol
 
 
 def run_cli(argv, capsys):
@@ -73,7 +73,8 @@ class TestMalformedInput:
 
     # Outputs that cannot be written; these fail after a stage line is printed.
     OUT_CASES = ("estimate-out-missing-dir", "estimate-out-dot", "estimate-hixel-out-dot",
-                 "render-out-missing-dir", "diff-out-missing-dir", "gen-out-file")
+                 "render-out-missing-dir", "quartiles-out-dot", "diff-out-missing-dir",
+                 "gen-out-file")
 
     @pytest.mark.parametrize("case", ["camera", "noise", "field", "empty-manifest", "bad-json",
                                       "unknown-model", "noise-key", "short-dims",
@@ -97,6 +98,9 @@ class TestMalformedInput:
         save_ensemble(make_ensemble(sample_field("constant(0.5)", (2, 2, 2)),
                                     NoiseSpec("gaussian", members=2)), tmp_path / "e")
         estimate = ["estimate", "--ensemble", str(tmp_path / "e"), "--model", "mean"]
+        save_qvol(DistributionVolume((2, 2, 2), (1, 1, 1), (0, 0, 0),
+                                     QuantileModel(0.25, np.tile(np.linspace(0, 1, 5), (8, 1)))),
+                  tmp_path / "q.qvol")
         nodir = str(tmp_path / "nodir" / "x")
         argv = {
             "camera": render + ["--tf", "preset:tangle", "--camera", "1,2,x,0,0,0,0,0,1,30"],
@@ -117,6 +121,8 @@ class TestMalformedInput:
             "estimate-hixel-out-dot": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
                                        "--brick", "1,1,1", "--model", "mean", "--out", "."],
             "render-out-missing-dir": render + ["--tf", "preset:tangle", "--out", nodir],
+            "quartiles-out-dot": ["quartiles", "--volume", str(tmp_path / "q.qvol"), "--size", "8x8",
+                                  "--tf", "preset:tangle", "--out", "."],
             "diff-out-missing-dir": diff + ["--out", nodir],
             "gen-out-file": gen + ["--field", "tangle", "--out", str(raw)],
         }.get(case, ["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
