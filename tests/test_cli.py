@@ -121,8 +121,8 @@ class TestMalformedInput:
             "estimate-hixel-out-dot": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
                                        "--brick", "1,1,1", "--model", "mean", "--out", "."],
             "render-out-missing-dir": render + ["--tf", "preset:tangle", "--out", nodir],
-            "quartiles-out-dot": ["quartiles", "--volume", str(tmp_path / "q.qvol"), "--size", "8x8",
-                                  "--tf", "preset:tangle", "--out", "."],
+            "quartiles-out-dot": ["quartiles", "--volume", str(tmp_path / "q.qvol"),
+                                  "--size", "8x8", "--tf", "preset:tangle", "--out", "."],
             "diff-out-missing-dir": diff + ["--out", nodir],
             "gen-out-file": gen + ["--field", "tangle", "--out", str(raw)],
         }.get(case, ["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
