@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -83,16 +82,6 @@ def resolve_tf1d(text: str):
     return load_tf1d(text)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("UQDVR_THREADS") or "1"
-    try:
-        return int(env)
-    except ValueError:
-        raise VolumeError(f"UQDVR_THREADS must be an integer, got {env!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -110,7 +99,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    threads = _threads(args)
     cfg = KdeConfig(lattice=args.kde_lattice)
     mean_grid = None
     if args.brick is not None:
@@ -118,7 +106,7 @@ def cmd_estimate(args) -> int:
             raise VolumeError("hixel estimation needs --volume and --dims")
         hi = load_raw(args.volume, args.dims, args.encoding)
         vol, mean_grid = downsample_hixel(hi, args.brick, args.model, qval=args.qval,
-                                          k=args.k, config=cfg, threads=threads)
+                                          k=args.k, config=cfg, threads=args.threads)
         _stage(f"estimate: fitted hixel {args.model} brick={args.brick}")
     else:
         if args.ensemble is None:
@@ -126,7 +114,7 @@ def cmd_estimate(args) -> int:
         ens = load_ensemble(args.ensemble)
         _stage(f"estimate: {args.model} from M={ens.member_count} ensemble")
         vol = build_distribution_volume(ens, args.model, qval=args.qval, k=args.k,
-                                        config=cfg, threads=threads)
+                                        config=cfg, threads=args.threads)
     if isinstance(vol.model, volcore.QuantileModel):
         save_qvol(vol, args.out)
     else:
@@ -136,23 +124,24 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _job_from_args(args) -> RenderJob:
-    volume = load_volume(args.volume, dims=args.dims, encoding=args.encoding)
+def _job_from_args(args, scheme, volume, **extra) -> RenderJob:
+    """The job of the flags that render and quartiles share."""
     width, height = args.size
     cam = parse_camera(args.camera, volume, width, height)
     tf = resolve_tf1d(args.tf) if args.tf else None
-    tf2 = load_tf2d(args.tf2d) if args.tf2d else None
-    mean_grid = (load_raw(args.mean_volume, volume.dims, "f32", volume.spacing, volume.origin)
-                 if args.mean_volume else None)
-    return RenderJob(volume, args.scheme, cam, tf=tf, tf2=tf2, step=args.step,
-                     seed=args.seed, mean_grid=mean_grid,
-                     mc_samples=args.mc_samples, tf2d_samples=args.tf2d_samples)
+    return RenderJob(volume, scheme, cam, tf=tf, step=args.step, **extra)
 
 
 def cmd_render(args) -> int:
-    job = _job_from_args(args)
+    volume = load_volume(args.volume, dims=args.dims, encoding=args.encoding)
+    tf2 = load_tf2d(args.tf2d) if args.tf2d else None
+    mean_grid = (load_raw(args.mean_volume, volume.dims, "f32", volume.spacing, volume.origin)
+                 if args.mean_volume else None)
+    job = _job_from_args(args, args.scheme, volume, tf2=tf2, seed=args.seed,
+                         mean_grid=mean_grid, mc_samples=args.mc_samples,
+                         tf2d_samples=args.tf2d_samples)
     _stage(f"render: scheme={args.scheme} size={args.size[0]}x{args.size[1]}")
-    img = raycast(job, threads=_threads(args))
+    img = raycast(job, threads=args.threads)
     save_image(img, args.out)
     return 0
 
@@ -161,10 +150,9 @@ def cmd_quartiles(args) -> int:
     out = Path(args.out)
     if not out.name:  # the three view names derive from it
         raise VolumeError(f"--out {args.out!r} names no file")
-    args.scheme = "quantile-range"
-    job = _job_from_args(args)
+    job = _job_from_args(args, "quantile-range", load_volume(args.volume))
     _stage("quartiles: lower / middle / upper")
-    views = render_quartile_views(job.volume, job, threads=_threads(args))
+    views = render_quartile_views(job.volume, job, threads=args.threads)
     for name, img in zip(("lower", "middle", "upper"), views):
         save_image(img, out.with_suffix(f".{name}{out.suffix or '.ppm'}"))
     return 0
@@ -184,6 +172,11 @@ def cmd_diff(args) -> int:
 # Experiment pipeline
 
 
+_MANIFEST_KEYS = {"mode", "field", "dims", "noise", "members", "brick", "models", "k", "qvals",
+                  "quantile_schemes", "kde_bandwidth", "kde_lattice", "tf", "camera", "size",
+                  "step", "seed"}
+
+
 def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     """Execute a manifest end to end; returns the result rows and writes
     images plus results.csv (scheme, q, M, rmse) under outdir.
@@ -191,6 +184,9 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     Every sample set runs the same fits and renders: in ensemble mode one
     noise ensemble per members entry, in hixel mode the bricks of the
     ground truth as one ensemble on the brick-centre lattice."""
+    unknown = sorted(set(manifest) - _MANIFEST_KEYS)
+    if unknown:
+        raise VolumeError(f"bad experiment manifest: unknown keys {unknown}")
     try:
         field, dims = manifest["field"], require_ints(manifest["dims"], 3, "dims")
         tf, cam = manifest.get("tf", "preset:tangle"), manifest.get("camera", "preset:tangle")
@@ -203,6 +199,8 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         seed = require_int(manifest.get("seed", 0), "seed", 0)
         k = require_int(manifest.get("k", 4), "k")
         qvals = [float(q) for q in manifest.get("qvals", [])]
+        for qv in qvals:
+            volcore._quantile_masses(qv)  # VolumeError unless a unit fraction
         models = list(manifest.get("models", []))
         fit_kinds = [render.scheme_model(scheme).kind for scheme in models]
         qschemes = list(manifest.get("quantile_schemes", ["quantile-mean"]))
@@ -213,15 +211,25 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
                         lattice=manifest.get("kde_lattice", 512))
         if mode not in ("ensemble", "hixel"):
             raise VolumeError(f"unknown experiment mode {mode!r}")
-        noise = {"kind": None, **manifest.get("noise", {"kind": "bimodal"})}
-        specs = [NoiseSpec(**noise, members=m, seed=seed)
-                 for m in manifest.get("members", [50])] if mode == "ensemble" else []
+        if mode == "ensemble":
+            noise = {"kind": None, **manifest.get("noise", {"kind": "bimodal"})}
+            specs = [NoiseSpec(**noise, members=m, seed=seed)
+                     for m in manifest.get("members", [50])]
+            sizes = [spec.members for spec in specs]
+        else:
+            brick = require_ints(manifest.get("brick", [4, 4, 4]), 3, "brick size")
+            sizes = [brick[0] * brick[1] * brick[2]]
+        for m in sizes:  # M of each sample set
+            if m < 2 and (qvals or any(kind != "mean" for kind in fit_kinds)):
+                raise VolumeError(f"non-mean models and qvals need M >= 2, got M={m}")
+            if "gmm" in fit_kinds and k > m:
+                raise VolumeError(f"gmm models need k <= M, got k={k} and M={m}")
     except (KeyError, TypeError, ValueError) as e:
         raise VolumeError(f"bad experiment manifest: {e}") from None
 
     gt = sample_field(field, dims)
     if mode == "hixel":
-        sample_sets = [brick_ensemble(gt, manifest.get("brick", [4, 4, 4]))]
+        sample_sets = [brick_ensemble(gt, brick)]
     else:
         sample_sets = (make_ensemble(gt, spec) for spec in specs)
     gt_vol = DistributionVolume(gt.dims, gt.spacing, gt.origin, MeanFieldModel(gt.values))
@@ -276,7 +284,7 @@ def cmd_experiment(args) -> int:
         raise VolumeError(f"{args.manifest}: not a JSON manifest: {e}") from e
     if not isinstance(manifest, dict):
         raise VolumeError(f"{args.manifest}: a manifest is a JSON object")
-    rows = run_experiment(manifest, args.out, threads=_threads(args))
+    rows = run_experiment(manifest, args.out, threads=args.threads)
     for row in rows:
         print(f"scheme={row['scheme']} q={row['q']} M={row['M']} rmse={row['rmse']:.6f}")
     return 0
@@ -286,31 +294,22 @@ def cmd_experiment(args) -> int:
 # Argument wiring
 
 
-def _add_common_render_args(p):
-    p.add_argument("--volume", required=True, help="QVOL1/DVOL1/raw volume file")
-    p.add_argument("--dims", type=parse_dims, default=None,
-                   help="dims for raw volume input")
-    p.add_argument("--encoding", default="f32", choices=sorted(volcore.RAW_ENCODINGS))
+def _add_common_render_args(p, volume_help):
+    p.add_argument("--volume", required=True, help=volume_help)
     p.add_argument("--tf", default=None, help="TF1D path or preset:NAME")
-    p.add_argument("--tf2d", default=None, help="TF2D table path")
-    p.add_argument("--mean-volume", default=None,
-                   help="companion mean raw f32 volume (tf2d scheme)")
     p.add_argument("--camera", default="preset:tangle",
                    help="'ex,ey,ez,ax,ay,az,ux,uy,uz,fov' or preset:NAME")
     p.add_argument("--size", type=parse_size, default=(256, 256), help="image WxH")
     p.add_argument("--step", type=float, default=0.5,
                    help="step as a fraction of voxel spacing")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=64)
-    p.add_argument("--tf2d-samples", type=int, default=1024)
     p.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uqdvr",
                                  description="Uncertainty-aware DVR with quantile interpolation")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (or env UQDVR_THREADS); output is identical for any value")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="worker threads; output is identical for any value")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic field and noisy ensemble")
@@ -333,19 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True, choices=list(volcore.MODEL_KINDS))
     e.add_argument("--qval", type=float, default=None)
     e.add_argument("--k", type=int, default=None)
-    e.add_argument("--seed", type=int, default=0,
-                   help="accepted and unused: every fit is deterministic")
     e.add_argument("--kde-lattice", type=int, default=512)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_estimate)
 
     r = sub.add_parser("render", help="raycast a volume with a chosen scheme")
     r.add_argument("--scheme", required=True, choices=render.SCHEMES)
-    _add_common_render_args(r)
+    _add_common_render_args(r, "QVOL1/DVOL1/raw volume file")
+    r.add_argument("--dims", type=parse_dims, default=None, help="dims for raw volume input")
+    r.add_argument("--encoding", default="f32", choices=sorted(volcore.RAW_ENCODINGS))
+    r.add_argument("--tf2d", default=None, help="TF2D table path")
+    r.add_argument("--mean-volume", default=None,
+                   help="companion mean raw f32 volume (tf2d scheme)")
+    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--mc-samples", type=int, default=64)
+    r.add_argument("--tf2d-samples", type=int, default=1024)
     r.set_defaults(func=cmd_render)
 
     q = sub.add_parser("quartiles", help="lower/middle/upper quartile views")
-    _add_common_render_args(q)
+    _add_common_render_args(q, "QVOL1 quantile volume file")
     q.set_defaults(func=cmd_quartiles)
 
     d = sub.add_parser("diff", help="difference image and RMSE between f32 sidecars")
@@ -363,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        require_int(args.threads, "threads")
         return args.func(args)
     except (VolumeError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)

@@ -139,7 +139,7 @@ def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float
 
 def blend_gaussian(mean: np.ndarray, sigma: np.ndarray, idx8: np.ndarray,
                    w8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A,) mu = sum w mu_i and sigma = sqrt(sum w^2 sigma_i^2) over the corners."""
+    """(A, ...) mu = sum w mu_i and sigma = sqrt(sum w^2 sigma_i^2) over the corners."""
     return blend(mean[idx8], w8), np.sqrt(blend(sigma[idx8] ** 2, w8 * w8))
 
 
@@ -266,10 +266,10 @@ def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) ->
 def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
                       idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
     """(A, k) rank-matched blends of (V, k) mixtures sorted by mean: weights
-    (renormalized) and means blend linearly, variances quadratically."""
+    blend linearly and are renormalized, each rank's Gaussian by blend_gaussian."""
     ws = blend(weights[idx8], w8)
     ws /= ws.sum(axis=1, keepdims=True)
-    return ws, blend(means[idx8], w8), np.sqrt(blend(sigmas[idx8] ** 2, w8 * w8))
+    return ws, *blend_gaussian(means, sigmas, idx8, w8)
 
 
 def _gmm_corners(corner_gmms: Sequence[GmmModel], weights):

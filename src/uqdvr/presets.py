@@ -112,15 +112,12 @@ def spheres_camera(volume, width: int, height: int) -> Camera:
                           direction=(1.0, 0.55, 0.8), distance=2.0)
 
 
-def fiber_tf2d(a0: float = 0.55, da: float = 0.03, b_lo: float = 0.0,
-               b_hi: float = 1.0, res: int = 64) -> TransferFunction2D:
-    """A thin range-space curve: a narrow intensity band crossed with a
-    second-field interval, the fuzzy-fiber-surface selector."""
-    xs = np.linspace(0.0, 1.0, res)
-    table = np.zeros((res, res, 4))
-    in_x = np.abs(xs - a0) < da
-    in_y = (xs >= b_lo) & (xs <= b_hi)
-    table[np.ix_(in_y, in_x)] = [0.95, 0.55, 0.15, 0.9]
+def fiber_tf2d() -> TransferFunction2D:
+    """The fuzzy-fiber-surface selector: a narrow intensity band around 0.55
+    on a 64x64 table, the same at every gradient magnitude."""
+    xs = np.linspace(0.0, 1.0, 64)
+    table = np.zeros((64, 64, 4))
+    table[:, np.abs(xs - 0.55) < 0.03] = [0.95, 0.55, 0.15, 0.9]
     return TransferFunction2D(table, gmax=1.0)
 
 

@@ -32,7 +32,6 @@ from .volcore import (
     DistributionVolume,
     GaussianModel,
     GmmVolumeModel,
-    MAX_LATTICE,
     MeanFieldModel,
     QuantileModel,
     ScalarGrid,
@@ -50,8 +49,12 @@ from .volcore import (
 CHUNK_PIXELS = 4096
 # Most samples a ray may take: the bounding-box diagonal over the step length.
 MAX_RAY_SAMPLES = 1 << 16
+# A ray stops once its accumulated opacity reaches this.
+TERMINATION = 0.99
+# Lattice points of the `uniform` scheme's convolved density per corner.
+CONV_LATTICE = 64
 # Rows x lattice cells of one `uniform` classification block: a full chunk is
-# one block at the default conv_lattice, and MAX_LATTICE takes 8 rows at a time.
+# one block at CONV_LATTICE, and MAX_LATTICE takes 8 rows at a time.
 UNIFORM_BLOCK_CELLS = 1 << 20
 
 DIVERGING_BLUE = np.array([0.23, 0.30, 0.75])
@@ -135,14 +138,11 @@ class RenderJob:
     tf: TransferFunction1D | None = None
     tf2: TransferFunction2D | None = None
     step: float = 0.5  # fraction of the voxel spacing
-    termination: float = 0.99
-    background: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 1.0)
     seed: int = 0
     mean_grid: ScalarGrid | None = None  # gradient source for the tf2d scheme
     quantile_subrange: tuple[int, int] | None = None  # piece range [lo, hi)
     mc_samples: int = 64
     tf2d_samples: int = 1024
-    conv_lattice: int = 64
 
     def __post_init__(self):
         want = scheme_model(self.scheme)
@@ -166,19 +166,9 @@ class RenderJob:
         if diagonal > MAX_RAY_SAMPLES * step_len:
             raise VolumeError(f"step {self.step} takes more than {MAX_RAY_SAMPLES} "
                               "samples along the volume diagonal")
-        for name in ("mc_samples", "tf2d_samples", "conv_lattice"):
+        for name in ("mc_samples", "tf2d_samples"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
-        if not 2 <= self.conv_lattice <= MAX_LATTICE:
-            raise VolumeError(f"conv_lattice must lie in [2, {MAX_LATTICE}]")
-        object.__setattr__(self, "termination",
-                           float(require_finite(self.termination, "termination", ())))
-        if not (0.0 < self.termination <= 1.0):
-            raise VolumeError("termination must lie in (0, 1]")
-        bg = require_finite(self.background, "background", (4,))
-        if np.any((bg < 0) | (bg > 1)):
-            raise VolumeError(f"background must be 4 values in [0, 1], got {self.background}")
-        object.__setattr__(self, "background", tuple(bg.tolist()))
         if self.quantile_subrange is not None:
             lo, hi = require_ints(self.quantile_subrange, 2, "quantile subrange end", 0)
             q = getattr(self.volume.model, "q", 0)  # no piece range outside a quantile volume
@@ -232,11 +222,11 @@ def _gaussian_rgba(job, m, c, state, rng):
 
 def _uniform_rgba(job, m, c, state, rng):
     rgba = np.empty((c.idx8.shape[0], 4))
-    step = max(1, UNIFORM_BLOCK_CELLS // uniform_lattice_len(job.conv_lattice, 8))
+    step = max(1, UNIFORM_BLOCK_CELLS // uniform_lattice_len(CONV_LATTICE, 8))
     for lo in range(0, c.idx8.shape[0], step):
         rows = c.idx8[lo:lo + step]
         origins, pdf, du = uniform_sum_density_batch(m.center[rows], m.width[rows],
-                                                     c.w8[lo:lo + step], job.conv_lattice)
+                                                     c.w8[lo:lo + step], CONV_LATTICE)
         xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
         rgba[lo:lo + step] = lattice_color_batch(xs, pdf, du, job.tf)
     return rgba
@@ -317,7 +307,7 @@ def _render_chunk(state: _SchemeState, chunk_id: int, origins, dirs) -> np.ndarr
     tnear, tfar = _ray_box(origins, dirs, vol.world_min, vol.world_max)
     step_len = job.step * float(min(vol.spacing))
     ref_len = float(min(vol.spacing))
-    t_floor = 1.0 - job.termination
+    t_floor = 1.0 - TERMINATION
 
     rgb = np.zeros((n, 3))
     trans = np.ones(n)
@@ -345,11 +335,7 @@ def _render_chunk(state: _SchemeState, chunk_id: int, origins, dirs) -> np.ndarr
         alive[idx] = trans[idx] > t_floor
         k += 1
 
-    bg = np.asarray(job.background, dtype=np.float64)
-    out = np.empty((n, 4))
-    out[:, :3] = rgb + (trans * bg[3])[:, None] * bg[None, :3]
-    out[:, 3] = 1.0 - trans * (1.0 - bg[3])
-    return out
+    return np.concatenate([rgb, np.ones((n, 1))], axis=1)  # over opaque black
 
 
 def raycast(job: RenderJob, threads: int = 1) -> Image:
@@ -408,18 +394,17 @@ def diff_image(img: Image, ref: Image, scale: float | None = None) -> tuple[Imag
     return Image(img.width, img.height, pixels), rmse
 
 
-def save_image(img: Image, path, sidecar: bool = True) -> None:
-    """Write an 8-bit binary pixmap (P6) and, optionally, a lossless f32
-    sidecar (`width height` text header plus row-major RGBA f32)."""
+def save_image(img: Image, path) -> None:
+    """Write an 8-bit binary pixmap (P6) and its lossless f32 sidecar
+    (`width height` text header plus row-major RGBA f32)."""
     path = Path(path)
     rgb = np.clip(img.pixels[..., :3], 0.0, 1.0)
     data = np.rint(rgb * 255.0).astype(np.uint8)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     path.write_bytes(header + data.tobytes())
-    if sidecar:
-        side = path.with_suffix(path.suffix + ".f32")
-        shead = f"{img.width} {img.height}\n".encode("ascii")
-        side.write_bytes(shead + img.pixels.astype("<f4").tobytes())
+    side = path.with_suffix(path.suffix + ".f32")
+    shead = f"{img.width} {img.height}\n".encode("ascii")
+    side.write_bytes(shead + img.pixels.astype("<f4").tobytes())
 
 
 def load_image_f32(path) -> Image:

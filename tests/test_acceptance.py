@@ -323,7 +323,7 @@ class TestC10DeterminismSuite:
             for tag, threads in (("t1", 1), ("t4", 4), ("t8", 8), ("t1b", 1)):
                 out = tmp_path / f"est_{model}_{tag}.vol"
                 run(["--threads", str(threads), "estimate", "--ensemble", str(ens_dir),
-                     "--model", model, *extra, "--seed", "3", "--out", str(out)])
+                     "--model", model, *extra, "--out", str(out)])
                 outs.append(out.read_bytes())
             if not all(o == outs[0] for o in outs):
                 failures.append(f"estimate:{model}")

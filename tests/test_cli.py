@@ -68,7 +68,14 @@ class TestMalformedInput:
                              ("brick-zero", {"mode": "hixel", "brick": [0, 4, 4]}),
                              ("brick-indivisible", {"mode": "hixel", "brick": [3, 4, 4]}),
                              ("field-number", {"field": 5}), ("tf-number", {"tf": 5}),
-                             ("camera-number", {"camera": 5}))},
+                             ("camera-number", {"camera": 5}),
+                             ("qval-not-unit-fraction", {"qvals": [0.3]}),
+                             ("members-one", {"members": [1], "models": ["gaussian"]}),
+                             ("hixel-brick-one", {"mode": "hixel", "brick": [1, 1, 1],
+                                                  "qvals": [0.5]}),
+                             ("k-above-members", {"members": [4], "models": ["gmm-ordered"],
+                                                  "k": 9}),
+                             ("unknown-key", {"qval": [0.25]}))},
     }
 
     # Outputs that cannot be written; these fail after a stage line is printed.
@@ -78,13 +85,15 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("case", ["camera", "noise", "field", "empty-manifest", "bad-json",
                                       "unknown-model", "noise-key", "short-dims",
-                                      "threads-env", "tf-path", "seed-text", "seed-negative",
+                                      "tf-path", "seed-text", "seed-negative",
                                       "step-text", "size-text", "k-zero", "quantile-model",
                                       "mean-quantile-scheme", "unknown-mode", "dims-fraction",
                                       "members-fraction", "lattice-fraction",
                                       "brick-zero", "brick-indivisible", "estimate-brick-zero",
                                       "estimate-brick-negative", "field-number", "tf-number",
-                                      "camera-number", "diff-scale-negative", *OUT_CASES])
+                                      "camera-number", "qval-not-unit-fraction", "members-one",
+                                      "hixel-brick-one", "k-above-members", "unknown-key",
+                                      "diff-scale-negative", *OUT_CASES])
     def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
         raw = tmp_path / "v.f32raw"
         raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
@@ -106,8 +115,6 @@ class TestMalformedInput:
             "camera": render + ["--tf", "preset:tangle", "--camera", "1,2,x,0,0,0,0,0,1,30"],
             "noise": gen + ["--field", "tangle", "--noise", "bimodal:foo"],
             "field": gen + ["--field", "linear(a,b,c)"],
-            "threads-env": ["estimate", "--ensemble", str(tmp_path), "--model", "mean",
-                            "--out", str(tmp_path / "m.dvol")],
             "tf-path": render + ["--tf", str(tmp_path / "missing.tf")],
             "estimate-brick-zero": ["estimate", "--volume", str(raw), "--dims", "2,2,2",
                                     "--brick", "0,4,4", "--model", "mean",
@@ -126,26 +133,30 @@ class TestMalformedInput:
             "diff-out-missing-dir": diff + ["--out", nodir],
             "gen-out-file": gen + ["--field", "tangle", "--out", str(raw)],
         }.get(case, ["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
-        if case == "threads-env":
-            monkeypatch.setenv("UQDVR_THREADS", "abc")
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(argv, capsys)
         assert code == 2 and err.splitlines()[-1].startswith("error: "), err
         assert "Traceback" not in err and (err.startswith("error: ") or case in self.OUT_CASES)
         assert not (tmp_path / "ens").exists() and not (tmp_path / "nodir").exists()
+        assert not (tmp_path / "x").exists()  # the experiment output directory
 
-    @pytest.mark.parametrize("case", ["threads-zero", "threads-negative", "threads-env-zero"])
-    def test_thread_counts_below_one_exit_2(self, tmp_path, capsys, monkeypatch, case):
+    @pytest.mark.parametrize("case", ["threads-zero", "threads-negative", "gen", "experiment"])
+    def test_thread_counts_below_one_exit_2(self, tmp_path, capsys, case):
         raw = tmp_path / "v.f32raw"
         raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
-        argv = {"threads-zero": ["--threads", "0"], "threads-negative": ["--threads=-1"]}.get(
-            case, []) + ["render", "--scheme", "mean", "--volume", str(raw), "--dims", "2,2,2",
-                         "--size", "8x8", "--tf", "preset:tangle", "--out", str(tmp_path / "o.ppm")]
-        if case == "threads-env-zero":
-            monkeypatch.setenv("UQDVR_THREADS", "0")
-        code, _, err = run_cli(argv, capsys)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"field": "tangle", "dims": [4, 4, 4], "size": [8, 8],
+                                        "members": [2]}))
+        out = tmp_path / "out"
+        command = {
+            "gen": ["gen", "--field", "tangle", "--dims", "4,4,4", "--out", str(out)],
+            "experiment": ["experiment", "--manifest", str(manifest), "--out", str(out)],
+        }.get(case, ["render", "--scheme", "mean", "--volume", str(raw), "--dims", "2,2,2",
+                     "--size", "8x8", "--tf", "preset:tangle", "--out", str(out)])
+        threads = ["--threads=-1"] if case == "threads-negative" else ["--threads", "0"]
+        code, _, err = run_cli(threads + command, capsys)
         assert code == 2 and err.splitlines()[-1].startswith("error: threads"), err
-        assert "Traceback" not in err and not (tmp_path / "o.ppm").exists()
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestPipelineSmoke:
@@ -193,11 +204,20 @@ class TestPipelineSmoke:
                  "--noise", "bimodal", "--seed", "3", "--out", str(ens_dir)], capsys)
         assert (ens_dir / "member_000.f32raw").read_bytes() == member
 
-    def test_unknown_flag_is_hard_error(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--field", "tangle", "--dims", "4,4,4", "--frobnicate"],
+        ["estimate", "--ensemble", "e", "--model", "mean", "--seed", "1"],
+        ["quartiles", "--volume", "q.qvol", "--seed", "1"],
+        ["quartiles", "--volume", "q.qvol", "--mc-samples", "2"],
+        ["quartiles", "--volume", "q.qvol", "--dims", "2,2,2"],
+    ], ids=["gen-frobnicate", "estimate-seed", "quartiles-seed", "quartiles-mc-samples",
+            "quartiles-dims"])
+    def test_unknown_flag_is_hard_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["gen", "--field", "tangle", "--dims", "4,4,4", "--out", "/tmp/x",
-                  "--frobnicate"])
+            main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code != 0
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_every_subcommand_has_help(self, capsys):
         for sub in ("gen", "estimate", "render", "quartiles", "diff", "experiment"):

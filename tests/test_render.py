@@ -95,10 +95,6 @@ class TestRenderJobBounds:
         ("step", np.inf), ("step", np.nan), ("step", 0.0), ("step", -0.5),
         ("mc_samples", 0), ("mc_samples", -3),
         ("tf2d_samples", 0),
-        ("conv_lattice", 1), ("conv_lattice", 0),
-        ("background", (0, 0, 0)), ("background", (2, 0, 0, 1)), ("background", (0, 0, -0.1, 1)),
-        ("background", (0, 0, np.nan, 1)), ("background", "rgba"), ("background", None),
-        ("termination", "x"), ("termination", np.nan), ("termination", None),
         ("seed", -1), ("seed", "x"), ("quantile_subrange", (0, 1)),
     ])
     def test_invalid_values_rejected_at_construction(self, field, value):
@@ -111,7 +107,7 @@ class TestRenderJobBounds:
         grid = sample_field("constant(0.5)", (4, 4, 4))
         vol = mean_volume(grid)
         RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), step=1e-3,
-                  mc_samples=1, tf2d_samples=1, conv_lattice=2)
+                  mc_samples=1, tf2d_samples=1)
 
     @pytest.mark.parametrize("sub", [(0.5, 2), (0, 2.0), (0, 1, 2), 1, (2, 2), (0, 9), (-1, 2)])
     def test_quantile_subrange_is_an_integer_piece_range(self, sub):
@@ -182,9 +178,8 @@ class TestRaycast:
         vol = mean_volume(grid)
         tf = TransferFunction1D([[0.0, 1, 1, 1, 0.0], [1.0, 1, 1, 1, 0.0]])
         cam = default_camera(vol, 16, 12)
-        job = RenderJob(vol, "mean", cam, tf=tf, background=(0.2, 0.3, 0.4, 1.0))
-        img = raycast(job)
-        expect = np.array([0.2, 0.3, 0.4, 1.0], dtype=np.float32)
+        img = raycast(RenderJob(vol, "mean", cam, tf=tf))
+        expect = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.float32)
         assert np.all(img.pixels == expect[None, None, :])
 
     def test_single_slab_matches_hand_chain(self):
@@ -192,8 +187,7 @@ class TestRaycast:
         grid = ScalarGrid((2, 8, 8), (1, 1, 1), (0, 0, 0), np.full(128, value))
         vol = mean_volume(grid)
         cam = Camera((-3.0, 3.5, 3.5), (0.5, 3.5, 3.5), (0, 0, 1), 10, 3, 3)
-        job = RenderJob(vol, "mean", cam, tf=constant_tf(color, alpha), step=0.5,
-                        background=(0, 0, 0, 0))
+        job = RenderJob(vol, "mean", cam, tf=constant_tf(color, alpha), step=0.5)
         img = raycast(job)
         # Center ray: enters x=0 at t=3, exits x=1 at t=4, two 0.5 steps.
         a_step = 1.0 - (1.0 - alpha) ** 0.5
@@ -204,7 +198,7 @@ class TestRaycast:
             t *= 1.0 - a_step
         center = img.pixels[1, 1]
         np.testing.assert_allclose(center[:3], rgb, atol=1e-6)
-        np.testing.assert_allclose(center[3], 1.0 - t, atol=1e-6)
+        assert center[3] == 1.0  # composited over opaque black
 
     def test_statistical_schemes_degenerate_to_mean(self):
         gt = sample_field("tangle", (12, 12, 12))
@@ -347,7 +341,7 @@ class TestImageIO:
     def test_one_by_one_white(self, tmp_path):
         img = Image(1, 1, np.ones((1, 1, 4)))
         p = tmp_path / "white.ppm"
-        save_image(img, p, sidecar=False)
+        save_image(img, p)
         assert p.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff"
 
     def test_f32_sidecar_round_trip(self, tmp_path):
@@ -379,18 +373,17 @@ class TestImageIO:
         px[1, 1, :3] = 1.0
         img = Image(2, 2, px)
         p = tmp_path / "grad.ppm"
-        save_image(img, p, sidecar=False)
+        save_image(img, p)
         want = b"P6\n2 2\n255\n" + bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
         assert p.read_bytes() == want
 
 
 class TestUniformRowBlocks:
-    def job(self, conv_lattice=64):
+    def job(self):
         gt = sample_field("tangle", (10, 10, 10))
         ens = make_ensemble(gt, NoiseSpec("uniform", width=0.1, members=6, seed=6))
         vol = build_distribution_volume(ens, "uniform")
-        return RenderJob(vol, "uniform", default_camera(vol, 24, 20), tf=band_tf(),
-                         conv_lattice=conv_lattice)
+        return RenderJob(vol, "uniform", default_camera(vol, 24, 20), tf=band_tf())
 
     def record_blocks(self, monkeypatch):
         blocks = []
@@ -406,7 +399,8 @@ class TestUniformRowBlocks:
 
     @pytest.mark.parametrize("conv_lattice", [64, 200])
     def test_small_blocks_give_identical_bytes(self, monkeypatch, conv_lattice):
-        job = self.job(conv_lattice)
+        monkeypatch.setattr(render, "CONV_LATTICE", conv_lattice)
+        job = self.job()
         blocks = self.record_blocks(monkeypatch)
         whole = raycast(job, threads=2)
         assert max(rows for rows, _ in blocks) > 7
@@ -423,11 +417,12 @@ class TestUniformRowBlocks:
 
         # One block per chunk at the default lattice; 8 rows at the largest.
         cells = render.UNIFORM_BLOCK_CELLS
-        assert render.CHUNK_PIXELS * uniform_lattice_len(64, 8) <= cells
+        assert render.CHUNK_PIXELS * uniform_lattice_len(render.CONV_LATTICE, 8) <= cells
         assert cells // uniform_lattice_len(MAX_LATTICE, 8) == 8
         blocks = self.record_blocks(monkeypatch)
         monkeypatch.setattr(render, "UNIFORM_BLOCK_CELLS", 1000)
-        raycast(self.job(200))
+        monkeypatch.setattr(render, "CONV_LATTICE", 200)
+        raycast(self.job())
         assert blocks[0][1] == uniform_lattice_len(200, 8) == 256
         assert all(rows * f_len <= 1000 for rows, f_len in blocks)
 
@@ -438,18 +433,7 @@ class TestRenderWorkBounds:
         vol = mean_volume(grid)
         return RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), **kw)
 
-    def test_conv_lattice_cap_shared_with_kde(self):
-        from uqdvr.density import KdeConfig
-        from uqdvr.volcore import MAX_LATTICE
-
-        KdeConfig(lattice=MAX_LATTICE)
-        self.job(conv_lattice=MAX_LATTICE)
-        with pytest.raises(VolumeError):
-            KdeConfig(lattice=MAX_LATTICE + 1)
-        with pytest.raises(VolumeError, match="conv_lattice"):
-            self.job(conv_lattice=MAX_LATTICE + 1)
-
-    @pytest.mark.parametrize("field", ["mc_samples", "tf2d_samples", "conv_lattice"])
+    @pytest.mark.parametrize("field", ["mc_samples", "tf2d_samples"])
     def test_sample_counts_must_be_integers(self, field):
         with pytest.raises(VolumeError, match="integer"):
             self.job(**{field: 2.5})
@@ -565,7 +549,7 @@ class TestRenderMatchesScalarPipeline:
 
     @pytest.mark.parametrize("scheme", ["mean", "gaussian", "uniform", "quantile-range",
                                         "quantile-mean", "gmm-ordered", "tf2d"])
-    def test_rows_agree(self, scheme):
+    def test_rows_agree(self, scheme, monkeypatch):
         from uqdvr.classify import (expected_color_2d, expected_color_parametric,
                                     expected_color_quantile_mean,
                                     expected_color_quantile_range)
@@ -575,6 +559,7 @@ class TestRenderMatchesScalarPipeline:
                                   trilinear_coords)
         from uqdvr.volcore import GmmModel, QuantilePdf
 
+        monkeypatch.setattr(render, "CONV_LATTICE", 100)  # a lattice other than the default
         job = small_job(scheme)
         vol, m, tf = job.volume, job.volume.model, job.tf
         rng = np.random.default_rng(len(scheme))
@@ -593,7 +578,7 @@ class TestRenderMatchesScalarPipeline:
                 want = expected_color_parametric(interp_gaussian(m.mean[ids], m.sigma[ids], w), tf)
             elif scheme == "uniform":
                 dens = interp_uniform(m.center[ids], m.width[ids], w,
-                                      KdeConfig(lattice=job.conv_lattice))
+                                      KdeConfig(lattice=100))
                 want = expected_color_parametric(dens, tf)
             elif scheme.startswith("quantile"):
                 pdf = quantile_interp_3d([QuantilePdf(m.qval, m.boundaries[j]) for j in ids],
@@ -665,9 +650,7 @@ def render_jobs():
         try:
             cam = Camera(tuple(eye), tuple(look), (0.0, 0.0, 1.0), draw(st.floats(10, 120)), 3, 2)
             return RenderJob(vol, scheme, cam, step=draw(st.floats(0.2, 1.5)),
-                             termination=draw(st.floats(0.5, 1.0)),
                              mc_samples=draw(st.integers(1, 4)),
-                             conv_lattice=draw(st.integers(2, 16)),
                              seed=draw(st.integers(0, 3)), **extra)
         except VolumeError:
             return None
@@ -690,5 +673,5 @@ def test_uniform_render_with_subnormal_width_is_finite():
     widths[-1] = 3.54463326e-283
     vol = DistributionVolume((2, 3, 5), (1, 1, 1), (0, 0, 0), UniformModel(np.zeros(30), widths))
     cam = Camera((3.0, 5.0, 9.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0, 3, 2)
-    px = raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0, termination=1.0)).pixels
+    px = raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0)).pixels
     assert np.all(np.isfinite(px))
