@@ -172,9 +172,9 @@ def cmd_diff(args) -> int:
 # Experiment pipeline
 
 
-_MANIFEST_KEYS = {"mode", "field", "dims", "noise", "members", "brick", "models", "k", "qvals",
-                  "quantile_schemes", "kde_bandwidth", "kde_lattice", "tf", "camera", "size",
-                  "step", "seed"}
+_MANIFEST_KEYS = {"mode", "field", "dims", "models", "k", "qvals", "quantile_schemes",
+                  "kde_bandwidth", "kde_lattice", "tf", "camera", "size", "step", "seed"}
+_MODE_KEYS = {"ensemble": {"noise", "members"}, "hixel": {"brick"}}
 
 
 def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
@@ -184,16 +184,19 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     Every sample set runs the same fits and renders: in ensemble mode one
     noise ensemble per members entry, in hixel mode the bricks of the
     ground truth as one ensemble on the brick-centre lattice."""
-    unknown = sorted(set(manifest) - _MANIFEST_KEYS)
-    if unknown:
-        raise VolumeError(f"bad experiment manifest: unknown keys {unknown}")
+    threads = require_int(threads, "threads")
     try:
+        mode = manifest.get("mode", "ensemble")
+        if mode not in _MODE_KEYS:
+            raise VolumeError(f"unknown experiment mode {mode!r}")
+        unknown = sorted(set(manifest) - _MANIFEST_KEYS - _MODE_KEYS[mode])
+        if unknown:
+            raise VolumeError(f"{mode} mode reads no keys {unknown}")
         field, dims = manifest["field"], require_ints(manifest["dims"], 3, "dims")
         tf, cam = manifest.get("tf", "preset:tangle"), manifest.get("camera", "preset:tangle")
         if not (isinstance(field, str) and isinstance(tf, str)):
             raise TypeError("field and tf must be text")
         cam = cam if isinstance(cam, str) else ",".join(str(v) for v in cam)
-        mode = manifest.get("mode", "ensemble")
         width, height = require_ints(manifest.get("size", [256, 256]), 2, "image size")
         step = float(require_positive(manifest.get("step", 0.5), "step", ()))
         seed = require_int(manifest.get("seed", 0), "seed", 0)
@@ -209,8 +212,6 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
             raise VolumeError("quantile schemes belong in quantile_schemes, the others in models")
         cfg = KdeConfig(bandwidth=manifest.get("kde_bandwidth", "auto"),
                         lattice=manifest.get("kde_lattice", 512))
-        if mode not in ("ensemble", "hixel"):
-            raise VolumeError(f"unknown experiment mode {mode!r}")
         if mode == "ensemble":
             noise = {"kind": None, **manifest.get("noise", {"kind": "bimodal"})}
             specs = [NoiseSpec(**noise, members=m, seed=seed)

@@ -6,7 +6,7 @@ import pytest
 from uqdvr.cli import main, run_experiment
 from uqdvr.render import Image, save_image
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field, save_ensemble
-from uqdvr.volcore import DistributionVolume, QuantileModel, load_qvol, save_qvol
+from uqdvr.volcore import DistributionVolume, QuantileModel, VolumeError, load_qvol, save_qvol
 
 
 def run_cli(argv, capsys):
@@ -54,7 +54,8 @@ class TestMalformedInput:
                                  "noise": {"kind": "gaussian", "sigmaa": 1.0}}),
         "short-dims": json.dumps({"field": "tangle", "dims": [4, 4]}),
         **{case: json.dumps({"field": "tangle", "dims": [4, 4, 4], "size": [8, 8],
-                             "noise": {"kind": "gaussian"}, "members": [2], **bad})
+                             **({} if bad.get("mode") == "hixel" else
+                                {"noise": {"kind": "gaussian"}, "members": [2]}), **bad})
            for case, bad in (("seed-text", {"seed": "x"}), ("seed-negative", {"seed": -1}),
                              ("step-text", {"step": "a"}), ("size-text", {"size": [8, "x"]}),
                              ("k-zero", {"k": 0, "models": ["gmm-ordered"]}),
@@ -75,7 +76,8 @@ class TestMalformedInput:
                                                   "qvals": [0.5]}),
                              ("k-above-members", {"members": [4], "models": ["gmm-ordered"],
                                                   "k": 9}),
-                             ("unknown-key", {"qval": [0.25]}))},
+                             ("unknown-key", {"qval": [0.25]}),
+                             ("hixel-members", {"mode": "hixel", "members": [2]}))},
     }
 
     # Outputs that cannot be written; these fail after a stage line is printed.
@@ -93,6 +95,7 @@ class TestMalformedInput:
                                       "estimate-brick-negative", "field-number", "tf-number",
                                       "camera-number", "qval-not-unit-fraction", "members-one",
                                       "hixel-brick-one", "k-above-members", "unknown-key",
+                                      "hixel-members",
                                       "diff-scale-negative", *OUT_CASES])
     def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
         raw = tmp_path / "v.f32raw"
@@ -157,6 +160,12 @@ class TestMalformedInput:
         code, _, err = run_cli(threads + command, capsys)
         assert code == 2 and err.splitlines()[-1].startswith("error: threads"), err
         assert "Traceback" not in err and not out.exists()
+
+    def test_run_experiment_checks_threads_before_output(self, tmp_path):
+        manifest = {"field": "tangle", "dims": [4, 4, 4], "size": [8, 8], "members": [2]}
+        with pytest.raises(VolumeError, match="threads"):
+            run_experiment(manifest, tmp_path / "x", threads=0)
+        assert not (tmp_path / "x").exists()
 
 
 class TestPipelineSmoke:

@@ -578,7 +578,7 @@ class TestRenderMatchesScalarPipeline:
                 want = expected_color_parametric(interp_gaussian(m.mean[ids], m.sigma[ids], w), tf)
             elif scheme == "uniform":
                 dens = interp_uniform(m.center[ids], m.width[ids], w,
-                                      KdeConfig(lattice=100))
+                                      KdeConfig(lattice=render.CONV_LATTICE))
                 want = expected_color_parametric(dens, tf)
             elif scheme.startswith("quantile"):
                 pdf = quantile_interp_3d([QuantilePdf(m.qval, m.boundaries[j]) for j in ids],
