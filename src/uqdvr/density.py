@@ -39,6 +39,9 @@ _CHUNK_VOXELS = 4096
 # at finer lattices.  Arrays of ~1 MB keep the per-thread working set (and what
 # the allocator retains after it) small; larger blocks are no faster.
 _FFT_CELLS = 1 << 17
+# Rows fitted at once by EM, for the same reason: its (rows, M, k) float64
+# temporaries take 0.4 MB each at M=50, k=2 (3.3 MB in 4,096-row blocks).
+_EM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,13 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
     return weights / weights.sum(axis=1, keepdims=True), means, sigmas
 
 
+def _gmm_em_blocks(samples: np.ndarray, k: int, max_iter: int) -> list:
+    """_gmm_em_rows over sub-blocks of at most _EM_ROWS rows, which bound its
+    (rows, M, k) temporaries; each row's fit depends on that row only."""
+    return _joined([_gmm_em_rows(samples[i:i + _EM_ROWS], k, max_iter)
+                    for i in range(0, samples.shape[0], _EM_ROWS)])
+
+
 def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) -> GmmModel:
     """Standard EM with deterministic initialization.
 
@@ -291,6 +301,11 @@ def _fit_rows(fit, ensemble: EnsembleVolume, threads: int) -> list:
     depends on that row only, so the blocks never change the result."""
     parts = map_chunks(lambda lo, hi: fit(ensemble.rows(lo, hi)), ensemble.voxel_count, threads,
                        _CHUNK_VOXELS)
+    return _joined(parts)
+
+
+def _joined(parts: list) -> list:
+    """The per-row arrays of consecutive row blocks' output tuples, joined."""
     return [np.concatenate(p) for p in zip(*parts)]
 
 
@@ -325,7 +340,7 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
     elif kind == "gmm":
         if k is None:
             raise VolumeError("gmm model needs k")
-        params = _fit_rows(lambda s: _gmm_em_rows(s, k, max_iter), ensemble, threads)
+        params = _fit_rows(lambda s: _gmm_em_blocks(s, k, max_iter), ensemble, threads)
         if not all(np.all(np.isfinite(p)) for p in params):
             raise VolumeError("gmm fit produced non-finite parameters")
         model = GmmVolumeModel(k, *params)

@@ -40,6 +40,10 @@ RAW_ENCODINGS = {
 }
 
 
+# The value domain of every grid and model: the f32 range of the file formats.
+F32_MAX = float(np.finfo(np.float32).max)
+
+
 class VolumeError(ValueError):
     """Invalid volume data or parameters."""
 
@@ -65,13 +69,16 @@ def _of_shape(shape) -> str:
 
 
 def require_finite(values, what: str, shape: tuple | None = None,
-                   dtype=np.float64) -> np.ndarray:
+                   dtype=np.float64, f32_range: bool = False) -> np.ndarray:
     """values as a checked C-contiguous float array of dtype (float64 unless
     given); VolumeError unless they are numbers, every one finite once
-    converted, in the given shape when there is one."""
+    converted, in the given shape when there is one, and with f32_range
+    within +-F32_MAX (checked by min and max, with no full-size temporary)."""
     a = _floats(values, shape, dtype)
     if a is None or not np.all(np.isfinite(a)):
         raise VolumeError(f"{what} must be finite{_of_shape(shape)}")
+    if f32_range and a.size and not (-F32_MAX <= a.min() and a.max() <= F32_MAX):
+        raise VolumeError(f"{what} must lie in the f32 range +-{F32_MAX:.8g}")
     return a
 
 
@@ -157,8 +164,8 @@ class _Geometry:
 class ScalarGrid(_Geometry):
     """Deterministic scalar field on a regular grid.
 
-    values holds nx*ny*nz intensities, x-fastest.  Immutable after
-    construction; safe for concurrent reads.
+    values holds nx*ny*nz intensities within the f32 range, x-fastest.
+    Immutable after construction; safe for concurrent reads.
     """
 
     dims: Dims
@@ -168,7 +175,7 @@ class ScalarGrid(_Geometry):
 
     def __post_init__(self):
         self._check_geometry()
-        vals = require_finite(self.values, "grid values").ravel()
+        vals = require_finite(self.values, "grid values", f32_range=True).ravel()
         if vals.size != self.voxel_count:
             raise VolumeError(
                 f"value count {vals.size} != nx*ny*nz = {self.voxel_count}"
@@ -318,8 +325,9 @@ class VoxelModel:
     def _check_fields(self, width: int | None) -> None:
         """Store each field as a frozen contiguous float64 array, (nvox,) when
         width is None else (nvox, width), once the fields are congruent and
-        finite and the NONNEG ones nonnegative."""
-        arrays = [require_finite(getattr(self, f), f"{self.kind} parameters") for f in self.FIELDS]
+        finite, within the f32 range, and the NONNEG ones nonnegative."""
+        arrays = [require_finite(getattr(self, f), f"{self.kind} parameters", f32_range=True)
+                  for f in self.FIELDS]
         if len({a.size for a in arrays}) > 1 or (width and arrays[0].size % width):
             raise VolumeError(f"{self.kind} parameter grids must be congruent")
         for name, a in zip(self.FIELDS, arrays):
@@ -625,23 +633,17 @@ def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.
     return ScalarGrid(dims, spacing, origin, vals)
 
 
-def _f32(values: np.ndarray, path) -> np.ndarray:
-    """values narrowed to little-endian f32; VolumeError, before anything is
-    written, for a value beyond the f32 range, which the loaders would reject."""
-    return require_finite(values, f"{path}: values narrowed to f32", dtype="<f4")
-
-
 def save_raw(grid: ScalarGrid, path, encoding: str) -> None:
-    """Write a raw volume file; integer encodings assume values in [0, 1]."""
+    """Write a raw volume file; integer encodings assume values in [0, 1].
+    Grid and model values lie within the f32 range, so the f32 payloads of
+    the three savers narrow without overflow and always reload."""
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]
     vals = grid.values
     if denom is not None:
-        out = np.clip(np.rint(vals * denom), 0, denom).astype(dtype)
-    else:
-        out = _f32(vals, path)
-    Path(path).write_bytes(out.tobytes())
+        vals = np.clip(np.rint(vals * denom), 0, denom)
+    Path(path).write_bytes(vals.astype(dtype).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +662,7 @@ def save_qvol(volume: DistributionVolume, path) -> None:
     header = _QVOL_HEADER.pack(
         QVOL_MAGIC, *volume.dims, *volume.spacing, *volume.origin, m.q, m.qval
     )
-    payload = _f32(m.boundaries, path).tobytes()
+    payload = m.boundaries.astype("<f4").tobytes()
     Path(path).write_bytes(header + payload)
 
 
@@ -692,7 +694,7 @@ def save_dvol(volume: DistributionVolume, path) -> None:
     header = _DVOL_HEADER.pack(DVOL_MAGIC, _DVOL_MODELS.index(type(m)), *volume.dims,
                                *volume.spacing, *volume.origin,
                                getattr(m, m.WIDTH) if m.WIDTH else 0)
-    payload = np.stack([_f32(getattr(m, f), path) for f in m.FIELDS], axis=-1)
+    payload = np.stack([getattr(m, f).astype("<f4") for f in m.FIELDS], axis=-1)
     Path(path).write_bytes(header + payload.tobytes())
 
 

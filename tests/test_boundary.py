@@ -119,3 +119,86 @@ def test_any_outside_value_constructs_or_is_a_volume_error(target, value):
         TARGETS[target](value)
     except VolumeError:
         pass
+
+
+# Values beyond the f32 range of the file formats: finite members and
+# parameters whose fits or renders overflowed into numpy errors, misleading
+# "must be finite" messages or NaN pixels.  Each is now a VolumeError from the
+# grid or model constructor, before any fit or render runs.
+HUGE = np.geomspace(1e154, 1e300, 8)
+
+
+def huge_fit(kind, **opts):
+    members = [ScalarGrid((2, 2, 2), *UNIT, HUGE * (-1) ** j) for j in range(4)]
+    return density.build_distribution_volume(volcore.EnsembleVolume(members), kind, **opts)
+
+
+def huge_render(scheme, model):
+    vol = DistributionVolume((2, 2, 2), *UNIT, model)
+    return render.raycast(render.RenderJob(vol, scheme, camera(), tf=TF))
+
+
+BEYOND_F32 = {
+    "quantile-fit": ("grid values", lambda: huge_fit("quantile", qval=0.5)),
+    "gaussian-fit": ("grid values", lambda: huge_fit("gaussian")),
+    "gmm-fit": ("grid values", lambda: huge_fit("gmm", k=2)),
+    "uniform-render": ("uniform parameters", lambda: huge_render(
+        "uniform", volcore.UniformModel(np.full(8, 1e150), np.full(8, 1e150)))),
+    "gaussian-render": ("gaussian parameters", lambda: huge_render(
+        "gaussian", volcore.GaussianModel(np.full(8, 1e300), np.full(8, 1e300)))),
+    "gmm-ordered-render": ("gmm parameters", lambda: huge_render(
+        "gmm-ordered", volcore.GmmVolumeModel(2, np.full((8, 2), 0.5), np.full((8, 2), 1e300),
+                                              np.full((8, 2), 1e300)))),
+}
+
+
+@pytest.mark.parametrize("case", list(BEYOND_F32))
+def test_beyond_f32_is_a_volume_error_at_construction(case):
+    what, probe = BEYOND_F32[case]
+    with pytest.raises(VolumeError, match=f"{what} must lie in the f32 range"):
+        probe()
+
+
+F32_END = 3.4e38
+FIT_KINDS = (("mean", {}), ("uniform", {}), ("gaussian", {}), ("samples", {}),
+             ("gmm", {"k": 2}), ("quantile", {"qval": 0.25}))
+SIGNS = np.array([1.0, -1.0] * 4)
+
+
+def test_f32_range_ends_fit_and_render_finite():
+    """Members at +-3.4e38 construct and every kind fits them; parameters at
+    +-3.4e38 construct and every 1D scheme renders them to finite pixels."""
+    members = [ScalarGrid((2, 2, 2), *UNIT, SIGNS * F32_END * (1 - 1e-6 * j)) for j in range(6)]
+    ens = volcore.EnsembleVolume(members)
+    fits = {kind: density.build_distribution_volume(ens, kind, **opts) for kind, opts in FIT_KINDS}
+    at_end = np.full(8, F32_END)
+    params = {
+        "mean": volcore.MeanFieldModel(SIGNS * F32_END),
+        "uniform": volcore.UniformModel(SIGNS * F32_END, at_end),
+        "gaussian": volcore.GaussianModel(SIGNS * F32_END, at_end),
+        "gmm": volcore.GmmVolumeModel(2, np.full((8, 2), 0.5), np.stack([SIGNS, -SIGNS], 1)
+                                      * F32_END, np.stack([at_end, at_end], 1)),
+        "quantile": volcore.QuantileModel(0.5, np.stack([-at_end, SIGNS * F32_END, at_end], 1)),
+    }
+    for scheme in render.SCHEMES:
+        if scheme == "tf2d":
+            continue
+        kind = render.scheme_model(scheme).kind
+        for vol in (fits[kind], DistributionVolume((2, 2, 2), *UNIT, params[kind])):
+            img = render.raycast(render.RenderJob(vol, scheme, camera(), tf=TF))
+            assert np.all(np.isfinite(img.pixels)), (scheme, kind)
+
+
+def test_fits_of_members_spanning_the_f32_range_are_valid_or_name_the_kind():
+    """Members at both ends of the range: a fit whose parameters leave it (the
+    uniform width, the gaussian sigma, the KDE's padded quantile ends) is a
+    VolumeError naming the kind; every other fit is a valid model."""
+    members = [ScalarGrid((2, 2, 2), *UNIT, SIGNS * F32_END * (-1) ** j) for j in range(6)]
+    ens = volcore.EnsembleVolume(members)
+    for kind, opts in FIT_KINDS:
+        try:
+            vol = density.build_distribution_volume(ens, kind, **opts)
+        except VolumeError as e:
+            assert f"{kind} parameters must lie in the f32 range" in str(e)
+        else:
+            assert vol.model.kind == kind

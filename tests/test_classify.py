@@ -1,10 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uqdvr
 from uqdvr import classify
 from uqdvr.classify import (
     GradientStencil,
@@ -367,6 +372,24 @@ class TestExpectedColor2d:
             np.array([[0.5]]), np.array([[0.0]]), np.array([[1.0]]),
             np.array([[0.7]]), tf2, pts, degenerate=np.array([True]))
         np.testing.assert_allclose(out[0], tf2.sample(0.5, 0.0), atol=1e-12)
+
+
+class TestLazyScipyStats:
+    """scipy.stats, behind sobol_points alone, is loaded by the first 2D TF or
+    Sobol call, not by importing the package."""
+
+    @pytest.mark.parametrize("call", [
+        "uqdvr.classify.TransferFunction2D(np.zeros((2, 2, 4)), 1.0)",
+        "uqdvr.classify.sobol_points(2, 4, 0)",
+    ])
+    def test_loaded_by_the_first_2d_tf_or_sobol_call(self, call):
+        env = {**os.environ, "PYTHONPATH": str(Path(uqdvr.__file__).resolve().parents[1])}
+        script = ("import sys; import numpy as np; import uqdvr, uqdvr.cli; "
+                  "print('scipy.stats' in sys.modules); "
+                  f"{call}; print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestTransferFunction2DIO:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from uqdvr import density, volcore
+from uqdvr import density, presets, volcore
 from uqdvr.density import (
     KdeConfig,
     brick_ensemble,
@@ -456,6 +458,32 @@ class TestBatchedEm:
     def test_k_validated(self, k):
         with pytest.raises(VolumeError):
             fit_gmm_em(np.random.default_rng(0).normal(size=40), k)
+
+
+class TestEmSubBlocks:
+    """EM runs in sub-blocks of density._EM_ROWS rows inside each chunk."""
+
+    def test_rows_beside_the_sub_block_boundary_match_single_row_fits(self):
+        gt = sample_field("tangle", (10, 10, 10))
+        ens = make_noise_ensemble(gt, NoiseSpec(members=12, seed=7, **presets.TANGLE_NOISE))
+        assert ens.voxel_count > density._EM_ROWS
+        model = build_distribution_volume(ens, "gmm", k=2).model
+        s = ens.rows(0, ens.voxel_count)
+        for row in range(density._EM_ROWS - 3, density._EM_ROWS + 3):
+            want = density._gmm_em_rows(s[row:row + 1], 2, 100)
+            for name, w in zip(("weights", "means", "sigmas"), want):
+                assert getattr(model, name)[row].tobytes() == w[0].tobytes(), (row, name)
+
+    def test_fit_working_set_is_bounded(self):
+        gt = sample_field("tangle", (16, 16, 16))
+        ens = make_noise_ensemble(gt, NoiseSpec(members=50, seed=7, **presets.TANGLE_NOISE))
+        tracemalloc.start()
+        try:
+            build_distribution_volume(ens, "gmm", k=2, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"gmm fit of 16^3 M=50 peaked at {peak / 1e6:.1f} MB"
 
 
 class TestChunkIndependence:

@@ -80,6 +80,11 @@ def _fit_outputs(tmp: Path) -> dict[str, str]:
             for kind, opts in FITS:
                 vol = build_distribution_volume(e, kind, threads=threads, **opts)
                 out[f"fit/{kind}/{source}/t{threads}"] = _model_sha(vol)
+    # 10^3 = 1,000 voxels cross the 512-row EM sub-block boundary; 8^3 does not.
+    _, ens10, _ = _tangle_ensemble(10, 12)
+    for threads in THREADS:
+        vol = build_distribution_volume(ens10, "gmm", threads=threads, k=2)
+        out[f"fit/gmm/memory-10/t{threads}"] = _model_sha(vol)
     for qv, vol in quantile_volumes_multi(ens, [0.25, 0.125]).items():
         out[f"fit/quantile-multi/q{round(1 / qv)}"] = _model_sha(vol)
     vol, mean_grid = downsample_hixel(sample_field("nested-spheres", (16, 16, 16)), (4, 4, 4),
