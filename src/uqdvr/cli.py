@@ -204,6 +204,7 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         qvals = [float(q) for q in manifest.get("qvals", [])]
         for qv in qvals:
             volcore._quantile_masses(qv)  # VolumeError unless a unit fraction
+        qs = [round(1.0 / qv) for qv in qvals]
         models = list(manifest.get("models", []))
         fit_kinds = [render.scheme_model(scheme).kind for scheme in models]
         qschemes = list(manifest.get("quantile_schemes", ["quantile-mean"]))
@@ -220,6 +221,13 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         else:
             brick = require_ints(manifest.get("brick", [4, 4, 4]), 3, "brick size")
             sizes = [brick[0] * brick[1] * brick[2]]
+        if not sizes:
+            raise VolumeError("members must name at least one ensemble size")
+        # Each entry names its images and result rows, so a repeat would overwrite them.
+        for what, entries in (("members", sizes), ("models", models),
+                              ("quantile_schemes", qschemes), ("qvals' q", qs)):
+            if len(set(entries)) != len(entries):
+                raise VolumeError(f"{what} must not repeat an entry, got {entries}")
         for m in sizes:  # M of each sample set
             if m < 2 and (qvals or any(kind != "mean" for kind in fit_kinds)):
                 raise VolumeError(f"non-mean models and qvals need M >= 2, got M={m}")
@@ -263,8 +271,7 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         if qvals:
             _stage(f"experiment: quantile volumes M={m}")
             qvols = quantile_volumes_multi(ens, qvals, config=cfg, threads=threads)
-            for qv in qvals:
-                q = int(round(1.0 / qv))
+            for qv, q in zip(qvals, qs):
                 for scheme in qschemes:
                     _stage(f"experiment: render {scheme} q={q} M={m}")
                     add_row(f"{scheme}_q{q}", qvols[qv], scheme, q, m)

@@ -15,6 +15,7 @@ import numpy as np
 from .volcore import (
     DistributionVolume,
     EnsembleVolume,
+    F32_MAX,
     GmmModel,
     GmmVolumeModel,
     MAX_LATTICE,
@@ -100,8 +101,8 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     degenerate lattice at the constant value and a unit-step CDF.
     """
     v = samples.shape[0]
-    lo = samples.min(axis=1) - 3.0 * h
-    hi = samples.max(axis=1) + 3.0 * h
+    lo = np.maximum(samples.min(axis=1) - 3.0 * h, -F32_MAX)  # padded within the f32 range
+    hi = np.minimum(samples.max(axis=1) + 3.0 * h, F32_MAX)
     flat = hi <= lo  # zero spread and zero bandwidth
     du = np.where(flat, 1.0, hi - lo) / (lattice - 1)
     x = lo[:, None] + du[:, None] * np.arange(lattice)[None, :]
@@ -172,7 +173,8 @@ def _kde_quantile_rows(samples: np.ndarray, masses: list, config: KdeConfig) -> 
         rows = live[start:start + step]
         x, cdf = _kde_lattice_cdf(samples[rows], h[rows], config.lattice)
         for out, mv in zip(outs, masses):
-            out[rows] = _invert_cdf_rows(x, cdf, mv)
+            # Lattice points near F32_MAX may round one ulp beyond it.
+            out[rows] = np.minimum(_invert_cdf_rows(x, cdf, mv), F32_MAX)
     return outs
 
 
@@ -257,9 +259,11 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
         resp = p / norm
         nk = np.maximum(resp.sum(axis=1), 1e-300)
         w = nk / m
-        mu = (resp * s[:, :, None]).sum(axis=1) / nk
+        # A mean lies among its row's samples and a sigma within half their
+        # range, but near F32_MAX either may round one ulp beyond it.
+        mu = np.clip((resp * s[:, :, None]).sum(axis=1) / nk, -F32_MAX, F32_MAX)
         var = (resp * (s[:, :, None] - mu[:, None, :]) ** 2).sum(axis=1) / nk
-        sg = np.maximum(np.sqrt(var), floor[:, None])
+        sg = np.minimum(np.maximum(np.sqrt(var), floor[:, None]), F32_MAX)
         done = ((ll - prev_ll < 1e-8) & np.isfinite(prev_ll)) | (it == max_iter - 1)
         if done.any():
             fit[:, rows[done]] = w[done], mu[done], sg[done]

@@ -27,7 +27,7 @@ from .classify import (
     quantile_range_batch,
     sobol_points,
 )
-from .interp import uniform_lattice_len, uniform_sum_density_batch
+from .interp import uniform_sum_density_batch
 from .volcore import (
     DistributionVolume,
     GaussianModel,
@@ -53,9 +53,6 @@ MAX_RAY_SAMPLES = 1 << 16
 TERMINATION = 0.99
 # Lattice points of the `uniform` scheme's convolved density per corner.
 CONV_LATTICE = 64
-# Rows x lattice cells of one `uniform` classification block: a full chunk is
-# one block at CONV_LATTICE, and MAX_LATTICE takes 8 rows at a time.
-UNIFORM_BLOCK_CELLS = 1 << 20
 
 DIVERGING_BLUE = np.array([0.23, 0.30, 0.75])
 DIVERGING_WHITE = np.array([1.0, 1.0, 1.0])
@@ -111,6 +108,9 @@ def default_camera(volume, width: int, height: int, fov_deg: float = 35.0,
     center = 0.5 * (volume.world_min + volume.world_max)
     extent = float(np.linalg.norm(volume.world_max - volume.world_min))
     d = require_finite(direction, "camera direction", (3,))
+    if not d.any():
+        raise VolumeError("camera direction must be nonzero")
+    d = d / np.abs(d).max()  # scaled first, so the norm cannot overflow
     d = d / np.linalg.norm(d)
     eye = center + float(require_finite(distance, "camera distance", ())) * extent * d
     return Camera(tuple(eye), tuple(center), (0.0, 0.0, 1.0), fov_deg, width, height)
@@ -140,7 +140,6 @@ class RenderJob:
     step: float = 0.5  # fraction of the voxel spacing
     seed: int = 0
     mean_grid: ScalarGrid | None = None  # gradient source for the tf2d scheme
-    quantile_subrange: tuple[int, int] | None = None  # piece range [lo, hi)
     mc_samples: int = 64
     tf2d_samples: int = 1024
 
@@ -169,11 +168,6 @@ class RenderJob:
         for name in ("mc_samples", "tf2d_samples"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
-        if self.quantile_subrange is not None:
-            lo, hi = require_ints(self.quantile_subrange, 2, "quantile subrange end", 0)
-            q = getattr(self.volume.model, "q", 0)  # no piece range outside a quantile volume
-            if not (0 <= lo < hi <= q):
-                raise VolumeError(f"quantile subrange {self.quantile_subrange} outside [0, {q}]")
         if any(d < 2 for d in self.volume.dims):
             raise VolumeError("rendering needs dims >= 2 per axis")
 
@@ -190,9 +184,7 @@ def _ray_box(origins, dirs, wmin, wmax):
             inside = (origins >= wmin[None, :]) & (origins <= wmax[None, :])
             tlo = np.where(parallel, np.where(inside, -np.inf, np.inf), tlo)
             thi = np.where(parallel, np.where(inside, np.inf, -np.inf), thi)
-    tnear = np.maximum(tlo.max(axis=1), 0.0)
-    tfar = thi.min(axis=1)
-    return tnear, tfar
+    return np.maximum(tlo.max(axis=1), 0.0), thi.min(axis=1)  # tnear, tfar
 
 
 class _SchemeState:
@@ -221,32 +213,18 @@ def _gaussian_rgba(job, m, c, state, rng):
 
 
 def _uniform_rgba(job, m, c, state, rng):
-    rgba = np.empty((c.idx8.shape[0], 4))
-    step = max(1, UNIFORM_BLOCK_CELLS // uniform_lattice_len(CONV_LATTICE, 8))
-    for lo in range(0, c.idx8.shape[0], step):
-        rows = c.idx8[lo:lo + step]
-        origins, pdf, du = uniform_sum_density_batch(m.center[rows], m.width[rows],
-                                                     c.w8[lo:lo + step], CONV_LATTICE)
-        xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
-        rgba[lo:lo + step] = lattice_color_batch(xs, pdf, du, job.tf)
-    return rgba
-
-
-def _blended_quantiles(job, m, c):
-    """Blended boundaries over the job's quantile subrange, and their qval."""
-    bnd, qval = interp.blend(m.boundaries[c.idx8], c.w8), m.qval
-    if job.quantile_subrange is not None:
-        lo, hi = job.quantile_subrange
-        bnd, qval = bnd[:, lo:hi + 1], 1.0 / (hi - lo)
-    return bnd, qval
+    origins, pdf, du = uniform_sum_density_batch(m.center[c.idx8], m.width[c.idx8], c.w8,
+                                                 CONV_LATTICE)
+    xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
+    return lattice_color_batch(xs, pdf, du, job.tf)
 
 
 def _quantile_range_rgba(job, m, c, state, rng):
-    return quantile_range_batch(*_blended_quantiles(job, m, c), job.tf)
+    return quantile_range_batch(interp.blend(m.boundaries[c.idx8], c.w8), m.qval, job.tf)
 
 
 def _quantile_mean_rgba(job, m, c, state, rng):
-    return quantile_mean_batch(*_blended_quantiles(job, m, c), job.tf)
+    return quantile_mean_batch(interp.blend(m.boundaries[c.idx8], c.w8), m.qval, job.tf)
 
 
 def _gmm_ordered_rgba(job, m, c, state, rng):
@@ -356,8 +334,10 @@ def raycast(job: RenderJob, threads: int = 1) -> Image:
 
 def render_quartile_views(volume: DistributionVolume, job: RenderJob,
                           threads: int = 1) -> tuple[Image, Image, Image]:
-    """Lower 25%, middle 50%, and upper 25% population renders, each
-    renormalized to unit mass and classified with the quantile-range scheme."""
+    """Lower 25%, middle 50%, and upper 25% population renders with the
+    quantile-range scheme.  Pieces lo..hi of a voxel are themselves a quantile
+    distribution of hi - lo equal-mass pieces, so each view renders the volume
+    sliced to those boundary columns."""
     if not isinstance(volume.model, QuantileModel):
         raise VolumeError("quartile views need a quantile-model volume")
     q = volume.model.q
@@ -366,8 +346,8 @@ def render_quartile_views(volume: DistributionVolume, job: RenderJob,
     quarter = q // 4
     views = []
     for lo, hi in ((0, quarter), (quarter, 3 * quarter), (3 * quarter, q)):
-        sub = replace(job, volume=volume, scheme="quantile-range",
-                      quantile_subrange=(lo, hi))
+        model = QuantileModel(1.0 / (hi - lo), volume.model.boundaries[:, lo:hi + 1])
+        sub = replace(job, volume=replace(volume, model=model), scheme="quantile-range")
         views.append(raycast(sub, threads=threads))
     return tuple(views)
 

@@ -1,6 +1,9 @@
 """Every number that enters the package from outside becomes a valid object or
 a VolumeError: never another exception, a truncated value or a NaN result."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -191,14 +194,70 @@ def test_f32_range_ends_fit_and_render_finite():
 
 def test_fits_of_members_spanning_the_f32_range_are_valid_or_name_the_kind():
     """Members at both ends of the range: a fit whose parameters leave it (the
-    uniform width, the gaussian sigma, the KDE's padded quantile ends) is a
-    VolumeError naming the kind; every other fit is a valid model."""
+    uniform width, the gaussian sigma) is a VolumeError naming the kind; every
+    other fit is a valid model, the quantile fit among them."""
     members = [ScalarGrid((2, 2, 2), *UNIT, SIGNS * F32_END * (-1) ** j) for j in range(6)]
     ens = volcore.EnsembleVolume(members)
     for kind, opts in FIT_KINDS:
         try:
             vol = density.build_distribution_volume(ens, kind, **opts)
         except VolumeError as e:
-            assert f"{kind} parameters must lie in the f32 range" in str(e)
+            assert kind != "quantile" and f"{kind} parameters must lie in the f32 range" in str(e)
         else:
             assert vol.model.kind == kind
+
+
+@pytest.mark.parametrize("values", [
+    [1e38, -1e38, 2e38, 0.0],
+    [3.4e38, 3.39e38, 3.38e38, 3.4e38],
+    # The padded lattice ends at F32_MAX, and its last point rounds one ulp beyond it.
+    [-1.5e37, 2.69e38] + [3.4e38] * 10,
+])
+def test_kde_lattice_stays_in_the_f32_range(values):
+    """Quantile fits of in-range members whose KDE padding of 3 bandwidths
+    would leave the range: the lattice is clamped to it, and the outer
+    boundaries still enclose the members."""
+    ens = volcore.EnsembleVolume([ScalarGrid((2, 2, 2), *UNIT, np.full(8, v)) for v in values])
+    for qval in (0.25, 1 / 32):
+        b = density.build_distribution_volume(ens, "quantile", qval=qval).model.boundaries
+        assert np.all(b[:, 0] <= min(values)) and np.all(b[:, -1] >= max(values))
+
+
+F32_VALUES = st.one_of(st.floats(-volcore.F32_MAX, volcore.F32_MAX),
+                       st.sampled_from([volcore.F32_MAX, -volcore.F32_MAX, 3.4e38, 0.0]),
+                       st.floats(-2.0, 2.0))
+
+
+def _saved(vol, path):
+    save = volcore.save_qvol if vol.model.kind == "quantile" else volcore.save_dvol
+    save(vol, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fit=st.sampled_from(FIT_KINDS + (("quantile", {"qval": 1 / 32}),)),
+       members=st.lists(st.lists(F32_VALUES, min_size=8, max_size=8), min_size=2, max_size=6))
+def test_fits_of_f32_range_members_are_valid_and_round_trip(fit, members):
+    """Any 2^3 ensemble of f32-range members fits to a valid model, or, for
+    the kinds whose width or sigma of such members can truly exceed the range,
+    to a VolumeError that names the kind.  A model that constructs saves,
+    reloads with its fields equal to their f32 narrowing, and saves to the
+    same bytes."""
+    kind, opts = fit
+    ens = volcore.EnsembleVolume([ScalarGrid((2, 2, 2), *UNIT, m) for m in members])
+    try:
+        vol = density.build_distribution_volume(ens, kind, **opts)
+    except VolumeError as e:
+        assert kind in ("uniform", "gaussian") and kind in str(e), e
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _saved(vol, Path(tmp) / "a")
+        back = volcore.load_volume(Path(tmp) / "a")
+        assert _saved(back, Path(tmp) / "b") == first
+    assert (back.dims, back.spacing, back.origin) == (vol.dims, vol.spacing, vol.origin)
+    assert type(back.model) is type(vol.model)
+    if vol.model.WIDTH:
+        assert getattr(back.model, vol.model.WIDTH) == getattr(vol.model, vol.model.WIDTH)
+    for name in vol.model.FIELDS:
+        want = getattr(vol.model, name).astype(np.float32)
+        assert np.array_equal(getattr(back.model, name), want), name

@@ -77,7 +77,13 @@ class TestMalformedInput:
                              ("k-above-members", {"members": [4], "models": ["gmm-ordered"],
                                                   "k": 9}),
                              ("unknown-key", {"qval": [0.25]}),
-                             ("hixel-members", {"mode": "hixel", "members": [2]}))},
+                             ("hixel-members", {"mode": "hixel", "members": [2]}),
+                             ("members-empty", {"members": []}),
+                             ("members-repeated", {"members": [2, 3, 2]}),
+                             ("models-repeated", {"models": ["mean", "gaussian", "mean"]}),
+                             ("quantile-schemes-repeated",
+                              {"qvals": [0.5], "quantile_schemes": ["quantile-mean"] * 2}),
+                             ("qvals-same-q", {"qvals": [0.25, 0.25 + 1e-12]}))},
     }
 
     # Outputs that cannot be written; these fail after a stage line is printed.
@@ -95,7 +101,9 @@ class TestMalformedInput:
                                       "estimate-brick-negative", "field-number", "tf-number",
                                       "camera-number", "qval-not-unit-fraction", "members-one",
                                       "hixel-brick-one", "k-above-members", "unknown-key",
-                                      "hixel-members",
+                                      "hixel-members", "members-empty", "members-repeated",
+                                      "models-repeated", "quantile-schemes-repeated",
+                                      "qvals-same-q",
                                       "diff-scale-negative", *OUT_CASES])
     def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
         raw = tmp_path / "v.f32raw"

@@ -113,6 +113,15 @@ def _render_outputs() -> dict[str, str]:
         views = render_quartile_views(vol, job, threads=threads)
         for name, img in zip(("lower", "middle", "upper"), views):
             out[f"render/quartile-{name}/t{threads}"] = _sha(img.pixels)
+    # Quartile views at the narrowest and a wide piece count beside the q=8 above.
+    for q in (4, 32):
+        vol = build_distribution_volume(ens, "quantile", qval=1.0 / q)
+        job = RenderJob(vol, "quantile-range", presets.tangle_camera(vol, 32, 32), tf=tf,
+                        seed=SEED)
+        for threads in THREADS:
+            views = render_quartile_views(vol, job, threads=threads)
+            for name, img in zip(("lower", "middle", "upper"), views):
+                out[f"render/quartile-{name}-q{q}/t{threads}"] = _sha(img.pixels)
     return out
 
 

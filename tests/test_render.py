@@ -95,7 +95,7 @@ class TestRenderJobBounds:
         ("step", np.inf), ("step", np.nan), ("step", 0.0), ("step", -0.5),
         ("mc_samples", 0), ("mc_samples", -3),
         ("tf2d_samples", 0),
-        ("seed", -1), ("seed", "x"), ("quantile_subrange", (0, 1)),
+        ("seed", -1), ("seed", "x"),
     ])
     def test_invalid_values_rejected_at_construction(self, field, value):
         grid = sample_field("constant(0.5)", (4, 4, 4))
@@ -108,14 +108,6 @@ class TestRenderJobBounds:
         vol = mean_volume(grid)
         RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf(), step=1e-3,
                   mc_samples=1, tf2d_samples=1)
-
-    @pytest.mark.parametrize("sub", [(0.5, 2), (0, 2.0), (0, 1, 2), 1, (2, 2), (0, 9), (-1, 2)])
-    def test_quantile_subrange_is_an_integer_piece_range(self, sub):
-        vol = quantile_volume_from(sample_field("constant(0.5)", (4, 4, 4)), 0.1)
-        cam = default_camera(vol, 4, 4)
-        RenderJob(vol, "quantile-range", cam, tf=band_tf(), quantile_subrange=(0, 8))
-        with pytest.raises(VolumeError):
-            RenderJob(vol, "quantile-range", cam, tf=band_tf(), quantile_subrange=sub)
 
 
 def argmax_gmm_mc_chunk(state, pos, rng):
@@ -298,8 +290,9 @@ class TestQuartileViews:
         cam = default_camera(vol, 12, 12)
         job = RenderJob(vol, "quantile-range", cam, tf=band_tf())
         _, middle, _ = render_quartile_views(vol, job)
-        manual = raycast(RenderJob(vol, "quantile-range", cam, tf=band_tf(),
-                                   quantile_subrange=(2, 6)))
+        pieces = QuantileModel(0.25, vol.model.boundaries[:, 2:7])
+        sliced = DistributionVolume(vol.dims, vol.spacing, vol.origin, pieces)
+        manual = raycast(RenderJob(sliced, "quantile-range", cam, tf=band_tf()))
         assert np.array_equal(middle.pixels, manual.pixels)
 
     def test_q_not_divisible_by_4_rejected(self):
@@ -376,55 +369,6 @@ class TestImageIO:
         save_image(img, p)
         want = b"P6\n2 2\n255\n" + bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
         assert p.read_bytes() == want
-
-
-class TestUniformRowBlocks:
-    def job(self):
-        gt = sample_field("tangle", (10, 10, 10))
-        ens = make_ensemble(gt, NoiseSpec("uniform", width=0.1, members=6, seed=6))
-        vol = build_distribution_volume(ens, "uniform")
-        return RenderJob(vol, "uniform", default_camera(vol, 24, 20), tf=band_tf())
-
-    def record_blocks(self, monkeypatch):
-        blocks = []
-        conv = render.uniform_sum_density_batch
-
-        def recording(centers, widths, weights, npoints):
-            origins, pdf, du = conv(centers, widths, weights, npoints)
-            blocks.append(pdf.shape)
-            return origins, pdf, du
-
-        monkeypatch.setattr(render, "uniform_sum_density_batch", recording)
-        return blocks
-
-    @pytest.mark.parametrize("conv_lattice", [64, 200])
-    def test_small_blocks_give_identical_bytes(self, monkeypatch, conv_lattice):
-        monkeypatch.setattr(render, "CONV_LATTICE", conv_lattice)
-        job = self.job()
-        blocks = self.record_blocks(monkeypatch)
-        whole = raycast(job, threads=2)
-        assert max(rows for rows, _ in blocks) > 7
-        f_len = blocks[0][1]
-        monkeypatch.setattr(render, "UNIFORM_BLOCK_CELLS", 7 * f_len)
-        blocks.clear()
-        split = raycast(job, threads=2)
-        assert max(rows for rows, _ in blocks) == 7
-        assert np.array_equal(whole.pixels, split.pixels)
-
-    def test_block_cells_bounded(self, monkeypatch):
-        from uqdvr.interp import uniform_lattice_len
-        from uqdvr.volcore import MAX_LATTICE
-
-        # One block per chunk at the default lattice; 8 rows at the largest.
-        cells = render.UNIFORM_BLOCK_CELLS
-        assert render.CHUNK_PIXELS * uniform_lattice_len(render.CONV_LATTICE, 8) <= cells
-        assert cells // uniform_lattice_len(MAX_LATTICE, 8) == 8
-        blocks = self.record_blocks(monkeypatch)
-        monkeypatch.setattr(render, "UNIFORM_BLOCK_CELLS", 1000)
-        monkeypatch.setattr(render, "CONV_LATTICE", 200)
-        raycast(self.job())
-        assert blocks[0][1] == uniform_lattice_len(200, 8) == 256
-        assert all(rows * f_len <= 1000 for rows, f_len in blocks)
 
 
 class TestRenderWorkBounds:
@@ -540,7 +484,11 @@ class TestRenderHooksReached:
 
         monkeypatch.setattr(render, "raycast", recording)
         render_quartile_views(vol, job)
-        assert [j.quantile_subrange for j in calls] == [(0, 1), (1, 3), (3, 4)]
+        bnd = vol.model.boundaries
+        assert [j.scheme for j in calls] == ["quantile-range"] * 3
+        for j, (lo, hi) in zip(calls, [(0, 1), (1, 3), (3, 4)], strict=True):
+            assert j.volume.model.qval == 1.0 / (hi - lo)
+            assert np.array_equal(j.volume.model.boundaries, bnd[:, lo:hi + 1])
 
 
 class TestRenderMatchesScalarPipeline:
@@ -627,6 +575,10 @@ def render_jobs():
             incr = np.stack([arr(scales) for _ in range(q)], axis=1)
             model = QuantileModel(1.0 / q, np.cumsum(np.concatenate(
                 [arr(values)[:, None], incr], axis=1), axis=1))
+            if draw(st.booleans()):  # pieces lo..hi, rendered as a sliced volume
+                lo_q = draw(st.integers(0, q - 1))
+                hi_q = draw(st.integers(lo_q + 1, q))
+                model = QuantileModel(1.0 / (hi_q - lo_q), model.boundaries[:, lo_q:hi_q + 1])
         else:
             k = draw(st.integers(1, 3))
             w = np.stack([arr(st.floats(0.0, 1.0)) for _ in range(k)], axis=1) + 1e-3
@@ -644,9 +596,6 @@ def render_jobs():
             extra = {"tf2": TransferFunction2D(np.random.default_rng(0).random((3, 4, 4)), 1.0),
                      "mean_grid": ScalarGrid(dims, spacing, origin, arr(values)),
                      "tf2d_samples": draw(st.sampled_from([1, 2, 8]))}
-        if kind == "quantile" and draw(st.booleans()):
-            lo_q = draw(st.integers(0, model.q - 1))
-            extra["quantile_subrange"] = (lo_q, draw(st.integers(lo_q + 1, model.q)))
         try:
             cam = Camera(tuple(eye), tuple(look), (0.0, 0.0, 1.0), draw(st.floats(10, 120)), 3, 2)
             return RenderJob(vol, scheme, cam, step=draw(st.floats(0.2, 1.5)),
