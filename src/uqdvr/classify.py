@@ -245,7 +245,7 @@ def quantile_range_batch(boundaries: np.ndarray, qval: float,
     avg /= np.where(zero, 1.0, widths)[..., None]
     if np.any(zero):
         avg[zero] = tf.sample(boundaries[:, :-1][zero])
-    return qval * avg.sum(axis=1)
+    return qval * np.einsum("pqc->pc", avg)
 
 
 def quantile_mean_batch(boundaries: np.ndarray, qval: float,

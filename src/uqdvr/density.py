@@ -40,8 +40,11 @@ _CHUNK_VOXELS = 4096
 # at finer lattices.  Arrays of ~1 MB keep the per-thread working set (and what
 # the allocator retains after it) small; larger blocks are no faster.
 _FFT_CELLS = 1 << 17
-# Rows fitted at once by EM, for the same reason: its (rows, M, k) float64
-# temporaries take 0.4 MB each at M=50, k=2 (3.3 MB in 4,096-row blocks).
+# Rows fitted at once by EM, for the same reason: its (M, k, rows) float64
+# temporaries take 0.4 MB each at M=50, k=2 (3.3 MB in 4,096-row blocks).  Rows
+# are the innermost axis, so each operation runs along them, while components
+# and members still add up in the order of one sample set (see _gmm_em_rows).
+# 256 to 1,024 rows run equally fast.
 _EM_ROWS = 512
 
 
@@ -108,7 +111,6 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     x = lo[:, None] + du[:, None] * np.arange(lattice)[None, :]
 
     # Kernel and bin scale factors drop out when the CDF is normalised.
-    pdf = np.zeros((v, lattice))
     live = np.nonzero(~flat)[0]
     if live.size:
         t = (samples[live] - lo[live, None]) / du[live, None]
@@ -121,10 +123,14 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
         lag = np.minimum(np.arange(n), n - np.arange(n))
         kernel = np.exp(-0.5 * ((du[live] / h[live])[:, None] * lag[None, :]) ** 2)
         spectrum = np.fft.rfft(counts.reshape(live.size, lattice), n) * np.fft.rfft(kernel)
-        pdf[live] = np.maximum(np.fft.irfft(spectrum, n)[:, :lattice], 0.0)
-
-    inc = pdf[:, :-1] + pdf[:, 1:]
-    cdf = np.concatenate([np.zeros((v, 1)), np.cumsum(inc, axis=1)], axis=1)
+        pdf = np.fft.irfft(spectrum, n)[:, :lattice]
+        np.maximum(pdf, 0.0, out=pdf)
+        rising = np.cumsum(pdf[:, :-1] + pdf[:, 1:], axis=1)
+    # Allocated after the FFT arrays: allocated before them, it gave a KDE fit
+    # several times the page faults and a quarter more time (glibc malloc).
+    cdf = np.zeros((v, lattice))
+    if live.size:
+        cdf[live, 1:] = rising
     total = cdf[:, -1].copy()
     total[total <= 0] = 1.0
     cdf /= total[:, None]
@@ -223,11 +229,19 @@ def fit_gaussian(samples) -> tuple[float, float]:
 def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None = None):
     """EM fits of k-component mixtures to every row of (V, M) samples.
 
-    Returns (weights, means, sigmas), each (V, k).  Every row runs the
-    one-sample-set EM of fit_gmm_em with its arithmetic and reductions, so a
-    row's result does not depend on the rows batched with it; a row leaves the
-    active set once its own stopping test fires.  A list passed as trace
+    Returns (weights, means, sigmas), each C-contiguous (V, k).  Every row runs
+    the one-sample-set EM of fit_gmm_em with its arithmetic and reductions, so
+    a row's result does not depend on the rows batched with it; a row leaves
+    the active set once its own stopping test fires.  A list passed as trace
     collects the mean log-likelihoods of the active rows at each iteration.
+
+    The loop runs in an (M, k, rows) layout (samples transposed once to
+    (M, 1, rows); w, mu and sigma (k, rows)), so every operation runs along
+    the contiguous rows axis rather than a k-wide one.  Reductions keep the
+    order of one sample set: components and members add up in index order,
+    and the log-likelihood mean is taken over a contiguous (rows, M) copy, so
+    it stays pairwise.  A (k, M, rows) layout does not reproduce the member
+    sums.
     """
     v, m = samples.shape
     k = require_int(k, "fit_gmm_em k")
@@ -240,45 +254,48 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
         # One component: the EM fixed point is the moment fit.
         return np.ones((v, 1)), samples.mean(axis=1)[:, None], np.maximum(pooled, floor)[:, None]
 
-    edges = np.quantile(samples, np.linspace(0, 1, k + 1), axis=1).T
-    mu = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    sg = np.repeat(np.maximum(pooled / k, floor)[:, None], k, axis=1)
-    w = np.full((v, k), 1.0 / k)
-    fit = np.empty((3, v, k))
-    rows, s, prev_ll = np.arange(v), samples, np.full(v, -np.inf)
+    edges = np.quantile(samples, np.linspace(0, 1, k + 1), axis=1)
+    mu = 0.5 * (edges[:-1] + edges[1:])
+    sg = np.repeat(np.maximum(pooled / k, floor)[None, :], k, axis=0)
+    w = np.full((k, v), 1.0 / k)
+    fit = np.empty((3, k, v))
+    rows, prev_ll = np.arange(v), np.full(v, -np.inf)
+    s = np.ascontiguousarray(samples.T[:, None, :])
     for it in range(max_iter):
         safe = np.maximum(sg, 1e-300)
-        z = (s[:, :, None] - mu[:, None, :]) / safe[:, None, :]
-        logp = (np.log(np.maximum(w, 1e-300)) - np.log(safe))[:, None, :] - 0.5 * z * z
-        peak = logp.max(axis=2, keepdims=True)
+        z = (s - mu) / safe
+        logp = (np.log(np.maximum(w, 1e-300)) - np.log(safe)) - 0.5 * z * z
+        peak = logp.max(axis=1, keepdims=True)
         p = np.exp(logp - peak)
-        norm = p.sum(axis=2, keepdims=True)
-        ll = np.mean(np.log(norm[:, :, 0]) + peak[:, :, 0], axis=1) - 0.5 * np.log(2.0 * np.pi)
+        norm = p.sum(axis=1, keepdims=True)
+        point_ll = np.ascontiguousarray((np.log(norm[:, 0]) + peak[:, 0]).T)
+        ll = np.mean(point_ll, axis=1) - 0.5 * np.log(2.0 * np.pi)
         if trace is not None:
             trace.append(ll)
         resp = p / norm
-        nk = np.maximum(resp.sum(axis=1), 1e-300)
+        nk = np.maximum(resp.sum(axis=0), 1e-300)
         w = nk / m
         # A mean lies among its row's samples and a sigma within half their
         # range, but near F32_MAX either may round one ulp beyond it.
-        mu = np.clip((resp * s[:, :, None]).sum(axis=1) / nk, -F32_MAX, F32_MAX)
-        var = (resp * (s[:, :, None] - mu[:, None, :]) ** 2).sum(axis=1) / nk
-        sg = np.minimum(np.maximum(np.sqrt(var), floor[:, None]), F32_MAX)
+        mu = np.clip((resp * s).sum(axis=0) / nk, -F32_MAX, F32_MAX)
+        var = (resp * (s - mu) ** 2).sum(axis=0) / nk
+        sg = np.minimum(np.maximum(np.sqrt(var), floor), F32_MAX)
         done = ((ll - prev_ll < 1e-8) & np.isfinite(prev_ll)) | (it == max_iter - 1)
         if done.any():
-            fit[:, rows[done]] = w[done], mu[done], sg[done]
+            fit[:, :, rows[done]] = w[:, done], mu[:, done], sg[:, done]
             keep = ~done
-            rows, s, w, mu, sg, floor, ll = (a[keep] for a in (rows, s, w, mu, sg, floor, ll))
+            rows, floor, ll = rows[keep], floor[keep], ll[keep]
+            s, w, mu, sg = (a[..., keep] for a in (s, w, mu, sg))
             if rows.size == 0:
                 break
         prev_ll = ll
-    weights, means, sigmas = fit
+    weights, means, sigmas = (np.ascontiguousarray(a.T) for a in fit)
     return weights / weights.sum(axis=1, keepdims=True), means, sigmas
 
 
 def _gmm_em_blocks(samples: np.ndarray, k: int, max_iter: int) -> list:
     """_gmm_em_rows over sub-blocks of at most _EM_ROWS rows, which bound its
-    (rows, M, k) temporaries; each row's fit depends on that row only."""
+    (M, k, rows) temporaries; each row's fit depends on that row only."""
     return _joined([_gmm_em_rows(samples[i:i + _EM_ROWS], k, max_iter)
                     for i in range(0, samples.shape[0], _EM_ROWS)])
 

@@ -235,7 +235,7 @@ def _gmm_ordered_rgba(job, m, c, state, rng):
 
 def _gmm_mc_rgba(job, m, c, state, rng):
     x = interp.sample_gmm_batch(m.weights, m.means, m.sigmas, c.idx8, c.w8, job.mc_samples, rng)
-    return job.tf.sample(x).mean(axis=1)
+    return np.einsum("anc->ac", job.tf.sample(x)) / x.shape[1]
 
 
 def _tf2d_rgba(job, m, c, state, rng):
@@ -337,7 +337,9 @@ def render_quartile_views(volume: DistributionVolume, job: RenderJob,
     """Lower 25%, middle 50%, and upper 25% population renders with the
     quantile-range scheme.  Pieces lo..hi of a voxel are themselves a quantile
     distribution of hi - lo equal-mass pieces, so each view renders the volume
-    sliced to those boundary columns."""
+    sliced to those boundary columns.  volume must be job.volume itself."""
+    if volume is not job.volume:
+        raise VolumeError("quartile views need volume to be job.volume")
     if not isinstance(volume.model, QuantileModel):
         raise VolumeError("quartile views need a quantile-model volume")
     q = volume.model.q

@@ -460,6 +460,27 @@ class TestBatchedEm:
             fit_gmm_em(np.random.default_rng(0).normal(size=40), k)
 
 
+class TestEmActiveSet:
+    def test_last_active_row_matches_per_voxel_loop(self):
+        # A two-valued row stops within 5 iterations and bimodal rows each at
+        # their own count, so the batch runs on with exactly one active row.
+        rng = np.random.default_rng(17)
+        m = 50
+        rows = [np.where(np.arange(m) % 3 == 0, 1.0, 0.0)]
+        for sep in (1.0, 2.0, 3.0):
+            rows.append(np.where(rng.random(m) < 0.4, rng.normal(0, 1, m), rng.normal(sep, 1, m)))
+        s = np.array(rows)
+        for k in (2, 3):
+            trace = []
+            fit = density._gmm_em_rows(s, k, 100, trace)
+            active = [ll.size for ll in trace]
+            assert active[0] == 4 and active.count(1) >= 5, (k, active)
+            for row in range(4):
+                ref = _per_voxel_em(s[row], k)
+                for got, want in zip(fit, ref):
+                    assert got[row].tobytes() == want.tobytes(), (k, row)
+
+
 class TestEmSubBlocks:
     """EM runs in sub-blocks of density._EM_ROWS rows inside each chunk."""
 

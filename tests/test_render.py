@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -294,6 +296,16 @@ class TestQuartileViews:
         sliced = DistributionVolume(vol.dims, vol.spacing, vol.origin, pieces)
         manual = raycast(RenderJob(sliced, "quantile-range", cam, tf=band_tf()))
         assert np.array_equal(middle.pixels, manual.pixels)
+
+    def test_volume_must_be_the_jobs_own(self):
+        gt = sample_field("tangle", (6, 6, 6))
+        vol = quantile_volume_from(gt, spread=0.1, q=4)
+        job = RenderJob(vol, "quantile-range", default_camera(vol, 6, 6), tf=band_tf())
+        assert len(render_quartile_views(vol, job)) == 3
+        other = quantile_volume_from(gt, spread=0.2, q=4)
+        for volume in (other, replace(vol)):  # a different volume, and an equal copy
+            with pytest.raises(VolumeError, match="job.volume"):
+                render_quartile_views(volume, job)
 
     def test_q_not_divisible_by_4_rejected(self):
         gt = sample_field("constant(0.5)", (4, 4, 4))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,24 @@ class TestQvol:
         boundaries = np.array([[0.0, 2.0, 1.0]])
         with pytest.raises(VolumeError):
             QuantileModel(0.5, boundaries)
+
+    @pytest.mark.parametrize("row", [0, 2500, 4999])
+    @pytest.mark.parametrize("col", [0, 31])
+    def test_decrease_in_an_end_column_rejected(self, row, col):
+        boundaries = np.tile(np.arange(33.0), (5000, 1))  # the check spans several row blocks
+        boundaries[row, col] = boundaries[row, col + 1] + 0.5
+        with pytest.raises(VolumeError, match="nondecreasing"):
+            QuantileModel(1 / 32, boundaries)
+
+    def test_order_check_needs_no_boundary_sized_temporary(self):
+        boundaries = np.tile(np.arange(33.0), (20000, 1))
+        tracemalloc.start()
+        try:
+            QuantileModel(1 / 32, boundaries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < boundaries.nbytes / 4, (peak, boundaries.nbytes)
 
 
 class TestDvol:
