@@ -4,7 +4,9 @@ The 1D quantile schemes realize the expected-TF integral either by exact
 per-piece averaging of the piecewise-linear TF (quantile range) or by TF
 lookups at piece midpoints with density-proportional weights (quantile mean).
 Gaussian models use the closed-form expectation of the piecewise-linear TF
-(the Gaussian-convolved TF of Kniss et al., Vis 2005).  Each scheme has one
+(the Gaussian-convolved TF of Kniss et al., Vis 2005), and lattice
+distributions (the uniform scheme) its exact expectation over lattice masses,
+taken per segment in the same way.  Each scheme has one
 batch kernel over P rows, which the renderer calls on the output of the interp
 kernels; the scalar functions check their inputs and call it on one row.
 """
@@ -289,20 +291,54 @@ def gauss_hermite_batch(mu: np.ndarray, sigma: np.ndarray,
     return out
 
 
-def lattice_color_batch(xs: np.ndarray, pdf: np.ndarray, du: np.ndarray,
+def _lattice_expectation(mass: np.ndarray, pos: np.ndarray, scale, origins: np.ndarray,
+                         below: np.ndarray, tf: TransferFunction1D) -> np.ndarray:
+    """E[TF(X)] for X on the points origins + scale * pos of each row, with
+    (P, F) masses, normalized here; below (P, n) counts each row's points at
+    or below each knot.
+
+    With TF = v0 + sum_j slope_j * clip(x - x_j, 0, x_{j+1} - x_j), segment j
+    adds slope_j times the mass of each point inside it times x - x_j, plus
+    its width times the mass above it.  Both come from cumulative sums of the
+    masses and of the masses times pos, gathered at the knots.  A segment
+    with no point inside it takes no difference of two large numbers, so
+    knots far from the points cost no precision.
+    """
+    p, f = mass.shape
+    sums = np.zeros((2, p, f + 1))
+    np.cumsum(mass, axis=1, out=sums[0, :, 1:])
+    np.cumsum(mass * pos, axis=1, out=sums[1, :, 1:])
+    at = sums.reshape(2, -1)[:, below + (f + 1) * np.arange(p)[:, None]]  # (2, P, n)
+    total = sums[0, :, -1:]
+    inside = np.diff(at, axis=2)  # (2, P, n - 1)
+    knots = tf.knots
+    seg = (origins[:, None] - knots[:-1]) * inside[0]
+    seg += scale * inside[1]
+    seg += np.diff(knots) * (total - at[0, :, 1:])
+    return tf.points[0, 1:] + (seg @ tf._seg_slope[1:-1]) / total
+
+
+def lattice_color_batch(origins: np.ndarray, mass: np.ndarray, du: np.ndarray,
                         tf: TransferFunction1D) -> np.ndarray:
-    """Expected RGBA of (P, F) densities at the (P, F) lattice points xs of
-    steps du: the TF at each point weighted by its normalized mass pdf*du."""
-    mass = pdf * du[:, None]
-    mass /= mass.sum(axis=1, keepdims=True)
-    return np.einsum("an,anc->ac", mass, tf.sample(xs))
+    """Expected RGBA of (P, F) lattice masses at origins + arange(F) * du, as
+    uniform_sum_density_batch returns them.  The points at or below a knot
+    are counted from the lattice arithmetic; the offset is clipped to the
+    lattice first, so a tiny du cannot overflow the division."""
+    f = mass.shape[1]
+    o, step = origins[:, None], du[:, None]
+    t = np.clip(tf.knots[None, :] - o, -step, f * step) / step
+    below = np.clip(np.floor(t) + 1.0, 0, f).astype(np.intp)
+    return _lattice_expectation(mass, np.arange(f), step, origins, below, tf)
 
 
 def numeric_density_color(density: NumericDensity, tf: TransferFunction1D) -> np.ndarray:
-    du = density.x[1] - density.x[0]
-    if not du > 0 or not np.sum(density.pdf) > 0:
+    """Expected RGBA of a NumericDensity: the TF at each stored point,
+    weighted by the pdf there (the lattice need not be uniform)."""
+    x = density.x
+    if not np.all(x[1:] > x[:-1]) or not np.sum(density.pdf) > 0:
         raise VolumeError("numeric density needs an increasing lattice carrying mass")
-    return lattice_color_batch(density.x[None, :], density.pdf[None, :], np.array([du]), tf)[0]
+    below = np.searchsorted(x, tf.knots, side="right")[None, :]
+    return _lattice_expectation(density.pdf[None, :], x - x[0], 1.0, x[:1], below, tf)[0]
 
 
 def expected_color_parametric(model, tf: TransferFunction1D) -> np.ndarray:

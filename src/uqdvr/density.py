@@ -100,15 +100,15 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     Each row's samples are linearly binned onto its lattice and smoothed with
     the row's sampled Gaussian kernel by a zero-padded rFFT of length
     2*lattice, so the circular convolution never wraps (Wand 1994).
-    Returns (x, cdf) with shape (V, lattice); rows with zero bandwidth get a
-    degenerate lattice at the constant value and a unit-step CDF.
+    Returns (lo, du, cdf): row v's lattice is lo[v] + du[v] * arange(lattice)
+    and cdf is (V, lattice).  Rows with zero spread and zero bandwidth get
+    du = 0, a lattice at the constant value, and a linear CDF.
     """
     v = samples.shape[0]
     lo = np.maximum(samples.min(axis=1) - 3.0 * h, -F32_MAX)  # padded within the f32 range
     hi = np.minimum(samples.max(axis=1) + 3.0 * h, F32_MAX)
     flat = hi <= lo  # zero spread and zero bandwidth
-    du = np.where(flat, 1.0, hi - lo) / (lattice - 1)
-    x = lo[:, None] + du[:, None] * np.arange(lattice)[None, :]
+    du = np.where(flat, 0.0, hi - lo) / (lattice - 1)
 
     # Kernel and bin scale factors drop out when the CDF is normalised.
     live = np.nonzero(~flat)[0]
@@ -131,22 +131,25 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     cdf = np.zeros((v, lattice))
     if live.size:
         cdf[live, 1:] = rising
+    # The cumulative sum of a clipped pdf never decreases, and dividing by
+    # one positive total keeps that order, so the CDF is monotone as it stands.
     total = cdf[:, -1].copy()
     total[total <= 0] = 1.0
     cdf /= total[:, None]
-    np.maximum.accumulate(cdf, axis=1, out=cdf)
     if np.any(flat):
         cdf[flat] = np.linspace(0.0, 1.0, lattice)[None, :]
-        x[flat] = samples[flat, 0][:, None]
-    return x, cdf
+    return lo, du, cdf
 
 
-def _invert_cdf_rows(x: np.ndarray, cdf: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """np.interp(masses, cdf[row], x[row]) for every row, made monotone.
+def _invert_cdf_rows(origin: np.ndarray, du: np.ndarray, cdf: np.ndarray,
+                     masses: np.ndarray) -> np.ndarray:
+    """np.interp(masses, cdf[row], x[row]) for every row, where row v's
+    lattice x is origin[v] + du[v] * arange(n).
 
     Rows need cdf[:, 0] <= masses[0].  A bisection run on all rows at once
     finds the last lattice point j with cdf <= mass, which is the bracket
-    np.interp uses, and the interpolation repeats its arithmetic.
+    np.interp uses, and the interpolation repeats its arithmetic.  Each
+    (row, mass) entry depends on that row and mass only.
     """
     v, n = cdf.shape
     rows = np.arange(v)[:, None]
@@ -159,28 +162,32 @@ def _invert_cdf_rows(x: np.ndarray, cdf: np.ndarray, masses: np.ndarray) -> np.n
         hi = np.where(below, hi, mid)
     j = np.minimum(lo - 1, n - 2)
     c0, c1 = cdf[rows, j], cdf[rows, j + 1]
-    x0, x1 = x[rows, j], x[rows, j + 1]
+    o, step = origin[:, None], du[:, None]
+    x0, x1 = o + step * j, o + step * (j + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = (x1 - x0) / (c1 - c0) * (masses - c0) + x0
     b = np.where(c0 == masses, x0, b)
-    b = np.where(lo == n, x[:, -1:], b)
-    return np.maximum.accumulate(b, axis=1)
+    return np.where(lo == n, o + step * (n - 1), b)
 
 
 def _kde_quantile_rows(samples: np.ndarray, masses: list, config: KdeConfig) -> list:
     """Quantile boundaries of (V, M) sample sets at each mass vector, all from
-    one KDE CDF per row; constant rows collapse to their value."""
+    one KDE CDF per row; constant rows collapse to their value.  The union of
+    the mass vectors is inverted once; each vector then takes its own columns,
+    made monotone, which gives the bytes of inverting it alone."""
     h = _bandwidths(samples, config)
     const = (h <= 0) | (samples.max(axis=1) == samples.min(axis=1))
     outs = [np.repeat(samples[:, :1], mv.size, axis=1) for mv in masses]
+    union, where = np.unique(np.concatenate(masses), return_inverse=True)
+    columns = np.split(where, np.cumsum([mv.size for mv in masses])[:-1])
     live = np.nonzero(~const)[0]
     step = max(1, _FFT_CELLS // (2 * config.lattice))
     for start in range(0, live.size, step):
         rows = live[start:start + step]
-        x, cdf = _kde_lattice_cdf(samples[rows], h[rows], config.lattice)
-        for out, mv in zip(outs, masses):
+        b = _invert_cdf_rows(*_kde_lattice_cdf(samples[rows], h[rows], config.lattice), union)
+        for out, cols in zip(outs, columns):
             # Lattice points near F32_MAX may round one ulp beyond it.
-            out[rows] = np.minimum(_invert_cdf_rows(x, cdf, mv), F32_MAX)
+            out[rows] = np.minimum(np.maximum.accumulate(b[:, cols], axis=1), F32_MAX)
     return outs
 
 
@@ -197,13 +204,6 @@ def estimate_quantiles(samples, qval: float, config: KdeConfig = KdeConfig()) ->
     """
     boundaries = _batch_quantiles(_sample_set(samples, "estimate_quantiles", 2), qval, config)[0]
     return QuantilePdf(qval, boundaries)
-
-
-def kde_cdf(samples, config: KdeConfig = KdeConfig()):
-    """The (lattice, cdf) pair behind estimate_quantiles, for inspection/tests."""
-    s = _sample_set(samples, "kde_cdf", 1)
-    x, cdf = _kde_lattice_cdf(s, _bandwidths(s, config), config.lattice)
-    return x[0], cdf[0]
 
 
 def _fit_moments(samples, kind: str, least: int) -> tuple:

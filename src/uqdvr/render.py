@@ -213,10 +213,8 @@ def _gaussian_rgba(job, m, c, state, rng):
 
 
 def _uniform_rgba(job, m, c, state, rng):
-    origins, pdf, du = uniform_sum_density_batch(m.center[c.idx8], m.width[c.idx8], c.w8,
-                                                 CONV_LATTICE)
-    xs = origins[:, None] + np.arange(pdf.shape[1])[None, :] * du[:, None]
-    return lattice_color_batch(xs, pdf, du, job.tf)
+    return lattice_color_batch(*uniform_sum_density_batch(m.center[c.idx8], m.width[c.idx8],
+                                                          c.w8, CONV_LATTICE), job.tf)
 
 
 def _quantile_range_rgba(job, m, c, state, rng):

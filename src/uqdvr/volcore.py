@@ -77,11 +77,13 @@ def require_finite(values, what: str, shape: tuple | None = None,
     """values as a checked C-contiguous float array of dtype (float64 unless
     given); VolumeError unless they are numbers, every one finite once
     converted, in the given shape when there is one, and with f32_range
-    within +-F32_MAX (checked by min and max, with no full-size temporary)."""
+    within +-F32_MAX.  A NaN or inf shows in the min or the max, so both
+    checks read those two and make no full-size temporary."""
     a = _floats(values, shape, dtype)
-    if a is None or not np.all(np.isfinite(a)):
+    lo, hi = (a.min(), a.max()) if a is not None and a.size else (0.0, 0.0)
+    if a is None or not (np.isfinite(lo) and np.isfinite(hi)):
         raise VolumeError(f"{what} must be finite{_of_shape(shape)}")
-    if f32_range and a.size and not (-F32_MAX <= a.min() and a.max() <= F32_MAX):
+    if f32_range and not (lo >= -F32_MAX and hi <= F32_MAX):
         raise VolumeError(f"{what} must lie in the f32 range +-{F32_MAX:.8g}")
     return a
 

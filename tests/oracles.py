@@ -1,7 +1,9 @@
-"""Independent oracles of the interpolation tests: the rational per-piece form
-of trilinear quantile interpolation, a Monte Carlo resampling oracle, and
-Kolmogorov-Smirnov distances.  They use only the public API of uqdvr, so
-they check the package's kernels without sharing code with them."""
+"""Independent oracles of the tests: the rational per-piece form of trilinear
+quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
+distances and the pointwise expected color of a lattice distribution.  They
+use only the public API of uqdvr, so they check the package's kernels without
+sharing code with them.  kde_cdf alone exposes a private kernel: the KDE
+fit's lattice CDF, which the fit inverts without building its lattice."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from uqdvr import density
+from uqdvr.classify import TransferFunction1D
 from uqdvr.volcore import EPS_WIDTH, QuantilePdf, VolumeError, require_finite, require_int
 
 
@@ -99,3 +103,17 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, allv, side="right") / a.size
     fb = np.searchsorted(b, allv, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
+
+
+def lattice_color_einsum(xs: np.ndarray, mass: np.ndarray, tf: TransferFunction1D) -> np.ndarray:
+    """Expected RGBA of (P, F) masses at the (P, F) points xs: the TF read at
+    every point, weighted by the normalized masses."""
+    w = mass / mass.sum(axis=1, keepdims=True)
+    return np.einsum("an,anc->ac", w, tf.sample(xs))
+
+
+def kde_cdf(samples, config: density.KdeConfig = density.KdeConfig()):
+    """The (lattice, cdf) pair behind estimate_quantiles for one sample set."""
+    s = density._sample_set(samples, "kde_cdf", 1)
+    lo, du, cdf = density._kde_lattice_cdf(s, density._bandwidths(s, config), config.lattice)
+    return lo[0] + du[0] * np.arange(config.lattice), cdf[0]

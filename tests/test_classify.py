@@ -51,6 +51,8 @@ from uqdvr.volcore import (
     save_qvol,
 )
 
+from oracles import lattice_color_einsum
+
 
 def ramp_tf():
     # Red channel ramps 0 -> 1 over [0, 1]; alpha constant 1.
@@ -221,6 +223,21 @@ class TestParametric:
         dens = NumericDensity(x, np.full_like(x, 1.0 / 0.6))
         out = expected_color_parametric(dens, ramp_tf())
         assert abs(out[0] - 0.5) < 1e-3
+
+    def test_numeric_density_matches_the_einsum_oracle(self):
+        # Non-uniform lattices, some points on the knots, some rows wholly
+        # above or below them: the segment-table expectation agrees with the
+        # TF read at every stored point.
+        rng = np.random.default_rng(23)
+        tf = random_tf(rng, 6)
+        for i in range(60):
+            x = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(1e-3, 0.2, 40))
+            x[rng.integers(0, 40, 3)] = rng.choice(tf.knots, 3)
+            x = np.unique(np.concatenate([x, x[:1] + (40.0 if i % 3 == 1 else -40.0)]))
+            pdf = rng.random(x.size) * (rng.random(x.size) < 0.7) + 1e-3
+            want = lattice_color_einsum(x[None, :], pdf[None, :], tf)[0]
+            got = expected_color_parametric(NumericDensity(x, pdf), tf)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def trilerp(grid, p):
@@ -1125,6 +1142,11 @@ class TestScalarClassifyRaisesVolumeError:
     def test_numeric_density_without_mass(self):
         with pytest.raises(VolumeError):
             expected_color_parametric(NumericDensity(np.linspace(0, 1, 5), np.zeros(5)),
+                                      ramp_tf())
+
+    def test_numeric_density_on_a_lattice_that_turns_back(self):
+        with pytest.raises(VolumeError, match="increasing"):
+            expected_color_parametric(NumericDensity([0.0, 0.5, 0.25, 0.75, 1.0], np.ones(5)),
                                       ramp_tf())
 
     def test_numeric_density_samples_its_own_lattice(self):

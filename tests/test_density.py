@@ -14,13 +14,14 @@ from uqdvr.density import (
     fit_gmm_em,
     fit_mean,
     fit_uniform,
-    kde_cdf,
     quantile_volumes_multi,
     silverman_bandwidth,
 )
 from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_ensemble,
                          sample_field, save_ensemble)
 from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
+
+from oracles import kde_cdf
 
 
 def make_ensemble(values_per_member, dims):
@@ -351,15 +352,16 @@ def _interp_rows(x, cdf, masses):
 
 def _per_voxel_em(s, k, max_iter=100):
     """Reference one-sample-set EM (deterministic start, stop at a mean
-    log-likelihood step below 1e-8); returns (weights, means, sigmas, iterations)."""
+    log-likelihood step below 1e-8); returns (weights, means, sigmas, trace),
+    trace being the mean log-likelihood of every iteration run."""
     floor = max(1e-6 * float(s.max() - s.min()), 1e-12)
     if k == 1:
-        return np.ones(1), np.array([s.mean()]), np.array([max(np.std(s, ddof=1), floor)]), 0
+        return np.ones(1), np.array([s.mean()]), np.array([max(np.std(s, ddof=1), floor)]), []
     edges = np.quantile(s, np.linspace(0, 1, k + 1))
     mu = 0.5 * (edges[:-1] + edges[1:])
     sg = np.full(k, max(np.std(s, ddof=1) / k, floor))
     w = np.full(k, 1.0 / k)
-    prev_ll = -np.inf
+    prev_ll, trace = -np.inf, []
     for it in range(max_iter):
         safe = np.maximum(sg, 1e-300)
         z = (s[:, None] - mu[None, :]) / safe[None, :]
@@ -368,6 +370,7 @@ def _per_voxel_em(s, k, max_iter=100):
         p = np.exp(logp - peak)
         norm = p.sum(axis=1, keepdims=True)
         ll = float(np.mean(np.log(norm[:, 0]) + peak[:, 0]) - 0.5 * np.log(2.0 * np.pi))
+        trace.append(ll)
         resp = p / norm
         nk = np.maximum(resp.sum(axis=0), 1e-300)
         w = nk / s.size
@@ -377,7 +380,7 @@ def _per_voxel_em(s, k, max_iter=100):
         if ll - prev_ll < 1e-8 and np.isfinite(prev_ll):
             break
         prev_ll = ll
-    return w / w.sum(), mu, sg, it + 1
+    return w / w.sum(), mu, sg, trace
 
 
 def _tangle_samples(n=16, members=50, seed=3):
@@ -411,11 +414,32 @@ class TestBinnedKde:
         steps = rng.random((v, n - 1)) * (rng.random((v, n - 1)) < 0.6)  # flat stretches
         cdf = np.concatenate([np.zeros((v, 1)), np.cumsum(steps, axis=1)], axis=1)
         cdf /= cdf[:, -1:]
-        x = np.cumsum(rng.random((v, n)), axis=1)
+        lo, du = rng.uniform(-5.0, 5.0, v), rng.uniform(1e-3, 2.0, v)
+        x = lo[:, None] + du[:, None] * np.arange(n)[None, :]
         masses = np.concatenate([np.arange(17) / 16, cdf[0, 5:8]])
         masses.sort()
-        got = density._invert_cdf_rows(x, cdf, masses)
-        assert np.array_equal(got, _interp_rows(x, cdf, masses))
+        got = density._invert_cdf_rows(lo, du, cdf, masses)
+        want = np.array([np.interp(masses, c, r) for r, c in zip(x, cdf)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("data", ["tangle", "huge", "tied"])
+    @pytest.mark.parametrize("qvals, near_equal", [((1 / 3, 1 / 6), 0), ((1 / 5, 1 / 15), 1),
+                                                   ((1 / 2, 1 / 4, 1 / 8), 0)])
+    def test_union_inversion_matches_each_qval_alone(self, data, qvals, near_equal):
+        # The masses of 2/5 and 6/15 differ in their last bit, so the union
+        # holds both; those of 1/3 and 2/6 are bit-equal.
+        masses = [volcore._quantile_masses(qv) for qv in qvals]
+        union = np.unique(np.concatenate(masses))
+        assert union.size - np.unique(union.round(12)).size == near_equal
+        s = _tangle_samples(n=8)
+        cfg = KdeConfig()
+        if data == "huge":
+            s = s * 1e30
+        elif data == "tied":
+            s, cfg = np.round(s * 4.0) / 4.0, KdeConfig(lattice=1024)
+        together = density._kde_quantile_rows(s, masses, cfg)
+        for mv, got in zip(masses, together, strict=True):
+            assert got.tobytes() == density._kde_quantile_rows(s, [mv], cfg)[0].tobytes()
 
 
 class TestBatchedEm:
@@ -426,8 +450,8 @@ class TestBatchedEm:
             w, mu, sg = density._gmm_em_rows(s, k, max_iter=10)
             iters = []
             for row in range(s.shape[0]):
-                rw, rmu, rsg, n = _per_voxel_em(s[row], k, max_iter=10)
-                iters.append(n)
+                rw, rmu, rsg, trace = _per_voxel_em(s[row], k, max_iter=10)
+                iters.append(len(trace))
                 assert w[row].tobytes() == rw.tobytes(), (k, row)
                 assert mu[row].tobytes() == rmu.tobytes(), (k, row)
                 assert sg[row].tobytes() == rsg.tobytes(), (k, row)
@@ -439,10 +463,22 @@ class TestBatchedEm:
         for row in (0, 45, 63):
             trace = []
             g = fit_gmm_em(s[row], 2, trace=trace)
-            rw, rmu, rsg, n = _per_voxel_em(s[row], 2)
-            assert len(trace) == n
+            rw, rmu, rsg, want = _per_voxel_em(s[row], 2)
+            assert np.array(trace).tobytes() == np.array(want).tobytes()
             for got, ref in ((g.weights, rw), (g.means, rmu), (g.sigmas, rsg)):
                 assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_batch_trace_matches_reference(self, k):
+        # trace[it] holds the rows still active at iteration it, in row order.
+        s = _tangle_samples(n=4)
+        trace = []
+        density._gmm_em_rows(s, k, 100, trace)
+        per_row = [_per_voxel_em(s[row], k)[3] for row in range(s.shape[0])]
+        want = [[ll[it] for ll in per_row if len(ll) > it] for it in range(len(trace))]
+        assert max(map(len, per_row)) == len(trace)
+        for it, (got, ref) in enumerate(zip(trace, want)):
+            assert got.tobytes() == np.array(ref).tobytes(), it
 
     @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
     def test_max_iter_validated(self, max_iter):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from uqdvr.classify import TransferFunction1D, lattice_color_batch
 from uqdvr.density import GmmModel, KdeConfig, estimate_quantiles
 from uqdvr.interp import (
     TrilinearCoords,
@@ -18,7 +19,8 @@ from uqdvr.interp import (
 )
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
 
-from oracles import ks_distance, ks_two_sample, mc_oracle_interp, quantile_interp_3d_rational
+from oracles import (ks_distance, ks_two_sample, lattice_color_einsum, mc_oracle_interp,
+                     quantile_interp_3d_rational)
 
 
 def random_pdf(rng, q=4, min_width=1e-3, max_width=2.0):
@@ -249,11 +251,11 @@ class TestInterpUniform:
 
 
 def rasterized_uniform_sum_density(centers, widths, weights, npoints):
-    """Rasterize each factor's box onto the lattice cells, then multiply the
-    factors' rFFTs: the reference for the analytic box spectra.  Overlaps are
-    taken in cell units, so interior cells are exactly one cell wide; in length
-    units (lo + du) - lo rounds by about eps * m, which reaches 1e-12 relative
-    at the largest lattices."""
+    """Rasterize each factor's box onto the lattice cells as cell masses, then
+    multiply the factors' rFFTs: the reference for the analytic box spectra.
+    Overlaps are taken in cell units, so interior cells are exactly one cell
+    wide; in length units (lo + du) - lo rounds by about eps * m, which
+    reaches 1e-12 relative at the largest lattices."""
     c, d, w = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (centers, widths, weights))
     v, k = c.shape
     s = np.abs(w) * d
@@ -264,19 +266,15 @@ def rasterized_uniform_sum_density(centers, widths, weights, npoints):
     spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
     cell = np.arange(f_len)
     for i in range(k):
-        si = s[:, i][:, None]
-        cells = si / du[:, None]  # box width in cells
+        cells = (s[:, i] / du)[:, None]  # box width in cells
         overlap = np.clip(np.minimum(cell + 0.5, cells) - np.maximum(cell - 0.5, 0.0), 0.0, None)
-        fac = np.where(si > 0, overlap / np.where(si > 0, si, 1.0), 0.0)
         point = s[:, i] <= 0
-        fac[point, 0] = 1.0 / du[point]
+        fac = overlap / np.where(point[:, None], 1.0, cells)
+        fac[point, 0] = 1.0
         fac[point, 1:] = 0.0
         spec *= np.fft.rfft(fac, axis=1)
-    pdf = np.clip(np.fft.irfft(spec, n=f_len, axis=1) * du[:, None] ** (k - 1), 0.0, None)
-    degen = total <= 0
-    pdf[degen] = 0.0
-    pdf[degen, 0] = 1.0 / du[degen]
-    return origins, pdf, du
+    mass = np.clip(np.fft.irfft(spec, n=f_len, axis=1), 0.0, None)
+    return origins, mass, du
 
 
 class TestUniformSumSpectra:
@@ -322,7 +320,7 @@ class TestUniformSumSpectra:
         origins, want, du = rasterized_uniform_sum_density(centers[None], widths[None],
                                                            w[None], lattice)
         np.testing.assert_array_equal(dens.x, origins[0] + np.arange(want.shape[1]) * du[0])
-        assert np.max(np.abs(dens.pdf - want[0])) / want.max() < 1e-12
+        assert np.max(np.abs(dens.pdf * du[0] - want[0])) / want.max() < 1e-12
 
 
 class TestGmmOrdered:
@@ -492,11 +490,13 @@ class TestScalarWrappersShareTheBatchKernels:
 
 
 class TestUniformSumNarrowRows:
-    """Rows narrower than (F/DBL_MAX)^(1/k) lattice steps could overflow the
-    inverse transform of k spectra; they are point masses like zero-width rows."""
+    """Each factor's spectrum is in per-cell mass units, of modulus at most 1,
+    so the product of any number of them stays finite however narrow the row:
+    only rows whose lattice step underflows to 0 are point masses."""
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-310, 3.5e-283, 1e-40])
     def test_point_mass_rows_stay_finite(self, tiny):
+        # Row 0 is a point mass at 5e-324 only, where its width underflows to 0.
         centers = np.full((3, 8), 0.3)
         widths = np.zeros((3, 8))
         widths[0, 3] = tiny
@@ -504,18 +504,19 @@ class TestUniformSumNarrowRows:
         widths[2, 5] = tiny  # a subnormal factor beside normal ones
         widths[2, :4] = 0.1
         weights = np.full((3, 8), 0.125)
-        origins, pdf, du = uniform_sum_density_batch(centers, widths, weights, 64)
-        assert np.all(np.isfinite(pdf))
-        assert np.count_nonzero(pdf[0]) == 1 and pdf[0, 0] == 1.0 / du[0]
+        origins, mass, du = uniform_sum_density_batch(centers, widths, weights, 64)
+        assert np.all(np.isfinite(mass)) and np.all(mass >= 0) and np.all(du > 0)
+        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         want = uniform_sum_density_batch(centers[1:], np.where(widths[1:] == tiny, 0.0,
                                                                widths[1:]), weights[1:], 64)
-        np.testing.assert_allclose(pdf[1:], want[1], rtol=0, atol=1e-9 * want[1].max())
+        np.testing.assert_allclose(mass[1:], want[1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k, npoints", [(2, 2), (2, 64), (3, 8), (8, 64), (8, 1024),
                                             (50, 64)])
     def test_threshold_rows(self, k, npoints):
-        # Just below the threshold a row is a spike at its mean; just above it
-        # the spectra are used and stay finite.
+        # Rows just below and just above the bound (npoints - 1) (F/DBL_MAX)^(1/k)
+        # on their total width, where pdf-unit spectra would overflow, keep
+        # their shape: finite unit masses that match the rasterized reference.
         f_len = uniform_lattice_len(npoints, k)
         edge = (npoints - 1) * (f_len / np.finfo(np.float64).max) ** (1.0 / k)
         centers = np.linspace(0.2, 0.7, 2 * k).reshape(2, k)
@@ -523,8 +524,53 @@ class TestUniformSumNarrowRows:
         widths = np.zeros((2, k))
         widths[0, 0] = 0.999 * edge * k
         widths[1, :] = 1.001 * edge * k
-        origins, pdf, du = uniform_sum_density_batch(centers, widths, weights, npoints)
-        assert np.all(np.isfinite(pdf)) and pdf[1].sum() > 0
-        assert np.count_nonzero(pdf[0]) == 1 and pdf[0, 0] == 1.0 / du[0]
-        assert origins[0] == (weights[0] * centers[0]).sum()
+        origins, mass, du = uniform_sum_density_batch(centers, widths, weights, npoints)
+        want = rasterized_uniform_sum_density(centers, widths, weights, npoints)
+        assert np.all(np.isfinite(mass)) and np.all(du > 0)
+        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(origins, want[0])
+        assert np.max(np.abs(mass - want[1])) < 1e-12
+        assert origins[0] == (weights[0] * centers[0]).sum() - 0.5 * widths[0, 0] / k
 
+    @pytest.mark.parametrize("step", [7.8e-7, 1e-20, 1e-300])
+    def test_many_factor_rows_keep_their_shape(self, step):
+        # 50 factors on a 1,024-cell lattice: in pdf units the spectra overflowed
+        # below du = 7.9e-7, where rows had to collapse to a spike at their mean.
+        k, npoints = 50, 512
+        assert uniform_lattice_len(npoints, k) == 1024
+        rng = np.random.default_rng(50)
+        centers = rng.uniform(-1.0, 1.0, (4, k))
+        weights = rng.dirichlet(np.ones(k), 4)
+        widths = rng.uniform(0.5, 1.0, (4, k))
+        widths *= (step * (npoints - 1) / (weights * widths).sum(axis=1))[:, None]
+        origins, mass, du = uniform_sum_density_batch(centers, widths, weights, npoints)
+        want = rasterized_uniform_sum_density(centers, widths, weights, npoints)
+        np.testing.assert_allclose(du, step, rtol=1e-12)
+        np.testing.assert_array_equal(origins, want[0])
+        np.testing.assert_array_equal(du, want[2])
+        assert np.max(np.abs(mass - want[1])) / want[1].max() < 1e-12
+        assert np.all(np.count_nonzero(mass > 1e-3, axis=1) > 10)  # no spikes
+
+    def test_colors_match_the_einsum_oracle(self):
+        # Rows of every width, down to subnormal lattice steps, and rows far
+        # above or below the knots: the segment-table expectation agrees with
+        # the TF read at every lattice point.
+        rng = np.random.default_rng(9)
+        v = 700
+        centers = rng.uniform(-1.0, 1.0, (v, 8))
+        widths = rng.uniform(0.0, 0.5, (v, 8))
+        weights = rng.dirichlet(np.ones(8), v)
+        widths[::7] *= 1e-300
+        widths[1::7] *= 1e-321  # subnormal widths
+        widths[2::7] = 0.0
+        centers[3::7] *= 1e30
+        widths[4::7] *= 1e30
+        centers[5::7] *= 3e38
+        widths[5::7] *= 1e37
+        tf = TransferFunction1D(np.array([[-0.5, 0, 0, 0, 0], [-0.1, 1, 0.2, 0, 0.5],
+                                          [0.0, 1, 0.2, 0, 0.5], [0.3, 0, 1, 0.4, 0.9],
+                                          [0.9, 0.3, 0.3, 1, 0.1]]))
+        origins, mass, du = uniform_sum_density_batch(centers, widths, weights, 64)
+        xs = origins[:, None] + np.arange(mass.shape[1])[None, :] * du[:, None]
+        np.testing.assert_allclose(lattice_color_batch(origins, mass, du, tf),
+                                   lattice_color_einsum(xs, mass, tf), rtol=0, atol=1e-12)

@@ -23,6 +23,7 @@ from uqdvr.render import (
 )
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field
 from uqdvr.volcore import (
+    F32_MAX,
     DistributionVolume,
     GaussianModel,
     GmmVolumeModel,
@@ -481,8 +482,10 @@ class TestRenderHooksReached:
         render.raycast(small_job(scheme), threads=2)
         assert calls["_classify_chunk"] > 0
         assert {name for name in RENDER_KERNELS if calls[name]} == used
-        if scheme in ("mean", "uniform", "gmm-mc"):
+        if scheme in ("mean", "gmm-mc"):
             assert calls["tf.sample"] > 0
+        if scheme == "uniform":  # the segment tables replace per-point lookups
+            assert calls["tf.sample"] == 0
 
     def test_quartile_views_call_raycast_by_name(self, monkeypatch):
         vol = small_volumes()[0]["quantile"]
@@ -563,9 +566,14 @@ class TestRenderMatchesScalarPipeline:
 def render_jobs():
     """Any RenderJob the constructors accept, on volumes of 2-5 voxels per
     axis, with zero widths and sigmas allowed and cameras inside or outside
-    the volume; None when a constructor rejects the draw."""
+    the volume; None when a constructor rejects the draw.  Model values and
+    spreads share one magnitude, from subnormal up to F32_MAX / 8, so tiny
+    spreads sit next to knots far larger than them and large values far
+    beyond the knots."""
     values = st.floats(-2.0, 2.0)
     scales = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    magnitudes = st.one_of(st.just(1.0), st.sampled_from([5e-324, 1e-310, 1e30, F32_MAX / 8]),
+                           st.floats(5e-324, F32_MAX / 8))
 
     @st.composite
     def jobs(draw):
@@ -574,19 +582,21 @@ def render_jobs():
         spacing = tuple(draw(st.floats(0.1, 3.0)) for _ in range(3))
         origin = tuple(draw(values) for _ in range(3))
         scheme = draw(st.sampled_from(render.SCHEMES))
+        magnitude = draw(magnitudes)
         arr = lambda elems: np.array(draw(st.lists(elems, min_size=nvox, max_size=nvox)))
+        field = lambda elems: arr(elems) * magnitude
         kind = SCHEME_VOLUME[scheme]
         if kind == "mean":
-            model = MeanFieldModel(arr(values))
+            model = MeanFieldModel(field(values))
         elif kind == "gaussian":
-            model = GaussianModel(arr(values), arr(scales))
+            model = GaussianModel(field(values), field(scales))
         elif kind == "uniform":
-            model = UniformModel(arr(values), arr(scales))
+            model = UniformModel(field(values), field(scales))
         elif kind == "quantile":
             q = draw(st.sampled_from([1, 2, 4]))
-            incr = np.stack([arr(scales) for _ in range(q)], axis=1)
+            incr = np.stack([field(scales) for _ in range(q)], axis=1)
             model = QuantileModel(1.0 / q, np.cumsum(np.concatenate(
-                [arr(values)[:, None], incr], axis=1), axis=1))
+                [field(values)[:, None], incr], axis=1), axis=1))
             if draw(st.booleans()):  # pieces lo..hi, rendered as a sliced volume
                 lo_q = draw(st.integers(0, q - 1))
                 hi_q = draw(st.integers(lo_q + 1, q))
@@ -595,8 +605,8 @@ def render_jobs():
             k = draw(st.integers(1, 3))
             w = np.stack([arr(st.floats(0.0, 1.0)) for _ in range(k)], axis=1) + 1e-3
             model = GmmVolumeModel(k, w / w.sum(axis=1, keepdims=True),
-                                   np.stack([arr(values) for _ in range(k)], axis=1),
-                                   np.stack([arr(scales) for _ in range(k)], axis=1))
+                                   np.stack([field(values) for _ in range(k)], axis=1),
+                                   np.stack([field(scales) for _ in range(k)], axis=1))
         vol = DistributionVolume(dims, spacing, origin, model)
         lo, hi = vol.world_min, vol.world_max
         inside = draw(st.booleans())
@@ -606,7 +616,7 @@ def render_jobs():
         extra = {"tf": band_tf()}
         if scheme == "tf2d":
             extra = {"tf2": TransferFunction2D(np.random.default_rng(0).random((3, 4, 4)), 1.0),
-                     "mean_grid": ScalarGrid(dims, spacing, origin, arr(values)),
+                     "mean_grid": ScalarGrid(dims, spacing, origin, field(values)),
                      "tf2d_samples": draw(st.sampled_from([1, 2, 8]))}
         try:
             cam = Camera(tuple(eye), tuple(look), (0.0, 0.0, 1.0), draw(st.floats(10, 120)), 3, 2)
@@ -636,3 +646,19 @@ def test_uniform_render_with_subnormal_width_is_finite():
     cam = Camera((3.0, 5.0, 9.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0, 3, 2)
     px = raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0)).pixels
     assert np.all(np.isfinite(px))
+
+
+@pytest.mark.parametrize("width", [1e-310, 5e-324])
+def test_uniform_render_with_a_subnormal_lattice_step_is_finite(width):
+    # The lattice step is subnormal, or 0 where the width underflows: a knot's
+    # offset from the lattice, divided by the step, would overflow.  Values
+    # within 1e-310 of the TF's first knot render as the zero-width volume.
+    cam = Camera((3.0, 5.0, 9.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0, 3, 2)
+    images = []
+    for w in (width, 0.0):
+        widths = np.full(30, w)
+        vol = DistributionVolume((2, 3, 5), (1, 1, 1), (0, 0, 0),
+                                 UniformModel(np.zeros(30), widths))
+        images.append(raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0)).pixels)
+    assert np.all(np.isfinite(images[0]))
+    assert np.array_equal(images[0], images[1])

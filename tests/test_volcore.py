@@ -190,6 +190,31 @@ class TestQvol:
         assert peak < boundaries.nbytes / 4, (peak, boundaries.nbytes)
 
 
+class TestRequireFinite:
+    def test_check_needs_no_full_size_temporary(self):
+        a = np.linspace(-1.0, 1.0, 1 << 20)
+        tracemalloc.start()
+        try:
+            volcore.require_finite(a, "values", f32_range=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 64, (peak, a.nbytes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1000, -1])
+    @pytest.mark.parametrize("f32_range", [False, True])
+    def test_any_non_finite_entry_rejected(self, bad, at, f32_range):
+        a = np.linspace(-1.0, 1.0, 2001)
+        a[at] = bad
+        with pytest.raises(VolumeError, match="values must be finite"):
+            volcore.require_finite(a, "values", f32_range=f32_range)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_arrays_pass(self, dtype):
+        assert volcore.require_finite([], "values", dtype=dtype, f32_range=True).size == 0
+
+
 class TestDvol:
     def test_round_trips(self, tmp_path):
         rng = np.random.default_rng(11)
