@@ -27,8 +27,8 @@ import scipy
 
 from uqdvr import presets
 from uqdvr.cli import run_experiment
-from uqdvr.density import (KdeConfig, build_distribution_volume, downsample_hixel,
-                           quantile_volumes_multi)
+from uqdvr.density import (KdeConfig, brick_ensemble, build_distribution_volume,
+                           downsample_hixel, quantile_volumes_multi)
 from uqdvr.render import RenderJob, raycast, render_quartile_views
 from uqdvr.synth import NoiseSpec, load_ensemble, make_ensemble, sample_field, save_ensemble
 from uqdvr.volcore import DistributionVolume, ScalarGrid
@@ -42,6 +42,8 @@ FITS = (("mean", {}), ("uniform", {}), ("gaussian", {}), ("samples", {}),
 RENDERS = (("mean", "mean"), ("uniform", "uniform"), ("gaussian", "gaussian"),
            ("gmm-ordered", "gmm"), ("gmm-mc", "gmm"), ("quantile-range", "quantile"),
            ("quantile-mean", "quantile"), ("tf2d", "uniform"))
+SPHERE_RENDERS = (("mean", "mean"), ("quantile-mean", "quantile"),
+                  ("quantile-range", "quantile"))
 
 
 def environment() -> dict[str, str]:
@@ -122,6 +124,19 @@ def _render_outputs() -> dict[str, str]:
             views = render_quartile_views(vol, job, threads=threads)
             for name, img in zip(("lower", "middle", "upper"), views):
                 out[f"render/quartile-{name}-q{q}/t{threads}"] = _sha(img.pixels)
+    # Nested spheres at 32^3 (64^3 in 2^3 bricks), 96^2 in three chunks: most
+    # samples lie in empty space, and the box corners are 4 or more cells from
+    # any visible shell.
+    ens = brick_ensemble(sample_field("nested-spheres", (64, 64, 64)), (2, 2, 2))
+    spheres = {"mean": build_distribution_volume(ens, "mean"),
+               "quantile": build_distribution_volume(ens, "quantile", qval=0.125,
+                                                     config=KdeConfig(bandwidth=0.02))}
+    for threads in THREADS:
+        for scheme, kind in SPHERE_RENDERS:
+            vol = spheres[kind]
+            job = RenderJob(vol, scheme, presets.spheres_camera(vol, 96, 96),
+                            tf=presets.spheres_tf(), seed=SEED)
+            out[f"render/spheres-{scheme}/t{threads}"] = _sha(raycast(job, threads=threads).pixels)
     return out
 
 
