@@ -58,6 +58,6 @@ from .render import (
     render_quartile_views,
     save_image,
 )
-from .synth import NoiseSpec, make_bivariate, make_ensemble, sample_field
+from .synth import NoiseSpec, make_ensemble, sample_field
 
 __version__ = "0.1.0"

@@ -180,19 +180,6 @@ def make_ensemble(gt: ScalarGrid, spec: NoiseSpec) -> EnsembleVolume:
     return EnsembleVolume(tuple(members))
 
 
-def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
-    """Two smooth coupled fields for 2D-TF and fuzzy-fiber-surface tests:
-    a radial pressure-like well and a shifted, nonlinearly warped companion."""
-    dims = require_ints(dims, 3, "field dims", 2)
-    box = ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-    x, y, z = _lattice(dims, box)
-    r2 = x * x + y * y + z * z
-    a = np.exp(-1.6 * r2)
-    rs2 = (x - 0.15) ** 2 + (y - 0.1) ** 2 + (z + 0.05) ** 2
-    b = np.exp(-1.1 * rs2) ** 1.7
-    return _normalized_grid(dims, box, a), _normalized_grid(dims, box, b)
-
-
 # ---------------------------------------------------------------------------
 # Ensemble persistence: one raw f32 file per member plus a text manifest.
 

@@ -1,7 +1,7 @@
 """Independent oracles of the tests: the rational per-piece form of trilinear
 quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
-distances and the pointwise expected color of a lattice distribution.  They
-use only the public API of uqdvr, so they check the package's kernels without
+distances, the pointwise expected color of a lattice distribution and the
+bivariate test fields.  They use only the public API of uqdvr, so they check the package's kernels without
 sharing code with them.  kde_cdf alone exposes a private kernel: the KDE
 fit's lattice CDF, which the fit inverts without building its lattice."""
 
@@ -13,7 +13,8 @@ import numpy as np
 
 from uqdvr import density
 from uqdvr.classify import TransferFunction1D
-from uqdvr.volcore import EPS_WIDTH, QuantilePdf, VolumeError, require_finite, require_int
+from uqdvr.volcore import (EPS_WIDTH, QuantilePdf, ScalarGrid, VolumeError, require_finite,
+                           require_int, require_ints)
 
 
 def _vectors(*arrays) -> list[np.ndarray]:
@@ -117,3 +118,18 @@ def kde_cdf(samples, config: density.KdeConfig = density.KdeConfig()):
     s = density._sample_set(samples, "kde_cdf", 1)
     lo, du, cdf = density._kde_lattice_cdf(s, density._bandwidths(s, config), config.lattice)
     return lo[0] + du[0] * np.arange(config.lattice), cdf[0]
+
+
+def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
+    """Two smooth coupled fields for 2D-TF and fuzzy-fiber-surface tests on
+    the box [-1, 1]^3: a radial pressure-like well and a shifted, nonlinearly
+    warped companion, each min-max normalized to [0, 1]."""
+    dims = require_ints(dims, 3, "field dims", 2)
+    z, y, x = np.meshgrid(*(np.linspace(-1.0, 1.0, n) for n in dims[::-1]), indexing="ij")
+    a = np.exp(-1.6 * (x * x + y * y + z * z))
+    b = np.exp(-1.1 * ((x - 0.15) ** 2 + (y - 0.1) ** 2 + (z + 0.05) ** 2)) ** 1.7
+    spacing = tuple(2.0 / (n - 1) for n in dims)
+    return tuple(ScalarGrid(dims, spacing, (-1.0, -1.0, -1.0),
+                            (v.ravel() - v.min()) / np.ptp(v) if np.ptp(v) > 0 else v.ravel())
+                 for v in (a, b))
+

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from uqdvr import classify, density, interp, render, synth, volcore
 from uqdvr.volcore import DistributionVolume, MeanFieldModel, ScalarGrid, VolumeError
 
+import oracles
+
 NAN = float("nan")
 UNIT = ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 TF = classify.TransferFunction1D([[0.0, 0, 0, 0, 0], [1.0, 1, 1, 1, 1]])
@@ -53,8 +55,8 @@ PROBES = {
     "volume-origin-text": lambda: DistributionVolume((2, 2, 2), (1, 1, 1), ("x", 0, 0),
                                                      MeanFieldModel(np.zeros(8))),
     "field-dims-fraction": lambda: synth.sample_field("tangle", (4.7, 4, 4)),
-    "bivariate-dims-fraction": lambda: synth.make_bivariate((4.5, 4, 4)),
-    "bivariate-dims-short": lambda: synth.make_bivariate((4, 4)),
+    "bivariate-dims-fraction": lambda: oracles.make_bivariate((4.5, 4, 4)),
+    "bivariate-dims-short": lambda: oracles.make_bivariate((4, 4)),
     "camera-width-fraction": lambda: camera(width=2.5),
     "camera-width-text": lambda: camera(width="4"),
     "camera-fov-text": lambda: camera(fov="x"),

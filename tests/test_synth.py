@@ -10,13 +10,14 @@ from uqdvr.density import build_distribution_volume
 from uqdvr.synth import (
     NoiseSpec,
     load_ensemble,
-    make_bivariate,
     make_ensemble,
     parse_field_name,
     sample_field,
     save_ensemble,
 )
 from uqdvr.volcore import EnsembleVolume, FormatError, VolumeError
+
+from oracles import make_bivariate
 
 
 class TestSampleField:
