@@ -76,6 +76,20 @@ class TransferFunction1D:
     def knots(self) -> np.ndarray:
         return self.points[:, 0]
 
+    def zero_alpha_runs(self) -> list[tuple[float, float]]:
+        """Closed intervals on which sample and integral_to see alpha 0 alone:
+        runs of consecutive knots with alpha 0, a run at the first or last
+        knot extended to -inf or +inf.  No runs if a slope overflowed, since
+        a lookup on a knot then multiplies inf by 0."""
+        if not np.isfinite(self._seg_slope).all():
+            return []
+        edge = np.diff(np.concatenate([[0], self.points[:, 4] == 0.0, [0]]).astype(np.int8))
+        first, last = np.nonzero(edge == 1)[0], np.nonzero(edge == -1)[0] - 1
+        n = len(self.knots)
+        lo = np.where(first == 0, -np.inf, self.knots[first])
+        hi = np.where(last == n - 1, np.inf, self.knots[last])
+        return list(zip(lo.tolist(), hi.tolist()))
+
     def sample(self, x) -> np.ndarray:
         """RGBA at intensities x; shape x.shape + (4,).
 

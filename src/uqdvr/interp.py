@@ -70,18 +70,28 @@ def _cell_weights(frac: np.ndarray) -> np.ndarray:
     return w[:, 0, bits[:, 0]] * w[:, 1, bits[:, 1]] * w[:, 2, bits[:, 2]]
 
 
-def locate(dims, spacing, origin, pos: np.ndarray) -> Cells:
-    """Cells of (A, 3) world positions clamped into the grid box (upper faces
-    go to the last cell of each axis): base voxel ids and corner weights."""
+def _grid_base(dims, spacing, origin, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, 3) grid coordinates clamped into the grid box and their cells' base voxels."""
     nd = np.asarray(dims, dtype=np.float64)
     g = (pos - np.asarray(origin, dtype=np.float64)[None, :]) / np.asarray(spacing)[None, :]
     g = np.clip(g, 0.0, nd - 1.0)
     base = np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64))
-    base = np.maximum(base, 0)
+    return g, np.maximum(base, 0)
+
+
+def locate(dims, spacing, origin, pos: np.ndarray) -> Cells:
+    """Cells of (A, 3) world positions clamped into the grid box (upper faces
+    go to the last cell of each axis): base voxel ids and corner weights."""
+    g, base = _grid_base(dims, spacing, origin, pos)
     frac = g - base
     flat = _flat(dims, base)
     return Cells(base, frac, flat, flat[:, None] + corner_offsets(dims)[None, :],
                  _cell_weights(frac))
+
+
+def cell_ids(dims, spacing, origin, pos: np.ndarray) -> np.ndarray:
+    """The flat base voxel id of the cell that locate gives each (A, 3) position."""
+    return _flat(dims, _grid_base(dims, spacing, origin, pos)[1])
 
 
 def trilinear_coords(dims, spacing, origin, point) -> TrilinearCoords:
@@ -107,8 +117,21 @@ def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 def blend(corners: np.ndarray, w8: np.ndarray) -> np.ndarray:
     """(A, ...) blends of (A, 8, ...) corner parameters, gathered through
-    idx8, under (A, 8) corner weights w8: the one corner contraction."""
-    return np.einsum("ac,ac...->a...", w8, corners)
+    idx8, under (A, 8) corner weights w8: the one corner contraction (the
+    scalar wrappers pass other corner counts).
+
+    With one value per corner the corners accumulate in order, one product
+    and one sum each, as np.einsum does for most row counts: it picks its
+    loop order from the operands' strides and summed a lone row another way,
+    so a row's blend would depend on the rows that share the call.
+    """
+    if np.prod(corners.shape[2:]) > 1:
+        return np.einsum("ac,ac...->a...", w8, corners)
+    w = w8.reshape(w8.shape + (1,) * (corners.ndim - 2))
+    out = w[:, 0] * corners[:, 0]
+    for c in range(1, w.shape[1]):
+        out += w[:, c] * corners[:, c]
+    return out
 
 
 def _vectors(*arrays) -> list[np.ndarray]:

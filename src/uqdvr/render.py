@@ -3,7 +3,26 @@ front-to-back compositing, quartile views, difference images, and RMSE.
 
 Rays are processed in fixed-size pixel chunks; chunk boundaries and per-chunk
 seeds never depend on the worker count, so a job renders bit-identically for
-any thread count.
+any thread count.  Each chunk runs one loop over its live rays, kept compacted
+in ray order with a step index kk per ray; a ray's colour goes to the output
+once, when it leaves the box or terminates.
+
+The `mean`, `quantile-mean` and `quantile-range` schemes leap over empty space
+(Levoy, ACM TOG 9(3), 1990), with the chessboard distance table of Cohen and
+Sheffer's proximity clouds (1994).  A cell is empty when every value its
+classifier blends lies inside one zero-alpha run of the TF, with a margin of a
+few ulps; the table holds each empty cell's distance D in cells to the nearest
+cell that is not, capped at EMPTY_DISTANCE_CAP (a job with few empty cells
+gets no table).  A sample in a cell at D >= 1 is not classified, and its ray
+advances kk by 1 + floor((D - 1) * min_spacing / step_len), less a slack: the
+samples skipped lie within D - 1 cells of it.  No byte changes: a skipped
+sample would have had alpha exactly 0, which adds 0 to the colour and
+multiplies the transmittance by exactly 1; each sample's position depends only
+on its ray and kk; and each classified sample's colour depends only on its own
+position, not on the samples that share its call.  The other schemes build no
+table (Gaussian and FFT-lattice densities are never exactly 0, `gmm-mc` draws
+its random numbers per step and `tf2d` is left out), so all their live rays
+take every step together at kk == k.
 
 One table maps each scheme to its model type and classifier, which calls an
 interp and a classify kernel by this module's names at call time.
@@ -53,6 +72,24 @@ MAX_RAY_SAMPLES = 1 << 16
 TERMINATION = 0.99
 # Lattice points of the `uniform` scheme's convolved density per corner.
 CONV_LATTICE = 64
+# Cap of the empty-space distance table in cells; a leap spans at most
+# cap - 1 cells.  On the spheres reference (`mean`, 128^3 at 256^2, 2-core
+# x86 box) caps 4/8/16/32 took 505k/386k/359k/358k ray steps, built the table
+# in 43/58/82/134 ms and raycast in a median 0.30-0.37/0.30-0.35/0.31-0.36/
+# 0.42 s of CPU over two rounds of 7 runs.
+EMPTY_DISTANCE_CAP = 8
+# Voxels whose run codes are computed at once while building the table.
+_TABLE_SLAB_CELLS = 1 << 18
+# A job whose share of empty cells is below this renders without a table: its
+# rays meet too little empty space to repay a lookup per sample.  The tangle
+# ground truth at 64^3 (`mean`, 256^2) has 6.5% empty cells and raycast in
+# 0.43-0.50 s with its table against 0.27-0.39 s without; the spheres
+# reference has 58% and gains 3x.
+_MIN_EMPTY_SHARE = 0.25
+# Each finite zero-alpha run end is moved inward by _VALUE_MARGIN of its
+# magnitude (16-32 ulps) plus _TINY (where products of subnormals round).
+_VALUE_MARGIN = 2.0 ** -48
+_TINY = 2.0 ** -1068
 
 DIVERGING_BLUE = np.array([0.23, 0.30, 0.75])
 DIVERGING_WHITE = np.array([1.0, 1.0, 1.0])
@@ -199,6 +236,95 @@ class _SchemeState:
             self.tf2d_points = sobol_points(interp.NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
                                             seed=job.seed)
             self.deriv = interp.derivative_matrices(job.volume.spacing)
+        self.dist = _distance_table(job)
+        if self.dist is not None:
+            self.advance = _leap_steps(job)
+
+
+def _distance_table(job: RenderJob) -> np.ndarray | None:
+    """Each cell's chessboard distance in cells, capped at EMPTY_DISTANCE_CAP,
+    to the nearest cell that is not empty, as a uint8 table over the cells'
+    flat base voxel ids; None for schemes without one or with few empty cells.
+
+    A cell is empty when every value its classifier blends lies inside one
+    zero-alpha run of the TF: its corners' values for `mean`, their b_0 to
+    b_q for the quantile schemes (whose blended boundaries lie between).  A
+    blend of 8 corners under weights that sum to 1 within a few ulps strays
+    past the corners by a few ulps of their magnitude, so each corner must
+    lie inside the run with its finite ends moved inward by a margin: a
+    corner near an end has about the end's magnitude, and one much larger
+    lies so far inside that its rounding cannot reach the end.
+    """
+    m = job.volume.model
+    if job.scheme == "mean":
+        lo = hi = m.values
+    elif job.scheme in ("quantile-mean", "quantile-range"):
+        lo, hi = m.boundaries[:, 0], m.boundaries[:, -1]
+    else:
+        return None
+    runs = np.array(job.tf.zero_alpha_runs()).reshape(-1, 2)
+    runs += np.where(np.isinf(runs), 0.0, np.abs(runs) * _VALUE_MARGIN + _TINY) * [1.0, -1.0]
+    runs = runs[runs[:, 0] <= runs[:, 1]]
+    if not len(runs):
+        return None
+    # A value x lies in run k iff it is at or above 2k + 1 of these edges.
+    edges = np.column_stack([runs[:, 0], np.nextafter(runs[:, 1], np.inf)]).ravel()
+    code = np.min_scalar_type(edges.size)
+    nx, ny, nz = job.volume.dims
+    one_sided = hi is lo
+    lo, hi = lo.reshape(nz, ny, nx), hi.reshape(nz, ny, nx)
+    table = np.zeros((nz, ny, nx), np.uint8)
+    dist = table[:-1, :-1, :-1]
+    slab = max(1, _TABLE_SLAB_CELLS // (nx * ny))
+    for z in range(0, nz - 1, slab):
+        run = np.searchsorted(edges, lo[z:z + slab + 1], side="right").astype(code)
+        if not one_sided:
+            run[run != np.searchsorted(edges, hi[z:z + slab + 1], side="right")] = 0
+        first, last = _corner_reduce(np.minimum, run), _corner_reduce(np.maximum, run)
+        dist[z:z + slab] = (first == last) & (first % 2 == 1)
+    level = dist.astype(bool)
+    if np.count_nonzero(level) < _MIN_EMPTY_SHARE * level.size:
+        return None
+    for _ in range(EMPTY_DISTANCE_CAP - 1):  # cells at distance >= d + 1 survive d erosions
+        level = _erode(level)
+        if not level.any():
+            break
+        dist += level
+    return table.ravel()
+
+
+def _corner_reduce(op, a: np.ndarray) -> np.ndarray:
+    """op over the 8 corners of each cell of a (z, y, x) block of voxels."""
+    a = op(a[:, :, :-1], a[:, :, 1:])
+    a = op(a[:, :-1], a[:, 1:])
+    return op(a[:-1], a[1:])
+
+
+def _erode(b: np.ndarray) -> np.ndarray:
+    """The cells of b whose neighbours inside the grid all lie in b."""
+    for axis in range(3):
+        head = tuple(slice(None, -1) if i == axis else slice(None) for i in range(3))
+        tail = tuple(slice(1, None) if i == axis else slice(None) for i in range(3))
+        e = b.copy()
+        e[tail] &= b[head]
+        e[head] &= b[tail]
+        b = e
+    return b
+
+
+def _leap_steps(job: RenderJob) -> np.ndarray:
+    """Steps a ray advances from a sample in a cell at distance D: 1 at D = 0
+    (a classified sample), else 1 + floor((D - 1) * min_spacing / step_len).
+    The samples skipped on the way lie within D - 1 cells, since each grid
+    coordinate moves at most |dir_i| / spacing_i <= 1 / min_spacing per unit
+    of t, and locate's clamp and floor move a cell by less than that plus 1.
+    The leap stops a slack short: 2^-40 of the largest coordinate in
+    cells, far above the rounding of the positions."""
+    vol = job.volume
+    span = max(float(np.abs(a).max()) for a in (job.camera.eye, vol.world_min, vol.world_max))
+    slack = span / float(min(vol.spacing)) * 2.0 ** -40
+    reach = (np.arange(EMPTY_DISTANCE_CAP + 1) - 1.0 - slack) / job.step
+    return 1 + np.floor(np.maximum(reach, 0.0)).astype(np.int64)
 
 
 # Classifiers: (job, model, cells, state, rng) -> (A, 4) RGBA.
@@ -279,39 +405,51 @@ def _classify_chunk(state: _SchemeState, pos: np.ndarray, rng) -> np.ndarray:
 def _render_chunk(state: _SchemeState, chunk_id: int, origins, dirs) -> np.ndarray:
     job = state.job
     vol = job.volume
-    n = origins.shape[0]
+    out = np.zeros((origins.shape[0], 4))
+    out[:, 3] = 1.0  # over opaque black
     tnear, tfar = _ray_box(origins, dirs, vol.world_min, vol.world_max)
     step_len = job.step * float(min(vol.spacing))
     ref_len = float(min(vol.spacing))
     t_floor = 1.0 - TERMINATION
 
-    rgb = np.zeros((n, 3))
-    trans = np.ones(n)
-    alive = tfar > tnear
+    # The live rays' state, compacted in ray order.  A ray's sample kk lies
+    # at t = tnear + (kk + 1/2) * step_len, its last one centred in what is left.
+    ray = np.nonzero(tfar > tnear)[0]
+    o, d, t0, t1 = origins[ray], dirs[ray], tnear[ray], tfar[ray]
+    rgb, trans, kk = np.zeros((ray.size, 3)), np.ones(ray.size), np.zeros(ray.size, np.int64)
     k = 0
     while True:
-        t_lo = tnear + k * step_len
-        dt = np.minimum(step_len, tfar - t_lo)
-        active = alive & (dt > 1e-12)
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        # One deterministic stream per (job seed, chunk, step); consumption
-        # order inside the chunk is fixed by the active-row order.
-        rng = (np.random.default_rng(np.random.SeedSequence((job.seed, chunk_id, k)))
-               if job.scheme == "gmm-mc" else None)
-        t_mid = t_lo[idx] + 0.5 * dt[idx]
-        pos = origins[idx] + dirs[idx] * t_mid[:, None]
-        rgba = _classify_chunk(state, pos, rng)
-        alpha = np.clip(rgba[:, 3], 0.0, 1.0)
-        corrected = 1.0 - (1.0 - alpha) ** (dt[idx] / ref_len)
-        weight = trans[idx] * corrected
-        rgb[idx] += weight[:, None] * np.clip(rgba[:, :3], 0.0, 1.0)
-        trans[idx] *= 1.0 - corrected
-        alive[idx] = trans[idx] > t_floor
+        t_lo = t0 + kk * step_len
+        dt = np.minimum(step_len, t1 - t_lo)
+        keep = (dt > 1e-12) & (trans > t_floor)
+        if not keep.all():  # rays that left the box or terminated
+            out[ray[~keep], :3] = rgb[~keep]
+            sel = np.flatnonzero(keep)
+            ray, o, d, t0, t1, rgb, trans, kk, t_lo, dt = (
+                a.take(sel, axis=0) for a in (ray, o, d, t0, t1, rgb, trans, kk, t_lo, dt))
+        if not ray.size:
+            return out
+        pos = o + d * (t_lo + 0.5 * dt)[:, None]
+        if state.dist is None:
+            hit = slice(None)
+            kk += 1
+        else:  # samples in empty cells have alpha 0: leap over them
+            dist = state.dist[interp.cell_ids(vol.dims, vol.spacing, vol.origin, pos)]
+            kk += state.advance[dist]
+            hit = np.flatnonzero(dist == 0)
+            pos = pos.take(hit, axis=0)
+        if len(pos):
+            # One deterministic stream per (job seed, chunk, step); every ray
+            # of a scheme without a table is at step kk == k, and consumption
+            # order inside the chunk is fixed by the live-ray order.
+            rng = (np.random.default_rng(np.random.SeedSequence((job.seed, chunk_id, k)))
+                   if job.scheme == "gmm-mc" else None)
+            rgba = _classify_chunk(state, pos, rng)
+            alpha = np.clip(rgba[:, 3], 0.0, 1.0)
+            corrected = 1.0 - (1.0 - alpha) ** (dt[hit] / ref_len)
+            rgb[hit] += (trans[hit] * corrected)[:, None] * np.clip(rgba[:, :3], 0.0, 1.0)
+            trans[hit] *= 1.0 - corrected
         k += 1
-
-    return np.concatenate([rgb, np.ones((n, 1))], axis=1)  # over opaque black
 
 
 def raycast(job: RenderJob, threads: int = 1) -> Image:

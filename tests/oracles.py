@@ -1,9 +1,12 @@
 """Independent oracles of the tests: the rational per-piece form of trilinear
 quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
-distances, the pointwise expected color of a lattice distribution and the
-bivariate test fields.  They use only the public API of uqdvr, so they check the package's kernels without
-sharing code with them.  kde_cdf alone exposes a private kernel: the KDE
-fit's lattice CDF, which the fit inverts without building its lattice."""
+distances, the pointwise expected color of a lattice distribution, the
+bivariate test fields and the dense ray loop.  Most use only the public API
+of uqdvr, so they check the package's kernels without sharing code with
+them.  kde_cdf exposes a private kernel: the KDE fit's lattice CDF, which the
+fit inverts without building its lattice.  raycast_dense drives the
+renderer's own per-step classifier through the loop that takes every step of
+every ray, so a skip in raycast that changes a byte shows against it."""
 
 from __future__ import annotations
 
@@ -11,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from uqdvr import density
+from uqdvr import density, render
 from uqdvr.classify import TransferFunction1D
-from uqdvr.volcore import (EPS_WIDTH, QuantilePdf, ScalarGrid, VolumeError, require_finite,
-                           require_int, require_ints)
+from uqdvr.volcore import (EPS_WIDTH, QuantilePdf, ScalarGrid, VolumeError, map_chunks,
+                           require_finite, require_int, require_ints)
 
 
 def _vectors(*arrays) -> list[np.ndarray]:
@@ -133,3 +136,55 @@ def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
                             (v.ravel() - v.min()) / np.ptp(v) if np.ptp(v) > 0 else v.ravel())
                  for v in (a, b))
 
+
+def _render_chunk_dense(state, chunk_id: int, origins, dirs) -> np.ndarray:
+    """The ray loop that takes every step of every ray at a shared step index k."""
+    job = state.job
+    vol = job.volume
+    n = origins.shape[0]
+    tnear, tfar = render._ray_box(origins, dirs, vol.world_min, vol.world_max)
+    step_len = job.step * float(min(vol.spacing))
+    ref_len = float(min(vol.spacing))
+    t_floor = 1.0 - render.TERMINATION
+
+    rgb = np.zeros((n, 3))
+    trans = np.ones(n)
+    alive = tfar > tnear
+    k = 0
+    while True:
+        t_lo = tnear + k * step_len
+        dt = np.minimum(step_len, tfar - t_lo)
+        active = alive & (dt > 1e-12)
+        if not np.any(active):
+            break
+        idx = np.nonzero(active)[0]
+        rng = (np.random.default_rng(np.random.SeedSequence((job.seed, chunk_id, k)))
+               if job.scheme == "gmm-mc" else None)
+        t_mid = t_lo[idx] + 0.5 * dt[idx]
+        pos = origins[idx] + dirs[idx] * t_mid[:, None]
+        rgba = render._classify_chunk(state, pos, rng)
+        alpha = np.clip(rgba[:, 3], 0.0, 1.0)
+        corrected = 1.0 - (1.0 - alpha) ** (dt[idx] / ref_len)
+        weight = trans[idx] * corrected
+        rgb[idx] += weight[:, None] * np.clip(rgba[:, :3], 0.0, 1.0)
+        trans[idx] *= 1.0 - corrected
+        alive[idx] = trans[idx] > t_floor
+        k += 1
+    return np.concatenate([rgb, np.ones((n, 1))], axis=1)  # over opaque black
+
+
+def raycast_dense(job: render.RenderJob, threads: int = 1) -> render.Image:
+    """render.raycast with every sample classified: no leaps over empty space."""
+    cam = job.camera
+    origins, dirs = render.camera_rays(cam)
+    n = origins.shape[0]
+    state = render._SchemeState(job)
+    out = np.empty((n, 4))
+
+    def work(lo, hi):
+        out[lo:hi] = _render_chunk_dense(state, lo // render.CHUNK_PIXELS, origins[lo:hi],
+                                         dirs[lo:hi])
+
+    map_chunks(work, n, threads, render.CHUNK_PIXELS)
+    pixels = np.clip(out, 0.0, 1.0).reshape(cam.height, cam.width, 4)
+    return render.Image(cam.width, cam.height, pixels)

@@ -34,6 +34,8 @@ from uqdvr.volcore import (
     VolumeError,
 )
 
+from oracles import raycast_dense
+
 
 def constant_tf(rgb=(0.8, 0.5, 0.2), alpha=0.7):
     r, g, b = rgb
@@ -637,6 +639,95 @@ class TestRaycastFuzz:
         px = raycast(job, threads=1).pixels
         assert np.all(np.isfinite(px))
         assert px.min() >= 0.0 and px.max() <= 1.0
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(render_jobs())
+    def test_valid_jobs_match_the_dense_loop(self, job):
+        assume(job is not None)
+        dense = raycast_dense(job).pixels
+        for threads in (1, 2):
+            assert np.array_equal(raycast(job, threads=threads).pixels, dense)
+
+
+def ulps(x: float, n: int) -> float:
+    """x moved by n units in the last place (up for n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return float(x)
+
+
+def steep_tf(c: float) -> TransferFunction1D:
+    """Zero-alpha runs (-inf, 0.75c] and [1.25c, inf) whose alpha reaches 1
+    within 4 ulps of each end, so a sample that strays an ulp past an end
+    changes the image."""
+    lo, hi = 0.75 * c, 1.25 * c
+    return TransferFunction1D([
+        [lo, 0.2, 0.4, 0.6, 0.0],
+        [ulps(lo, 4), 0.9, 0.5, 0.1, 1.0],
+        [c, 0.3, 0.8, 0.3, 0.4],
+        [ulps(hi, -4), 0.1, 0.2, 0.9, 1.0],
+        [hi, 0.5, 0.5, 0.5, 0.0],
+    ])
+
+
+@st.composite
+def leap_jobs(draw):
+    """mean and quantile jobs on 6-16 voxels per axis of empty space (values
+    deep inside a zero-alpha run of steep_tf) holding 1-3 boxes whose values
+    sit on a run end or within 4 ulps of it, or are visible, or both."""
+    c = draw(st.one_of(st.sampled_from([1.0, 1e-280, 1e30, F32_MAX / 8]),
+                       st.floats(1e-280, F32_MAX / 8)))
+    dims = tuple(draw(st.integers(6, 16)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheme = draw(st.sampled_from(["mean", "quantile-mean", "quantile-range"]))
+    q = draw(st.sampled_from([1, 2, 4])) if scheme != "mean" else 0
+    values = np.full(dims[::-1] + (q + 1,), draw(st.sampled_from([0.25 * c, 2.0 * c])))
+    for _ in range(draw(st.integers(1, 3))):
+        lo = rng.integers(0, dims[::-1])
+        box = values[tuple(slice(a, a + n) for a, n in zip(lo, rng.integers(1, 7, 3)))]
+        end = (0.75 * c, 1.25 * c)[rng.integers(2)]
+        first = draw(st.integers(-4, 4))  # a window of 1-3 ulp offsets from the end
+        near_end = [ulps(end, n) for n in range(first, min(first + draw(st.integers(1, 3)), 5))]
+        visible = list(c * rng.uniform(0.8, 1.2, 4))
+        pools = [[end], near_end, visible, near_end + visible]
+        box[...] = rng.choice(draw(st.sampled_from(pools)), box.shape)
+    values = np.sort(values.reshape(-1, q + 1), axis=1)
+    spacing = tuple(draw(st.floats(0.5, 2.0)) for _ in range(3))
+    origin = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    model = (MeanFieldModel(values[:, 0]) if scheme == "mean"
+             else QuantileModel(1.0 / q, values))
+    vol = DistributionVolume(dims, spacing, origin, model)
+    direction = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    assume(max(abs(direction[0]), abs(direction[1])) > 0.1)  # not parallel to up
+    cam = default_camera(vol, 10, 8, direction=direction, distance=draw(st.floats(0.8, 2.5)))
+    return RenderJob(vol, scheme, cam, tf=steep_tf(c), step=draw(st.floats(0.2, 1.5)))
+
+
+class TestEmptySpaceLeaps:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(leap_jobs())
+    def test_leaps_keep_every_byte(self, job):
+        assume(render._SchemeState(job).dist is not None)  # some cell is empty
+        assert np.array_equal(raycast(job).pixels, raycast_dense(job).pixels)
+
+    def test_table_holds_chessboard_distances(self):
+        # One visible voxel at (4, 5, 6): the cells with it as a corner are at
+        # distance 0, and distances grow by one per ring up to the cap.
+        dims = (12, 11, 10)
+        values = np.full(dims[::-1], -1.0)
+        values[6, 5, 4] = 0.5
+        vol = DistributionVolume(dims, (1, 1, 1), (0, 0, 0), MeanFieldModel(values.ravel()))
+        job = RenderJob(vol, "mean", default_camera(vol, 4, 4), tf=band_tf())
+        got = render._SchemeState(job).dist.reshape(dims[::-1])[:-1, :-1, :-1]
+        k, j, i = np.meshgrid(*(np.arange(n - 1) for n in dims[::-1]), indexing="ij")
+        ring = np.maximum.reduce([np.maximum(np.maximum(6 - 1 - k, k - 6), 0),
+                                  np.maximum(np.maximum(5 - 1 - j, j - 5), 0),
+                                  np.maximum(np.maximum(4 - 1 - i, i - 4), 0)])
+        assert np.array_equal(got, np.minimum(ring, render.EMPTY_DISTANCE_CAP))
+
+    def test_schemes_without_a_leap_rule_have_no_table(self):
+        for scheme in ("gaussian", "uniform", "gmm-ordered", "gmm-mc", "tf2d"):
+            assert render._SchemeState(small_job(scheme)).dist is None
 
 
 def test_uniform_render_with_subnormal_width_is_finite():
