@@ -289,17 +289,30 @@ def gauss_hermite_batch(mu: np.ndarray, sigma: np.ndarray,
 
     With TF = v0 + sum_j slope_j * clip(x - x_j, 0, x_{j+1} - x_j), each
     segment contributes slope_j * (H(d_j) - H(d_{j+1})) with d = mu - x and
-    H(d) = E[max(X - x, 0)] = d Phi(d/sigma) + sigma phi(d/sigma).  H is
+    H(d) = E[max(X - x, 0)] = d Phi(d/sigma) + sigma phi(d/sigma).  As
+    H(d) = max(d, 0) + G(d) with G(d) = H(-|d|), a segment wholly below mu
+    takes its knot width for max(d_j, 0) - max(d_{j+1}, 0): a mean far above
+    the knots keeps the widths that mu - x_j would round away.  G is
     evaluated once per knot for all four channels; sigma = 0 rows are lookups.
     The name predates the closed form and stays because perfbench wraps it.
     """
     point = sigma <= 0
     d = mu[:, None] - tf.knots[None, :]  # (P, n)
     s = np.where(point, 1.0, sigma)[:, None]
-    with np.errstate(over="ignore"):  # sigma << |d|: z -> +-inf, H -> max(d, 0)
-        z = d / s
-        h = d * ndtr(z) + s * (_INV_SQRT_2PI * np.exp(-0.5 * z * z))
-    out = tf.points[0, 1:] + (h[:, :-1] - h[:, 1:]) @ tf._seg_slope[1:-1]
+    a = np.abs(d)
+    with np.errstate(over="ignore"):  # sigma << |d|: z -> inf, G -> 0
+        z = a / s
+        a *= ndtr(-z)
+        np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= _INV_SQRT_2PI * s
+    g = z - a  # G = sigma phi(|d|/sigma) - |d| Phi(-|d|/sigma)
+    # max(d_j, 0) - max(d_{j+1}, 0), with the exact knot width below mu.
+    ramp = np.clip(d[:, :-1], 0.0, np.diff(tf.knots))
+    ramp += g[:, :-1]
+    ramp -= g[:, 1:]
+    out = tf.points[0, 1:] + ramp @ tf._seg_slope[1:-1]
     if np.any(point):
         out[point] = tf.sample(mu[point])
     return out

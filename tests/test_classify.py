@@ -34,6 +34,7 @@ from uqdvr.interp import (NumericDensity, TrilinearCoords, derivative_matrices, 
 from uqdvr.render import Image, load_image_f32, save_image
 from uqdvr.synth import load_ensemble, save_ensemble
 from uqdvr.volcore import (
+    F32_MAX,
     DistributionVolume,
     EnsembleVolume,
     GaussianModel,
@@ -524,6 +525,14 @@ class TestGaussianClosedForm:
         got = gauss_hermite_batch(mu, sigma, tf)
         np.testing.assert_allclose(got[:2], tf.points[[0, 0], 1:], atol=1e-12)
         np.testing.assert_allclose(got[2:], tf.points[[-1, -1], 1:], atol=1e-9)
+
+    @pytest.mark.parametrize("mu", [1e15, 1e17, F32_MAX])
+    def test_means_far_beyond_the_knots_keep_the_segment_widths(self, mu):
+        # mu - x_j rounds every knot width of this TF away at these means.
+        tf = TransferFunction1D([[0.0, 0.0, 0.0, 0.0, 0.0], [0.3, 0.1, 0.4, 0.9, 0.1],
+                                 [0.6, 0.9, 0.6, 0.1, 0.6], [1.0, 0.2, 0.2, 0.2, 0.9]])
+        got = gauss_hermite_batch(np.array([mu, -mu]), np.ones(2), tf)
+        np.testing.assert_allclose(got, tf.points[[-1, 0], 1:], rtol=0, atol=1e-12)
 
     def test_single_knot_tf_is_constant(self):
         tf = TransferFunction1D([[0.5, 0.1, 0.2, 0.3, 0.4]])
