@@ -282,11 +282,13 @@ def _distance_table(job: RenderJob) -> np.ndarray | None:
             run[run != np.searchsorted(edges, hi[z:z + slab + 1], side="right")] = 0
         first, last = _corner_reduce(np.minimum, run), _corner_reduce(np.maximum, run)
         dist[z:z + slab] = (first == last) & (first % 2 == 1)
+    del run, first, last  # the last slab's codes, before the erosion buffers
     level = dist.astype(bool)
     if np.count_nonzero(level) < _MIN_EMPTY_SHARE * level.size:
         return None
+    scratch = np.empty_like(level)
     for _ in range(EMPTY_DISTANCE_CAP - 1):  # cells at distance >= d + 1 survive d erosions
-        level = _erode(level)
+        _erode(level, scratch)
         if not level.any():
             break
         dist += level
@@ -300,16 +302,16 @@ def _corner_reduce(op, a: np.ndarray) -> np.ndarray:
     return op(a[:-1], a[1:])
 
 
-def _erode(b: np.ndarray) -> np.ndarray:
-    """The cells of b whose neighbours inside the grid all lie in b."""
+def _erode(b: np.ndarray, scratch: np.ndarray) -> None:
+    """Keep in b only the cells whose neighbours inside the grid all lie in
+    b; scratch is a bool array of b's shape that the erosion overwrites."""
     for axis in range(3):
         head = tuple(slice(None, -1) if i == axis else slice(None) for i in range(3))
         tail = tuple(slice(1, None) if i == axis else slice(None) for i in range(3))
-        e = b.copy()
-        e[tail] &= b[head]
-        e[head] &= b[tail]
-        b = e
-    return b
+        pairs = scratch[head]  # cell i and its + neighbour along axis
+        np.logical_and(b[head], b[tail], out=pairs)
+        b[head] &= pairs
+        b[tail] &= pairs
 
 
 def _leap_steps(job: RenderJob) -> np.ndarray:
