@@ -323,23 +323,37 @@ def interp_gmm_ordered(corner_gmms: Sequence[GmmModel], weights) -> GmmModel:
 
 def sample_gmm_batch(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
                      idx8: np.ndarray, w8: np.ndarray, n: int, rng) -> np.ndarray:
-    """(A, n) draws of sum_c w_c X_c with X_c from corner c's (V, k) mixture;
-    per corner, rng gives the (A, n) component-pick uniforms, then normals."""
-    a = idx8.shape[0]
-    k = weights.shape[1]
-    means, sigmas = means.ravel(), sigmas.ravel()
-    x = np.zeros((a, n))
+    """(A, n) draws of sum_c w_c X_c with X_c from corner c's (V, k) mixture.
+
+    Once each corner c has picked its component j_c, sum_c w_c X_c is the one
+    normal N(sum_c w_c mu_cj, sum_c (w_c sigma_cj)^2), so a draw takes one
+    normal.  rng gives corner 0's (A, n) pick uniforms, then corner 1's, and
+    so on to corner 7's, then one (A, n) array of standard normals.  The
+    variance is summed in units of each row's largest w_c sigma_cj, rounded
+    up to a power of two, so that squaring tiny spreads cannot underflow."""
+    a, k = idx8.shape[0], weights.shape[1]
+    sd = w8[:, :, None] * sigmas[idx8]  # (A, 8, k)
+    exp = np.frexp(sd.max(axis=(1, 2)))[1]
+    sd2 = np.square(np.ldexp(sd, -exp[:, None, None]))  # in units of 4^exp
+    shift = w8[:, :, None] * means[idx8]
+    rows = np.arange(0, a * k, k)[:, None]
+    mu, var = np.zeros((a, n)), np.zeros((a, n))
+    pick = np.empty((a, n), np.int64)
     for c in range(idx8.shape[1]):
-        vox = idx8[:, c]
-        cum = np.cumsum(weights[vox], axis=1)
+        cum = np.cumsum(weights[idx8[:, c]], axis=1)
         u = rng.random((a, n))
         # The first component whose cumulative weight exceeds u; the last
         # takes whatever mass rounding leaves above the others.
-        comp = (u[:, None, :] >= cum[:, :-1, None]).sum(axis=1)
-        flat_comp = vox[:, None] * k + comp
-        x += w8[:, c][:, None] * (means[flat_comp]
-                                  + sigmas[flat_comp] * rng.standard_normal((a, n)))
-    return x
+        pick[...] = rows
+        for j in range(k - 1):
+            pick += u >= cum[:, j, None]
+        mu += np.take(shift[:, c].ravel(), pick)
+        var += np.take(sd2[:, c].ravel(), pick)
+    std = np.sqrt(var, out=var)
+    std *= np.ldexp(1.0, exp)[:, None]
+    std *= rng.standard_normal((a, n))
+    mu += std
+    return mu
 
 
 def sample_gmm_mc(corner_gmms: Sequence[GmmModel], weights, n: int, seed: int) -> np.ndarray:

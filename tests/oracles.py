@@ -1,20 +1,24 @@
 """Independent oracles of the tests: the rational per-piece form of trilinear
 quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
 distances, the pointwise expected color of a lattice distribution, the
-bivariate test fields and the dense ray loop.  Most use only the public API
-of uqdvr, so they check the package's kernels without sharing code with
-them.  kde_cdf exposes a private kernel: the KDE fit's lattice CDF, which the
-fit inverts without building its lattice.  raycast_dense drives the
-renderer's own per-step classifier through the loop that takes every step of
-every ray, so a skip in raycast that changes a byte shows against it."""
+bivariate test fields, the dense ray loop, the exact CDF of a blend of 8
+Gaussian mixtures and a gmm-mc classifier with its own component pick.  Most
+use only the public API of uqdvr, so they check the package's kernels
+without sharing code with them.  kde_cdf exposes a private kernel: the KDE
+fit's lattice CDF, which the fit inverts without building its lattice.
+raycast_dense drives the renderer's own per-step classifier through the loop
+that takes every step of every ray, so a skip in raycast that changes a byte
+shows against it."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
-from uqdvr import density, render
+from uqdvr import density, interp, render
 from uqdvr.classify import TransferFunction1D
 from uqdvr.volcore import (EPS_WIDTH, QuantilePdf, ScalarGrid, VolumeError, map_chunks,
                            require_finite, require_int, require_ints)
@@ -135,6 +139,58 @@ def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
     return tuple(ScalarGrid(dims, spacing, (-1.0, -1.0, -1.0),
                             (v.ravel() - v.min()) / np.ptp(v) if np.ptp(v) > 0 else v.ravel())
                  for v in (a, b))
+
+
+def gmm_sum_cdf(weights, means, sigmas, w8, x) -> np.ndarray:
+    """CDF at x of sum_c w8_c X_c with X_c independent draws from the (8, k)
+    corner mixtures: every one of the k^8 component picks makes one normal,
+    N(sum w8 mu, sum w8^2 sigma^2), with the product of the picked weights."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = np.zeros_like(x)
+    k = np.shape(weights)[1]
+    for picks in itertools.product(range(k), repeat=8):
+        corner = (np.arange(8), list(picks))
+        p = np.prod(weights[corner])
+        if p == 0.0:
+            continue
+        mu = np.dot(w8, means[corner])
+        sd = np.sqrt(np.dot(w8 ** 2, sigmas[corner] ** 2))
+        cdf += p * (ndtr((x - mu) / sd) if sd > 0 else x >= mu)
+    return cdf
+
+
+def argmax_gmm_mc_chunk(state, pos, rng):
+    """render._classify_chunk for gmm-mc with the argmax component pick and
+    take_along_axis gathers that the count-based pick replaced, on the same
+    stream: the 8 corners' (A, n) pick uniforms in corner order, then one
+    (A, n) array of normals.  Its variance is summed unscaled, which gives
+    the kernel's bytes while no square underflows."""
+    job = state.job
+    vol = job.volume
+    m = vol.model
+    nx, ny, nz = vol.dims
+    nd = np.array([nx, ny, nz], dtype=np.float64)
+    g = np.clip((pos - vol.world_min[None, :]) / np.asarray(vol.spacing)[None, :], 0.0, nd - 1.0)
+    base = np.maximum(np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64)), 0)
+    frac = g - base
+    flat = base[:, 0] + nx * (base[:, 1] + ny * base[:, 2])
+    bits = np.arange(8)
+    w8 = (np.stack([1 - frac[:, 0], frac[:, 0]], 1)[:, bits & 1]
+          * np.stack([1 - frac[:, 1], frac[:, 1]], 1)[:, (bits >> 1) & 1]
+          * np.stack([1 - frac[:, 2], frac[:, 2]], 1)[:, (bits >> 2) & 1])
+    idx8 = flat[:, None] + interp.corner_offsets(vol.dims)[None, :]
+    a, n = pos.shape[0], job.mc_samples
+    mu, var = np.zeros((a, n)), np.zeros((a, n))
+    for c in range(8):
+        vox = idx8[:, c]
+        cum = np.cumsum(m.weights[vox], axis=1)
+        cum[:, -1] = 1.0
+        u = rng.random((a, n))
+        comp = (u[:, None, :] < cum[:, :, None]).argmax(axis=1)
+        mu += w8[:, c][:, None] * np.take_along_axis(m.means[vox], comp, axis=1)
+        var += (w8[:, c][:, None] * np.take_along_axis(m.sigmas[vox], comp, axis=1)) ** 2
+    x = mu + np.sqrt(var) * rng.standard_normal((a, n))
+    return job.tf.sample(x).mean(axis=1)
 
 
 def _render_chunk_dense(state, chunk_id: int, origins, dirs) -> np.ndarray:

@@ -19,8 +19,8 @@ from uqdvr.interp import (
 )
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
 
-from oracles import (ks_distance, ks_two_sample, lattice_color_einsum, mc_oracle_interp,
-                     quantile_interp_3d_rational)
+from oracles import (gmm_sum_cdf, ks_distance, ks_two_sample, lattice_color_einsum,
+                     mc_oracle_interp, quantile_interp_3d_rational)
 
 
 def random_pdf(rng, q=4, min_width=1e-3, max_width=2.0):
@@ -381,6 +381,21 @@ class TestSampleGmmMc:
         emp = np.arange(1, out.size + 1) / out.size
         gauss = ndtr((out - mu) / sg)
         assert np.max(np.abs(gauss - emp)) < 0.01
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_the_exact_mixture_cdf(self, k):
+        rng = np.random.default_rng(20 + k)
+        weights = rng.dirichlet(np.ones(k), 8)
+        weights[2, 0] = 0.0  # an empty component
+        weights[2] /= weights[2].sum()
+        weights[5:7] = np.eye(k)[[1, 0]]  # one-hot corners
+        means, sigmas = rng.normal(size=(8, k)), rng.uniform(0.2, 1.0, (8, k))
+        w = corner_weights(0.4, 0.7, 0.2)
+        corners = [GmmModel(*p) for p in zip(weights, means, sigmas)]
+        out = sample_gmm_mc(corners, w, 10**5, seed=k)
+        cdf = gmm_sum_cdf(weights, means, sigmas, w, out)
+        n = out.size
+        assert max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)) < 0.01
 
     def test_seed_determinism(self):
         corners = [GmmModel([0.5, 0.5], [0.0, 1.0], [0.1, 0.2])] * 8

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from uqdvr import interp
-from uqdvr import render
+from uqdvr import presets, render
 from uqdvr.classify import TransferFunction1D, TransferFunction2D
 from uqdvr.density import build_distribution_volume
 from uqdvr.render import (
@@ -34,7 +34,7 @@ from uqdvr.volcore import (
     VolumeError,
 )
 
-from oracles import raycast_dense
+from oracles import argmax_gmm_mc_chunk, raycast_dense
 
 
 def constant_tf(rgb=(0.8, 0.5, 0.2), alpha=0.7):
@@ -115,58 +115,47 @@ class TestRenderJobBounds:
                   mc_samples=1, tf2d_samples=1)
 
 
-def argmax_gmm_mc_chunk(state, pos, rng):
-    """The gmm-mc classification with the argmax component pick and
-    take_along_axis gathers that the count-based pick replaced."""
-    job = state.job
-    vol = job.volume
-    m = vol.model
-    nx, ny, nz = vol.dims
-    nd = np.array([nx, ny, nz], dtype=np.float64)
-    g = np.clip((pos - vol.world_min[None, :]) / np.asarray(vol.spacing)[None, :], 0.0, nd - 1.0)
-    base = np.maximum(np.minimum(g.astype(np.int64), (nd - 2).astype(np.int64)), 0)
-    frac = g - base
-    flat = base[:, 0] + nx * (base[:, 1] + ny * base[:, 2])
-    bits = np.arange(8)
-    w8 = (np.stack([1 - frac[:, 0], frac[:, 0]], 1)[:, bits & 1]
-          * np.stack([1 - frac[:, 1], frac[:, 1]], 1)[:, (bits >> 1) & 1]
-          * np.stack([1 - frac[:, 2], frac[:, 2]], 1)[:, (bits >> 2) & 1])
-    idx8 = flat[:, None] + interp.corner_offsets(vol.dims)[None, :]
-    a, n = pos.shape[0], job.mc_samples
-    x = np.zeros((a, n))
-    for c in range(8):
-        vox = idx8[:, c]
-        cum = np.cumsum(m.weights[vox], axis=1)
-        cum[:, -1] = 1.0
-        u = rng.random((a, n))
-        comp = (u[:, None, :] < cum[:, :, None]).argmax(axis=1)
-        mval = np.take_along_axis(m.means[vox], comp, axis=1)
-        sval = np.take_along_axis(m.sigmas[vox], comp, axis=1)
-        x += w8[:, c][:, None] * (mval + sval * rng.standard_normal((a, n)))
-    return job.tf.sample(x).mean(axis=1)
+def gmm_volume(k, seed, scale=1.0):
+    """A 7x6x5 GMM volume with random, empty-component and one-hot weights,
+    its means and sigmas multiplied by scale."""
+    rng = np.random.default_rng(seed)
+    dims = (7, 6, 5)
+    nvox = 7 * 6 * 5
+    weights = rng.dirichlet(np.ones(k), nvox)
+    if k > 1:
+        weights[::4, 0] = 0.0  # empty components
+        weights[::4] /= weights[::4].sum(axis=1, keepdims=True)
+        weights[1::5] = np.eye(k)[rng.integers(0, k, weights[1::5].shape[0])]
+    means = rng.uniform(0.0, 1.0, (nvox, k))
+    sigmas = rng.uniform(0.0, 0.15, (nvox, k))
+    return DistributionVolume(dims, (1, 1, 1), (0, 0, 0),
+                              GmmVolumeModel(k, weights, means * scale, sigmas * scale))
 
 
 class TestGmmMcComponentPick:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pixels_match_argmax_pick(self, k, monkeypatch):
-        rng = np.random.default_rng(30 + k)
-        dims = (7, 6, 5)
-        nvox = 7 * 6 * 5
-        weights = rng.dirichlet(np.ones(k), nvox)
-        if k > 1:
-            weights[::4, 0] = 0.0  # empty components
-            weights[::4] /= weights[::4].sum(axis=1, keepdims=True)
-            weights[1::5] = np.eye(k)[rng.integers(0, k, weights[1::5].shape[0])]
-        means = rng.uniform(0.0, 1.0, (nvox, k))
-        sigmas = rng.uniform(0.0, 0.15, (nvox, k))
-        vol = DistributionVolume(dims, (1, 1, 1), (0, 0, 0),
-                                 GmmVolumeModel(k, weights, means, sigmas))
+        vol = gmm_volume(k, 30 + k)
         job = RenderJob(vol, "gmm-mc", default_camera(vol, 20, 16), tf=band_tf(),
                         seed=k, mc_samples=12)
         got = raycast(job, threads=2)
         monkeypatch.setattr(render, "_classify_chunk", argmax_gmm_mc_chunk)
         want = raycast(job, threads=2)
         assert np.array_equal(got.pixels, want.pixels)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 100], ids=["2^-1000", "2^100"])
+    def test_image_is_free_of_the_value_scale(self, scale):
+        """Means, sigmas and knots scaled by a power of two leave every draw
+        scaled exactly, unless a squared spread underflows or overflows."""
+        def image(s, threads):
+            vol = gmm_volume(2, 40, s)
+            tf = TransferFunction1D(band_tf().points * [s, 1, 1, 1, 1])
+            job = RenderJob(vol, "gmm-mc", default_camera(vol, 20, 16), tf=tf, seed=5,
+                            mc_samples=12)
+            return raycast(job, threads=threads).pixels
+
+        for threads in (1, 2):
+            assert np.array_equal(image(scale, threads), image(1.0, threads))
 
 
 class TestRaycast:
@@ -724,6 +713,20 @@ class TestEmptySpaceLeaps:
                                   np.maximum(np.maximum(5 - 1 - j, j - 5), 0),
                                   np.maximum(np.maximum(4 - 1 - i, i - 4), 0)])
         assert np.array_equal(got, np.minimum(ring, render.EMPTY_DISTANCE_CAP))
+
+    def test_table_build_erodes_in_place(self):
+        # At 128^3 the slabs of run codes are smaller than the grid, so the
+        # peak is the table, the cells' bool level and one erosion buffer.
+        grid = sample_field("nested-spheres", (128, 128, 128))
+        vol = mean_volume(grid)
+        job = RenderJob(vol, "mean", presets.spheres_camera(vol, 8, 8), tf=presets.spheres_tf())
+        tracemalloc.start()
+        try:
+            assert render._SchemeState(job).dist is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * grid.values.size
 
     def test_schemes_without_a_leap_rule_have_no_table(self):
         for scheme in ("gaussian", "uniform", "gmm-ordered", "gmm-mc", "tf2d"):
