@@ -115,22 +115,17 @@ def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return _cell_weights(frac)[0]
 
 
-def blend(corners: np.ndarray, w8: np.ndarray) -> np.ndarray:
-    """(A, ...) blends of (A, 8, ...) corner parameters, gathered through
-    idx8, under (A, 8) corner weights w8: the one corner contraction (the
-    scalar wrappers pass other corner counts).
-
-    With one value per corner the corners accumulate in order, one product
-    and one sum each, as np.einsum does for most row counts: it picks its
-    loop order from the operands' strides and summed a lone row another way,
-    so a row's blend would depend on the rows that share the call.
+def blend(values: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
+    """(A, ...) blends of a (V, ...) per-voxel table at the corner ids idx8
+    under the corner weights w8, both (A, 8): the one corner contraction (the
+    scalar wrappers pass other corner counts).  Corner c adds
+    w8[:, c] * values[idx8[:, c]] in order, so a row's blend never depends on
+    the rows that share the call.
     """
-    if np.prod(corners.shape[2:]) > 1:
-        return np.einsum("ac,ac...->a...", w8, corners)
-    w = w8.reshape(w8.shape + (1,) * (corners.ndim - 2))
-    out = w[:, 0] * corners[:, 0]
+    w = w8.reshape(w8.shape + (1,) * (values.ndim - 1))
+    out = w[:, 0] * values.take(idx8[:, 0], axis=0)
     for c in range(1, w.shape[1]):
-        out += w[:, c] * corners[:, c]
+        out += w[:, c] * values.take(idx8[:, c], axis=0)
     return out
 
 
@@ -162,13 +157,14 @@ def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float
     """Trilinear quantile interpolation via the proven boundary-blend form."""
     qval, b = _corner_boundary_matrix(corners)
     w = corner_weights(alpha, beta, gamma)
-    return QuantilePdf(qval, blend(b[None], w[None])[0])
+    return QuantilePdf(qval, blend(b, np.arange(8)[None, :], w[None])[0])
 
 
-def blend_gaussian(mean: np.ndarray, sigma: np.ndarray, idx8: np.ndarray,
+def blend_gaussian(mean: np.ndarray, var: np.ndarray, idx8: np.ndarray,
                    w8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, ...) mu = sum w mu_i and sigma = sqrt(sum w^2 sigma_i^2) over the corners."""
-    return blend(mean[idx8], w8), np.sqrt(blend(sigma[idx8] ** 2, w8 * w8))
+    """(A, ...) mu = sum w mu_i and sigma = sqrt(sum w^2 var_i) over the corners
+    of (V, ...) mean and variance tables."""
+    return blend(mean, idx8, w8), np.sqrt(blend(var, idx8, w8 * w8))
 
 
 def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
@@ -176,7 +172,7 @@ def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
     mu, sg, w = _vectors(means, sigmas, weights)
     if np.any(sg < 0):
         raise VolumeError("sigmas must be nonnegative")
-    mu, sg = blend_gaussian(mu, sg, np.arange(w.size)[None, :], w[None, :])
+    mu, sg = blend_gaussian(mu, sg ** 2, np.arange(w.size)[None, :], w[None, :])
     return float(mu[0]), float(sg[0])
 
 
@@ -294,13 +290,14 @@ def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) ->
     return NumericDensity(x, mass[0] / du[0])
 
 
-def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
+def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, var: np.ndarray,
                       idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean: weights
-    blend linearly and are renormalized, each rank's Gaussian by blend_gaussian."""
-    ws = blend(weights[idx8], w8)
+    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean, with
+    variances var: weights blend linearly and are renormalized, each rank's
+    Gaussian by blend_gaussian."""
+    ws = blend(weights, idx8, w8)
     ws /= ws.sum(axis=1, keepdims=True)
-    return ws, *blend_gaussian(means, sigmas, idx8, w8)
+    return ws, *blend_gaussian(means, var, idx8, w8)
 
 
 def _gmm_corners(corner_gmms: Sequence[GmmModel], weights):
@@ -316,8 +313,8 @@ def interp_gmm_ordered(corner_gmms: Sequence[GmmModel], weights) -> GmmModel:
     """Rank-matched GMM interpolation: components sorted by mean, then each
     rank blends weights linearly and variances quadratically."""
     w, params = _gmm_corners(corner_gmms, weights)
-    ws, mus, sgs = blend_gmm_ordered(*sort_components(*params), np.arange(w.size)[None, :],
-                                     w[None, :])
+    ws, mus, sgs = sort_components(*params)
+    ws, mus, sgs = blend_gmm_ordered(ws, mus, sgs ** 2, np.arange(w.size)[None, :], w[None, :])
     return GmmModel(ws[0], mus[0], sgs[0])
 
 

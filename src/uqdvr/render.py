@@ -230,8 +230,11 @@ class _SchemeState:
     def __init__(self, job: RenderJob):
         self.job = job
         m = job.volume.model
+        if job.scheme == "gaussian":
+            self.var = m.sigma ** 2
         if job.scheme == "gmm-ordered":
-            self.gmm_sorted = sort_components(m.weights, m.means, m.sigmas)
+            ws, mus, sgs = sort_components(m.weights, m.means, m.sigmas)
+            self.gmm_sorted = ws, mus, sgs ** 2
         if job.scheme == "tf2d":
             self.tf2d_points = sobol_points(interp.NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
                                             seed=job.seed)
@@ -333,11 +336,11 @@ def _leap_steps(job: RenderJob) -> np.ndarray:
 
 
 def _mean_rgba(job, m, c, state, rng):
-    return job.tf.sample(interp.blend(m.values[c.idx8], c.w8))
+    return job.tf.sample(interp.blend(m.values, c.idx8, c.w8))
 
 
 def _gaussian_rgba(job, m, c, state, rng):
-    return gauss_hermite_batch(*interp.blend_gaussian(m.mean, m.sigma, c.idx8, c.w8), job.tf)
+    return gauss_hermite_batch(*interp.blend_gaussian(m.mean, state.var, c.idx8, c.w8), job.tf)
 
 
 def _uniform_rgba(job, m, c, state, rng):
@@ -346,11 +349,11 @@ def _uniform_rgba(job, m, c, state, rng):
 
 
 def _quantile_range_rgba(job, m, c, state, rng):
-    return quantile_range_batch(interp.blend(m.boundaries[c.idx8], c.w8), m.qval, job.tf)
+    return quantile_range_batch(interp.blend(m.boundaries, c.idx8, c.w8), m.qval, job.tf)
 
 
 def _quantile_mean_rgba(job, m, c, state, rng):
-    return quantile_mean_batch(interp.blend(m.boundaries[c.idx8], c.w8), m.qval, job.tf)
+    return quantile_mean_batch(interp.blend(m.boundaries, c.idx8, c.w8), m.qval, job.tf)
 
 
 def _gmm_ordered_rgba(job, m, c, state, rng):

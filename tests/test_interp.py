@@ -491,9 +491,9 @@ class TestScalarWrappersShareTheBatchKernels:
         cells = locate(dims, spacing, origin, pos)
         corners = [random_pdf(rng) for _ in range(8)]
         bounds = np.stack([c.boundaries for c in corners])
-        blended = blend(bounds[np.tile(np.arange(8), (30, 1))], cells.w8)
+        blended = blend(bounds, np.tile(np.arange(8), (30, 1)), cells.w8)
         mus, sgs = rng.normal(size=8), rng.random(8)
-        mu, sg = blend_gaussian(mus, sgs, np.tile(np.arange(8), (30, 1)), cells.w8)
+        mu, sg = blend_gaussian(mus, sgs ** 2, np.tile(np.arange(8), (30, 1)), cells.w8)
         for i, p in enumerate(pos):
             c = trilinear_coords(dims, spacing, origin, p)
             assert c.base == tuple(cells.base[i])
