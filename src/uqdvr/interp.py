@@ -160,11 +160,20 @@ def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float
     return QuantilePdf(qval, blend(b, np.arange(8)[None, :], w[None])[0])
 
 
-def blend_gaussian(mean: np.ndarray, var: np.ndarray, idx8: np.ndarray,
+def variance_table(sigma: np.ndarray) -> tuple[np.ndarray, int]:
+    """(sigma^2 in units of 4^e, e), with 2^e the largest sigma rounded up to
+    a power of two, so that squaring tiny spreads cannot underflow; every
+    scaling is exact."""
+    e = int(np.frexp(np.max(sigma, initial=0.0))[1])
+    return np.square(np.ldexp(sigma, -e)), e
+
+
+def blend_gaussian(mean: np.ndarray, var: tuple[np.ndarray, int], idx8: np.ndarray,
                    w8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, ...) mu = sum w mu_i and sigma = sqrt(sum w^2 var_i) over the corners
-    of (V, ...) mean and variance tables."""
-    return blend(mean, idx8, w8), np.sqrt(blend(var, idx8, w8 * w8))
+    of a (V, ...) mean table, with var from variance_table."""
+    table, e = var
+    return blend(mean, idx8, w8), np.ldexp(np.sqrt(blend(table, idx8, w8 * w8)), e)
 
 
 def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
@@ -172,7 +181,7 @@ def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
     mu, sg, w = _vectors(means, sigmas, weights)
     if np.any(sg < 0):
         raise VolumeError("sigmas must be nonnegative")
-    mu, sg = blend_gaussian(mu, sg ** 2, np.arange(w.size)[None, :], w[None, :])
+    mu, sg = blend_gaussian(mu, variance_table(sg), np.arange(w.size)[None, :], w[None, :])
     return float(mu[0]), float(sg[0])
 
 
@@ -290,10 +299,10 @@ def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) ->
     return NumericDensity(x, mass[0] / du[0])
 
 
-def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, var: np.ndarray,
+def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, var: tuple[np.ndarray, int],
                       idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean, with
-    variances var: weights blend linearly and are renormalized, each rank's
+    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean, var from
+    variance_table: weights blend linearly and are renormalized, each rank's
     Gaussian by blend_gaussian."""
     ws = blend(weights, idx8, w8)
     ws /= ws.sum(axis=1, keepdims=True)
@@ -314,7 +323,8 @@ def interp_gmm_ordered(corner_gmms: Sequence[GmmModel], weights) -> GmmModel:
     rank blends weights linearly and variances quadratically."""
     w, params = _gmm_corners(corner_gmms, weights)
     ws, mus, sgs = sort_components(*params)
-    ws, mus, sgs = blend_gmm_ordered(ws, mus, sgs ** 2, np.arange(w.size)[None, :], w[None, :])
+    ws, mus, sgs = blend_gmm_ordered(ws, mus, variance_table(sgs), np.arange(w.size)[None, :],
+                                     w[None, :])
     return GmmModel(ws[0], mus[0], sgs[0])
 
 

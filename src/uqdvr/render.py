@@ -231,10 +231,10 @@ class _SchemeState:
         self.job = job
         m = job.volume.model
         if job.scheme == "gaussian":
-            self.var = m.sigma ** 2
+            self.var = interp.variance_table(m.sigma)
         if job.scheme == "gmm-ordered":
             ws, mus, sgs = sort_components(m.weights, m.means, m.sigmas)
-            self.gmm_sorted = ws, mus, sgs ** 2
+            self.gmm_sorted = ws, mus, interp.variance_table(sgs)
         if job.scheme == "tf2d":
             self.tf2d_points = sobol_points(interp.NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
                                             seed=job.seed)

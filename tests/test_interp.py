@@ -483,7 +483,7 @@ class TestScalarWrappersRaiseVolumeError:
 
 class TestScalarWrappersShareTheBatchKernels:
     def test_one_row_of_the_batch_kernels(self):
-        from uqdvr.interp import blend, blend_gaussian, locate
+        from uqdvr.interp import blend, blend_gaussian, locate, variance_table
 
         rng = np.random.default_rng(21)
         dims, spacing, origin = (5, 4, 6), (0.5, 1.5, 0.75), (-1.0, 2.0, 0.3)
@@ -493,7 +493,7 @@ class TestScalarWrappersShareTheBatchKernels:
         bounds = np.stack([c.boundaries for c in corners])
         blended = blend(bounds, np.tile(np.arange(8), (30, 1)), cells.w8)
         mus, sgs = rng.normal(size=8), rng.random(8)
-        mu, sg = blend_gaussian(mus, sgs ** 2, np.tile(np.arange(8), (30, 1)), cells.w8)
+        mu, sg = blend_gaussian(mus, variance_table(sgs), np.tile(np.arange(8), (30, 1)), cells.w8)
         for i, p in enumerate(pos):
             c = trilinear_coords(dims, spacing, origin, p)
             assert c.base == tuple(cells.base[i])

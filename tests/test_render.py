@@ -158,6 +158,27 @@ class TestGmmMcComponentPick:
             assert np.array_equal(image(scale, threads), image(1.0, threads))
 
 
+class TestParametricValueScale:
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 100], ids=["2^-1000", "2^100"])
+    @pytest.mark.parametrize("scheme", ["gaussian", "gmm-ordered"])
+    def test_image_is_free_of_the_value_scale(self, scheme, scale):
+        """Means, sigmas and knots scaled by a power of two scale every blended
+        mean and spread exactly: the squared spreads are taken in units of the
+        largest sigma, so tiny ones do not underflow."""
+        def image(s, threads):
+            vol = gmm_volume(2, 41, s)
+            if scheme == "gaussian":
+                m = vol.model
+                vol = DistributionVolume(vol.dims, vol.spacing, vol.origin,
+                                         GaussianModel(m.means[:, 0], m.sigmas[:, 0]))
+            tf = TransferFunction1D(band_tf().points * [s, 1, 1, 1, 1])
+            return raycast(RenderJob(vol, scheme, default_camera(vol, 20, 16), tf=tf),
+                           threads=threads).pixels
+
+        for threads in (1, 2):
+            assert np.array_equal(image(scale, threads), image(1.0, threads))
+
+
 class TestRaycast:
     def test_zero_opacity_gives_background(self):
         grid = sample_field("tangle", (8, 8, 8))
