@@ -339,15 +339,15 @@ def sample_gmm_batch(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
     variance is summed in units of each row's largest w_c sigma_cj, rounded
     up to a power of two, so that squaring tiny spreads cannot underflow."""
     a, k = idx8.shape[0], weights.shape[1]
-    sd = w8[:, :, None] * sigmas[idx8]  # (A, 8, k)
+    sd = w8[:, :, None] * sigmas.take(idx8, axis=0)  # (A, 8, k)
     exp = np.frexp(sd.max(axis=(1, 2)))[1]
     sd2 = np.square(np.ldexp(sd, -exp[:, None, None]))  # in units of 4^exp
-    shift = w8[:, :, None] * means[idx8]
+    shift = w8[:, :, None] * means.take(idx8, axis=0)
     rows = np.arange(0, a * k, k)[:, None]
     mu, var = np.zeros((a, n)), np.zeros((a, n))
     pick = np.empty((a, n), np.int64)
     for c in range(idx8.shape[1]):
-        cum = np.cumsum(weights[idx8[:, c]], axis=1)
+        cum = np.cumsum(weights.take(idx8[:, c], axis=0), axis=1)
         u = rng.random((a, n))
         # The first component whose cumulative weight exceeds u; the last
         # takes whatever mass rounding leaves above the others.
