@@ -1,7 +1,7 @@
 """Independent oracles of the tests: the rational per-piece form of trilinear
 quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
 distances, the pointwise expected color of a lattice distribution, the
-bivariate test fields, the dense ray loop, the exact CDF of a blend of 8
+corner blend as a gather then a contraction, the bivariate test fields, the dense ray loop, the exact CDF of a blend of 8
 Gaussian mixtures and a gmm-mc classifier with its own component pick.  Most
 use only the public API of uqdvr, so they check the package's kernels
 without sharing code with them.  kde_cdf exposes a private kernel: the KDE
@@ -139,6 +139,21 @@ def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:
     return tuple(ScalarGrid(dims, spacing, (-1.0, -1.0, -1.0),
                             (v.ravel() - v.min()) / np.ptp(v) if np.ptp(v) > 0 else v.ravel())
                  for v in (a, b))
+
+
+def blend_gathered(values: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
+    """interp.blend as a gather of the (A, 8, ...) corners, contracted by
+    np.einsum, or with one value per corner by an in-order loop (einsum picks
+    its loop order from the operands' strides and summed a lone row another
+    way)."""
+    corners = values[idx8]
+    if np.prod(corners.shape[2:]) > 1:
+        return np.einsum("ac,ac...->a...", w8, corners)
+    w = w8.reshape(w8.shape + (1,) * (corners.ndim - 2))
+    out = w[:, 0] * corners[:, 0]
+    for c in range(1, w.shape[1]):
+        out += w[:, c] * corners[:, c]
+    return out
 
 
 def gmm_sum_cdf(weights, means, sigmas, w8, x) -> np.ndarray:

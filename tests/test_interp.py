@@ -19,8 +19,8 @@ from uqdvr.interp import (
 )
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
 
-from oracles import (gmm_sum_cdf, ks_distance, ks_two_sample, lattice_color_einsum,
-                     mc_oracle_interp, quantile_interp_3d_rational)
+from oracles import (blend_gathered, gmm_sum_cdf, ks_distance, ks_two_sample,
+                     lattice_color_einsum, mc_oracle_interp, quantile_interp_3d_rational)
 
 
 def random_pdf(rng, q=4, min_width=1e-3, max_width=2.0):
@@ -481,27 +481,58 @@ class TestScalarWrappersRaiseVolumeError:
             call()
 
 
+class TestBlend:
+    """blend adds the 8 corners of a per-voxel table in order, for one value,
+    q + 1 boundaries or k components per voxel."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("tail", [(), (1,), (2,), (3,), (9,), (33,)],
+                             ids=["one", "1", "2", "3", "9", "33"])
+    def test_matches_the_gathered_contraction(self, tail, rows):
+        from uqdvr.interp import blend, locate
+
+        rng = np.random.default_rng([rows, *tail])
+        dims = (9, 8, 7)
+        values = rng.normal(size=(504,) + tail) * 10.0 ** rng.integers(-6, 7, (504,) + tail)
+        pos = rng.random((rows, 3)) * (np.asarray(dims) - 1)
+        cells = locate(dims, (1, 1, 1), (0, 0, 0), pos)
+        got = blend(values, cells.idx8, cells.w8)
+        assert got.shape == (rows,) + tail
+        assert np.array_equal(got, blend_gathered(values, cells.idx8, cells.w8))
+        for i in range(rows):  # a row's blend does not depend on the rows beside it
+            assert np.array_equal(blend(values, cells.idx8[i:i + 1], cells.w8[i:i + 1])[0],
+                                  got[i])
+
+
 class TestScalarWrappersShareTheBatchKernels:
     def test_one_row_of_the_batch_kernels(self):
-        from uqdvr.interp import blend, blend_gaussian, locate, variance_table
+        from uqdvr.interp import blend, blend_gaussian, blend_gmm_ordered, locate, variance_table
+        from uqdvr.volcore import sort_components
 
         rng = np.random.default_rng(21)
         dims, spacing, origin = (5, 4, 6), (0.5, 1.5, 0.75), (-1.0, 2.0, 0.3)
         pos = np.asarray(origin) + rng.random((30, 3)) * (np.asarray(dims) - 1) * spacing
         cells = locate(dims, spacing, origin, pos)
+        idx8 = np.tile(np.arange(8), (30, 1))
         corners = [random_pdf(rng) for _ in range(8)]
         bounds = np.stack([c.boundaries for c in corners])
-        blended = blend(bounds, np.tile(np.arange(8), (30, 1)), cells.w8)
+        blended = blend(bounds, idx8, cells.w8)
         mus, sgs = rng.normal(size=8), rng.random(8)
-        mu, sg = blend_gaussian(mus, variance_table(sgs), np.tile(np.arange(8), (30, 1)), cells.w8)
+        mu, sg = blend_gaussian(mus, variance_table(sgs), idx8, cells.w8)
+        gmms = [GmmModel(rng.dirichlet(np.ones(3)), rng.normal(size=3), rng.random(3))
+                for _ in range(8)]
+        ws, gmus, gsgs = sort_components(*(np.stack([getattr(g, a) for g in gmms])
+                                           for a in ("weights", "means", "sigmas")))
+        mix = blend_gmm_ordered(ws, gmus, variance_table(gsgs), idx8, cells.w8)
         for i, p in enumerate(pos):
             c = trilinear_coords(dims, spacing, origin, p)
             assert c.base == tuple(cells.base[i])
             assert np.array_equal(corner_weights(*c.frac), cells.w8[i])
-            out = quantile_interp_3d(corners, *c.frac)
-            np.testing.assert_allclose(out.boundaries, blended[i], rtol=0, atol=1e-13)
-            np.testing.assert_allclose(interp_gaussian(mus, sgs, cells.w8[i]), (mu[i], sg[i]),
-                                       rtol=0, atol=1e-13)
+            assert np.array_equal(quantile_interp_3d(corners, *c.frac).boundaries, blended[i])
+            assert interp_gaussian(mus, sgs, cells.w8[i]) == (mu[i], sg[i])
+            out = interp_gmm_ordered(gmms, cells.w8[i])
+            for got, want in zip((out.weights, out.means, out.sigmas), mix):
+                assert np.array_equal(got, want[i])
 
 
 class TestUniformSumNarrowRows:
