@@ -4,9 +4,10 @@ Cell corners are ordered so that index bit 0 advances +x, bit 1 advances +y,
 and bit 2 advances +z; alpha blends along x, beta along y, gamma along z.
 
 The renderer calls one batch kernel per computation: `locate` finds cells and
-corner weights, then one kernel per model blends the corner parameters it
-gathers through idx8, each written with `blend`.  The scalar APIs check their
-inputs and call the same kernels on one row.
+corner weights, then one kernel per model blends its per-voxel tables at the
+corner ids idx8, each written with `blend`, which reads every corner straight
+from the table.  The scalar APIs check their inputs and call the same kernels
+on one row.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float
 
 def variance_table(sigma: np.ndarray) -> tuple[np.ndarray, int]:
     """(sigma^2 in units of 4^e, e), with 2^e the largest sigma rounded up to
-    a power of two, so that squaring tiny spreads cannot underflow; every
-    scaling is exact."""
+    a power of two, so that squaring tiny spreads cannot underflow.  The
+    scalings are exact: each square keeps its bytes for sigma >= 2^(e - 511)."""
     e = int(np.frexp(np.max(sigma, initial=0.0))[1])
     return np.square(np.ldexp(sigma, -e)), e
 
