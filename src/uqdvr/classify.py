@@ -40,7 +40,8 @@ _SPLAT_CELLS_PER_POINT = 16
 class TransferFunction1D:
     """Piecewise-linear RGBA map over intensity, constant outside the knots.
 
-    points is (n, 5): columns intensity, r, g, b, a.
+    points is (n, 5): columns intensity, r, g, b, a.  The knot spacings, the
+    segment slopes and the cumulative segment integrals must all be finite.
     """
 
     points: np.ndarray
@@ -49,19 +50,25 @@ class TransferFunction1D:
         p = require_finite(self.points, "TF1D knots and channels")
         if p.ndim != 2 or p.shape[1] != 5 or p.shape[0] < 1:
             raise VolumeError("TF1D needs an (n, 5) control-point table")
-        if np.any(np.diff(p[:, 0]) <= 0):
-            raise VolumeError("TF1D intensities must be strictly increasing")
         if np.any(p[:, 1:] < 0) or np.any(p[:, 1:] > 1):
             raise VolumeError("TF1D channels must lie in [0, 1]")
+        x, vals = p[:, 0], p[:, 1:]
+        try:
+            with np.errstate(over="raise", divide="raise"):
+                dx = np.diff(x)
+                if np.any(dx <= 0):
+                    raise VolumeError("TF1D intensities must be strictly increasing")
+                slopes = np.diff(vals, axis=0) / dx[:, None]  # (n-1, 4)
+                cum = np.cumsum(0.5 * (vals[:-1] + vals[1:]) * dx[:, None], axis=0)
+        except FloatingPointError:
+            raise VolumeError("TF1D knot spacings, slopes and segment integrals must not "
+                              "overflow") from None
         p.setflags(write=False)
         object.__setattr__(self, "points", p)
-        x, vals = p[:, 0], p[:, 1:]
-        slopes = np.diff(vals, axis=0) / np.diff(x)[:, None]  # (n-1, 4)
         # Segment tables for sample and integral_to: row 0 extends the first
         # value below the knots, row j+1 is segment j, row n extends the last
         # value above.
-        mid = 0.5 * (vals[:-1] + vals[1:])
-        cum = np.vstack([np.zeros(4), np.cumsum(mid * np.diff(x)[:, None], axis=0)])
+        cum = np.vstack([np.zeros(4), cum])
         tables = {
             "_seg_x": np.concatenate([x[:1], x]),
             "_seg_cum": np.vstack([cum[:1], cum]),
@@ -79,10 +86,7 @@ class TransferFunction1D:
     def zero_alpha_runs(self) -> list[tuple[float, float]]:
         """Closed intervals on which sample and integral_to see alpha 0 alone:
         runs of consecutive knots with alpha 0, a run at the first or last
-        knot extended to -inf or +inf.  No runs if a slope overflowed, since
-        a lookup on a knot then multiplies inf by 0."""
-        if not np.isfinite(self._seg_slope).all():
-            return []
+        knot extended to -inf or +inf."""
         edge = np.diff(np.concatenate([[0], self.points[:, 4] == 0.0, [0]]).astype(np.int8))
         first, last = np.nonzero(edge == 1)[0], np.nonzero(edge == -1)[0] - 1
         n = len(self.knots)

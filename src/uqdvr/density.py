@@ -82,8 +82,8 @@ def _bandwidths(samples: np.ndarray, config: KdeConfig) -> np.ndarray:
 
 def _sample_set(samples, what: str, least: int) -> np.ndarray:
     """One sample set as a (1, M) row; VolumeError unless it holds at least
-    least samples, all finite."""
-    s = require_finite(samples, f"{what} samples").reshape(1, -1)
+    least samples, all within +-F32_MAX, the domain of every grid and model."""
+    s = require_finite(samples, f"{what} samples", f32_range=True).reshape(1, -1)
     if s.shape[1] < least:
         raise VolumeError(f"{what} needs at least {least} samples")
     return s
@@ -101,43 +101,35 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     the row's sampled Gaussian kernel by a zero-padded rFFT of length
     2*lattice, so the circular convolution never wraps (Wand 1994).
     Returns (lo, du, cdf): row v's lattice is lo[v] + du[v] * arange(lattice)
-    and cdf is (V, lattice).  Rows with zero spread and zero bandwidth get
-    du = 0, a lattice at the constant value, and a linear CDF.
+    and cdf is (V, lattice).  Every row needs h > 0 and samples within
+    +-F32_MAX that are not all equal, as _kde_quantile_rows sends them, so
+    its lattice has hi > lo.
     """
     v = samples.shape[0]
     lo = np.maximum(samples.min(axis=1) - 3.0 * h, -F32_MAX)  # padded within the f32 range
     hi = np.minimum(samples.max(axis=1) + 3.0 * h, F32_MAX)
-    flat = hi <= lo  # zero spread and zero bandwidth
-    du = np.where(flat, 0.0, hi - lo) / (lattice - 1)
+    du = (hi - lo) / (lattice - 1)
 
     # Kernel and bin scale factors drop out when the CDF is normalised.
-    live = np.nonzero(~flat)[0]
-    if live.size:
-        t = (samples[live] - lo[live, None]) / du[live, None]
-        cell = np.minimum(t.astype(np.intp), lattice - 2)
-        frac = t - cell
-        cell = (cell + lattice * np.arange(live.size)[:, None]).ravel()
-        counts = (np.bincount(cell, 1.0 - frac.ravel(), live.size * lattice)
-                  + np.bincount(cell + 1, frac.ravel(), live.size * lattice))
-        n = 2 * lattice
-        lag = np.minimum(np.arange(n), n - np.arange(n))
-        kernel = np.exp(-0.5 * ((du[live] / h[live])[:, None] * lag[None, :]) ** 2)
-        spectrum = np.fft.rfft(counts.reshape(live.size, lattice), n) * np.fft.rfft(kernel)
-        pdf = np.fft.irfft(spectrum, n)[:, :lattice]
-        np.maximum(pdf, 0.0, out=pdf)
-        rising = np.cumsum(pdf[:, :-1] + pdf[:, 1:], axis=1)
+    t = (samples - lo[:, None]) / du[:, None]
+    cell = np.minimum(t.astype(np.intp), lattice - 2)
+    frac = t - cell
+    cell = (cell + lattice * np.arange(v)[:, None]).ravel()
+    counts = (np.bincount(cell, 1.0 - frac.ravel(), v * lattice)
+              + np.bincount(cell + 1, frac.ravel(), v * lattice))
+    n = 2 * lattice
+    lag = np.minimum(np.arange(n), n - np.arange(n))
+    kernel = np.exp(-0.5 * ((du / h)[:, None] * lag[None, :]) ** 2)
+    spectrum = np.fft.rfft(counts.reshape(v, lattice), n) * np.fft.rfft(kernel)
+    pdf = np.fft.irfft(spectrum, n)[:, :lattice]
+    np.maximum(pdf, 0.0, out=pdf)
     # Allocated after the FFT arrays: allocated before them, it gave a KDE fit
     # several times the page faults and a quarter more time (glibc malloc).
     cdf = np.zeros((v, lattice))
-    if live.size:
-        cdf[live, 1:] = rising
+    np.cumsum(pdf[:, :-1] + pdf[:, 1:], axis=1, out=cdf[:, 1:])
     # The cumulative sum of a clipped pdf never decreases, and dividing by
     # one positive total keeps that order, so the CDF is monotone as it stands.
-    total = cdf[:, -1].copy()
-    total[total <= 0] = 1.0
-    cdf /= total[:, None]
-    if np.any(flat):
-        cdf[flat] = np.linspace(0.0, 1.0, lattice)[None, :]
+    cdf /= cdf[:, -1:].copy()
     return lo, du, cdf
 
 
@@ -251,7 +243,8 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
     floor = np.maximum(_GMM_SIGMA_FLOOR_REL * (samples.max(axis=1) - samples.min(axis=1)), 1e-12)
     pooled = np.std(samples, axis=1, ddof=1) if m > 1 else np.zeros(v)
     if k == 1:
-        # One component: the EM fixed point is the moment fit.
+        # One component: fit_gaussian's mean and ddof=1 sigma, floored; EM's
+        # fixed point would take the ddof=0 sigma.
         return np.ones((v, 1)), samples.mean(axis=1)[:, None], np.maximum(pooled, floor)[:, None]
 
     edges = np.quantile(samples, np.linspace(0, 1, k + 1), axis=1)
@@ -262,9 +255,8 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
     rows, prev_ll = np.arange(v), np.full(v, -np.inf)
     s = np.ascontiguousarray(samples.T[:, None, :])
     for it in range(max_iter):
-        safe = np.maximum(sg, 1e-300)
-        z = (s - mu) / safe
-        logp = (np.log(np.maximum(w, 1e-300)) - np.log(safe)) - 0.5 * z * z
+        z = (s - mu) / sg  # sg >= floor >= 1e-12
+        logp = (np.log(np.maximum(w, 1e-300)) - np.log(sg)) - 0.5 * z * z
         peak = logp.max(axis=1, keepdims=True)
         p = np.exp(logp - peak)
         norm = p.sum(axis=1, keepdims=True)
@@ -361,10 +353,8 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
     elif kind == "gmm":
         if k is None:
             raise VolumeError("gmm model needs k")
-        params = _fit_rows(lambda s: _gmm_em_blocks(s, k, max_iter), ensemble, threads)
-        if not all(np.all(np.isfinite(p)) for p in params):
-            raise VolumeError("gmm fit produced non-finite parameters")
-        model = GmmVolumeModel(k, *params)
+        model = GmmVolumeModel(k, *_fit_rows(lambda s: _gmm_em_blocks(s, k, max_iter), ensemble,
+                                             threads))
     else:
         raise VolumeError(f"unknown model kind {kind!r}")
     return DistributionVolume(ensemble.dims, ensemble.spacing, ensemble.origin, model)

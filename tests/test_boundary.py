@@ -263,3 +263,45 @@ def test_fits_of_f32_range_members_are_valid_and_round_trip(fit, members):
     for name in vol.model.FIELDS:
         want = getattr(vol.model, name).astype(np.float32)
         assert np.array_equal(getattr(back.model, name), want), name
+
+
+# Sample sets and knot tables are checked where they enter.  Before, samples
+# beyond the f32 range fitted to an infinite sigma, a RuntimeWarning or a
+# bincount ValueError, and a knot table whose slopes overflowed sampled NaN
+# at its first knot or 0 where it should read 0.5.
+BEYOND_F32_SAMPLES = [1e300, -1e300, 5e299]
+
+SAMPLE_SET_FITS = {
+    "estimate-quantiles": lambda s: density.estimate_quantiles(s, 0.25),
+    "fit-mean": density.fit_mean,
+    "fit-uniform": density.fit_uniform,
+    "fit-gaussian": density.fit_gaussian,
+    "fit-gmm-em": lambda s: density.fit_gmm_em(s, 2),
+    "silverman-bandwidth": density.silverman_bandwidth,
+}
+
+
+@pytest.mark.parametrize("fit", list(SAMPLE_SET_FITS))
+@pytest.mark.parametrize("samples", [BEYOND_F32_SAMPLES, [0.0, 1.0, 3.5e38]])
+def test_sample_sets_beyond_f32_are_a_volume_error(fit, samples):
+    with pytest.raises(VolumeError, match="samples must lie in the f32 range"):
+        SAMPLE_SET_FITS[fit](samples)
+
+
+@pytest.mark.parametrize("points", [
+    [[-1e308, 0, 0, 0, 0], [1e308, 1, 1, 1, 1]],  # the spacing overflows
+    [[0, 0, 0, 0, 0], [1e-320, 1, 1, 1, 1]],  # the slope overflows
+    [[-1.5e308, 1, 1, 1, 1], [0, 1, 1, 1, 1], [1.5e308, 1, 1, 1, 1]],  # the integral overflows
+])
+def test_tf_tables_that_overflow_are_a_volume_error(points):
+    with pytest.raises(VolumeError, match="must not overflow"):
+        classify.TransferFunction1D(points)
+
+
+def test_tf_with_wide_finite_tables_samples_its_knots():
+    """Knots 1e308 apart whose tables stay finite construct and sample their
+    knot values exactly."""
+    tf = classify.TransferFunction1D([[-1e308, 0, 0, 0, 0], [0, 1, 1, 1, 1], [1e308, 1, 1, 1, 0]])
+    np.testing.assert_array_equal(tf.sample([-1e308, 0.0, 1e308]),
+                                  [[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]])
+    assert tf.zero_alpha_runs() == [(-np.inf, -1e308), (1e308, np.inf)]
