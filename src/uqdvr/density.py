@@ -46,6 +46,10 @@ _FFT_CELLS = 1 << 17
 # and members still add up in the order of one sample set (see _gmm_em_rows).
 # 256 to 1,024 rows run equally fast.
 _EM_ROWS = 512
+# Largest KDE lattice step in bandwidths.  From 40 bandwidths on, every kernel
+# tap off the centre, exp(-800) or less, is already 0 in float64.
+_KDE_MAX_STEP = 64.0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ class KdeConfig:
 
     The density is evaluated on a uniform value lattice spanning the sample
     range padded by 3 bandwidths.  bandwidth "auto" is Silverman's rule;
-    otherwise it is a finite positive number.  lattice is an integer number
-    of lattice points in [64, 65536].
+    otherwise it is a number from the smallest normal float to F32_MAX.
+    lattice is an integer number of lattice points in [64, 65536].
     """
 
     bandwidth: float | str = "auto"
@@ -64,6 +68,8 @@ class KdeConfig:
     def __post_init__(self):
         if not (isinstance(self.bandwidth, str) and self.bandwidth == "auto"):
             bw = float(require_positive(self.bandwidth, "explicit bandwidth", ()))
+            if not _TINY <= bw <= F32_MAX:
+                raise VolumeError(f"explicit bandwidth must lie in [{_TINY:.4g}, {F32_MAX:.8g}]")
             object.__setattr__(self, "bandwidth", bw)
         lattice = require_int(self.lattice, "KDE lattice")
         if not 64 <= lattice <= MAX_LATTICE:
@@ -101,9 +107,11 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     the row's sampled Gaussian kernel by a zero-padded rFFT of length
     2*lattice, so the circular convolution never wraps (Wand 1994).
     Returns (lo, du, cdf): row v's lattice is lo[v] + du[v] * arange(lattice)
-    and cdf is (V, lattice).  Every row needs h > 0 and samples within
-    +-F32_MAX that are not all equal, as _kde_quantile_rows sends them, so
-    its lattice has hi > lo.
+    and cdf is (V, lattice).  Every row needs samples within +-F32_MAX that
+    are not all equal and an h of at least the smallest normal float, as
+    _kde_quantile_rows sends them: its lattice then spans at least 6h, so
+    du > 0.  du/h is clipped near _KDE_MAX_STEP, where the kernel is already
+    1 at lag 0 and 0 at every other lag, so it cannot overflow.
     """
     v = samples.shape[0]
     lo = np.maximum(samples.min(axis=1) - 3.0 * h, -F32_MAX)  # padded within the f32 range
@@ -119,7 +127,8 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
               + np.bincount(cell + 1, frac.ravel(), v * lattice))
     n = 2 * lattice
     lag = np.minimum(np.arange(n), n - np.arange(n))
-    kernel = np.exp(-0.5 * ((du / h)[:, None] * lag[None, :]) ** 2)
+    ratio = du / np.maximum(h, du / _KDE_MAX_STEP)  # du/h, at most about _KDE_MAX_STEP
+    kernel = np.exp(-0.5 * (ratio[:, None] * lag[None, :]) ** 2)
     spectrum = np.fft.rfft(counts.reshape(v, lattice), n) * np.fft.rfft(kernel)
     pdf = np.fft.irfft(spectrum, n)[:, :lattice]
     np.maximum(pdf, 0.0, out=pdf)

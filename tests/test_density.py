@@ -324,6 +324,29 @@ class TestKdeConfig:
         with pytest.raises(VolumeError):
             KdeConfig(lattice=32)
 
+    @pytest.mark.parametrize("bandwidth", [1e-309, 5e-324, 3.5e38, 1e308])
+    def test_bandwidth_beyond_its_range_is_rejected(self, bandwidth):
+        """Below the smallest normal float the lattice step can underflow to 0;
+        beyond F32_MAX the 3-bandwidth padding can overflow."""
+        with pytest.raises(VolumeError, match="explicit bandwidth must lie in"):
+            KdeConfig(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e-160, 1e-200, 1e-300, np.finfo(float).tiny])
+    def test_bandwidth_far_below_the_lattice_step_is_a_delta_kernel(self, bandwidth):
+        """du/h of 1e158 and more, whose square overflowed, gives the interior
+        boundaries of a bandwidth of 1e-150, whose kernel is already 1 at lag 0
+        and 0 elsewhere; only the padded lower end, min - 3h, moves."""
+        s = np.linspace(0.0, 511.0, 40)
+        got = estimate_quantiles(s, 0.25, KdeConfig(bandwidth=bandwidth)).boundaries
+        ref = estimate_quantiles(s, 0.25, KdeConfig(bandwidth=1e-150)).boundaries
+        assert got[1:].tobytes() == ref[1:].tobytes()
+        assert got[0] == -3.0 * bandwidth
+
+    def test_smallest_bandwidth_fits_a_subnormal_spread(self):
+        s = np.arange(40) * 5e-324
+        b = estimate_quantiles(s, 0.25, KdeConfig(bandwidth=np.finfo(float).tiny)).boundaries
+        assert np.all(np.diff(b) >= 0) and b[0] <= s[0] and b[-1] >= s[-1]
+
     def test_explicit_bandwidth_used(self):
         s = np.array([0.0, 1.0])
         x, _ = kde_cdf(s, KdeConfig(bandwidth=0.5))
