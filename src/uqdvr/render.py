@@ -86,6 +86,8 @@ _TABLE_SLAB_CELLS = 1 << 18
 # 0.43-0.50 s with its table against 0.27-0.39 s without; the spheres
 # reference has 58% and gains 3x.
 _MIN_EMPTY_SHARE = 0.25
+# A ray's last sample is taken only if it spans more than this fraction of a step.
+_SLIVER = 2.0 ** -40
 # Each finite zero-alpha run end is moved inward by _VALUE_MARGIN of its
 # magnitude (16-32 ulps) plus _TINY (where products of subnormals round).
 _VALUE_MARGIN = 2.0 ** -48
@@ -106,11 +108,11 @@ class Camera:
     height: int
 
     def __post_init__(self):
-        eye, at, up = (require_finite(getattr(self, name), f"camera {name}", (3,))
+        eye, at, up = (require_finite(getattr(self, name), f"camera {name}", (3,), f32_range=True)
                        for name in ("eye", "look_at", "up"))
-        if np.allclose(eye, at):
+        if np.array_equal(eye, at):
             raise VolumeError("camera eye must differ from look-at")
-        if np.linalg.norm(np.cross(at - eye, up)) < 1e-12:
+        if not up.any() or np.linalg.norm(np.cross(_unit(at - eye), _unit(up))) < 1e-12:
             raise VolumeError("camera up must not be parallel to the view direction")
         fov = float(require_finite(self.fov_deg, "vertical fov", ()))
         if not (0.0 < fov < 180.0):
@@ -119,13 +121,19 @@ class Camera:
         require_ints((self.width, self.height), 2, "image size")
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| for a finite nonzero vector.  v is first scaled by a power of
+    two, which is exact, so the norm neither overflows nor underflows and the
+    result is v / |v| rounded once wherever that does not."""
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    return v / np.linalg.norm(v)
+
+
 def camera_rays(cam: Camera) -> tuple[np.ndarray, np.ndarray]:
     """Pixel-center ray origins and unit directions, row-major from top-left."""
     eye = np.asarray(cam.eye, dtype=np.float64)
-    fwd = np.asarray(cam.look_at, dtype=np.float64) - eye
-    fwd /= np.linalg.norm(fwd)
-    right = np.cross(fwd, np.asarray(cam.up, dtype=np.float64))
-    right /= np.linalg.norm(right)
+    fwd = _unit(np.asarray(cam.look_at, dtype=np.float64) - eye)
+    right = _unit(np.cross(fwd, np.asarray(cam.up, dtype=np.float64)))
     true_up = np.cross(right, fwd)
     half_h = np.tan(np.radians(cam.fov_deg) * 0.5)
     half_w = half_h * cam.width / cam.height
@@ -147,8 +155,7 @@ def default_camera(volume, width: int, height: int, fov_deg: float = 35.0,
     d = require_finite(direction, "camera direction", (3,))
     if not d.any():
         raise VolumeError("camera direction must be nonzero")
-    d = d / np.abs(d).max()  # scaled first, so the norm cannot overflow
-    d = d / np.linalg.norm(d)
+    d = _unit(d)
     eye = center + float(require_finite(distance, "camera distance", ())) * extent * d
     return Camera(tuple(eye), tuple(center), (0.0, 0.0, 1.0), fov_deg, width, height)
 
@@ -426,7 +433,7 @@ def _render_chunk(state: _SchemeState, chunk_id: int, origins, dirs) -> np.ndarr
     while True:
         t_lo = t0 + kk * step_len
         dt = np.minimum(step_len, t1 - t_lo)
-        keep = (dt > 1e-12) & (trans > t_floor)
+        keep = (dt > _SLIVER * step_len) & (trans > t_floor)
         if not keep.all():  # rays that left the box or terminated
             out[ray[~keep], :3] = rgb[~keep]
             sel = np.flatnonzero(keep)

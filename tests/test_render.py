@@ -179,6 +179,47 @@ class TestParametricValueScale:
             assert np.array_equal(image(scale, threads), image(1.0, threads))
 
 
+class TestGeometryScale:
+    """Spacing, origin and camera scaled by a power of two scale every ray
+    parameter exactly, so the image may not change.  Before, the camera checks
+    and the sliver test of a ray's last sample used absolute thresholds: the
+    scene rendered black at 2^-40, and a camera on spacing 1e-12 was refused."""
+
+    TF = TransferFunction1D([[0.0, 0, 0, 0, 0], [0.45, 0, 0, 0, 0], [0.6, 0.9, 0.5, 0.2, 0.7],
+                             [1.0, 0.2, 0.4, 0.9, 0.4]])
+
+    def job(self, scheme, scale):
+        grid = sample_field("tangle", (8, 8, 8))
+        model = (MeanFieldModel(grid.values) if scheme == "mean" else
+                 QuantileModel(0.125, grid.values[:, None] + np.linspace(-0.05, 0.05, 9)))
+        vol = DistributionVolume(grid.dims, tuple(np.multiply(grid.spacing, scale)),
+                                 tuple(np.multiply(grid.origin, scale)), model)
+        return RenderJob(vol, scheme, presets.tangle_camera(vol, 96, 96), tf=self.TF)
+
+    @pytest.mark.parametrize("scheme", ["mean", "quantile-range"])
+    def test_image_is_free_of_the_geometry_scale(self, scheme):
+        ref = raycast(self.job(scheme, 1.0))
+        assert render._SchemeState(self.job(scheme, 1.0)).dist is not None  # rays leap
+        assert ref.pixels[..., :3].max() > 0.1
+        for exponent in (-40, -20, 20, 40):
+            for threads in (1, 2):
+                img = raycast(self.job(scheme, 2.0 ** exponent), threads=threads)
+                assert img.pixels.tobytes() == ref.pixels.tobytes(), (exponent, threads)
+
+    @pytest.mark.parametrize("spacing", [1e-12, 1e-150, 1e30])
+    def test_default_camera_of_any_spacing(self, spacing):
+        grid = ScalarGrid((2, 2, 2), (spacing,) * 3, (0.0, 0.0, 0.0), np.zeros(8))
+        _, dirs = camera_rays(default_camera(mean_volume(grid), 4, 4))
+        assert np.all(np.isfinite(dirs))
+
+    def test_camera_checks_directions_not_distances(self):
+        Camera((0, 0, 0), (1e-300, 0, 0), (0, 1e-300, 0), 30, 4, 4)
+        Camera((1e10, 0, 0), (1e10 + 1e-5, 0, 0), (0, 0, 1), 30, 4, 4)
+        for up in ((1e-300, 0, 0), (0, 0, 0)):
+            with pytest.raises(VolumeError, match="parallel"):
+                Camera((0, 0, 0), (1e-300, 0, 0), up, 30, 4, 4)
+
+
 class TestRaycast:
     def test_zero_opacity_gives_background(self):
         grid = sample_field("tangle", (8, 8, 8))
