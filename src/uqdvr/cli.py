@@ -33,18 +33,20 @@ def _stage(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.replace("x", ",").split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"dims need three values, got {text!r}")
+def _parse_counts(text: str, n: int, form: str) -> tuple[int, ...]:
+    """n integers separated by x, X or commas."""
+    parts = text.lower().replace("x", ",").split(",")
+    if len(parts) != n:
+        raise argparse.ArgumentTypeError(f"expected {form} ({n} integers), got {text!r}")
     return tuple(int(p) for p in parts)
 
 
+def parse_dims(text: str) -> tuple[int, int, int]:
+    return _parse_counts(text, 3, "WxHxD")
+
+
 def parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().replace("x", ",").split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"size needs WxH, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return _parse_counts(text, 2, "WxH")
 
 
 def parse_noise(text: str, members: int, seed: int) -> NoiseSpec:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from uqdvr.cli import main, run_experiment
+from uqdvr.cli import main, parse_dims, parse_size, run_experiment
 from uqdvr.render import Image, save_image
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field, save_ensemble
 from uqdvr.volcore import DistributionVolume, QuantileModel, VolumeError, load_qvol, save_qvol
@@ -26,6 +27,34 @@ class TestDiffCommand:
             capsys)
         assert code == 0
         assert "rmse=0" in out
+
+
+class TestCountParsers:
+    """--dims and --size share one parser: x, X and commas all separate."""
+
+    @pytest.mark.parametrize("text", ["64x32x16", "64X32X16", "64,32,16", "64X32,16"])
+    def test_dims(self, text):
+        assert parse_dims(text) == (64, 32, 16)
+
+    @pytest.mark.parametrize("text", ["256x128", "256X128", "256,128"])
+    def test_size(self, text):
+        assert parse_size(text) == (256, 128)
+
+    @pytest.mark.parametrize("parse, text", [(parse_dims, "64x64"), (parse_dims, "1x2x3x4"),
+                                             (parse_size, "8x8x8"), (parse_size, "8")])
+    def test_wrong_count_is_an_argument_error(self, parse, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="integers"):
+            parse(text)
+
+    def test_upper_case_dims_on_the_command_line(self, tmp_path, capsys):
+        code, _, _ = run_cli(["gen", "--field", "tangle", "--dims", "4X4X4", "--members", "2",
+                              "--out", str(tmp_path / "e")], capsys)
+        assert code == 0 and (tmp_path / "e" / "member_001.f32raw").exists()
+
+    def test_wrong_dims_count_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--field", "tangle", "--dims", "4x4", "--out", str(tmp_path / "e")])
+        assert exc.value.code == 2 and "WxHxD" in capsys.readouterr().err
 
 
 class TestLoadErrors:
