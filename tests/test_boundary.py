@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uqdvr import classify, density, interp, render, synth, volcore
+from uqdvr import classify, cli, density, interp, presets, render, synth, volcore
 from uqdvr.volcore import DistributionVolume, MeanFieldModel, ScalarGrid, VolumeError
 
 import oracles
@@ -94,6 +94,91 @@ PROBES = {
 def test_outside_number_is_a_volume_error(case):
     with pytest.raises(VolumeError):
         PROBES[case]()
+
+
+def uniform_volume(dims=(2, 2, 2)):
+    n = int(np.prod(dims))
+    return DistributionVolume(dims, *UNIT, volcore.UniformModel(np.zeros(n), np.ones(n)))
+
+
+def quantile_volume():
+    return DistributionVolume((2, 2, 2), *UNIT, volcore.QuantileModel(0.5, np.zeros((8, 3))))
+
+
+def quartiles_of(j):
+    return render.render_quartile_views(j.volume, j)
+
+
+TF2 = classify.TransferFunction2D(np.zeros((2, 2, 4)), 1.0)
+STENCIL = interp.GradientStencil(np.array([0, 1]), np.array([0.5, 0.5]), np.array([1.0, -1.0]),
+                                 np.zeros((3, 2)), np.array([1.0, 0.0, 0.0]), False)
+
+# One probe per input check, each matched by its message so that no other
+# check stands in for it.
+CHECKS = {
+    "gmm-weight-sum": ("sum to 1", lambda: volcore.GmmVolumeModel(
+        2, [[0.5, 0.6]], [[0.0, 1.0]], [[1.0, 1.0]])),
+    "volume-voxel-count": ("model holds 7 voxels", lambda: DistributionVolume(
+        (2, 2, 2), *UNIT, MeanFieldModel(np.zeros(7)))),
+    "ensemble-empty": ("at least one member", lambda: volcore.EnsembleVolume([])),
+    "file-ensemble-empty": ("at least one member", lambda: volcore.FileEnsemble(
+        [], (2, 2, 2), *UNIT)),
+    "ensemble-incongruent": ("congruent", lambda: volcore.EnsembleVolume(
+        [grid(), grid(spacing=(2.0, 1.0, 1.0))])),
+    "load-raw-encoding": ("unknown raw encoding", lambda: volcore.load_raw(
+        "unread", (2, 2, 2), "f64")),
+    "save-raw-encoding": ("unknown raw encoding", lambda: volcore.save_raw(
+        grid(), "unwritten", "f64")),
+    "save-qvol-kind": ("requires a quantile-model", lambda: volcore.save_qvol(
+        mean_volume(), "unwritten")),
+    "save-dvol-kind": ("use save_qvol", lambda: volcore.save_dvol(
+        quantile_volume(), "unwritten")),
+    "default-camera-zero-direction": ("direction must be nonzero", lambda: render.default_camera(
+        mean_volume(), 4, 4, direction=(0.0, 0.0, 0.0))),
+    "job-tf2d-without-table": ("2D transfer function", lambda: render.RenderJob(
+        uniform_volume(), "tf2d", camera())),
+    "job-tf2d-without-mean-grid": ("companion mean grid", lambda: render.RenderJob(
+        uniform_volume(), "tf2d", camera(), tf2=TF2)),
+    "job-tf2d-mean-grid-dims": ("congruent", lambda: render.RenderJob(
+        uniform_volume(), "tf2d", camera(), tf2=TF2,
+        mean_grid=ScalarGrid((2, 2, 3), *UNIT, np.zeros(12)))),
+    "job-without-tf": ("1D transfer function", lambda: render.RenderJob(
+        mean_volume(), "mean", camera())),
+    "job-dims-below-2": ("dims >= 2", lambda: render.RenderJob(
+        DistributionVolume((1, 2, 2), *UNIT, MeanFieldModel(np.zeros(4))), "mean", camera(),
+        tf=TF)),
+    "quartiles-of-mean-volume": ("quantile-model volume", lambda: quartiles_of(job())),
+    "build-quantile-without-qval": ("needs qval", lambda: density.build_distribution_volume(
+        ensemble(), "quantile")),
+    "build-gmm-without-k": ("needs k", lambda: density.build_distribution_volume(
+        ensemble(), "gmm")),
+    "build-gaussian-of-one-member": ("M >= 2", lambda: density.build_distribution_volume(
+        volcore.EnsembleVolume([grid()]), "gaussian")),
+    "build-unknown-kind": ("unknown model kind", lambda: density.build_distribution_volume(
+        ensemble(), "nope")),
+    "noise-negative-scale": ("nonnegative", lambda: synth.NoiseSpec("gaussian", sigma=-1.0)),
+    "field-unparsable": ("cannot parse", lambda: synth.sample_field("Tangle!", (2, 2, 2))),
+    "field-linear-arity": ("linear field needs", lambda: synth.sample_field(
+        "linear(1,2)", (2, 2, 2))),
+    "field-constant-arity": ("constant field needs", lambda: synth.sample_field(
+        "constant(1,2)", (2, 2, 2))),
+    "cli-noise-key": ("bad noise spec", lambda: cli.parse_noise("gaussian:sigmaa=1", 2, 0)),
+    "tf1d-shape": ("control-point table", lambda: classify.TransferFunction1D([[0, 0, 0, 0]])),
+    "expected-color-2d-negative-width": ("widths must be nonnegative",
+                                         lambda: classify.expected_color_2d(
+                                             [(0.5, 0.1), (0.5, -0.1)], STENCIL, TF2, 4, 0)),
+    "numeric-density-shape": ("matching 1D", lambda: interp.NumericDensity([0, 1], [1, 1, 1])),
+    "preset-tf-unknown": ("unknown TF preset", lambda: presets.preset_tf1d("nope")),
+    "preset-camera-unknown": ("unknown camera preset", lambda: presets.preset_camera(
+        "nope", mean_volume(), 4, 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKS))
+def test_each_input_check_is_a_volume_error(case):
+    match, probe = CHECKS[case]
+    with pytest.raises(VolumeError, match=match):
+        probe()
 
 
 # Arbitrary outside values: numbers, text, None, booleans and nested lists.

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from uqdvr.cli import main, parse_dims, parse_size, run_experiment
-from uqdvr.render import Image, save_image
+from uqdvr.cli import main, parse_camera, parse_dims, parse_size, run_experiment
+from uqdvr.render import Camera, Image, save_image
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field, save_ensemble
 from uqdvr.volcore import DistributionVolume, QuantileModel, VolumeError, load_qvol, save_qvol
 
@@ -29,8 +29,9 @@ class TestDiffCommand:
         assert "rmse=0" in out
 
 
-class TestCountParsers:
-    """--dims and --size share one parser: x, X and commas all separate."""
+class TestArgumentParsers:
+    """--dims and --size share one parser, in which x, X and commas all
+    separate; --camera takes a preset or ten numbers."""
 
     @pytest.mark.parametrize("text", ["64x32x16", "64X32X16", "64,32,16", "64X32,16"])
     def test_dims(self, text):
@@ -50,6 +51,10 @@ class TestCountParsers:
         code, _, _ = run_cli(["gen", "--field", "tangle", "--dims", "4X4X4", "--members", "2",
                               "--out", str(tmp_path / "e")], capsys)
         assert code == 0 and (tmp_path / "e" / "member_001.f32raw").exists()
+
+    def test_explicit_camera(self):
+        cam = parse_camera("3,3,3,0.5,0.5,0.5,0,0,1,30", None, 8, 6)
+        assert cam == Camera((3.0, 3.0, 3.0), (0.5, 0.5, 0.5), (0.0, 0.0, 1.0), 30.0, 8, 6)
 
     def test_wrong_dims_count_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -75,6 +80,7 @@ class TestLoadErrors:
 class TestMalformedInput:
     MANIFESTS = {
         "empty-manifest": "{}",
+        "manifest-array": "[1]",
         "bad-json": "{",
         "unknown-model": json.dumps({"field": "tangle", "dims": [4, 4, 4], "size": [8, 8],
                                      "noise": {"kind": "gaussian"}, "members": [2],
@@ -133,7 +139,9 @@ class TestMalformedInput:
                                       "hixel-members", "members-empty", "members-repeated",
                                       "models-repeated", "quantile-schemes-repeated",
                                       "qvals-same-q",
-                                      "diff-scale-negative", *OUT_CASES])
+                                      "diff-scale-negative", "manifest-array",
+                                      "estimate-no-input", "estimate-brick-without-volume",
+                                      *OUT_CASES])
     def test_exit_2_without_traceback(self, tmp_path, capsys, monkeypatch, case):
         raw = tmp_path / "v.f32raw"
         raw.write_bytes(np.zeros(8, dtype="<f4").tobytes())
@@ -163,6 +171,9 @@ class TestMalformedInput:
                                         "--brick=-2,4,4", "--model", "mean",
                                         "--out", str(tmp_path / "h.dvol")],
             "diff-scale-negative": diff + ["--scale", "-1"],
+            "estimate-no-input": ["estimate", "--model", "mean", "--out", str(tmp_path / "m")],
+            "estimate-brick-without-volume": ["estimate", "--brick", "2,2,2", "--model", "mean",
+                                              "--out", str(tmp_path / "m")],
             "estimate-out-missing-dir": estimate + ["--out", nodir],
             "estimate-out-dot": estimate + ["--out", "."],
             "estimate-hixel-out-dot": ["estimate", "--volume", str(raw), "--dims", "2,2,2",

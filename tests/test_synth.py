@@ -86,6 +86,10 @@ class TestMakeEnsemble:
         se = np.sqrt(np.var(draws) / draws.size)
         assert abs(draws.mean() - analytic) < 3 * se + 1e-9
 
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_zero_mean_noise_has_mean_zero(self, kind):
+        assert NoiseSpec(kind, sigma=0.3, width=0.2, offset=0.5).analytic_mean() == 0.0
+
     def test_members_differ_and_voxels_decorrelated(self):
         gt = sample_field("constant(0.0)", (10, 10, 10))
         ens = make_ensemble(gt, NoiseSpec("gaussian", sigma=1.0, members=20, seed=5))
@@ -192,6 +196,13 @@ class TestFileEnsemble:
         assert code == 2 and "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: ") and "member_001.f32raw" in err
         assert not (saved / "m.dvol").exists()
+
+    def test_member_truncated_after_load_is_a_short_read(self, saved):
+        ens = load_ensemble(saved)
+        member = saved / "member_002.f32raw"
+        member.write_bytes(member.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="member_002.f32raw: short read of voxels 4096"):
+            build_distribution_volume(ens, "mean")
 
     def test_truncated_member_fails_at_load(self, saved):
         member = saved / "member_002.f32raw"

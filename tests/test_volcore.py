@@ -100,6 +100,13 @@ class TestRawIO:
         back = load_raw(p, (3, 3, 3), "u16")
         assert np.array_equal(back.values, g.values)
 
+    def test_raw_file_without_dims_is_not_a_volume(self, tmp_path):
+        p = tmp_path / "v.raw"
+        p.write_bytes(np.zeros(8, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="not a QVOL1/DVOL1 file and no dims given"):
+            volcore.load_volume(p)
+        assert volcore.load_volume(p, dims=(2, 2, 2)).model.kind == "mean"
+
     def test_size_mismatch(self, tmp_path):
         p = tmp_path / "bad.raw"
         p.write_bytes(b"\x00" * 7)
@@ -334,6 +341,11 @@ class TestVoxelPdf:
         pdf = voxel_pdf(vol, (0, 0, 0), qval=0.25)
         expect = volcore.gaussian_quantiles(2.0, 0.5, 0.25)
         np.testing.assert_allclose(pdf.boundaries, expect, atol=1e-9)
+
+    def test_gmm_of_zero_width_is_a_point(self):
+        """Components with sigma 0 at one mean have no support to bisect."""
+        b = volcore.gmm_quantiles([0.25, 0.75], [1.5, 1.5], [0.0, 0.0], 0.25)
+        assert b.tolist() == [1.5] * 5
 
     def test_out_of_bounds_index(self):
         m = MeanFieldModel(np.zeros(8))
