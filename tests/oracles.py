@@ -121,7 +121,9 @@ def lattice_color_einsum(xs: np.ndarray, mass: np.ndarray, tf: TransferFunction1
 
 
 def kde_cdf(samples, config: density.KdeConfig = density.KdeConfig()):
-    """The (lattice, cdf) pair behind estimate_quantiles for one sample set."""
+    """The (lattice, cdf) pair behind estimate_quantiles for one sample set
+    that is not constant: estimate_quantiles collapses constant sets to their
+    value without smoothing them."""
     s = density._sample_set(samples, "kde_cdf", 1)
     lo, du, cdf = density._kde_lattice_cdf(s, density._bandwidths(s, config), config.lattice)
     return lo[0] + du[0] * np.arange(config.lattice), cdf[0]
