@@ -49,7 +49,7 @@ _EM_ROWS = 512
 # Largest KDE lattice step in bandwidths.  From 40 bandwidths on, every kernel
 # tap off the centre, exp(-800) or less, is already 0 in float64.
 _KDE_MAX_STEP = 64.0
-_TINY = float(np.finfo(float).tiny)
+_MIN_BANDWIDTH = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class KdeConfig:
     def __post_init__(self):
         if not (isinstance(self.bandwidth, str) and self.bandwidth == "auto"):
             bw = float(require_positive(self.bandwidth, "explicit bandwidth", ()))
-            if not _TINY <= bw <= F32_MAX:
-                raise VolumeError(f"explicit bandwidth must lie in [{_TINY:.4g}, {F32_MAX:.8g}]")
+            if not _MIN_BANDWIDTH <= bw <= F32_MAX:
+                raise VolumeError(f"explicit bandwidth must lie in [{_MIN_BANDWIDTH:.2g}, F32_MAX]")
             object.__setattr__(self, "bandwidth", bw)
         lattice = require_int(self.lattice, "KDE lattice")
         if not 64 <= lattice <= MAX_LATTICE:

@@ -133,6 +133,8 @@ CHECKS = {
         mean_volume(), "unwritten")),
     "save-dvol-kind": ("use save_qvol", lambda: volcore.save_dvol(
         quantile_volume(), "unwritten")),
+    "camera-eye-beyond-f32": ("camera eye must lie in the f32 range", lambda: render.Camera(
+        (1e39, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 30.0, 4, 4)),
     "default-camera-zero-direction": ("direction must be nonzero", lambda: render.default_camera(
         mean_volume(), 4, 4, direction=(0.0, 0.0, 0.0))),
     "job-tf2d-without-table": ("2D transfer function", lambda: render.RenderJob(

@@ -207,7 +207,7 @@ class TestGeometryScale:
                 assert img.pixels.tobytes() == ref.pixels.tobytes(), (exponent, threads)
 
     @pytest.mark.parametrize("spacing", [1e-12, 1e-150, 1e30])
-    def test_default_camera_of_any_spacing(self, spacing):
+    def test_default_camera_of_a_tiny_or_huge_spacing(self, spacing):
         grid = ScalarGrid((2, 2, 2), (spacing,) * 3, (0.0, 0.0, 0.0), np.zeros(8))
         _, dirs = camera_rays(default_camera(mean_volume(grid), 4, 4))
         assert np.all(np.isfinite(dirs))
