@@ -96,9 +96,8 @@ def test_outside_number_is_a_volume_error(case):
         PROBES[case]()
 
 
-def uniform_volume(dims=(2, 2, 2)):
-    n = int(np.prod(dims))
-    return DistributionVolume(dims, *UNIT, volcore.UniformModel(np.zeros(n), np.ones(n)))
+def uniform_volume():
+    return DistributionVolume((2, 2, 2), *UNIT, volcore.UniformModel(np.zeros(8), np.ones(8)))
 
 
 def quantile_volume():
