@@ -147,18 +147,14 @@ def quantile_interp_1d(a: QuantilePdf, b: QuantilePdf, alpha: float) -> Quantile
     return quantile_interp_3d([a, b] * 4, alpha, 0.0, 0.0)
 
 
-def _corner_boundary_matrix(corners: Sequence[QuantilePdf]) -> tuple[float, np.ndarray]:
-    if len(corners) != 8 or len({(c.qval, c.q) for c in corners}) != 1:
-        raise VolumeError("trilinear interpolation needs 8 corner pdfs sharing qval")
-    return corners[0].qval, np.stack([c.boundaries for c in corners], axis=0)
-
-
 def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float,
                        gamma: float) -> QuantilePdf:
     """Trilinear quantile interpolation via the proven boundary-blend form."""
-    qval, b = _corner_boundary_matrix(corners)
+    if len(corners) != 8 or len({(c.qval, c.q) for c in corners}) != 1:
+        raise VolumeError("trilinear interpolation needs 8 corner pdfs sharing qval")
+    b = np.stack([c.boundaries for c in corners])
     w = corner_weights(alpha, beta, gamma)
-    return QuantilePdf(qval, blend(b, np.arange(8)[None, :], w[None])[0])
+    return QuantilePdf(corners[0].qval, blend(b, np.arange(8)[None, :], w[None])[0])
 
 
 def variance_table(sigma: np.ndarray) -> tuple[np.ndarray, int]:
@@ -169,21 +165,14 @@ def variance_table(sigma: np.ndarray) -> tuple[np.ndarray, int]:
     return np.square(np.ldexp(sigma, -e)), e
 
 
-def blend_gaussian(mean: np.ndarray, var: tuple[np.ndarray, int], idx8: np.ndarray,
-                   w8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, ...) mu = sum w mu_i and sigma = sqrt(sum w^2 var_i) over the corners
-    of a (V, ...) mean table, with var from variance_table."""
-    table, e = var
-    return blend(mean, idx8, w8), np.ldexp(np.sqrt(blend(table, idx8, w8 * w8)), e)
-
-
 def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
     """Linear transform of mean and variance: mu = sum w mu_i, var = sum w^2 var_i."""
     mu, sg, w = _vectors(means, sigmas, weights)
     if np.any(sg < 0):
         raise VolumeError("sigmas must be nonnegative")
-    mu, sg = blend_gaussian(mu, variance_table(sg), np.arange(w.size)[None, :], w[None, :])
-    return float(mu[0]), float(sg[0])
+    _, mu, sg = blend_gmm_ordered(np.ones((w.size, 1)), mu[:, None], variance_table(sg[:, None]),
+                                  np.arange(w.size)[None, :], w[None, :])
+    return float(mu[0, 0]), float(sg[0, 0])
 
 
 @dataclass(frozen=True)
@@ -303,11 +292,13 @@ def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) ->
 def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, var: tuple[np.ndarray, int],
                       idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
     """(A, k) rank-matched blends of (V, k) mixtures sorted by mean, var from
-    variance_table: weights blend linearly and are renormalized, each rank's
-    Gaussian by blend_gaussian."""
+    variance_table: weights blend linearly and are renormalized, and each
+    rank's Gaussian takes mu = sum w mu_i and sigma = sqrt(sum w^2 var_i).
+    A Gaussian is the one-component mixture."""
     ws = blend(weights, idx8, w8)
     ws /= ws.sum(axis=1, keepdims=True)
-    return ws, *blend_gaussian(means, var, idx8, w8)
+    table, e = var
+    return ws, blend(means, idx8, w8), np.ldexp(np.sqrt(blend(table, idx8, w8 * w8)), e)
 
 
 def _gmm_corners(corner_gmms: Sequence[GmmModel], weights):

@@ -121,12 +121,23 @@ class Camera:
         require_ints((self.width, self.height), 2, "image size")
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v / 2^e, e) for a finite vector, with 2^e its largest magnitude rounded
+    up to a power of two: exact, so the norm of v / 2^e cannot over- or underflow."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e), e
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    """v / |v| for a finite nonzero vector.  v is first scaled by a power of
-    two, which is exact, so the norm neither overflows nor underflows and the
-    result is v / |v| rounded once wherever that does not."""
-    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    """v / |v| for a finite nonzero vector."""
+    v = _scaled(v)[0]
     return v / np.linalg.norm(v)
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| for a finite vector, free of the under- and overflow of its squares."""
+    v, e = _scaled(v)
+    return float(np.ldexp(np.linalg.norm(v), e))
 
 
 def camera_rays(cam: Camera) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +162,7 @@ def default_camera(volume, width: int, height: int, fov_deg: float = 35.0,
                    direction=(1.0, 0.9, 0.75), distance: float = 2.4) -> Camera:
     """A diagonal view of the volume bounding box."""
     center = 0.5 * (volume.world_min + volume.world_max)
-    extent = float(np.linalg.norm(volume.world_max - volume.world_min))
+    extent = _norm(volume.world_max - volume.world_min)
     d = require_finite(direction, "camera direction", (3,))
     if not d.any():
         raise VolumeError("camera direction must be nonzero")
@@ -205,7 +216,7 @@ class RenderJob:
             raise VolumeError(f"scheme {self.scheme!r} needs a 1D transfer function")
         object.__setattr__(self, "step", float(require_positive(self.step, "step", ())))
         step_len = self.step * min(self.volume.spacing)
-        diagonal = float(np.linalg.norm(self.volume.world_max - self.volume.world_min))
+        diagonal = _norm(self.volume.world_max - self.volume.world_min)
         if diagonal > MAX_RAY_SAMPLES * step_len:
             raise VolumeError(f"step {self.step} takes more than {MAX_RAY_SAMPLES} "
                               "samples along the volume diagonal")
@@ -237,8 +248,9 @@ class _SchemeState:
     def __init__(self, job: RenderJob):
         self.job = job
         m = job.volume.model
-        if job.scheme == "gaussian":
-            self.var = interp.variance_table(m.sigma)
+        if job.scheme == "gaussian":  # a one-component mixture, sorted as it stands
+            self.gmm_sorted = (np.ones((m.voxel_count, 1)), m.mean[:, None],
+                               interp.variance_table(m.sigma[:, None]))
         if job.scheme == "gmm-ordered":
             ws, mus, sgs = sort_components(m.weights, m.means, m.sigmas)
             self.gmm_sorted = ws, mus, interp.variance_table(sgs)
@@ -346,10 +358,6 @@ def _mean_rgba(job, m, c, state, rng):
     return job.tf.sample(interp.blend(m.values, c.idx8, c.w8))
 
 
-def _gaussian_rgba(job, m, c, state, rng):
-    return gauss_hermite_batch(*interp.blend_gaussian(m.mean, state.var, c.idx8, c.w8), job.tf)
-
-
 def _uniform_rgba(job, m, c, state, rng):
     return lattice_color_batch(*uniform_sum_density_batch(m.center[c.idx8], m.width[c.idx8],
                                                           c.w8, CONV_LATTICE), job.tf)
@@ -389,7 +397,7 @@ def _tf2d_rgba(job, m, c, state, rng):
 _SCHEMES = {
     "mean": (MeanFieldModel, _mean_rgba),
     "uniform": (UniformModel, _uniform_rgba),
-    "gaussian": (GaussianModel, _gaussian_rgba),
+    "gaussian": (GaussianModel, _gmm_ordered_rgba),
     "gmm-ordered": (GmmVolumeModel, _gmm_ordered_rgba),
     "gmm-mc": (GmmVolumeModel, _gmm_mc_rgba),
     "quantile-range": (QuantileModel, _quantile_range_rgba),

@@ -25,13 +25,13 @@ import numpy as np
 import pytest
 import scipy
 
-from uqdvr import presets
+from uqdvr import presets, render
 from uqdvr.cli import run_experiment
 from uqdvr.density import (KdeConfig, brick_ensemble, build_distribution_volume,
                            downsample_hixel, quantile_volumes_multi)
 from uqdvr.render import RenderJob, raycast, render_quartile_views
 from uqdvr.synth import NoiseSpec, load_ensemble, make_ensemble, sample_field, save_ensemble
-from uqdvr.volcore import DistributionVolume, ScalarGrid
+from uqdvr.volcore import MODEL_KINDS, DistributionVolume, ScalarGrid
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED = 7
@@ -156,6 +156,12 @@ def _manifest_outputs(tmp: Path) -> dict[str, str]:
 
 def outputs(tmp: Path) -> dict[str, str]:
     return {**_fit_outputs(tmp), **_render_outputs(), **_manifest_outputs(tmp)}
+
+
+def test_the_table_covers_every_scheme_and_fit_kind():
+    """A scheme or fit kind added later is gated here too."""
+    assert sorted(scheme for scheme, _ in RENDERS) == sorted(render.SCHEMES)
+    assert sorted(kind for kind, _ in FITS) == sorted(MODEL_KINDS)
 
 
 def test_outputs_match_the_recorded_table(tmp_path):

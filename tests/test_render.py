@@ -179,11 +179,31 @@ class TestParametricValueScale:
             assert np.array_equal(image(scale, threads), image(1.0, threads))
 
 
+class TestGaussianIsAOneComponentMixture:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gaussian_render_is_the_k1_gmm_ordered_render(self, threads):
+        m = gmm_volume(1, 43).model
+        mean, sigma = m.means[:, 0], m.sigmas[:, 0]
+
+        def image(scheme, model):
+            vol = DistributionVolume((7, 6, 5), (1, 1, 1), (0, 0, 0), model)
+            job = RenderJob(vol, scheme, default_camera(vol, 20, 16), tf=band_tf())
+            return raycast(job, threads=threads).pixels
+
+        gauss = image("gaussian", GaussianModel(mean, sigma))
+        mix = image("gmm-ordered",
+                    GmmVolumeModel(1, np.ones((mean.size, 1)), mean[:, None], sigma[:, None]))
+        assert gauss[..., :3].max() > 0.1
+        assert gauss.tobytes() == mix.tobytes()
+
+
 class TestGeometryScale:
     """Spacing, origin and camera scaled by a power of two scale every ray
     parameter exactly, so the image may not change.  Before, the camera checks
     and the sliver test of a ray's last sample used absolute thresholds: the
-    scene rendered black at 2^-40, and a camera on spacing 1e-12 was refused."""
+    scene rendered black at 2^-40, and a camera on spacing 1e-12 was refused.
+    The box's extent and diagonal are norms of a vector scaled by a power of
+    two, so they do not underflow at 2^-1000 or on spacing 1e-200."""
 
     TF = TransferFunction1D([[0.0, 0, 0, 0, 0], [0.45, 0, 0, 0, 0], [0.6, 0.9, 0.5, 0.2, 0.7],
                              [1.0, 0.2, 0.4, 0.9, 0.4]])
@@ -201,12 +221,12 @@ class TestGeometryScale:
         ref = raycast(self.job(scheme, 1.0))
         assert render._SchemeState(self.job(scheme, 1.0)).dist is not None  # rays leap
         assert ref.pixels[..., :3].max() > 0.1
-        for exponent in (-40, -20, 20, 40):
+        for exponent in (-1000, -600, -40, -20, 20, 40):
             for threads in (1, 2):
                 img = raycast(self.job(scheme, 2.0 ** exponent), threads=threads)
                 assert img.pixels.tobytes() == ref.pixels.tobytes(), (exponent, threads)
 
-    @pytest.mark.parametrize("spacing", [1e-12, 1e-150, 1e30])
+    @pytest.mark.parametrize("spacing", [1e-12, 1e-150, 1e-200, 1e30])
     def test_default_camera_of_a_tiny_or_huge_spacing(self, spacing):
         grid = ScalarGrid((2, 2, 2), (spacing,) * 3, (0.0, 0.0, 0.0), np.zeros(8))
         _, dirs = camera_rays(default_camera(mean_volume(grid), 4, 4))
