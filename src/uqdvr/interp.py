@@ -170,8 +170,9 @@ def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
     mu, sg, w = _vectors(means, sigmas, weights)
     if np.any(sg < 0):
         raise VolumeError("sigmas must be nonnegative")
-    _, mu, sg = blend_gmm_ordered(np.ones((w.size, 1)), mu[:, None], variance_table(sg[:, None]),
-                                  np.arange(w.size)[None, :], w[None, :])
+    with np.errstate(invalid="ignore"):  # weights summing to 0 leave the unused one NaN
+        _, mu, sg = blend_gmm_ordered(np.ones((w.size, 1)), mu[:, None],
+                                      variance_table(sg[:, None]), np.arange(w.size)[None], w[None])
     return float(mu[0, 0]), float(sg[0, 0])
 
 

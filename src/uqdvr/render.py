@@ -216,8 +216,7 @@ class RenderJob:
             raise VolumeError(f"scheme {self.scheme!r} needs a 1D transfer function")
         object.__setattr__(self, "step", float(require_positive(self.step, "step", ())))
         step_len = self.step * min(self.volume.spacing)
-        diagonal = _norm(self.volume.world_max - self.volume.world_min)
-        if diagonal > MAX_RAY_SAMPLES * step_len:
+        if _norm(self.volume.world_max - self.volume.world_min) > MAX_RAY_SAMPLES * step_len:
             raise VolumeError(f"step {self.step} takes more than {MAX_RAY_SAMPLES} "
                               "samples along the volume diagonal")
         for name in ("mc_samples", "tf2d_samples"):

@@ -207,6 +207,11 @@ class TestInterpGaussian:
         mu, sg = interp_gaussian(np.zeros(8), np.ones(8), np.full(8, 0.125))
         assert abs(sg - 1.0 / np.sqrt(8)) < 1e-12
 
+    def test_weights_summing_to_zero(self):
+        """A difference of Gaussians: the one-component mixture weight that it
+        leaves undefined is not used."""
+        assert interp_gaussian([1.0, 2.0], [0.5, 0.5], [1.0, -1.0]) == (-1.0, np.sqrt(0.5))
+
 
 class TestInterpUniform:
     def test_all_zero_widths_is_delta(self):
