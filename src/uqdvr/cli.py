@@ -13,7 +13,7 @@ from .classify import load_tf1d, load_tf2d
 from .density import (KdeConfig, brick_ensemble, build_distribution_volume, downsample_hixel,
                       quantile_volumes_multi)
 from .render import Camera, RenderJob, diff_image, load_image_f32, raycast, render_quartile_views, save_image
-from .synth import NoiseSpec, load_ensemble, make_ensemble, sample_field, save_ensemble
+from .synth import NoiseSpec, load_ensemble, make_ensemble, noisy_members, sample_field, save_members
 from .volcore import (
     DistributionVolume,
     MeanFieldModel,
@@ -95,8 +95,7 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_raw(gt, out / "gt.f32raw", "f32")
     _stage(f"gen: field={args.field} dims={args.dims} members={spec.members}")
-    ens = make_ensemble(gt, spec)
-    save_ensemble(ens, out, spec, field=args.field)
+    save_members(noisy_members(gt, spec), out, spec, field=args.field)
     return 0
 
 

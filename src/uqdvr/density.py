@@ -78,12 +78,20 @@ class KdeConfig:
 
 
 def _bandwidths(samples: np.ndarray, config: KdeConfig) -> np.ndarray:
-    """Per-row bandwidths for (V, M) sample sets; "auto" is Silverman's rule."""
+    """Per-row bandwidths for (V, M) sample sets; "auto" is Silverman's rule,
+    0 for a constant row and at least the smallest normal float otherwise."""
     v, m = samples.shape
     if config.bandwidth != "auto":
         return np.full(v, config.bandwidth)
-    sd = np.std(samples, axis=1, ddof=1) if m > 1 else np.zeros(v)
-    return 1.06 * sd * m ** (-0.2)
+    if m == 1:
+        return np.zeros(v)
+    lo, hi = samples.min(axis=1), samples.max(axis=1)
+    # sigma-hat in units of 2^e, 2^e the row's largest |sample| rounded up to a
+    # power of two, so that squared deviations of tiny spreads cannot
+    # underflow; the scalings are exact, as in interp.variance_table.
+    e = np.frexp(np.maximum(hi, -lo))[1]
+    sd = np.ldexp(np.std(np.ldexp(samples, -e[:, None]), axis=1, ddof=1), e)
+    return np.where(hi > lo, np.maximum(1.06 * sd * m ** (-0.2), _MIN_BANDWIDTH), 0.0)
 
 
 def _sample_set(samples, what: str, least: int) -> np.ndarray:
@@ -96,7 +104,8 @@ def _sample_set(samples, what: str, least: int) -> np.ndarray:
 
 
 def silverman_bandwidth(samples) -> float:
-    """1.06 * sigma-hat * n^(-1/5) for n samples; 0 when n = 1."""
+    """1.06 * sigma-hat * n^(-1/5) for n samples, at least the smallest normal
+    float; 0 when the samples are all equal."""
     return float(_bandwidths(_sample_set(samples, "silverman_bandwidth", 1), KdeConfig())[0])
 
 
@@ -177,7 +186,7 @@ def _kde_quantile_rows(samples: np.ndarray, masses: list, config: KdeConfig) -> 
     the mass vectors is inverted once; each vector then takes its own columns,
     made monotone, which gives the bytes of inverting it alone."""
     h = _bandwidths(samples, config)
-    const = (h <= 0) | (samples.max(axis=1) == samples.min(axis=1))
+    const = samples.max(axis=1) == samples.min(axis=1)
     outs = [np.repeat(samples[:, :1], mv.size, axis=1) for mv in masses]
     union, where = np.unique(np.concatenate(masses), return_inverse=True)
     columns = np.split(where, np.cumsum([mv.size for mv in masses])[:-1])

@@ -171,7 +171,7 @@ def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
     if np.any(sg < 0):
         raise VolumeError("sigmas must be nonnegative")
     with np.errstate(invalid="ignore"):  # weights summing to 0 leave the unused one NaN
-        _, mu, sg = blend_gmm_ordered(np.ones((w.size, 1)), mu[:, None],
+        _, mu, sg = blend_gmm_ordered(np.stack((np.ones(w.size), mu), axis=1)[:, :, None],
                                       variance_table(sg[:, None]), np.arange(w.size)[None], w[None])
     return float(mu[0, 0]), float(sg[0, 0])
 
@@ -290,16 +290,18 @@ def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) ->
     return NumericDensity(x, mass[0] / du[0])
 
 
-def blend_gmm_ordered(weights: np.ndarray, means: np.ndarray, var: tuple[np.ndarray, int],
+def blend_gmm_ordered(table: np.ndarray, var: tuple[np.ndarray, int],
                       idx8: np.ndarray, w8: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean, var from
-    variance_table: weights blend linearly and are renormalized, and each
-    rank's Gaussian takes mu = sum w mu_i and sigma = sqrt(sum w^2 var_i).
-    A Gaussian is the one-component mixture."""
-    ws = blend(weights, idx8, w8)
+    """(A, k) rank-matched blends of (V, k) mixtures sorted by mean, given as
+    the (V, 2, k) table of weights stacked over means, which blend in one
+    pass, and var from variance_table: weights blend linearly and are
+    renormalized, and each rank's Gaussian takes mu = sum w mu_i and
+    sigma = sqrt(sum w^2 var_i).  A Gaussian is the one-component mixture."""
+    wm = blend(table, idx8, w8)
+    ws = wm[:, 0]
     ws /= ws.sum(axis=1, keepdims=True)
-    table, e = var
-    return ws, blend(means, idx8, w8), np.ldexp(np.sqrt(blend(table, idx8, w8 * w8)), e)
+    sq, e = var
+    return ws, wm[:, 1], np.ldexp(np.sqrt(blend(sq, idx8, w8 * w8)), e)
 
 
 def _gmm_corners(corner_gmms: Sequence[GmmModel], weights):
@@ -316,8 +318,8 @@ def interp_gmm_ordered(corner_gmms: Sequence[GmmModel], weights) -> GmmModel:
     rank blends weights linearly and variances quadratically."""
     w, params = _gmm_corners(corner_gmms, weights)
     ws, mus, sgs = sort_components(*params)
-    ws, mus, sgs = blend_gmm_ordered(ws, mus, variance_table(sgs), np.arange(w.size)[None, :],
-                                     w[None, :])
+    ws, mus, sgs = blend_gmm_ordered(np.stack((ws, mus), axis=1), variance_table(sgs),
+                                     np.arange(w.size)[None, :], w[None, :])
     return GmmModel(ws[0], mus[0], sgs[0])
 
 

@@ -63,6 +63,7 @@ from .volcore import (
     require_ints,
     require_positive,
     sort_components,
+    write_file,
 )
 
 CHUNK_PIXELS = 4096
@@ -247,12 +248,13 @@ class _SchemeState:
     def __init__(self, job: RenderJob):
         self.job = job
         m = job.volume.model
-        if job.scheme == "gaussian":  # a one-component mixture, sorted as it stands
-            self.gmm_sorted = (np.ones((m.voxel_count, 1)), m.mean[:, None],
-                               interp.variance_table(m.sigma[:, None]))
-        if job.scheme == "gmm-ordered":
-            ws, mus, sgs = sort_components(m.weights, m.means, m.sigmas)
-            self.gmm_sorted = ws, mus, interp.variance_table(sgs)
+        if job.scheme in ("gaussian", "gmm-ordered"):
+            if job.scheme == "gaussian":  # a one-component mixture, sorted as it stands
+                ws, mus, sgs = np.ones((m.voxel_count, 1)), m.mean[:, None], m.sigma[:, None]
+            else:
+                ws, mus, sgs = sort_components(m.weights, m.means, m.sigmas)
+            # Weights stacked over means, (V, 2, k), blend in one pass.
+            self.gmm_sorted = np.stack((ws, mus), axis=1), interp.variance_table(sgs)
         if job.scheme == "tf2d":
             self.tf2d_points = sobol_points(interp.NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
                                             seed=job.seed)
@@ -537,11 +539,9 @@ def save_image(img: Image, path) -> None:
     path = Path(path)
     rgb = np.clip(img.pixels[..., :3], 0.0, 1.0)
     data = np.rint(rgb * 255.0).astype(np.uint8)
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    path.write_bytes(header + data.tobytes())
-    side = path.with_suffix(path.suffix + ".f32")
-    shead = f"{img.width} {img.height}\n".encode("ascii")
-    side.write_bytes(shead + img.pixels.astype("<f4").tobytes())
+    write_file(path, f"P6\n{img.width} {img.height}\n255\n".encode("ascii"), data)
+    write_file(path.with_suffix(path.suffix + ".f32"), f"{img.width} {img.height}\n".encode("ascii"),
+               img.pixels.astype("<f4"))
 
 
 def load_image_f32(path) -> Image:

@@ -84,14 +84,18 @@ def parse_field_name(name: str) -> tuple[str, tuple[float, ...]]:
     return m.group(1), args
 
 
-def _lattice(dims, box):
+# Voxels evaluated at once: slabs of z-planes of about 256 KB per float64
+# temporary, so a field costs its output grid and a few slabs.
+_SLAB_VOXELS = 1 << 15
+
+
+def _axes(dims, box):
+    """The lattice coordinates as broadcast axes: x (1, 1, nx), y (1, ny, 1)
+    and z (nz, 1, 1), so (z, y, x) indexing is x-fastest."""
     (x0, y0, z0), (x1, y1, z1) = box
     nx, ny, nz = dims
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    zs = np.linspace(z0, z1, nz)
-    z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
-    return x, y, z
+    return (np.linspace(x0, x1, nx)[None, None, :], np.linspace(y0, y1, ny)[None, :, None],
+            np.linspace(z0, z1, nz)[:, None, None])
 
 
 def _tangle(x, y, z):
@@ -110,13 +114,25 @@ def _nested_spheres(x, y, z, half_extent):
     return out
 
 
+def _evaluate(field, dims, box) -> np.ndarray:
+    """field(x, y, z) on the lattice of box as an x-fastest (nz, ny, nx) grid,
+    one slab of z-planes at a time; field broadcasts its axes elementwise."""
+    x, y, z = _axes(dims, box)
+    out = np.empty(dims[::-1])
+    planes = max(1, _SLAB_VOXELS // (dims[0] * dims[1]))
+    for k in range(0, dims[2], planes):
+        out[k:k + planes] = field(x, y, z[k:k + planes])
+    return out
+
+
 def _normalized_grid(dims, box, vals: np.ndarray) -> ScalarGrid:
-    """vals on the lattice of box, min-max normalized to [0, 1]; zero-range
-    values pass through unnormalized."""
+    """vals on the lattice of box, min-max normalized to [0, 1] in place;
+    zero-range values pass through unnormalized."""
     vals = vals.ravel()
     lo, hi = vals.min(), vals.max()
     if hi > lo:
-        vals = (vals - lo) / (hi - lo)
+        vals -= lo
+        vals /= hi - lo
     (x0, y0, z0), (x1, y1, z1) = box
     spacing = ((x1 - x0) / (dims[0] - 1), (y1 - y0) / (dims[1] - 1), (z1 - z0) / (dims[2] - 1))
     return ScalarGrid(dims, spacing, (x0, y0, z0), vals)
@@ -128,26 +144,25 @@ def sample_field(name: str, dims) -> ScalarGrid:
     dims = require_ints(dims, 3, "field dims", 2)
     kind, args = parse_field_name(name)
     box = _DEFAULT_BOXES.get(kind, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
-    x, y, z = _lattice(dims, box)
     if kind == "tangle":
-        vals = _tangle(x, y, z)
+        field = _tangle
     elif kind == "teardrop":
-        vals = _teardrop(x, y, z)
+        field = _teardrop
     elif kind == "nested-spheres":
         half = max(abs(v) for corner in box for v in corner)
-        vals = _nested_spheres(x, y, z, half)
+        field = lambda x, y, z: _nested_spheres(x, y, z, half)
     elif kind == "linear":
         if len(args) != 3:
             raise VolumeError("linear field needs (a, b, c)")
         a, b, c = args
-        vals = a * x + b * y + c * z
+        field = lambda x, y, z: a * x + b * y + c * z
     elif kind == "constant":
         if len(args) != 1:
             raise VolumeError("constant field needs (c)")
-        vals = np.full_like(x, args[0])
+        field = lambda x, y, z: args[0]
     else:
         raise VolumeError(f"unknown field {kind!r}")
-    return _normalized_grid(dims, box, vals)
+    return _normalized_grid(dims, box, _evaluate(field, dims, box))
 
 
 def _member_rng(seed: int, member: int) -> np.random.Generator:
@@ -169,30 +184,37 @@ def _noise_draw(rng: np.random.Generator, spec: NoiseSpec, n: int) -> np.ndarray
     return np.where(pick_main, main, outlier)
 
 
+def noisy_members(gt: ScalarGrid, spec: NoiseSpec):
+    """The members of make_ensemble(gt, spec), drawn one at a time."""
+    for m in range(spec.members):
+        rng = _member_rng(spec.seed, m)
+        yield ScalarGrid(gt.dims, gt.spacing, gt.origin,
+                         gt.values + _noise_draw(rng, spec, gt.voxel_count))
+
+
 def make_ensemble(gt: ScalarGrid, spec: NoiseSpec) -> EnsembleVolume:
     """M members of gt plus independent per-voxel noise; deterministic in
     (seed, member, voxel).  Values are intentionally not clamped to [0, 1]."""
-    members = []
-    for m in range(spec.members):
-        rng = _member_rng(spec.seed, m)
-        noisy = gt.values + _noise_draw(rng, spec, gt.voxel_count)
-        members.append(ScalarGrid(gt.dims, gt.spacing, gt.origin, noisy))
-    return EnsembleVolume(tuple(members))
+    return EnsembleVolume(noisy_members(gt, spec))
 
 
 # ---------------------------------------------------------------------------
 # Ensemble persistence: one raw f32 file per member plus a text manifest.
 
 
-def save_ensemble(ens: EnsembleVolume, outdir, spec: NoiseSpec | None = None,
-                  field: str = "") -> Path:
+def save_members(members, outdir, spec: NoiseSpec | None = None, field: str = "") -> Path:
+    """Write each of a nonempty iterable of congruent member grids as it
+    comes, then the manifest; one member is held at a time."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for m, grid in enumerate(ens.members):
-        save_raw(grid, outdir / f"member_{m:03d}.f32raw", "f32")
-    g = ens.members[0]
+    count = 0
+    for g in members:
+        save_raw(g, outdir / f"member_{count:03d}.f32raw", "f32")
+        count += 1
+    if not count:
+        raise VolumeError("an ensemble needs at least one member")
     lines = [
-        f"members={ens.member_count}",
+        f"members={count}",
         f"dims={g.dims[0]},{g.dims[1]},{g.dims[2]}",
         f"spacing={g.spacing[0]!r},{g.spacing[1]!r},{g.spacing[2]!r}",
         f"origin={g.origin[0]!r},{g.origin[1]!r},{g.origin[2]!r}",
@@ -209,6 +231,11 @@ def save_ensemble(ens: EnsembleVolume, outdir, spec: NoiseSpec | None = None,
     manifest = outdir / "ensemble.txt"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+def save_ensemble(ens: EnsembleVolume, outdir, spec: NoiseSpec | None = None,
+                  field: str = "") -> Path:
+    return save_members(ens.members, outdir, spec, field)
 
 
 def load_ensemble(path) -> FileEnsemble:

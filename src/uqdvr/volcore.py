@@ -12,7 +12,6 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -587,6 +586,14 @@ def read_file(path, limit: int = -1) -> bytes:
         raise FormatError(f"cannot read {path}: {e}") from e
 
 
+def write_file(path, header: bytes, payload: np.ndarray) -> None:
+    """Write header, then the bytes of the C-contiguous array payload, from
+    its own buffer: no joined copy of the two is built."""
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload.data)
+
+
 def read_headed_f32(path, kinds: tuple, what: str) -> tuple[list, np.ndarray]:
     """The fields and payload of a file that starts with one ASCII line of
     len(kinds) numbers, each parsed by its kind (int or float), followed by
@@ -650,7 +657,7 @@ def save_raw(grid: ScalarGrid, path, encoding: str) -> None:
     vals = grid.values
     if denom is not None:
         vals = np.clip(np.rint(vals * denom), 0, denom)
-    Path(path).write_bytes(vals.astype(dtype).tobytes())
+    write_file(path, b"", vals.astype(dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +676,7 @@ def save_qvol(volume: DistributionVolume, path) -> None:
     header = _QVOL_HEADER.pack(
         QVOL_MAGIC, *volume.dims, *volume.spacing, *volume.origin, m.q, m.qval
     )
-    payload = m.boundaries.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_file(path, header, m.boundaries.astype("<f4"))
 
 
 def load_qvol(path) -> DistributionVolume:
@@ -702,7 +708,7 @@ def save_dvol(volume: DistributionVolume, path) -> None:
                                *volume.spacing, *volume.origin,
                                getattr(m, m.WIDTH) if m.WIDTH else 0)
     payload = np.stack([getattr(m, f).astype("<f4") for f in m.FIELDS], axis=-1)
-    Path(path).write_bytes(header + payload.tobytes())
+    write_file(path, header, payload)
 
 
 def load_dvol(path) -> DistributionVolume:

@@ -2,7 +2,8 @@
 quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
 distances, the pointwise expected color of a lattice distribution, the
 corner blend as a gather then a contraction, the bivariate test fields, the dense ray loop, the exact CDF of a blend of 8
-Gaussian mixtures and a gmm-mc classifier with its own component pick.  Most
+Gaussian mixtures, a gmm-mc classifier with its own component pick, the
+closed-form fields evaluated on a full meshgrid, and a traced memory peak.  Most
 use only the public API of uqdvr, so they check the package's kernels
 without sharing code with them.  kde_cdf exposes a private kernel: the KDE
 fit's lattice CDF, which the fit inverts without building its lattice.
@@ -13,6 +14,7 @@ shows against it."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -261,3 +263,42 @@ def raycast_dense(job: render.RenderJob, threads: int = 1) -> render.Image:
     map_chunks(work, n, threads, render.CHUNK_PIXELS)
     pixels = np.clip(out, 0.0, 1.0).reshape(cam.height, cam.width, 4)
     return render.Image(cam.width, cam.height, pixels)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory that tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def meshgrid_field(name: str, dims) -> np.ndarray:
+    """The x-fastest values of synth.sample_field(name, dims), evaluated on a
+    full (z, y, x) meshgrid of its default box and min-max normalized."""
+    kind, _, rest = name.partition("(")
+    args = [float(v) for v in rest.rstrip(")").split(",")] if rest else []
+    half = {"tangle": 2.5, "teardrop": 1.2, "nested-spheres": 1.0}.get(kind)
+    lo, hi = (-half, half) if half else (0.0, 1.0)
+    nx, ny, nz = dims
+    z, y, x = np.meshgrid(np.linspace(lo, hi, nz), np.linspace(lo, hi, ny),
+                          np.linspace(lo, hi, nx), indexing="ij")
+    if kind == "tangle":
+        vals = (x**4 - 5 * x**2) + (y**4 - 5 * y**2) + (z**4 - 5 * z**2) + 11.8
+    elif kind == "teardrop":
+        vals = 0.5 * x**5 + 0.5 * x**4 - y**2 - z**2
+    elif kind == "nested-spheres":
+        r = np.sqrt(x * x + y * y + z * z) / half
+        vals = np.zeros_like(r)
+        for radius, value in zip((0.20, 0.42, 0.64, 0.86), (0.25, 0.5, 0.75, 1.0)):
+            vals = np.where(np.abs(r - radius) < 0.5 * 0.16, value, vals)
+    elif kind == "linear":
+        vals = args[0] * x + args[1] * y + args[2] * z
+    else:
+        vals = np.full_like(x, args[0])
+    vals = vals.ravel()
+    if vals.max() > vals.min():
+        vals = (vals - vals.min()) / (vals.max() - vals.min())
+    return vals

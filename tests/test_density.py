@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_e
                          sample_field, save_ensemble)
 from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
 
-from oracles import kde_cdf
+from oracles import kde_cdf, traced_peak
 
 
 def make_ensemble(values_per_member, dims):
@@ -347,6 +345,21 @@ class TestKdeConfig:
         b = estimate_quantiles(s, 0.25, KdeConfig(bandwidth=np.finfo(float).tiny)).boundaries
         assert np.all(np.diff(b) >= 0) and b[0] <= s[0] and b[-1] >= s[-1]
 
+    @pytest.mark.parametrize("s", [[1e-300, 0.0, 5e-301, 2e-300], [1e-323, 0.0, 5e-324, 2e-323]])
+    def test_auto_bandwidth_of_a_tiny_spread(self, s):
+        """The squared deviations of these spreads underflow, so an unscaled
+        sigma-hat read 0 and the quantiles collapsed onto the first sample."""
+        assert silverman_bandwidth(s) >= np.finfo(float).tiny
+        b = estimate_quantiles(s, 0.25).boundaries
+        assert np.all(np.diff(b) >= 0) and b[0] <= min(s) and b[-1] >= max(s)
+
+    def test_scaled_auto_bandwidth_keeps_the_unscaled_bytes(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-30, 1e-3, 1.0, 7.5, 1e5, 3e37):
+            s = scale * rng.standard_normal((200, 7)) + scale * rng.random((200, 1))
+            want = 1.06 * np.std(s, axis=1, ddof=1) * 7 ** (-0.2)
+            assert density._bandwidths(s, KdeConfig()).tobytes() == want.tobytes()
+
     def test_explicit_bandwidth_used(self):
         s = np.array([0.0, 1.0])
         x, _ = kde_cdf(s, KdeConfig(bandwidth=0.5))
@@ -557,12 +570,7 @@ class TestEmSubBlocks:
     def test_fit_working_set_is_bounded(self):
         gt = sample_field("tangle", (16, 16, 16))
         ens = make_noise_ensemble(gt, NoiseSpec(members=50, seed=7, **presets.TANGLE_NOISE))
-        tracemalloc.start()
-        try:
-            build_distribution_volume(ens, "gmm", k=2, threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: build_distribution_volume(ens, "gmm", k=2, threads=1))
         assert peak < 10e6, f"gmm fit of 16^3 M=50 peaked at {peak / 1e6:.1f} MB"
 
 

@@ -523,14 +523,18 @@ class TestScalarWrappersShareTheBatchKernels:
         bounds = np.stack([c.boundaries for c in corners])
         blended = blend(bounds, idx8, cells.w8)
         mus, sgs = rng.normal(size=8), rng.random(8)
-        _, mu, sg = blend_gmm_ordered(np.ones((8, 1)), mus[:, None], variance_table(sgs[:, None]),
-                                      idx8, cells.w8)
+        _, mu, sg = blend_gmm_ordered(np.stack((np.ones(8), mus), axis=1)[:, :, None],
+                                      variance_table(sgs[:, None]), idx8, cells.w8)
         mu, sg = mu[:, 0], sg[:, 0]
         gmms = [GmmModel(rng.dirichlet(np.ones(3)), rng.normal(size=3), rng.random(3))
                 for _ in range(8)]
         ws, gmus, gsgs = sort_components(*(np.stack([getattr(g, a) for g in gmms])
                                            for a in ("weights", "means", "sigmas")))
-        mix = blend_gmm_ordered(ws, gmus, variance_table(gsgs), idx8, cells.w8)
+        mix = blend_gmm_ordered(np.stack((ws, gmus), axis=1), variance_table(gsgs), idx8, cells.w8)
+        # The stacked table blends each of its two layers as a lone table would.
+        assert mix[0].tobytes() == (blend(ws, idx8, cells.w8)
+                                    / blend(ws, idx8, cells.w8).sum(axis=1, keepdims=True)).tobytes()
+        assert mix[1].tobytes() == blend(gmus, idx8, cells.w8).tobytes()
         for i, p in enumerate(pos):
             c = trilinear_coords(dims, spacing, origin, p)
             assert c.base == tuple(cells.base[i])

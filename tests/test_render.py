@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from uqdvr.volcore import (
     VolumeError,
 )
 
-from oracles import argmax_gmm_mc_chunk, raycast_dense
+from oracles import argmax_gmm_mc_chunk, raycast_dense, traced_peak
 
 
 def constant_tf(rgb=(0.8, 0.5, 0.2), alpha=0.7):
@@ -802,12 +801,8 @@ class TestEmptySpaceLeaps:
         grid = sample_field("nested-spheres", (128, 128, 128))
         vol = mean_volume(grid)
         job = RenderJob(vol, "mean", presets.spheres_camera(vol, 8, 8), tf=presets.spheres_tf())
-        tracemalloc.start()
-        try:
-            assert render._SchemeState(job).dist is not None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        state, peak = traced_peak(lambda: render._SchemeState(job))
+        assert state.dist is not None
         assert peak < 3.6 * grid.values.size
 
     def test_schemes_without_a_leap_rule_have_no_table(self):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -14,10 +12,11 @@ from uqdvr.synth import (
     parse_field_name,
     sample_field,
     save_ensemble,
+    save_members,
 )
 from uqdvr.volcore import EnsembleVolume, FormatError, VolumeError
 
-from oracles import make_bivariate
+from oracles import make_bivariate, meshgrid_field, traced_peak
 
 
 class TestSampleField:
@@ -48,6 +47,20 @@ class TestSampleField:
             g = sample_field(name, (8, 8, 8))
             assert g.values.min() == 0.0
             assert g.values.max() == 1.0
+
+    @pytest.mark.parametrize("dims", [(5, 7, 9), (9, 7, 5), (40, 33, 50)])
+    @pytest.mark.parametrize("name", ["tangle", "teardrop", "nested-spheres", "linear(1,2,3)",
+                                      "constant(2)"])
+    def test_matches_the_meshgrid_evaluation(self, name, dims):
+        """Same bytes as the formulas on a full meshgrid, x fastest; 40x33x50
+        takes three slabs of z-planes, the last a partial one."""
+        assert sample_field(name, dims).values.tobytes() == meshgrid_field(name, dims).tobytes()
+
+    @pytest.mark.parametrize("name", ["tangle", "teardrop", "nested-spheres", "linear(1,2,3)",
+                                      "constant(2)"])
+    def test_working_set_is_about_the_output_grid(self, name):
+        grid, peak = traced_peak(lambda: sample_field(name, (72, 64, 56)))  # 2 MiB of values
+        assert peak <= 2 * grid.values.nbytes + (1 << 20), peak / grid.values.nbytes
 
     def test_unknown_field(self):
         with pytest.raises(VolumeError):
@@ -149,6 +162,31 @@ class TestEnsembleIO:
             np.testing.assert_allclose(a.values, b.values, atol=1e-7)
         assert back.spacing == pytest.approx(ens.spacing)
 
+    def test_gen_writes_the_files_of_save_ensemble(self, tmp_path):
+        assert main(["gen", "--field", "teardrop", "--dims", "9x7x5", "--members", "3",
+                     "--noise", "bimodal:sigma=0.1", "--seed", "4",
+                     "--out", str(tmp_path / "gen")]) == 0
+        spec = NoiseSpec("bimodal", sigma=0.1, members=3, seed=4)
+        ens = make_ensemble(sample_field("teardrop", (9, 7, 5)), spec)
+        save_ensemble(ens, tmp_path / "lib", spec, field="teardrop")
+        names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+        assert names == ["ensemble.txt", "member_000.f32raw", "member_001.f32raw",
+                         "member_002.f32raw"]
+        for name in names:
+            assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    def test_no_members_is_a_volume_error(self, tmp_path):
+        with pytest.raises(VolumeError, match="at least one member"):
+            save_members(iter(()), tmp_path)
+
+    def test_gen_peak_does_not_grow_with_members(self, tmp_path):
+        grid = 8 * 48**3
+        for m in (4, 40):
+            argv = ["gen", "--field", "tangle", "--dims", "48x48x48", "--members", str(m),
+                    "--out", str(tmp_path / f"m{m}")]
+            code, peak = traced_peak(lambda: main(argv))
+            assert code == 0 and peak <= 8 * grid, (m, peak / grid)
+
     def test_unreadable_manifest_is_a_volume_error(self, tmp_path):
         with pytest.raises(VolumeError, match="cannot read"):
             load_ensemble(tmp_path / "missing")
@@ -223,12 +261,8 @@ class TestFileEnsemble:
         (tmp_path / "ensemble.txt").write_text(
             f"members={members}\ndims=48,48,48\nspacing=1,1,1\norigin=0,0,0\n")
         whole = 8 * 48**3 * members  # 44 MB of float64 samples
-        tracemalloc.start()
-        try:
-            vol = build_distribution_volume(load_ensemble(tmp_path), "gaussian", threads=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        vol, peak = traced_peak(
+            lambda: build_distribution_volume(load_ensemble(tmp_path), "gaussian", threads=2))
         assert vol.dims == dims
         assert peak < whole / 4, peak
 

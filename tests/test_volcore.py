@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from uqdvr.volcore import (
     save_raw,
     voxel_pdf,
 )
+
+from oracles import traced_peak
 
 
 def make_quantile_volume(rng, dims=(3, 2, 2), q=4):
@@ -188,24 +189,14 @@ class TestQvol:
 
     def test_order_check_needs_no_boundary_sized_temporary(self):
         boundaries = np.tile(np.arange(33.0), (20000, 1))
-        tracemalloc.start()
-        try:
-            QuantileModel(1 / 32, boundaries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: QuantileModel(1 / 32, boundaries))
         assert peak < boundaries.nbytes / 4, (peak, boundaries.nbytes)
 
 
 class TestRequireFinite:
     def test_check_needs_no_full_size_temporary(self):
         a = np.linspace(-1.0, 1.0, 1 << 20)
-        tracemalloc.start()
-        try:
-            volcore.require_finite(a, "values", f32_range=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: volcore.require_finite(a, "values", f32_range=True))
         assert peak < a.nbytes / 64, (peak, a.nbytes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -496,3 +487,25 @@ def test_every_model_rejects_bad_fields(kind):
         arr = np.array(valid[field], dtype=np.float64)
         arr.flat[0], arr.flat[1] = -0.5, arr.flat[0] + arr.flat[1] + 0.5  # gmm rows still sum to 1
         rejected(field, arr, "nonnegative")
+
+
+class TestSaversWriteFromTheArray:
+    def test_no_joined_copy_of_the_payload(self, tmp_path):
+        """A saver holds its f32 payload and, for DVOL1, the per-field f32
+        columns it interleaves; no bytes copy of the payload or of header plus
+        payload."""
+        rng = np.random.default_rng(2)
+        dims, n = (50, 40, 30), 60000
+        grid = ScalarGrid(dims, (1, 1, 1), (0, 0, 0), rng.random(n))
+        _, peak = traced_peak(lambda: save_raw(grid, tmp_path / "g.f32raw", "f32"))
+        assert peak < 1.5 * 4 * n, peak
+        bounds = np.sort(rng.random((n, 9)), axis=1)
+        qvol = DistributionVolume(dims, (1, 1, 1), (0, 0, 0), QuantileModel(0.125, bounds))
+        _, peak = traced_peak(lambda: save_qvol(qvol, tmp_path / "q.qvol"))
+        assert peak < 1.5 * 4 * bounds.size, peak
+        gmm = GmmVolumeModel(3, rng.dirichlet(np.ones(3), n), rng.random((n, 3)), rng.random((n, 3)))
+        dvol = DistributionVolume(dims, (1, 1, 1), (0, 0, 0), gmm)
+        _, peak = traced_peak(lambda: volcore.save_dvol(dvol, tmp_path / "g.dvol"))
+        assert peak < 2.5 * 4 * 9 * n, peak
+        assert volcore.load_dvol(tmp_path / "g.dvol").model.means.tobytes() == \
+            gmm.means.astype("<f4").astype(np.float64).tobytes()
