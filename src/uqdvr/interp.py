@@ -117,16 +117,17 @@ def corner_weights(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 
 def blend(values: np.ndarray, idx8: np.ndarray, w8: np.ndarray) -> np.ndarray:
-    """(A, ...) blends of a (V, ...) per-voxel table at the corner ids idx8
-    under the corner weights w8, both (A, 8): the one corner contraction (the
-    scalar wrappers pass other corner counts).  Corner c adds
-    w8[:, c] * values[idx8[:, c]] in order, so a row's blend never depends on
-    the rows that share the call.
+    """(A, ...) float64 blends of a (V, ...) per-voxel table, float32 or
+    float64, at the corner ids idx8 under the corner weights w8, both (A, 8):
+    the one corner contraction (the scalar wrappers pass other corner
+    counts).  Corner c adds w8[:, c] * values[idx8[:, c]] in order, each
+    product taken in float64, so a row's blend never depends on the rows that
+    share the call, nor on the table's dtype once its values are the same.
     """
     w = w8.reshape(w8.shape + (1,) * (values.ndim - 1))
-    out = w[:, 0] * values.take(idx8[:, 0], axis=0)
+    out = np.multiply(w[:, 0], values.take(idx8[:, 0], axis=0), dtype=np.float64)
     for c in range(1, w.shape[1]):
-        out += w[:, c] * values.take(idx8[:, c], axis=0)
+        out += np.multiply(w[:, c], values.take(idx8[:, c], axis=0), dtype=np.float64)
     return out
 
 
@@ -158,9 +159,11 @@ def quantile_interp_3d(corners: Sequence[QuantilePdf], alpha: float, beta: float
 
 
 def variance_table(sigma: np.ndarray) -> tuple[np.ndarray, int]:
-    """(sigma^2 in units of 4^e, e), with 2^e the largest sigma rounded up to
-    a power of two, so that squaring tiny spreads cannot underflow.  The
-    scalings are exact: each square keeps its bytes for sigma >= 2^(e - 511)."""
+    """(sigma^2 in units of 4^e, e), in float64 for float32 or float64 sigma,
+    with 2^e the largest sigma rounded up to a power of two, so that squaring
+    tiny spreads cannot underflow.  The scalings are exact: each square keeps
+    its bytes for sigma >= 2^(e - 511)."""
+    sigma = np.asarray(sigma, dtype=np.float64)
     e = int(np.frexp(np.max(sigma, initial=0.0))[1])
     return np.square(np.ldexp(sigma, -e)), e
 
@@ -325,7 +328,8 @@ def interp_gmm_ordered(corner_gmms: Sequence[GmmModel], weights) -> GmmModel:
 
 def sample_gmm_batch(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
                      idx8: np.ndarray, w8: np.ndarray, n: int, rng) -> np.ndarray:
-    """(A, n) draws of sum_c w_c X_c with X_c from corner c's (V, k) mixture.
+    """(A, n) draws of sum_c w_c X_c with X_c from corner c's (V, k) mixture,
+    whose tables may be float32: every gather is taken to float64.
 
     Once each corner c has picked its component j_c, sum_c w_c X_c is the one
     normal N(sum_c w_c mu_cj, sum_c (w_c sigma_cj)^2), so a draw takes one
@@ -334,15 +338,15 @@ def sample_gmm_batch(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
     variance is summed in units of each row's largest w_c sigma_cj, rounded
     up to a power of two, so that squaring tiny spreads cannot underflow."""
     a, k = idx8.shape[0], weights.shape[1]
-    sd = w8[:, :, None] * sigmas.take(idx8, axis=0)  # (A, 8, k)
+    sd = np.multiply(w8[:, :, None], sigmas.take(idx8, axis=0), dtype=np.float64)  # (A, 8, k)
     exp = np.frexp(sd.max(axis=(1, 2)))[1]
     sd2 = np.square(np.ldexp(sd, -exp[:, None, None]))  # in units of 4^exp
-    shift = w8[:, :, None] * means.take(idx8, axis=0)
+    shift = np.multiply(w8[:, :, None], means.take(idx8, axis=0), dtype=np.float64)
     rows = np.arange(0, a * k, k)[:, None]
     mu, var = np.zeros((a, n)), np.zeros((a, n))
     pick = np.empty((a, n), np.int64)
     for c in range(idx8.shape[1]):
-        cum = np.cumsum(weights.take(idx8[:, c], axis=0), axis=1)
+        cum = np.cumsum(weights.take(idx8[:, c], axis=0), axis=1, dtype=np.float64)
         u = rng.random((a, n))
         # The first component whose cumulative weight exceeds u; the last
         # takes whatever mass rounding leaves above the others.
@@ -419,10 +423,11 @@ def gradient_stencil_batch(dims, flat: np.ndarray, w8: np.ndarray, deriv: np.nda
                            mean_values: np.ndarray) -> tuple[np.ndarray, ...]:
     """The GradientStencil fields, one row per cell with base voxel flat and
     corner weights w8: indices, w, u (A, 32), axis weights (A, 3, 32), mean
-    gradient (A, 3) and degenerate (A,); a zero mean gradient leaves u = 0."""
+    gradient (A, 3) and degenerate (A,); a zero mean gradient leaves u = 0.
+    mean_values, float32 or float64, is gathered to float64."""
     flat32 = flat[:, None] + _flat(dims, NEIGHBOR_OFFSETS)[None, :]
     axis_w = np.einsum("ac,xcn->axn", w8, deriv)
-    mean_grad = np.einsum("axn,an->ax", axis_w, mean_values[flat32])
+    mean_grad = np.einsum("axn,an->ax", axis_w, mean_values.take(flat32).astype(np.float64))
     norm = np.linalg.norm(mean_grad, axis=1)
     degenerate = norm < 1e-12
     direction = mean_grad / np.where(degenerate, 1.0, norm)[:, None]

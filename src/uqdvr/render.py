@@ -79,8 +79,9 @@ CONV_LATTICE = 64
 # in 43/58/82/134 ms and raycast in a median 0.30-0.37/0.30-0.35/0.31-0.36/
 # 0.42 s of CPU over two rounds of 7 runs.
 EMPTY_DISTANCE_CAP = 8
-# Voxels whose run codes are computed at once while building the table.
-_TABLE_SLAB_CELLS = 1 << 18
+# Voxels whose run codes are computed at once while building the table: each
+# slab takes a float64 copy of its float32 values and int64 run codes.
+_TABLE_SLAB_CELLS = 1 << 17
 # A job whose share of empty cells is below this renders without a table: its
 # rays meet too little empty space to repay a lookup per sample.  The tangle
 # ground truth at 64^3 (`mean`, 256^2) has 6.5% empty cells and raycast in
@@ -250,10 +251,12 @@ class _SchemeState:
         m = job.volume.model
         if job.scheme in ("gaussian", "gmm-ordered"):
             if job.scheme == "gaussian":  # a one-component mixture, sorted as it stands
-                ws, mus, sgs = np.ones((m.voxel_count, 1)), m.mean[:, None], m.sigma[:, None]
-            else:
+                ws, mus, sgs = (np.ones((m.voxel_count, 1), m.DTYPE), m.mean[:, None],
+                                m.sigma[:, None])
+            else:  # a permutation of each row: the float32 values as they stand
                 ws, mus, sgs = sort_components(m.weights, m.means, m.sigmas)
-            # Weights stacked over means, (V, 2, k), blend in one pass.
+            # Weights stacked over means, (V, 2, k) float32, blend in one pass
+            # (blend reads them in float64); variance_table squares in float64.
             self.gmm_sorted = np.stack((ws, mus), axis=1), interp.variance_table(sgs)
         if job.scheme == "tf2d":
             self.tf2d_points = sobol_points(interp.NEIGHBOR_OFFSETS.shape[0], job.tf2d_samples,
@@ -299,13 +302,15 @@ def _distance_table(job: RenderJob) -> np.ndarray | None:
     table = np.zeros((nz, ny, nx), np.uint8)
     dist = table[:-1, :-1, :-1]
     slab = max(1, _TABLE_SLAB_CELLS // (nx * ny))
-    for z in range(0, nz - 1, slab):
-        run = np.searchsorted(edges, lo[z:z + slab + 1], side="right").astype(code)
+    for z in range(0, nz - 1, slab):  # the float32 values compared in float64
+        block = lo[z:z + slab + 1].astype(np.float64)
+        run = np.searchsorted(edges, block, side="right").astype(code)
         if not one_sided:
-            run[run != np.searchsorted(edges, hi[z:z + slab + 1], side="right")] = 0
+            block = hi[z:z + slab + 1].astype(np.float64)
+            run[run != np.searchsorted(edges, block, side="right")] = 0
         first, last = _corner_reduce(np.minimum, run), _corner_reduce(np.maximum, run)
         dist[z:z + slab] = (first == last) & (first % 2 == 1)
-    del run, first, last  # the last slab's codes, before the erosion buffers
+    del block, run, first, last  # the last slab's arrays, before the erosion buffers
     level = dist.astype(bool)
     if np.count_nonzero(level) < _MIN_EMPTY_SHARE * level.size:
         return None
@@ -359,9 +364,14 @@ def _mean_rgba(job, m, c, state, rng):
     return job.tf.sample(interp.blend(m.values, c.idx8, c.w8))
 
 
+def _gathered(field: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """A model field's values at voxel ids, in float64."""
+    return field.take(ids).astype(np.float64)
+
+
 def _uniform_rgba(job, m, c, state, rng):
-    return lattice_color_batch(*uniform_sum_density_batch(m.center[c.idx8], m.width[c.idx8],
-                                                          c.w8, CONV_LATTICE), job.tf)
+    return lattice_color_batch(*uniform_sum_density_batch(
+        _gathered(m.center, c.idx8), _gathered(m.width, c.idx8), c.w8, CONV_LATTICE), job.tf)
 
 
 def _quantile_range_rgba(job, m, c, state, rng):
@@ -390,8 +400,9 @@ def _tf2d_rgba(job, m, c, state, rng):
     if vidx.size:
         flat32, w32, u, _, _, degenerate = interp.gradient_stencil_batch(
             job.volume.dims, c.flat[vidx], c.w8[vidx], state.deriv, job.mean_grid.values)
-        rgba[vidx] = expected_color_2d_batch(m.center[flat32], m.width[flat32], w32, u, job.tf2,
-                                             state.tf2d_points, degenerate=degenerate)
+        rgba[vidx] = expected_color_2d_batch(_gathered(m.center, flat32), _gathered(m.width, flat32),
+                                             w32, u, job.tf2, state.tf2d_points,
+                                             degenerate=degenerate)
     return rgba
 
 

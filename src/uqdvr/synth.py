@@ -85,7 +85,7 @@ def parse_field_name(name: str) -> tuple[str, tuple[float, ...]]:
 
 
 # Voxels evaluated at once: slabs of z-planes of about 256 KB per float64
-# temporary, so a field costs its output grid and a few slabs.
+# temporary, so a field costs its float32 output grid and a few slabs.
 _SLAB_VOXELS = 1 << 15
 
 
@@ -114,28 +114,24 @@ def _nested_spheres(x, y, z, half_extent):
     return out
 
 
-def _evaluate(field, dims, box) -> np.ndarray:
-    """field(x, y, z) on the lattice of box as an x-fastest (nz, ny, nx) grid,
-    one slab of z-planes at a time; field broadcasts its axes elementwise."""
+def _normalized_grid(field, dims, box) -> ScalarGrid:
+    """field(x, y, z) on the lattice of box, min-max normalized to [0, 1] in
+    float64 and rounded to the grid's float32; zero-range values pass through
+    unnormalized.  field broadcasts its axes elementwise and is evaluated one
+    slab of z-planes at a time, twice: once for the range, once for the
+    values, so no float64 grid is held."""
     x, y, z = _axes(dims, box)
-    out = np.empty(dims[::-1])
     planes = max(1, _SLAB_VOXELS // (dims[0] * dims[1]))
-    for k in range(0, dims[2], planes):
-        out[k:k + planes] = field(x, y, z[k:k + planes])
-    return out
-
-
-def _normalized_grid(dims, box, vals: np.ndarray) -> ScalarGrid:
-    """vals on the lattice of box, min-max normalized to [0, 1] in place;
-    zero-range values pass through unnormalized."""
-    vals = vals.ravel()
-    lo, hi = vals.min(), vals.max()
-    if hi > lo:
-        vals -= lo
-        vals /= hi - lo
+    slabs = [slice(k, k + planes) for k in range(0, dims[2], planes)]
+    ranges = [(np.min(v), np.max(v)) for v in (field(x, y, z[s]) for s in slabs)]
+    lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+    vals = np.empty(dims[::-1], np.float32)
+    for s in slabs:
+        v = field(x, y, z[s])
+        vals[s] = (v - lo) / (hi - lo) if hi > lo else v
     (x0, y0, z0), (x1, y1, z1) = box
     spacing = ((x1 - x0) / (dims[0] - 1), (y1 - y0) / (dims[1] - 1), (z1 - z0) / (dims[2] - 1))
-    return ScalarGrid(dims, spacing, (x0, y0, z0), vals)
+    return ScalarGrid(dims, spacing, (x0, y0, z0), vals.ravel())
 
 
 def sample_field(name: str, dims) -> ScalarGrid:
@@ -162,7 +158,7 @@ def sample_field(name: str, dims) -> ScalarGrid:
         field = lambda x, y, z: args[0]
     else:
         raise VolumeError(f"unknown field {kind!r}")
-    return _normalized_grid(dims, box, _evaluate(field, dims, box))
+    return _normalized_grid(field, dims, box)
 
 
 def _member_rng(seed: int, member: int) -> np.random.Generator:
@@ -173,23 +169,36 @@ def _member_rng(seed: int, member: int) -> np.random.Generator:
 
 
 def _noise_draw(rng: np.random.Generator, spec: NoiseSpec, n: int) -> np.ndarray:
+    """n float64 noise values, drawn in place: bimodal noise holds, beside
+    them, a pick mask and the outliers' normals."""
     if spec.kind == "gaussian":
-        return spec.sigma * rng.standard_normal(n)
+        noise = rng.standard_normal(n)
+        noise *= spec.sigma
+        return noise
+    noise = rng.random(n)
     if spec.kind == "uniform":
-        return spec.width * (rng.random(n) - 0.5)
-    # bimodal: fixed consumption order keeps draws reproducible.
-    pick_main = rng.random(n) < spec.p_main
-    main = spec.sigma * rng.standard_normal(n)
-    outlier = spec.offset + spec.outlier_sigma * rng.standard_normal(n)
-    return np.where(pick_main, main, outlier)
+        noise -= 0.5
+        noise *= spec.width
+        return noise
+    # bimodal: fixed consumption order (picks, main normals, outlier normals)
+    # keeps draws reproducible.
+    outlier = noise >= spec.p_main
+    rng.standard_normal(out=noise)
+    noise *= spec.sigma
+    z = rng.standard_normal(n)
+    z *= spec.outlier_sigma
+    z += spec.offset
+    np.copyto(noise, z, where=outlier)
+    return noise
 
 
 def noisy_members(gt: ScalarGrid, spec: NoiseSpec):
-    """The members of make_ensemble(gt, spec), drawn one at a time."""
+    """The members of make_ensemble(gt, spec), drawn one at a time: the
+    ground truth plus noise in float64, rounded once to float32."""
     for m in range(spec.members):
-        rng = _member_rng(spec.seed, m)
-        yield ScalarGrid(gt.dims, gt.spacing, gt.origin,
-                         gt.values + _noise_draw(rng, spec, gt.voxel_count))
+        noise = _noise_draw(_member_rng(spec.seed, m), spec, gt.voxel_count)
+        noise += gt.values
+        yield ScalarGrid(gt.dims, gt.spacing, gt.origin, noise)
 
 
 def make_ensemble(gt: ScalarGrid, spec: NoiseSpec) -> EnsembleVolume:

@@ -43,7 +43,7 @@ RAW_ENCODINGS = {
 }
 
 
-# The value domain of every grid and model: the f32 range of the file formats.
+# The value domain of every grid and model: the f32 values of the file formats.
 F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -56,12 +56,12 @@ class FormatError(VolumeError):
 
 
 def _floats(values, shape, dtype=np.float64) -> np.ndarray | None:
-    """values as a C-contiguous float array of dtype, or None unless they are
-    numbers (in the given shape, when there is one).  A narrowing dtype turns
-    values beyond its range into inf."""
+    """values as a C-contiguous float array of dtype, made by at most one
+    cast, or None unless they are numbers (in the given shape, when there is
+    one).  A narrowing dtype turns values beyond its range into inf."""
     try:
         with np.errstate(over="ignore"):
-            a = np.require(values, dtype, "C")
+            a = np.asarray(values, dtype, order="C")
     except (TypeError, ValueError, OverflowError):
         return None
     return a if shape is None or a.shape == shape else None
@@ -76,15 +76,24 @@ def require_finite(values, what: str, shape: tuple | None = None,
     """values as a checked C-contiguous float array of dtype (float64 unless
     given); VolumeError unless they are numbers, every one finite once
     converted, in the given shape when there is one, and with f32_range
-    within +-F32_MAX.  A NaN or inf shows in the min or the max, so both
-    checks read those two and make no full-size temporary."""
+    within +-F32_MAX.  With dtype float32 the cast is the f32 range check: a
+    finite value that it rounds to +-inf is out of range.  A NaN or inf shows
+    in the min or the max, so both checks read those two and make no
+    full-size temporary."""
     a = _floats(values, shape, dtype)
     lo, hi = (a.min(), a.max()) if a is not None and a.size else (0.0, 0.0)
     if a is None or not (np.isfinite(lo) and np.isfinite(hi)):
-        raise VolumeError(f"{what} must be finite{_of_shape(shape)}")
+        if a is None or a.dtype == np.float64 or not _all_finite(values):
+            raise VolumeError(f"{what} must be finite{_of_shape(shape)}")
+        f32_range = True  # finite values that the cast rounded to +-inf
     if f32_range and not (lo >= -F32_MAX and hi <= F32_MAX):
         raise VolumeError(f"{what} must lie in the f32 range +-{F32_MAX:.8g}")
     return a
+
+
+def _all_finite(values) -> bool:
+    a = _floats(values, None)
+    return a is not None and bool(np.isfinite(a).all())
 
 
 def require_positive(values, what: str, shape: tuple | None = None) -> np.ndarray:
@@ -169,8 +178,10 @@ class _Geometry:
 class ScalarGrid(_Geometry):
     """Deterministic scalar field on a regular grid.
 
-    values holds nx*ny*nz intensities within the f32 range, x-fastest.
-    Immutable after construction; safe for concurrent reads.
+    values holds nx*ny*nz float32 intensities, x-fastest: the one checked
+    cast of the values given (see require_finite), so a grid holds the bytes
+    that save_raw writes.  Immutable after construction; safe for concurrent
+    reads.
     """
 
     dims: Dims
@@ -180,7 +191,7 @@ class ScalarGrid(_Geometry):
 
     def __post_init__(self):
         self._check_geometry()
-        vals = require_finite(self.values, "grid values", f32_range=True).ravel()
+        vals = require_finite(self.values, "grid values", dtype=np.float32).ravel()
         if vals.size != self.voxel_count:
             raise VolumeError(
                 f"value count {vals.size} != nx*ny*nz = {self.voxel_count}"
@@ -209,7 +220,7 @@ class QuantilePdf:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        model = QuantileModel(self.qval, np.ravel(self.boundaries)[None, :])  # one voxel's checks
+        model = _PdfChecks(self.qval, np.ravel(self.boundaries)[None, :])  # one voxel's checks
         object.__setattr__(self, "qval", model.qval)
         object.__setattr__(self, "boundaries", model.boundaries[0])
 
@@ -313,12 +324,19 @@ class VoxelModel:
     integer field (if any) that gives the row length of (nvox, width) fields.
     The constructor check and the DVOL1 layout are derived from these.
     QUANTILES maps one voxel's FIELDS values and a qval to its quantile
-    boundaries."""
+    boundaries.
+
+    Every field holds the float32 values that the file formats store, made by
+    one checked cast of the array given, and every check runs on those
+    rounded values.  A positive sigma or width below the smallest float32
+    subnormal rounds to 0, as a save does, and is then a point mass.  Kernels
+    upcast a field to float64 where they read it."""
 
     kind: str
     FIELDS: tuple[str, ...]
     NONNEG: tuple[str, ...] = ()
     WIDTH: str | None = None
+    DTYPE = np.float32
 
     def __post_init__(self):
         width = None
@@ -328,11 +346,11 @@ class VoxelModel:
         self._check_fields(width)
 
     def _check_fields(self, width: int | None) -> None:
-        """Store each field as a frozen contiguous float64 array, (nvox,) when
+        """Store each field as a frozen contiguous DTYPE array, (nvox,) when
         width is None else (nvox, width), once the fields are congruent and
         finite, within the f32 range, and the NONNEG ones nonnegative."""
-        arrays = [require_finite(getattr(self, f), f"{self.kind} parameters", f32_range=True)
-                  for f in self.FIELDS]
+        arrays = [require_finite(getattr(self, f), f"{self.kind} parameters", dtype=self.DTYPE,
+                                 f32_range=True) for f in self.FIELDS]
         if len({a.size for a in arrays}) > 1 or (width and arrays[0].size % width):
             raise VolumeError(f"{self.kind} parameter grids must be congruent")
         for name, a in zip(self.FIELDS, arrays):
@@ -350,7 +368,7 @@ class VoxelModel:
         parametric models need; the quantile model passes its pdf through."""
         if qval is None:
             raise VolumeError("parametric models need a target qval")
-        params = (getattr(self, f)[flat] for f in self.FIELDS)
+        params = (getattr(self, f)[flat].astype(np.float64) for f in self.FIELDS)
         return QuantilePdf(qval, self.QUANTILES(*params, qval))
 
 
@@ -399,7 +417,8 @@ class GmmVolumeModel(VoxelModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(np.abs(self.weights.sum(axis=1) - 1.0) > 1e-6):
+        # On the rounded weights, summed in float64.
+        if np.any(np.abs(self.weights.sum(axis=1, dtype=np.float64) - 1.0) > 1e-6):
             raise VolumeError("gmm weights must sum to 1 within 1e-6")
 
 
@@ -412,7 +431,7 @@ class GmmModel:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        model = GmmVolumeModel(np.size(self.weights), self.weights, self.means, self.sigmas)
+        model = _MixtureChecks(np.size(self.weights), self.weights, self.means, self.sigmas)
         for name in model.FIELDS:  # the checks of one voxel's mixture
             object.__setattr__(self, name, getattr(model, name)[0])
 
@@ -432,15 +451,14 @@ class QuantileModel(VoxelModel):
     boundaries: np.ndarray  # (nvox, q+1)
 
     def __post_init__(self):
-        b = _floats(self.boundaries, None)  # _check_fields makes the one finite pass
-        if b is None or b.ndim != 2 or b.shape[1] < 2:
+        b = require_finite(self.boundaries, "quantile parameters", dtype=self.DTYPE, f32_range=True)
+        if b.ndim != 2 or b.shape[1] < 2:
             raise VolumeError("quantile boundaries must be (nvox, q+1)")
         qval = float(require_positive(self.qval, "qval", ()))
         if abs((b.shape[1] - 1) * qval - 1.0) > 1e-9:
             raise VolumeError(f"q*qval must equal 1 (q={b.shape[1] - 1}, qval={qval})")
         object.__setattr__(self, "qval", qval)
-        object.__setattr__(self, "boundaries", b)
-        self._check_fields(b.shape[1])
+        object.__setattr__(self, "boundaries", _frozen(b))
         step = max(1, _ORDER_CHECK_CELLS // b.shape[1])
         if any(np.any(b[i:i + step, 1:] < b[i:i + step, :-1]) for i in range(0, len(b), step)):
             raise VolumeError("quantile boundaries must be nondecreasing")
@@ -463,6 +481,18 @@ class SamplesModel(VoxelModel):
 
     count: int
     samples: np.ndarray  # (nvox, M)
+
+
+class _PdfChecks(QuantileModel):
+    """The checks of QuantilePdf: one voxel's unrounded float64 boundaries."""
+
+    DTYPE = np.float64
+
+
+class _MixtureChecks(GmmVolumeModel):
+    """The checks of GmmModel: one unrounded float64 mixture."""
+
+    DTYPE = np.float64
 
 
 # The index of each class is its DVOL1 model tag.
@@ -490,8 +520,9 @@ class DistributionVolume(_Geometry):
 
 class EnsembleVolume(_Geometry):
     """M member grids with identical dims/spacing/origin: the M samples of
-    every voxel, which the fits read as (chunk, M) row blocks.  Not modified
-    after construction; safe for concurrent reads."""
+    every voxel, which the fits read as (chunk, M) float64 row blocks of the
+    members' float32 values.  Not modified after construction; safe for
+    concurrent reads."""
 
     def __init__(self, members):
         members = tuple(members)
@@ -511,7 +542,7 @@ class EnsembleVolume(_Geometry):
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64 block."""
-        return np.stack([g.values[lo:hi] for g in self._members], axis=1)
+        return np.stack([g.values[lo:hi] for g in self._members], axis=1, dtype=np.float64)
 
     def stacked(self) -> np.ndarray:
         """Member values as (nvox, M); the per-voxel sample sets."""
@@ -624,40 +655,44 @@ def _unpack_header(raw: bytes, header: struct.Struct, magic: bytes, path) -> lis
 
 
 def _payload(raw: bytes, offset: int, rows: int, cols: int, dtype, path) -> np.ndarray:
-    """raw[offset:] as a float64 (rows, cols) array; FormatError unless it
-    holds exactly rows*cols values of dtype."""
+    """raw[offset:] as a (rows, cols) array of dtype, over raw's bytes unless
+    the header leaves them unaligned; FormatError unless it holds exactly
+    rows*cols values of dtype."""
     dtype = np.dtype(dtype)
     expected = offset + rows * cols * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(f"{path}: payload size {len(raw)} != {expected}")
-    return np.frombuffer(raw, dtype=dtype, offset=offset).astype(np.float64).reshape(rows, cols)
+    a = np.frombuffer(raw, dtype=dtype, offset=offset)
+    return (a if a.flags.aligned else a.copy()).reshape(rows, cols)
 
 
 def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> ScalarGrid:
-    """Read a raw volume file; integer encodings are normalized to [0, 1]."""
+    """Read a raw volume file; integer encodings are normalized to [0, 1] in
+    float64, then rounded to the grid's float32.  An f32 grid holds the file's
+    payload as it stands."""
     dims = require_ints(dims, 3, "dims")
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]
     vals = _payload(read_file(path), 0, dims[0] * dims[1] * dims[2], 1, dtype, path).ravel()
     if denom is not None:
-        vals = vals / denom
-    elif not np.all(np.isfinite(vals)):
+        vals = np.divide(vals, denom, dtype=np.float64)
+    elif not (np.isfinite(vals.min()) and np.isfinite(vals.max())):  # as require_finite
         raise FormatError(f"{path}: non-finite f32 values")
     return ScalarGrid(dims, spacing, origin, vals)
 
 
 def save_raw(grid: ScalarGrid, path, encoding: str) -> None:
     """Write a raw volume file; integer encodings assume values in [0, 1].
-    Grid and model values lie within the f32 range, so the f32 payloads of
-    the three savers narrow without overflow and always reload."""
+    Grid and model values are float32 already, so the f32 payloads of the
+    three savers are their bytes, written without a copy, and always reload."""
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]
     vals = grid.values
     if denom is not None:
-        vals = np.clip(np.rint(vals * denom), 0, denom)
-    write_file(path, b"", vals.astype(dtype))
+        vals = np.clip(np.rint(np.multiply(vals, denom, dtype=np.float64)), 0, denom)
+    write_file(path, b"", vals.astype(dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +711,7 @@ def save_qvol(volume: DistributionVolume, path) -> None:
     header = _QVOL_HEADER.pack(
         QVOL_MAGIC, *volume.dims, *volume.spacing, *volume.origin, m.q, m.qval
     )
-    write_file(path, header, m.boundaries.astype("<f4"))
+    write_file(path, header, m.boundaries.astype("<f4", copy=False))
 
 
 def load_qvol(path) -> DistributionVolume:
@@ -707,7 +742,7 @@ def save_dvol(volume: DistributionVolume, path) -> None:
     header = _DVOL_HEADER.pack(DVOL_MAGIC, _DVOL_MODELS.index(type(m)), *volume.dims,
                                *volume.spacing, *volume.origin,
                                getattr(m, m.WIDTH) if m.WIDTH else 0)
-    payload = np.stack([getattr(m, f).astype("<f4") for f in m.FIELDS], axis=-1)
+    payload = np.stack([getattr(m, f) for f in m.FIELDS], axis=-1, dtype="<f4")
     write_file(path, header, payload)
 
 

@@ -3,7 +3,8 @@ quantile interpolation, a Monte Carlo resampling oracle, Kolmogorov-Smirnov
 distances, the pointwise expected color of a lattice distribution, the
 corner blend as a gather then a contraction, the bivariate test fields, the dense ray loop, the exact CDF of a blend of 8
 Gaussian mixtures, a gmm-mc classifier with its own component pick, the
-closed-form fields evaluated on a full meshgrid, and a traced memory peak.  Most
+closed-form fields evaluated on a full meshgrid, the noise draw by whole-array
+formulas, a float64 stand-in for a voxel model, and a traced memory peak.  Most
 use only the public API of uqdvr, so they check the package's kernels
 without sharing code with them.  kde_cdf exposes a private kernel: the KDE
 fit's lattice CDF, which the fit inverts without building its lattice.
@@ -202,7 +203,7 @@ def argmax_gmm_mc_chunk(state, pos, rng):
     mu, var = np.zeros((a, n)), np.zeros((a, n))
     for c in range(8):
         vox = idx8[:, c]
-        cum = np.cumsum(m.weights[vox], axis=1)
+        cum = np.cumsum(m.weights[vox], axis=1, dtype=np.float64)
         cum[:, -1] = 1.0
         u = rng.random((a, n))
         comp = (u[:, None, :] < cum[:, :, None]).argmax(axis=1)
@@ -263,6 +264,32 @@ def raycast_dense(job: render.RenderJob, threads: int = 1) -> render.Image:
     map_chunks(work, n, threads, render.CHUNK_PIXELS)
     pixels = np.clip(out, 0.0, 1.0).reshape(cam.height, cam.width, 4)
     return render.Image(cam.width, cam.height, pixels)
+
+
+def float64_model(model, **fields):
+    """A stand-in for a voxel model or a grid, made with object.__new__ so
+    that it skips the constructor: its value fields taken to float64, or the
+    float64 arrays given by name.  The kernels read float64 tables as they
+    read the float32 ones, at any scale a float64 holds."""
+    stand_in = object.__new__(type(model))
+    for name, value in vars(model).items():
+        if name in getattr(model, "FIELDS", ("values",)):
+            value = fields[name] if name in fields else value.astype(np.float64)
+        object.__setattr__(stand_in, name, value)
+    return stand_in
+
+
+def noise_draw_where(rng, spec, n: int) -> np.ndarray:
+    """synth._noise_draw by whole-array formulas on the same stream: bimodal
+    noise takes np.where over full main and outlier draws."""
+    if spec.kind == "gaussian":
+        return spec.sigma * rng.standard_normal(n)
+    if spec.kind == "uniform":
+        return spec.width * (rng.random(n) - 0.5)
+    pick_main = rng.random(n) < spec.p_main
+    main = spec.sigma * rng.standard_normal(n)
+    outlier = spec.offset + spec.outlier_sigma * rng.standard_normal(n)
+    return np.where(pick_main, main, outlier)
 
 
 def traced_peak(fn):

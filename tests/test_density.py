@@ -161,7 +161,9 @@ class TestBuildVolume:
         gt = np.random.default_rng(1).random(27)
         ens = make_ensemble([gt] * 5, dims)
         vol = build_distribution_volume(ens, "quantile", qval=0.25)
-        np.testing.assert_array_equal(vol.model.boundaries, np.tile(gt[:, None], (1, 5)))
+        # The members hold gt rounded to float32.
+        np.testing.assert_array_equal(vol.model.boundaries,
+                                      np.tile(gt.astype(np.float32)[:, None], (1, 5)))
 
     def test_m50_octile_volume_round_trips(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -311,7 +313,7 @@ class TestHixel:
         ens = brick_ensemble(hi, (4, 4, 2))
         want = build_distribution_volume(ens, "quantile", qval=0.25)
         assert vol.model.boundaries.tobytes() == want.model.boundaries.tobytes()
-        assert mean.values.tobytes() == ens.stacked().mean(axis=1).tobytes()
+        assert mean.values.tobytes() == ens.stacked().mean(axis=1).astype(np.float32).tobytes()
         assert (vol.dims, vol.spacing, vol.origin) == (ens.dims, ens.spacing, ens.origin)
 
 
@@ -565,7 +567,8 @@ class TestEmSubBlocks:
         for row in range(density._EM_ROWS - 3, density._EM_ROWS + 3):
             want = density._gmm_em_rows(s[row:row + 1], 2, 100)
             for name, w in zip(("weights", "means", "sigmas"), want):
-                assert getattr(model, name)[row].tobytes() == w[0].tobytes(), (row, name)
+                assert getattr(model, name)[row].tobytes() == w[0].astype(np.float32).tobytes(), \
+                    (row, name)
 
     def test_fit_working_set_is_bounded(self):
         gt = sample_field("tangle", (16, 16, 16))
@@ -634,8 +637,9 @@ def _whole_array_fit(s, kind, qval=None, k=None, max_iter=100):
 
 
 def _assert_same_bytes(model, params):
+    """The model's fields are the float64 params rounded once to float32."""
     for name, want in params.items():
-        assert getattr(model, name).tobytes() == want.tobytes(), name
+        assert getattr(model, name).tobytes() == want.astype(np.float32).tobytes(), name
 
 
 def _row_source_ensemble():
@@ -662,10 +666,10 @@ class TestRowSourceFits:
         hi = sample_field("tangle", (34, 32, 32))
         vol, mean_grid = downsample_hixel(hi, (2, 2, 2), kind, threads=2, **kw)
         bricks = hi.values3d.reshape(16, 2, 16, 2, 17, 2).transpose(0, 2, 4, 1, 3, 5)
-        s = np.ascontiguousarray(bricks.reshape(-1, 8))
+        s = np.ascontiguousarray(bricks.reshape(-1, 8), dtype=np.float64)
         assert s.shape[0] % density._CHUNK_VOXELS != 0
         _assert_same_bytes(vol.model, _whole_array_fit(s, kind, **kw))
-        assert mean_grid.values.tobytes() == s.mean(axis=1).tobytes()
+        assert mean_grid.values.tobytes() == s.mean(axis=1).astype(np.float32).tobytes()
 
     def test_thread_count_gives_identical_bytes(self, ens):
         def fits(threads):

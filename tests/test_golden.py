@@ -164,6 +164,16 @@ def test_the_table_covers_every_scheme_and_fit_kind():
     assert sorted(kind for kind, _ in FITS) == sorted(MODEL_KINDS)
 
 
+def test_in_memory_and_on_disk_fits_are_the_same_bytes():
+    """An ensemble fitted in memory and after a save and a load: both hold
+    the same float32 members, so every fit keeps its bytes."""
+    table = json.loads(GOLDEN.read_text())["sha256"]
+    memory = sorted(k for k in table if "/memory/" in k)
+    assert len(memory) == len(FITS) * len(THREADS)
+    for key in memory:
+        assert table[key] == table[key.replace("/memory/", "/files/")], key
+
+
 def test_outputs_match_the_recorded_table(tmp_path):
     table = json.loads(GOLDEN.read_text())
     if table["environment"] != environment():

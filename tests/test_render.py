@@ -31,9 +31,15 @@ from uqdvr.volcore import (
     ScalarGrid,
     UniformModel,
     VolumeError,
+    load_raw,
+    load_volume,
+    map_chunks,
+    save_dvol,
+    save_qvol,
+    save_raw,
 )
 
-from oracles import argmax_gmm_mc_chunk, raycast_dense, traced_peak
+from oracles import argmax_gmm_mc_chunk, float64_model, raycast_dense, traced_peak
 
 
 def constant_tf(rgb=(0.8, 0.5, 0.2), alpha=0.7):
@@ -114,9 +120,8 @@ class TestRenderJobBounds:
                   mc_samples=1, tf2d_samples=1)
 
 
-def gmm_volume(k, seed, scale=1.0):
-    """A 7x6x5 GMM volume with random, empty-component and one-hot weights,
-    its means and sigmas multiplied by scale."""
+def gmm_volume(k, seed):
+    """A 7x6x5 GMM volume with random, empty-component and one-hot weights."""
     rng = np.random.default_rng(seed)
     dims = (7, 6, 5)
     nvox = 7 * 6 * 5
@@ -127,8 +132,17 @@ def gmm_volume(k, seed, scale=1.0):
         weights[1::5] = np.eye(k)[rng.integers(0, k, weights[1::5].shape[0])]
     means = rng.uniform(0.0, 1.0, (nvox, k))
     sigmas = rng.uniform(0.0, 0.15, (nvox, k))
-    return DistributionVolume(dims, (1, 1, 1), (0, 0, 0),
-                              GmmVolumeModel(k, weights, means * scale, sigmas * scale))
+    return DistributionVolume(dims, (1, 1, 1), (0, 0, 0), GmmVolumeModel(k, weights, means, sigmas))
+
+
+def scaled(vol, s):
+    """vol with its model's means and sigmas multiplied by s in float64, as a
+    float64 stand-in model: a scale such as 2^-1000 leaves the float32 values
+    that a model holds, but not the float64 tables that the kernels read."""
+    m = vol.model
+    names = {"mean", "sigma", "means", "sigmas"} & set(m.FIELDS)
+    return replace(vol, model=float64_model(
+        m, **{name: getattr(m, name).astype(np.float64) * s for name in names}))
 
 
 class TestGmmMcComponentPick:
@@ -147,7 +161,7 @@ class TestGmmMcComponentPick:
         """Means, sigmas and knots scaled by a power of two leave every draw
         scaled exactly, unless a squared spread underflows or overflows."""
         def image(s, threads):
-            vol = gmm_volume(2, 40, s)
+            vol = scaled(gmm_volume(2, 40), s)
             tf = TransferFunction1D(band_tf().points * [s, 1, 1, 1, 1])
             job = RenderJob(vol, "gmm-mc", default_camera(vol, 20, 16), tf=tf, seed=5,
                             mc_samples=12)
@@ -165,11 +179,11 @@ class TestParametricValueScale:
         mean and spread exactly: the squared spreads are taken in units of the
         largest sigma, so tiny ones do not underflow."""
         def image(s, threads):
-            vol = gmm_volume(2, 41, s)
+            vol = gmm_volume(2, 41)
             if scheme == "gaussian":
                 m = vol.model
-                vol = DistributionVolume(vol.dims, vol.spacing, vol.origin,
-                                         GaussianModel(m.means[:, 0], m.sigmas[:, 0]))
+                vol = replace(vol, model=GaussianModel(m.means[:, 0], m.sigmas[:, 0]))
+            vol = scaled(vol, s)
             tf = TransferFunction1D(band_tf().points * [s, 1, 1, 1, 1])
             return raycast(RenderJob(vol, scheme, default_camera(vol, 20, 16), tf=tf),
                            threads=threads).pixels
@@ -810,10 +824,17 @@ class TestEmptySpaceLeaps:
             assert render._SchemeState(small_job(scheme)).dist is None
 
 
+def uniform_float64(widths):
+    """A zero-centred uniform volume on 2x3x5 voxels holding float64 widths,
+    which float32 would round to 0: the tables of the scalar APIs' kernels."""
+    m = UniformModel(np.zeros(30), np.zeros(30))
+    return DistributionVolume((2, 3, 5), (1, 1, 1), (0, 0, 0), float64_model(m, width=widths))
+
+
 def test_uniform_render_with_subnormal_width_is_finite():
     widths = np.zeros(30)
     widths[-1] = 3.54463326e-283
-    vol = DistributionVolume((2, 3, 5), (1, 1, 1), (0, 0, 0), UniformModel(np.zeros(30), widths))
+    vol = uniform_float64(widths)
     cam = Camera((3.0, 5.0, 9.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0, 3, 2)
     px = raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0)).pixels
     assert np.all(np.isfinite(px))
@@ -827,9 +848,73 @@ def test_uniform_render_with_a_subnormal_lattice_step_is_finite(width):
     cam = Camera((3.0, 5.0, 9.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0, 3, 2)
     images = []
     for w in (width, 0.0):
-        widths = np.full(30, w)
-        vol = DistributionVolume((2, 3, 5), (1, 1, 1), (0, 0, 0),
-                                 UniformModel(np.zeros(30), widths))
+        vol = uniform_float64(np.full(30, w))
         images.append(raycast(RenderJob(vol, "uniform", cam, tf=band_tf(), step=1.0)).pixels)
     assert np.all(np.isfinite(images[0]))
     assert np.array_equal(images[0], images[1])
+
+
+FIT_OPTIONS = {"mean": {}, "uniform": {}, "gaussian": {}, "gmm": {"k": 3},
+               "quantile": {"qval": 0.125}}
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """One fitted volume per rendered model kind on a 9x8x7 tangle ensemble,
+    and the grid of its means."""
+    gt = sample_field("tangle", (9, 8, 7))
+    ens = make_ensemble(gt, NoiseSpec(members=10, seed=3, **presets.TANGLE_NOISE))
+    vols = {kind: build_distribution_volume(ens, kind, **opts)
+            for kind, opts in FIT_OPTIONS.items()}
+    return vols, ScalarGrid(gt.dims, gt.spacing, gt.origin, vols["mean"].model.values)
+
+
+def fitted_job(fitted, scheme, size=12):
+    vols, mean_grid = fitted
+    vol = vols[render.scheme_model(scheme).kind]
+    return RenderJob(vol, scheme, default_camera(vol, size, size), tf=presets.tangle_tf(),
+                     tf2=presets.fiber_tf2d(), seed=3, mean_grid=mean_grid, mc_samples=16,
+                     tf2d_samples=32)
+
+
+class TestFloat32Tables:
+    """Models hold float32 fields, which every kernel reads in float64."""
+
+    @pytest.mark.parametrize("scheme", render.SCHEMES)
+    def test_classifier_reads_float64(self, fitted, scheme):
+        """A classifier gives the bytes of the same call on a float64 stand-in
+        of the model (and of the mean grid): no float32 arithmetic leaks, on
+        any numpy's promotion rules."""
+        job = fitted_job(fitted, scheme)
+        stand_in = replace(job, volume=replace(job.volume, model=float64_model(job.volume.model)),
+                           mean_grid=float64_model(job.mean_grid))
+        vol = job.volume
+        pos = np.random.default_rng(7).uniform(vol.world_min, vol.world_max, (1500, 3))
+
+        def classify(j, threads):
+            state = render._SchemeState(j)
+            out = np.empty((len(pos), 4))
+
+            def work(lo, hi):
+                out[lo:hi] = render._classify_chunk(state, pos[lo:hi], np.random.default_rng(lo))
+
+            map_chunks(work, len(pos), threads, 400)
+            return out
+
+        for threads in (1, 2):
+            got = classify(job, threads)
+            assert np.any(got[:, 3] > 0)
+            assert got.tobytes() == classify(stand_in, threads).tobytes(), threads
+
+    @pytest.mark.parametrize("scheme", render.SCHEMES)
+    def test_saved_volume_renders_the_in_memory_bytes(self, fitted, scheme, tmp_path):
+        job = fitted_job(fitted, scheme)
+        path = tmp_path / "vol"
+        (save_qvol if scheme.startswith("quantile") else save_dvol)(job.volume, path)
+        save_raw(job.mean_grid, tmp_path / "mean.f32raw", "f32")
+        vol = load_volume(path)
+        mean_grid = load_raw(tmp_path / "mean.f32raw", vol.dims, "f32", vol.spacing, vol.origin)
+        loaded = replace(job, volume=vol, mean_grid=mean_grid)
+        for threads in (1, 2):
+            assert (raycast(loaded, threads=threads).pixels.tobytes()
+                    == raycast(job, threads=threads).pixels.tobytes()), threads

@@ -5,10 +5,12 @@ from scipy import ndimage
 from uqdvr.classify import TransferFunction2D
 from uqdvr.cli import main
 from uqdvr.density import build_distribution_volume
+from uqdvr import synth
 from uqdvr.synth import (
     NoiseSpec,
     load_ensemble,
     make_ensemble,
+    noisy_members,
     parse_field_name,
     sample_field,
     save_ensemble,
@@ -16,7 +18,7 @@ from uqdvr.synth import (
 )
 from uqdvr.volcore import EnsembleVolume, FormatError, VolumeError
 
-from oracles import make_bivariate, meshgrid_field, traced_peak
+from oracles import make_bivariate, meshgrid_field, noise_draw_where, traced_peak
 
 
 class TestSampleField:
@@ -52,9 +54,11 @@ class TestSampleField:
     @pytest.mark.parametrize("name", ["tangle", "teardrop", "nested-spheres", "linear(1,2,3)",
                                       "constant(2)"])
     def test_matches_the_meshgrid_evaluation(self, name, dims):
-        """Same bytes as the formulas on a full meshgrid, x fastest; 40x33x50
-        takes three slabs of z-planes, the last a partial one."""
-        assert sample_field(name, dims).values.tobytes() == meshgrid_field(name, dims).tobytes()
+        """Same bytes as the formulas on a full meshgrid, x fastest, rounded
+        once to float32; 40x33x50 takes three slabs of z-planes, the last a
+        partial one."""
+        want = meshgrid_field(name, dims).astype(np.float32)
+        assert sample_field(name, dims).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["tangle", "teardrop", "nested-spheres", "linear(1,2,3)",
                                       "constant(2)"])
@@ -69,6 +73,27 @@ class TestSampleField:
     def test_parse_field_name(self):
         assert parse_field_name("linear(1,2,3)") == ("linear", (1.0, 2.0, 3.0))
         assert parse_field_name("tangle") == ("tangle", ())
+
+
+class TestNoiseDraw:
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "bimodal"])
+    def test_same_bytes_as_the_where_formula(self, kind):
+        spec = NoiseSpec(kind, p_main=0.7, members=3, seed=5)
+        for m in range(spec.members):
+            got = synth._noise_draw(synth._member_rng(spec.seed, m), spec, 10007)
+            want = noise_draw_where(synth._member_rng(spec.seed, m), spec, 10007)
+            assert got.tobytes() == want.tobytes(), m
+
+    def test_member_peak_is_about_two_float64_grids(self):
+        """Bimodal noise holds the noise, a pick mask and the outliers'
+        normals, then the noise and the float32 member."""
+        gt = sample_field("tangle", (48, 48, 48))
+        grid64 = 8 * gt.voxel_count
+        members = noisy_members(gt, NoiseSpec("bimodal", members=3, seed=1))
+        for _ in range(3):
+            member, peak = traced_peak(lambda: next(members))
+            assert member.values.dtype == np.float32
+            assert peak <= 2.2 * grid64, peak / grid64
 
 
 class TestMakeEnsemble:

@@ -188,7 +188,8 @@ class TestQvol:
             QuantileModel(1 / 32, boundaries)
 
     def test_order_check_needs_no_boundary_sized_temporary(self):
-        boundaries = np.tile(np.arange(33.0), (20000, 1))
+        # float32, as the model holds them, so that the model makes no copy.
+        boundaries = np.tile(np.arange(33.0, dtype=np.float32), (20000, 1))
         _, peak = traced_peak(lambda: QuantileModel(1 / 32, boundaries))
         assert peak < boundaries.nbytes / 4, (peak, boundaries.nbytes)
 
@@ -324,7 +325,7 @@ class TestVoxelPdf:
         ]:
             vol = DistributionVolume((1, 1, 1), (1, 1, 1), (0, 0, 0), m)
             pdf = voxel_pdf(vol, (0, 0, 0), qval=0.25)
-            assert np.all(pdf.boundaries == 0.7)
+            assert np.all(pdf.boundaries == np.float32(0.7))  # as the model holds it
 
     def test_gmm_quantiles_match_gaussian_for_k1(self):
         g = GmmVolumeModel(1, np.ones((1, 1)), np.full((1, 1), 2.0), np.full((1, 1), 0.5))
@@ -507,5 +508,69 @@ class TestSaversWriteFromTheArray:
         dvol = DistributionVolume(dims, (1, 1, 1), (0, 0, 0), gmm)
         _, peak = traced_peak(lambda: volcore.save_dvol(dvol, tmp_path / "g.dvol"))
         assert peak < 2.5 * 4 * 9 * n, peak
-        assert volcore.load_dvol(tmp_path / "g.dvol").model.means.tobytes() == \
-            gmm.means.astype("<f4").astype(np.float64).tobytes()
+        assert volcore.load_dvol(tmp_path / "g.dvol").model.means.tobytes() == gmm.means.tobytes()
+
+
+class TestFloat32Values:
+    """Grids and models hold float32 values, made by one checked cast of the
+    arrays given; every check reads the rounded values."""
+
+    def test_quantile_model_from_f_ordered_float64_is_one_cast(self):
+        b = np.asfortranarray(np.sort(np.random.default_rng(3).random((20000, 33)), axis=1))
+        model, peak = traced_peak(lambda: QuantileModel(1 / 32, b))
+        assert peak <= 1.1 * 4 * b.size + (1 << 20), peak / (4 * b.size)
+        f32 = model.boundaries
+        assert f32.dtype == np.float32 and f32.flags.c_contiguous
+        assert f32.tobytes() == np.ascontiguousarray(b, dtype=np.float32).tobytes()
+
+    def test_scalar_grid_from_strided_float64_is_one_cast(self):
+        pairs = np.random.default_rng(4).random((100 * 100 * 100, 2))
+        grid, peak = traced_peak(lambda: ScalarGrid((100, 100, 100), (1, 1, 1), (0, 0, 0),
+                                                    pairs[:, 0]))
+        assert peak <= 1.1 * 4 * len(pairs) + (1 << 20), peak / (4 * len(pairs))
+        f32 = grid.values
+        assert f32.dtype == np.float32 and f32.flags.c_contiguous
+        assert f32.tobytes() == pairs[:, 0].astype(np.float32).tobytes()
+
+    def test_a_value_the_cast_overflows_is_out_of_range(self):
+        f32_max = float(np.finfo(np.float32).max)
+        # Rounds down to F32_MAX, so it lies in range; twice F32_MAX does not.
+        assert ScalarGrid((1, 1, 1), (1, 1, 1), (0, 0, 0), [f32_max * (1 + 2.0 ** -25)]).at(
+            0, 0, 0) == f32_max
+        with pytest.raises(VolumeError, match="f32 range"):
+            ScalarGrid((1, 1, 1), (1, 1, 1), (0, 0, 0), [2 * f32_max])
+        with pytest.raises(VolumeError, match="finite"):
+            ScalarGrid((1, 1, 1), (1, 1, 1), (0, 0, 0), [np.inf])
+
+    # Below half the smallest float32 subnormal, 2^-149: rounds to 0.
+    TINY = 2.0 ** -151
+
+    def test_tiny_spreads_round_to_zero_in_memory_as_on_disk(self, tmp_path):
+        tiny = self.TINY
+        models = [
+            GaussianModel([0.5, 0.25], [tiny, 0.1]),
+            UniformModel([0.5, 0.25], [tiny, 0.1]),
+            GmmVolumeModel(2, [[0.5, 0.5]] * 2, [[0.2, 0.6]] * 2, [[tiny, 0.1]] * 2),
+        ]
+        for m in models:
+            spread = getattr(m, m.FIELDS[-1])
+            assert spread.ravel()[0] == 0.0, m.kind
+            vol = DistributionVolume((2, 1, 1), (1, 1, 1), (0, 0, 0), m)
+            volcore.save_dvol(vol, tmp_path / "m.dvol")
+            back = volcore.load_dvol(tmp_path / "m.dvol").model
+            for f in m.FIELDS:
+                assert getattr(back, f).tobytes() == getattr(m, f).tobytes(), (m.kind, f)
+
+    def test_a_tiny_sigma_is_a_point_mass(self):
+        vol = DistributionVolume((1, 1, 1), (1, 1, 1), (0, 0, 0),
+                                 GaussianModel([0.5], [self.TINY]))
+        pdf = voxel_pdf(vol, (0, 0, 0), qval=0.25)
+        assert np.all(pdf.boundaries == np.float32(0.5))
+
+    def test_gmm_weight_sum_check_reads_the_rounded_weights(self):
+        w = 0.5 + 9.9e-7  # within 1e-6 of summing to 1 with 0.5; its float32 is not
+        assert abs(w + 0.5 - 1.0) <= 1e-6 < abs(float(np.float32(w)) + 0.5 - 1.0)
+        with pytest.raises(VolumeError, match="sum to 1"):
+            GmmVolumeModel(2, [[w, 0.5]], [[0.0, 1.0]], [[1.0, 1.0]])
+        # One mixture, as the scalar APIs take it, keeps its float64 weights.
+        assert volcore.GmmModel([w, 0.5], [0.0, 1.0], [1.0, 1.0]).weights[0] == w
