@@ -328,9 +328,9 @@ class VoxelModel:
 
     Every field holds the float32 values that the file formats store, made by
     one checked cast of the array given, and every check runs on those
-    rounded values.  A positive sigma or width below the smallest float32
-    subnormal rounds to 0, as a save does, and is then a point mass.  Kernels
-    upcast a field to float64 where they read it."""
+    rounded values.  A positive sigma or width of at most 2^-150, half the
+    smallest float32 subnormal, rounds to 0, as a save rounds it, and is then
+    a point mass.  Kernels upcast a field to float64 where they read it."""
 
     kind: str
     FIELDS: tuple[str, ...]
@@ -685,7 +685,8 @@ def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.
 def save_raw(grid: ScalarGrid, path, encoding: str) -> None:
     """Write a raw volume file; integer encodings assume values in [0, 1].
     Grid and model values are float32 already, so the f32 payloads of the
-    three savers are their bytes, written without a copy, and always reload."""
+    three savers are their bytes (save_dvol interleaves the fields), and
+    always reload."""
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]

@@ -542,7 +542,7 @@ class TestFloat32Values:
         with pytest.raises(VolumeError, match="finite"):
             ScalarGrid((1, 1, 1), (1, 1, 1), (0, 0, 0), [np.inf])
 
-    # Below half the smallest float32 subnormal, 2^-149: rounds to 0.
+    # Below half the smallest float32 subnormal, 2^-149, so it rounds to 0.
     TINY = 2.0 ** -151
 
     def test_tiny_spreads_round_to_zero_in_memory_as_on_disk(self, tmp_path):
