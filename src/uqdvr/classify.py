@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .interp import GradientStencil, NumericDensity
 from .volcore import (EPS_WIDTH, GmmModel, QuantilePdf, VolumeError, read_file, read_headed_f32,
-                      require_finite, require_int, require_positive)
+                      require_finite, require_int, require_positive, write_file)
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Points per block in the TF lookups (and table bins per block in the 2D
@@ -243,7 +243,7 @@ class TransferFunction2D:
 def save_tf2d(tf: TransferFunction2D, path) -> None:
     rows, cols, _ = tf.table.shape
     header = f"{rows} {cols} {tf.gmax:.9g}\n".encode("ascii")
-    Path(path).write_bytes(header + tf.table.astype("<f4").tobytes())
+    write_file(path, header, tf.table.astype("<f4"))
 
 
 def load_tf2d(path) -> TransferFunction2D:

@@ -40,8 +40,8 @@ _CHUNK_VOXELS = 4096
 # at finer lattices.  Arrays of ~1 MB keep the per-thread working set (and what
 # the allocator retains after it) small; larger blocks are no faster.
 _FFT_CELLS = 1 << 17
-# Rows fitted at once by EM, for the same reason: its (M, k, rows) float64
-# temporaries take 0.4 MB each at M=50, k=2 (3.3 MB in 4,096-row blocks).  Rows
+# Rows read and fitted at once by EM, for the same reason: its (M, k, rows)
+# float64 temporaries take 0.4 MB each at M=50, k=2 (3.3 MB at 4,096 rows).  Rows
 # are the innermost axis, so each operation runs along them, while components
 # and members still add up in the order of one sample set (see _gmm_em_rows).
 # 256 to 1,024 rows run equally fast.
@@ -303,13 +303,6 @@ def _gmm_em_rows(samples: np.ndarray, k: int, max_iter: int, trace: list | None 
     return weights / weights.sum(axis=1, keepdims=True), means, sigmas
 
 
-def _gmm_em_blocks(samples: np.ndarray, k: int, max_iter: int) -> list:
-    """_gmm_em_rows over sub-blocks of at most _EM_ROWS rows, which bound its
-    (M, k, rows) temporaries; each row's fit depends on that row only."""
-    return _joined([_gmm_em_rows(samples[i:i + _EM_ROWS], k, max_iter)
-                    for i in range(0, samples.shape[0], _EM_ROWS)])
-
-
 def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) -> GmmModel:
     """Standard EM with deterministic initialization.
 
@@ -326,17 +319,12 @@ def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) 
     return GmmModel(w[0], mu[0], sg[0])
 
 
-def _fit_rows(fit, ensemble: EnsembleVolume, threads: int) -> list:
-    """Concatenated outputs of fit over the (chunk, M) row blocks of an
-    ensemble; fit maps one block to a tuple of per-row arrays.  Each row's fit
-    depends on that row only, so the blocks never change the result."""
-    parts = map_chunks(lambda lo, hi: fit(ensemble.rows(lo, hi)), ensemble.voxel_count, threads,
-                       _CHUNK_VOXELS)
-    return _joined(parts)
-
-
-def _joined(parts: list) -> list:
-    """The per-row arrays of consecutive row blocks' output tuples, joined."""
+def _fit_rows(fit, ensemble: EnsembleVolume, threads: int, cls, chunk=_CHUNK_VOXELS) -> list:
+    """The outputs of fit, which maps a (chunk, M) row block of the ensemble to
+    a tuple of per-row arrays, cast per block by cls.cast and joined.  Each
+    row's fit depends on that row only, so the blocks never change the result."""
+    parts = map_chunks(lambda lo, hi: [cls.cast(a) for a in fit(ensemble.rows(lo, hi))],
+                       ensemble.voxel_count, threads, chunk)
     return [np.concatenate(p) for p in zip(*parts)]
 
 
@@ -350,9 +338,6 @@ def _moment_rows(samples: np.ndarray, kind: str) -> tuple:
     return samples.mean(axis=1), np.std(samples, axis=1, ddof=1)
 
 
-_MOMENT_MODELS = {kind: MODEL_KINDS[kind] for kind in ("mean", "uniform", "gaussian")}
-
-
 def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None, k=None,
                               max_iter: int = 100, config: KdeConfig = KdeConfig(),
                               threads: int = 1) -> DistributionVolume:
@@ -364,15 +349,16 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
     m = ensemble.member_count
     if kind != "mean" and m < 2:
         raise VolumeError("non-mean models need an ensemble with M >= 2")
-    if kind in _MOMENT_MODELS:
-        model = _MOMENT_MODELS[kind](*_fit_rows(lambda s: _moment_rows(s, kind), ensemble, threads))
+    if kind in ("mean", "uniform", "gaussian"):
+        cls = MODEL_KINDS[kind]
+        model = cls(*_fit_rows(lambda s: _moment_rows(s, kind), ensemble, threads, cls))
     elif kind == "samples":
-        model = SamplesModel(m, ensemble.rows(0, ensemble.voxel_count))
+        model = SamplesModel(m, *_fit_rows(lambda s: (s,), ensemble, threads, SamplesModel))
     elif kind == "gmm":
         if k is None:
             raise VolumeError("gmm model needs k")
-        model = GmmVolumeModel(k, *_fit_rows(lambda s: _gmm_em_blocks(s, k, max_iter), ensemble,
-                                             threads))
+        model = GmmVolumeModel(k, *_fit_rows(lambda s: _gmm_em_rows(s, k, max_iter), ensemble,
+                                             threads, GmmVolumeModel, _EM_ROWS))
     else:
         raise VolumeError(f"unknown model kind {kind!r}")
     return DistributionVolume(ensemble.dims, ensemble.spacing, ensemble.origin, model)
@@ -384,7 +370,8 @@ def quantile_volumes_multi(ensemble: EnsembleVolume, qvals, config: KdeConfig = 
     if ensemble.member_count < 2:
         raise VolumeError("quantile model needs M >= 2")
     masses = [_quantile_masses(qv) for qv in qvals]
-    bounds = _fit_rows(lambda s: _kde_quantile_rows(s, masses, config), ensemble, threads)
+    bounds = _fit_rows(lambda s: _kde_quantile_rows(s, masses, config), ensemble, threads,
+                       QuantileModel)
     geo = (ensemble.dims, ensemble.spacing, ensemble.origin)
     return {qv: DistributionVolume(*geo, QuantileModel(qv, b)) for qv, b in zip(qvals, bounds)}
 

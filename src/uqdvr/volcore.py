@@ -345,12 +345,16 @@ class VoxelModel:
             object.__setattr__(self, self.WIDTH, width)
         self._check_fields(width)
 
+    @classmethod
+    def cast(cls, values) -> np.ndarray:
+        """values as a field holds them: one checked cast to DTYPE (require_finite)."""
+        return require_finite(values, f"{cls.kind} parameters", dtype=cls.DTYPE, f32_range=True)
+
     def _check_fields(self, width: int | None) -> None:
         """Store each field as a frozen contiguous DTYPE array, (nvox,) when
-        width is None else (nvox, width), once the fields are congruent and
-        finite, within the f32 range, and the NONNEG ones nonnegative."""
-        arrays = [require_finite(getattr(self, f), f"{self.kind} parameters", dtype=self.DTYPE,
-                                 f32_range=True) for f in self.FIELDS]
+        width is None else (nvox, width), once the fields are cast (see cast)
+        and congruent, and the NONNEG ones nonnegative."""
+        arrays = [self.cast(getattr(self, f)) for f in self.FIELDS]
         if len({a.size for a in arrays}) > 1 or (width and arrays[0].size % width):
             raise VolumeError(f"{self.kind} parameter grids must be congruent")
         for name, a in zip(self.FIELDS, arrays):
@@ -417,8 +421,9 @@ class GmmVolumeModel(VoxelModel):
 
     def __post_init__(self):
         super().__post_init__()
-        # On the rounded weights, summed in float64.
-        if np.any(np.abs(self.weights.sum(axis=1, dtype=np.float64) - 1.0) > 1e-6):
+        # On the rounded weights, summed in float64: one temporary of nvox.
+        total = self.weights.sum(axis=1, dtype=np.float64)
+        if max(total.max(initial=1.0) - 1.0, 1.0 - total.min(initial=1.0)) > 1e-6:
             raise VolumeError("gmm weights must sum to 1 within 1e-6")
 
 
@@ -451,7 +456,7 @@ class QuantileModel(VoxelModel):
     boundaries: np.ndarray  # (nvox, q+1)
 
     def __post_init__(self):
-        b = require_finite(self.boundaries, "quantile parameters", dtype=self.DTYPE, f32_range=True)
+        b = self.cast(self.boundaries)
         if b.ndim != 2 or b.shape[1] < 2:
             raise VolumeError("quantile boundaries must be (nvox, q+1)")
         qval = float(require_positive(self.qval, "qval", ()))
@@ -607,12 +612,12 @@ class FileEnsemble(EnsembleVolume):
 # Raw volume I/O
 
 
-def read_file(path, limit: int = -1) -> bytes:
-    """The first limit bytes of a file (all of it when limit < 0); FormatError
-    when it cannot be read."""
+def read_file(path, read=None):
+    """read(f) on the file at path opened for binary reading, or all its bytes
+    when read is None; FormatError when it cannot be read."""
     try:
         with open(path, "rb") as f:
-            return f.read(limit)
+            return read(f) if read else f.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
 
@@ -625,45 +630,49 @@ def write_file(path, header: bytes, payload: np.ndarray) -> None:
         f.write(payload.data)
 
 
+def _read_payload(f, path, shape: tuple, dtype="<f4", mismatch=None) -> np.ndarray:
+    """The rest of the open file f as an array of shape and dtype, read into
+    one aligned array; FormatError unless the rest holds exactly its bytes:
+    mismatch(n) for a rest of n bytes, else the file size against them."""
+    count, start, size = math.prod(shape), f.tell(), os.fstat(f.fileno()).st_size
+    expected = start + count * np.dtype(dtype).itemsize
+    if size != expected:
+        raise FormatError(mismatch(size - start) if mismatch else
+                          f"{path}: payload size {size} != {expected}")
+    return np.fromfile(f, dtype, count).reshape(shape)
+
+
 def read_headed_f32(path, kinds: tuple, what: str) -> tuple[list, np.ndarray]:
     """The fields and payload of a file that starts with one ASCII line of
     len(kinds) numbers, each parsed by its kind (int or float), followed by
-    four little-endian f32 channels per cell; the int fields, each at least 1,
-    count the cells.  FormatError, naming what, when the file does not."""
-    head, newline, body = read_file(path).partition(b"\n")
-    if not newline:
-        raise FormatError(f"{path}: missing {what} header")
-    try:
-        fields = [kind(v) for kind, v in zip(kinds, head.decode("ascii").split(), strict=True)]
-    except ValueError as e:
-        raise FormatError(f"{path}: bad {what} header") from e
-    counts = [f for f, kind in zip(fields, kinds) if kind is int]
-    if min(counts) < 1 or len(body) != 16 * math.prod(counts):
-        raise FormatError(f"{path}: {what} of {counts} cells with a {len(body)}-byte payload")
-    return fields, np.frombuffer(body, dtype="<f4")
+    four little-endian f32 channels per cell, as (cells, 4); the int fields,
+    each at least 1, count the cells.  FormatError, naming what, when the file
+    does not."""
+    def read(f):
+        head = f.readline()
+        if not head.endswith(b"\n"):
+            raise FormatError(f"{path}: missing {what} header")
+        try:
+            fields = [kind(v) for kind, v in zip(kinds, head.decode("ascii").split(), strict=True)]
+        except ValueError as e:
+            raise FormatError(f"{path}: bad {what} header") from e
+        counts = [v for v, kind in zip(fields, kinds) if kind is int]
+        cells = math.prod(counts) if min(counts) >= 1 else -1  # -1 cells fit no payload
+        return fields, _read_payload(f, path, (cells, 4), mismatch=lambda n: (
+            f"{path}: {what} of {counts} cells with a {n}-byte payload"))
+    return read_file(path, read)
 
 
-def _unpack_header(raw: bytes, header: struct.Struct, magic: bytes, path) -> list:
-    """The header fields after the magic; FormatError when raw is shorter than
-    the header or starts with another magic."""
+def _unpack_header(f, header: struct.Struct, magic: bytes, path) -> list:
+    """The header fields after the magic, read from the open file f;
+    FormatError when it is shorter than the header or has another magic."""
+    raw = f.read(header.size)
     if len(raw) < header.size:
         raise FormatError(f"{path}: truncated header")
-    found, *fields = header.unpack_from(raw)
+    found, *fields = header.unpack(raw)
     if found != magic:
         raise FormatError(f"{path}: bad magic {found!r}")
     return fields
-
-
-def _payload(raw: bytes, offset: int, rows: int, cols: int, dtype, path) -> np.ndarray:
-    """raw[offset:] as a (rows, cols) array of dtype, over raw's bytes unless
-    the header leaves them unaligned; FormatError unless it holds exactly
-    rows*cols values of dtype."""
-    dtype = np.dtype(dtype)
-    expected = offset + rows * cols * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw)} != {expected}")
-    a = np.frombuffer(raw, dtype=dtype, offset=offset)
-    return (a if a.flags.aligned else a.copy()).reshape(rows, cols)
 
 
 def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> ScalarGrid:
@@ -674,7 +683,7 @@ def load_raw(path, dims, encoding: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.
     if encoding not in RAW_ENCODINGS:
         raise FormatError(f"unknown raw encoding {encoding!r}")
     dtype, denom = RAW_ENCODINGS[encoding]
-    vals = _payload(read_file(path), 0, dims[0] * dims[1] * dims[2], 1, dtype, path).ravel()
+    vals = read_file(path, lambda f: _read_payload(f, path, (math.prod(dims),), dtype))
     if denom is not None:
         vals = np.divide(vals, denom, dtype=np.float64)
     elif not (np.isfinite(vals.min()) and np.isfinite(vals.max())):  # as require_finite
@@ -716,13 +725,13 @@ def save_qvol(volume: DistributionVolume, path) -> None:
 
 
 def load_qvol(path) -> DistributionVolume:
-    raw = read_file(path)
-    nx, ny, nz, sx, sy, sz, ox, oy, oz, q, qval = _unpack_header(raw, _QVOL_HEADER,
-                                                                   QVOL_MAGIC, path)
-    boundaries = _payload(raw, _QVOL_HEADER.size, nx * ny * nz, q + 1, "<f4", path)
-    # QuantileModel validates qval*q, monotonicity, and finiteness.
-    model = QuantileModel(qval=qval, boundaries=boundaries)
-    return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), model)
+    def read(f):
+        nx, ny, nz, sx, sy, sz, ox, oy, oz, q, qval = _unpack_header(
+            f, _QVOL_HEADER, QVOL_MAGIC, path)
+        # QuantileModel validates qval*q, monotonicity, and finiteness.
+        model = QuantileModel(qval, _read_payload(f, path, (nx * ny * nz, q + 1)))
+        return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), model)
+    return read_file(path, read)
 
 
 # ---------------------------------------------------------------------------
@@ -748,25 +757,27 @@ def save_dvol(volume: DistributionVolume, path) -> None:
 
 
 def load_dvol(path) -> DistributionVolume:
-    raw = read_file(path)
-    tag, nx, ny, nz, sx, sy, sz, ox, oy, oz, extra = _unpack_header(raw, _DVOL_HEADER,
-                                                                     DVOL_MAGIC, path)
-    if tag >= len(_DVOL_MODELS):
-        raise FormatError(f"{path}: unknown model tag {tag}")
-    cls = _DVOL_MODELS[tag]
-    lead = (extra,) if cls.WIDTH else ()
-    width = extra if cls.WIDTH else 1
-    if width < 1:
-        raise FormatError(f"{path}: {cls.kind} volume with no values per voxel")
-    nvox, nfields = nx * ny * nz, len(cls.FIELDS)
-    flat = _payload(raw, _DVOL_HEADER.size, nvox, width * nfields, "<f4", path)
-    fields = np.moveaxis(flat.reshape(nvox, width, nfields), -1, 0)
-    return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), cls(*lead, *fields))
+    def read(f):
+        tag, nx, ny, nz, sx, sy, sz, ox, oy, oz, extra = _unpack_header(
+            f, _DVOL_HEADER, DVOL_MAGIC, path)
+        if tag >= len(_DVOL_MODELS):
+            raise FormatError(f"{path}: unknown model tag {tag}")
+        cls = _DVOL_MODELS[tag]
+        if extra and not cls.WIDTH:
+            raise FormatError(f"{path}: {cls.kind} volume with a width field of {extra}")
+        lead = (extra,) if cls.WIDTH else ()
+        width = extra if cls.WIDTH else 1
+        if width < 1:
+            raise FormatError(f"{path}: {cls.kind} volume with no values per voxel")
+        flat = _read_payload(f, path, (nx * ny * nz, width, len(cls.FIELDS)))
+        fields = np.moveaxis(flat, -1, 0)
+        return DistributionVolume((nx, ny, nz), (sx, sy, sz), (ox, oy, oz), cls(*lead, *fields))
+    return read_file(path, read)
 
 
 def load_volume(path, dims=None, encoding="f32") -> DistributionVolume:
     """Open a QVOL1/DVOL1 file, or a raw file (needs dims) as a mean field."""
-    magic = read_file(path, len(QVOL_MAGIC))
+    magic = read_file(path, lambda f: f.read(len(QVOL_MAGIC)))
     if magic == QVOL_MAGIC:
         return load_qvol(path)
     if magic == DVOL_MAGIC:

@@ -292,6 +292,11 @@ def noise_draw_where(rng, spec, n: int) -> np.ndarray:
     return np.where(pick_main, main, outlier)
 
 
+def field_bytes(model) -> int:
+    """The bytes of the arrays that a VoxelModel keeps."""
+    return sum(a.nbytes for a in vars(model).values() if isinstance(a, np.ndarray))
+
+
 def traced_peak(fn):
     """(fn(), the peak of the memory that tracemalloc traced while fn ran)."""
     tracemalloc.start()

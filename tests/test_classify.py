@@ -37,6 +37,7 @@ from uqdvr.volcore import (
     F32_MAX,
     DistributionVolume,
     EnsembleVolume,
+    FormatError,
     GaussianModel,
     GmmVolumeModel,
     MeanFieldModel,
@@ -1018,6 +1019,21 @@ class TestVolumeLoaderFuzz:
         p.write_bytes(struct.pack("<5sB3I3d3dI", b"DVOL1", tag, *dims, 1, 1, 1, 0, 0, 0, 0))
         with pytest.raises(VolumeError, match="no values per voxel"):
             load_dvol(p)
+
+    @pytest.mark.parametrize("tag", [0, 1, 2])
+    def test_dvol_width_field_of_a_model_without_one(self, tmp_path, tag):
+        """Tags 0-2 (mean, uniform, gaussian) have no WIDTH field, so its slot
+        must hold 0, even when the payload fits the model."""
+        p = tmp_path / "vol.dvol"
+
+        def write(extra):
+            header = struct.pack("<5sB3I3d3dI", b"DVOL1", tag, 1, 1, 1, 1, 1, 1, 0, 0, 0, extra)
+            p.write_bytes(header + np.ones([1, 2, 2][tag], "<f4").tobytes())
+            return p
+
+        assert load_dvol(write(0)).model.kind == ("mean", "uniform", "gaussian")[tag]
+        with pytest.raises(FormatError, match="volume with a width field of 7"):
+            load_dvol(write(7))
 
     @FUZZ
     @given(raw=st.binary(max_size=100))

@@ -19,7 +19,7 @@ from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_e
                          sample_field, save_ensemble)
 from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
 
-from oracles import kde_cdf, traced_peak
+from oracles import field_bytes, kde_cdf, traced_peak
 
 
 def make_ensemble(values_per_member, dims):
@@ -701,9 +701,10 @@ class TestRowSourceFits:
         quantile_volumes_multi(ens, [0.5, 0.125], threads=2)
         assert max(blocks) == density._CHUNK_VOXELS
         assert sum(blocks) == (len(ROW_KINDS) + 1) * ens.voxel_count
-        # The samples model stores every sample set, so it reads them in one block.
+        # The samples model stores every sample set, read in blocks like every other fit's.
+        blocks.clear()
         vol = build_distribution_volume(ens, "samples")
-        assert blocks[-1] == ens.voxel_count
+        assert max(blocks) <= density._CHUNK_VOXELS and sum(blocks) == ens.voxel_count
         assert vol.model.samples.shape == (ens.voxel_count, ens.member_count)
 
     def test_rows_are_contiguous_blocks_of_stacked(self, ens):
@@ -712,6 +713,26 @@ class TestRowSourceFits:
             block = ens.rows(lo, hi)
             assert block.flags.c_contiguous and block.dtype == np.float64
             assert np.array_equal(block, full[lo:hi])
+
+
+class TestFitPeak:
+    """A fit casts each row block's outputs to float32 before it joins them,
+    so it peaks at about twice the float32 fields it keeps (the blocks and
+    their join), plus one block's float64 working set."""
+
+    @pytest.fixture(scope="class")
+    def ens(self):
+        gt = sample_field("tangle", (48, 48, 48))
+        return make_noise_ensemble(gt, NoiseSpec(kind="bimodal", members=10, seed=7))
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("mean", {}), ("uniform", {}), ("gaussian", {}), ("samples", {}),
+        ("quantile", {"qval": 0.125, "config": KdeConfig(lattice=64)}),
+        ("gmm", {"k": 2, "max_iter": 3})])
+    def test_fit_peaks_at_twice_its_fields(self, ens, kind, kw):
+        vol, peak = traced_peak(lambda: build_distribution_volume(ens, kind, **kw))
+        kept = field_bytes(vol.model)
+        assert peak <= 2 * kept + (4 << 20), (kind, peak / kept)
 
 
 class TestRowSourceFitsFromFiles(TestRowSourceFits):

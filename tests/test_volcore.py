@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uqdvr import volcore
+from uqdvr.classify import TransferFunction2D, load_tf2d, save_tf2d
 from uqdvr.volcore import (
     DistributionVolume,
     FormatError,
@@ -23,7 +24,7 @@ from uqdvr.volcore import (
     voxel_pdf,
 )
 
-from oracles import traced_peak
+from oracles import field_bytes, traced_peak
 
 
 def make_quantile_volume(rng, dims=(3, 2, 2), q=4):
@@ -509,6 +510,53 @@ class TestSaversWriteFromTheArray:
         _, peak = traced_peak(lambda: volcore.save_dvol(dvol, tmp_path / "g.dvol"))
         assert peak < 2.5 * 4 * 9 * n, peak
         assert volcore.load_dvol(tmp_path / "g.dvol").model.means.tobytes() == gmm.means.tobytes()
+        tf = TransferFunction2D(rng.random((250, 240, 4)), 2.0)
+        _, peak = traced_peak(lambda: save_tf2d(tf, tmp_path / "t.tf2d"))
+        assert peak < 1.5 * 4 * tf.table.size, peak
+        assert (tmp_path / "t.tf2d").read_bytes() == b"250 240 2\n" + tf.table.astype("<f4").tobytes()
+        assert np.array_equal(load_tf2d(tmp_path / "t.tf2d").table, tf.table.astype(np.float32))
+
+
+class TestLoadersHoldThePayloadOnce:
+    """A loader reads its f32 payload from the open file into one aligned
+    array after its header, whatever the header's length; a model then casts
+    its fields from it, a copy only for fields that DVOL1 interleaves."""
+
+    DIMS = (48, 48, 48)
+
+    def volume(self, model):
+        return DistributionVolume(self.DIMS, (1, 1, 1), (0, 0, 0), model)
+
+    def test_f32_raw_and_qvol_loads_hold_one_copy(self, tmp_path):
+        rng = np.random.default_rng(8)
+        grid = ScalarGrid(self.DIMS, (1, 1, 1), (0, 0, 0), rng.random(48**3))
+        save_raw(grid, tmp_path / "g.f32raw", "f32")
+        back, peak = traced_peak(lambda: load_raw(tmp_path / "g.f32raw", self.DIMS, "f32"))
+        assert back.values.tobytes() == grid.values.tobytes()
+        assert peak <= 1.1 * grid.values.nbytes + (1 << 20), peak / grid.values.nbytes
+        vol = self.volume(QuantileModel(0.125, np.sort(rng.random((48**3, 9)), axis=1)))
+        save_qvol(vol, tmp_path / "q.qvol")
+        assert volcore._QVOL_HEADER.size % 4  # an unaligned payload offset
+        back, peak = traced_peak(lambda: load_qvol(tmp_path / "q.qvol"))
+        assert back.model.boundaries.tobytes() == vol.model.boundaries.tobytes()
+        kept = field_bytes(vol.model)
+        assert peak <= 1.1 * kept + (1 << 20), peak / kept
+
+    @pytest.mark.parametrize("model_of", [
+        lambda rng, n: GaussianModel(rng.random(n), rng.random(n)),
+        lambda rng, n: GmmVolumeModel(3, rng.dirichlet(np.ones(3), n), rng.random((n, 3)),
+                                      rng.random((n, 3)))])
+    def test_dvol_load_holds_the_payload_and_the_fields(self, tmp_path, model_of):
+        """The interleaved fields are copied out of the payload once; the gmm
+        weight-sum check adds one float64 value per voxel."""
+        vol = self.volume(model_of(np.random.default_rng(9), 48**3))
+        volcore.save_dvol(vol, tmp_path / "v.dvol")
+        assert volcore._DVOL_HEADER.size % 4
+        back, peak = traced_peak(lambda: volcore.load_dvol(tmp_path / "v.dvol"))
+        for name in vol.model.FIELDS:
+            assert getattr(back.model, name).tobytes() == getattr(vol.model, name).tobytes()
+        kept = field_bytes(vol.model)
+        assert peak <= 2.2 * kept + (1 << 20), peak / kept
 
 
 class TestFloat32Values:
