@@ -36,6 +36,9 @@ from .volcore import (
 # Sigma floor for EM fits, relative to the sample range.
 _GMM_SIGMA_FLOOR_REL = 1e-6
 _CHUNK_VOXELS = 4096
+# Voxels per member read of the moment fits: smaller slabs contend for the GIL
+# (2^12 took 7x the time of 2^16), larger ones leave L2 (2^18 took 1.2x).
+_MOMENT_SLAB = 1 << 16
 # Cells of padded FFT lattice smoothed at once: 128 rows at lattice 512, fewer
 # at finer lattices.  Arrays of ~1 MB keep the per-thread working set (and what
 # the allocator retains after it) small; larger blocks are no faster.
@@ -216,10 +219,36 @@ def estimate_quantiles(samples, qval: float, config: KdeConfig = KdeConfig()) ->
     return QuantilePdf(qval, boundaries)
 
 
+def _member_moments(members, count: int, kind: str) -> tuple:
+    """Moment-fit parameters of sample sets whose count members, arrays of one
+    shape, members() yields in member order (twice for gaussian).  Sums run in
+    float64 in member order: mean sum(x) / M, sigma sqrt(sum((x - mean)^2) /
+    (M - 1)); uniform takes the min and max, then midrange and range."""
+    it = members()
+    first = next(it)
+    if kind == "uniform":
+        lo, hi = first.copy(), first.copy()
+        for x in it:
+            np.minimum(lo, x, out=lo)
+            np.maximum(hi, x, out=hi)
+        lo, hi = lo.astype(np.float64), hi.astype(np.float64)
+        return 0.5 * (lo + hi), hi - lo
+    total = np.zeros(first.shape) + first
+    for x in it:
+        total += x
+    mean = total / count
+    if kind == "mean":
+        return (mean,)
+    dev, sq = np.zeros(mean.shape), np.empty(mean.shape)
+    for x in members():
+        dev += np.square(np.subtract(x, mean, out=sq), out=sq)
+    return mean, np.sqrt(dev / (count - 1))
+
+
 def _fit_moments(samples, kind: str, least: int) -> tuple:
-    """_moment_rows of one sample set of at least `least` samples, as floats."""
+    """_member_moments of one sample set of at least `least` samples, as floats."""
     s = _sample_set(samples, f"fit_{kind}", least)
-    return tuple(float(p[0]) for p in _moment_rows(s, kind))
+    return tuple(float(p[0]) for p in _member_moments(lambda: iter(s.T), s.shape[1], kind))
 
 
 def fit_mean(samples) -> float:
@@ -319,23 +348,13 @@ def fit_gmm_em(samples, k: int, max_iter: int = 100, trace: list | None = None) 
     return GmmModel(w[0], mu[0], sg[0])
 
 
-def _fit_rows(fit, ensemble: EnsembleVolume, threads: int, cls, chunk=_CHUNK_VOXELS) -> list:
-    """The outputs of fit, which maps a (chunk, M) row block of the ensemble to
-    a tuple of per-row arrays, cast per block by cls.cast and joined.  Each
-    row's fit depends on that row only, so the blocks never change the result."""
-    parts = map_chunks(lambda lo, hi: [cls.cast(a) for a in fit(ensemble.rows(lo, hi))],
+def _fit_blocks(fit, ensemble: EnsembleVolume, threads: int, cls, chunk=_CHUNK_VOXELS) -> list:
+    """The outputs of fit(lo, hi), a tuple of arrays over voxels lo..hi-1, for
+    each chunk-voxel block of the ensemble, cast by cls.cast and joined; each
+    voxel's fit depends on that voxel only, so blocks never change the result."""
+    parts = map_chunks(lambda lo, hi: [cls.cast(a) for a in fit(lo, hi)],
                        ensemble.voxel_count, threads, chunk)
     return [np.concatenate(p) for p in zip(*parts)]
-
-
-def _moment_rows(samples: np.ndarray, kind: str) -> tuple:
-    """Moment-fit parameters of each row of (V, M) samples."""
-    if kind == "mean":
-        return (samples.mean(axis=1),)
-    if kind == "uniform":
-        lo, hi = samples.min(axis=1), samples.max(axis=1)
-        return 0.5 * (lo + hi), hi - lo
-    return samples.mean(axis=1), np.std(samples, axis=1, ddof=1)
 
 
 def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None, k=None,
@@ -351,14 +370,16 @@ def build_distribution_volume(ensemble: EnsembleVolume, kind: str, *, qval=None,
         raise VolumeError("non-mean models need an ensemble with M >= 2")
     if kind in ("mean", "uniform", "gaussian"):
         cls = MODEL_KINDS[kind]
-        model = cls(*_fit_rows(lambda s: _moment_rows(s, kind), ensemble, threads, cls))
+        model = cls(*_fit_blocks(lambda lo, hi: _member_moments(
+            lambda: ensemble.member_values(lo, hi), m, kind), ensemble, threads, cls, _MOMENT_SLAB))
     elif kind == "samples":
-        model = SamplesModel(m, *_fit_rows(lambda s: (s,), ensemble, threads, SamplesModel))
+        model = SamplesModel(m, *_fit_blocks(lambda lo, hi: (ensemble.rows(lo, hi),), ensemble,
+                                             threads, SamplesModel))
     elif kind == "gmm":
         if k is None:
             raise VolumeError("gmm model needs k")
-        model = GmmVolumeModel(k, *_fit_rows(lambda s: _gmm_em_rows(s, k, max_iter), ensemble,
-                                             threads, GmmVolumeModel, _EM_ROWS))
+        model = GmmVolumeModel(k, *_fit_blocks(lambda lo, hi: _gmm_em_rows(
+            ensemble.rows(lo, hi), k, max_iter), ensemble, threads, GmmVolumeModel, _EM_ROWS))
     else:
         raise VolumeError(f"unknown model kind {kind!r}")
     return DistributionVolume(ensemble.dims, ensemble.spacing, ensemble.origin, model)
@@ -370,8 +391,8 @@ def quantile_volumes_multi(ensemble: EnsembleVolume, qvals, config: KdeConfig = 
     if ensemble.member_count < 2:
         raise VolumeError("quantile model needs M >= 2")
     masses = [_quantile_masses(qv) for qv in qvals]
-    bounds = _fit_rows(lambda s: _kde_quantile_rows(s, masses, config), ensemble, threads,
-                       QuantileModel)
+    bounds = _fit_blocks(lambda lo, hi: _kde_quantile_rows(ensemble.rows(lo, hi), masses, config),
+                         ensemble, threads, QuantileModel)
     geo = (ensemble.dims, ensemble.spacing, ensemble.origin)
     return {qv: DistributionVolume(*geo, QuantileModel(qv, b)) for qv, b in zip(qvals, bounds)}
 

@@ -549,10 +549,11 @@ def save_image(img: Image, path) -> None:
     (`width height` text header plus row-major RGBA f32)."""
     path = Path(path)
     rgb = np.clip(img.pixels[..., :3], 0.0, 1.0)
-    data = np.rint(rgb * 255.0).astype(np.uint8)
+    rgb *= 255.0
+    data = np.rint(rgb, out=rgb).astype(np.uint8)
     write_file(path, f"P6\n{img.width} {img.height}\n255\n".encode("ascii"), data)
     write_file(path.with_suffix(path.suffix + ".f32"), f"{img.width} {img.height}\n".encode("ascii"),
-               img.pixels.astype("<f4"))
+               img.pixels.astype("<f4", copy=False))
 
 
 def load_image_f32(path) -> Image:

@@ -526,8 +526,8 @@ class DistributionVolume(_Geometry):
 class EnsembleVolume(_Geometry):
     """M member grids with identical dims/spacing/origin: the M samples of
     every voxel, which the fits read as (chunk, M) float64 row blocks of the
-    members' float32 values.  Not modified after construction; safe for
-    concurrent reads."""
+    members' float32 values or member by member.  Not modified after
+    construction; safe for concurrent reads."""
 
     def __init__(self, members):
         members = tuple(members)
@@ -548,6 +548,11 @@ class EnsembleVolume(_Geometry):
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64 block."""
         return np.stack([g.values[lo:hi] for g in self._members], axis=1, dtype=np.float64)
+
+    def member_values(self, lo: int, hi: int):
+        """Each member's float32 values of voxels lo..hi-1, in member order;
+        a consumer uses each array before it asks for the next one."""
+        return (g.values[lo:hi] for g in self._members)
 
     def stacked(self) -> np.ndarray:
         """Member values as (nvox, M); the per-voxel sample sets."""
@@ -570,9 +575,9 @@ def _with_fd(path, call, *args):
 class FileEnsemble(EnsembleVolume):
     """An ensemble whose members stay on disk, one raw little-endian f32 file
     per member grid.  Construction checks the geometry and that each file
-    holds exactly one grid; rows reads each block straight from the files, so
-    memory does not grow with the ensemble, and raises FormatError, naming the
-    file, for a non-finite value in the block."""
+    holds exactly one grid; rows and member_values read each block straight
+    from the files, so memory does not grow with the ensemble, and raise
+    FormatError, naming the file, for a short read or a non-finite value."""
 
     def __init__(self, paths, dims, spacing, origin):
         self.dims, self.spacing, self.origin = dims, spacing, origin
@@ -606,6 +611,17 @@ class FileEnsemble(EnsembleVolume):
             bad = self._paths[np.flatnonzero(~finite.all(axis=1))[0]]
             raise FormatError(f"{bad}: non-finite f32 values")
         return buf.T.astype(np.float64, order="C")
+
+    def member_values(self, lo: int, hi: int):
+        """Each member's float32 values of voxels lo..hi-1, in member order,
+        from one positioned read per member file into one reused buffer."""
+        buf = np.empty(hi - lo, "<f4")
+        for path in self._paths:
+            if _with_fd(path, os.preadv, [buf], 4 * lo) != buf.nbytes:
+                raise FormatError(f"{path}: short read of voxels {lo}..{hi - 1}")
+            if not np.isfinite(buf).all():
+                raise FormatError(f"{path}: non-finite f32 values")
+            yield buf
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ distances, the pointwise expected color of a lattice distribution, the
 corner blend as a gather then a contraction, the bivariate test fields, the dense ray loop, the exact CDF of a blend of 8
 Gaussian mixtures, a gmm-mc classifier with its own component pick, the
 closed-form fields evaluated on a full meshgrid, the noise draw by whole-array
-formulas, a float64 stand-in for a voxel model, and a traced memory peak.  Most
+formulas, a float64 stand-in for a voxel model, the moment fits as plain
+member-by-member float64 sums, and a traced memory peak.  Most
 use only the public API of uqdvr, so they check the package's kernels
 without sharing code with them.  kde_cdf exposes a private kernel: the KDE
 fit's lattice CDF, which the fit inverts without building its lattice.
@@ -290,6 +291,29 @@ def noise_draw_where(rng, spec, n: int) -> np.ndarray:
     main = spec.sigma * rng.standard_normal(n)
     outlier = spec.offset + spec.outlier_sigma * rng.standard_normal(n)
     return np.where(pick_main, main, outlier)
+
+
+def member_order_moments(members, kind: str) -> tuple:
+    """The mean, uniform or gaussian fit parameters of each voxel from the
+    members' values (arrays of one shape), taken to float64 and summed one
+    member after another: mean sum(x) / M, sigma sqrt(sum((x - mean)^2) /
+    (M - 1)), and the midrange and range of the min and max."""
+    xs = [np.asarray(x, dtype=np.float64) for x in members]
+    if kind == "uniform":
+        lo, hi = xs[0], xs[0]
+        for x in xs[1:]:
+            lo, hi = np.minimum(lo, x), np.maximum(hi, x)
+        return 0.5 * (lo + hi), hi - lo
+    total = np.zeros(xs[0].shape)
+    for x in xs:
+        total = total + x
+    mean = total / len(xs)
+    if kind == "mean":
+        return (mean,)
+    dev = np.zeros(mean.shape)
+    for x in xs:
+        dev = dev + (x - mean) ** 2
+    return mean, np.sqrt(dev / (len(xs) - 1))
 
 
 def field_bytes(model) -> int:

@@ -19,7 +19,7 @@ from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_e
                          sample_field, save_ensemble)
 from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
 
-from oracles import field_bytes, kde_cdf, traced_peak
+from oracles import field_bytes, kde_cdf, member_order_moments, traced_peak
 
 
 def make_ensemble(values_per_member, dims):
@@ -617,6 +617,7 @@ class TestKdeConfigBoundary:
         assert KdeConfig(bandwidth=np.float32(0.5)).bandwidth == 0.5
 
 
+# The three moment kinds first, then the kinds fitted from rows blocks.
 ROW_KINDS = [("mean", {}), ("uniform", {}), ("gaussian", {}),
              ("quantile", {"qval": 0.125}), ("gmm", {"k": 2, "max_iter": 20})]
 
@@ -687,20 +688,32 @@ class TestRowSourceFits:
         def refuse(self):
             raise AssertionError("stacked() called")
 
-        blocks = []
-        rows = type(ens).rows
+        blocks, slabs = [], []
+        rows, member_values = type(ens).rows, type(ens).member_values
 
         def recording_rows(self, lo, hi):
             blocks.append(hi - lo)
             return rows(self, lo, hi)
 
+        def recording_member_values(self, lo, hi):
+            slabs.append(hi - lo)
+            return member_values(self, lo, hi)
+
         monkeypatch.setattr(EnsembleVolume, "stacked", refuse)
         monkeypatch.setattr(type(ens), "rows", recording_rows)
-        for kind, kw in ROW_KINDS:
+        monkeypatch.setattr(type(ens), "member_values", recording_member_values)
+        # The moment fits read members slab by slab, gaussian twice, and never rows.
+        for kind, kw in ROW_KINDS[:3]:
+            build_distribution_volume(ens, kind, threads=2, **kw)
+        assert not blocks
+        assert max(slabs) <= density._MOMENT_SLAB and sum(slabs) == 4 * ens.voxel_count
+        slabs.clear()
+        for kind, kw in ROW_KINDS[3:]:
             build_distribution_volume(ens, kind, **kw)
         quantile_volumes_multi(ens, [0.5, 0.125], threads=2)
+        assert not slabs
         assert max(blocks) == density._CHUNK_VOXELS
-        assert sum(blocks) == (len(ROW_KINDS) + 1) * ens.voxel_count
+        assert sum(blocks) == 3 * ens.voxel_count
         # The samples model stores every sample set, read in blocks like every other fit's.
         blocks.clear()
         vol = build_distribution_volume(ens, "samples")
@@ -713,6 +726,13 @@ class TestRowSourceFits:
             block = ens.rows(lo, hi)
             assert block.flags.c_contiguous and block.dtype == np.float64
             assert np.array_equal(block, full[lo:hi])
+
+    def test_member_values_are_columns_of_stacked(self, ens):
+        full = ens.stacked()
+        for lo, hi in ((0, 1), (100, 4196), (4300, 4352), (7, 7)):
+            got = [x.copy() for x in ens.member_values(lo, hi)]  # a file buffer is reused
+            assert all(x.dtype == np.float32 for x in got)
+            assert np.array_equal(np.array(got).T, full[lo:hi])
 
 
 class TestFitPeak:
@@ -746,3 +766,91 @@ class TestRowSourceFitsFromFiles(TestRowSourceFits):
         path = tmp_path_factory.mktemp("ens")
         save_ensemble(_row_source_ensemble(), path)
         return load_ensemble(path)
+
+
+MOMENT_KINDS = ("mean", "uniform", "gaussian")
+
+
+class _Float64:
+    """A model class whose cast keeps the float64 fit outputs."""
+    cast = staticmethod(lambda a: a)
+
+
+class TestMemberMoments:
+    """The moment fits read each member once per slab (twice for gaussian)
+    and sum in member order; 60*48*48 voxels make two full slabs and a
+    partial one."""
+
+    @pytest.fixture(scope="class")
+    def memory(self):
+        gt = sample_field("tangle", (60, 48, 48))
+        return make_noise_ensemble(gt, NoiseSpec(kind="bimodal", members=12, seed=5))
+
+    @pytest.fixture(scope="class")
+    def saved(self, memory, tmp_path_factory):
+        path = tmp_path_factory.mktemp("moments")
+        save_ensemble(memory, path)
+        return path
+
+    @pytest.fixture(scope="class", params=["memory", "files"])
+    def ens(self, request, memory, saved):
+        return memory if request.param == "memory" else load_ensemble(saved)
+
+    @staticmethod
+    def slab_fit(ens, kind, threads):
+        """The slab driver's float64 outputs, before the cast."""
+        return density._fit_blocks(lambda lo, hi: density._member_moments(
+            lambda: ens.member_values(lo, hi), ens.member_count, kind), ens, threads, _Float64,
+            density._MOMENT_SLAB)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", MOMENT_KINDS)
+    def test_equals_member_order_oracle(self, ens, kind, threads):
+        n = ens.voxel_count
+        assert 2 * density._MOMENT_SLAB < n and n % density._MOMENT_SLAB
+        want = member_order_moments([g.values for g in ens.members], kind)
+        got = self.slab_fit(ens, kind, threads)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        model = build_distribution_volume(ens, kind, threads=threads).model
+        for name, a in zip(model.FIELDS, want):
+            assert getattr(model, name).tobytes() == a.astype(np.float32).tobytes(), name
+
+    @pytest.mark.parametrize("kind,fit", [("mean", fit_mean), ("uniform", fit_uniform),
+                                          ("gaussian", fit_gaussian)])
+    def test_scalar_fit_equals_the_kernel_row(self, memory, kind, fit):
+        got = self.slab_fit(memory, kind, 1)
+        full = memory.stacked()
+        for v in (0, 1, density._MOMENT_SLAB - 1, density._MOMENT_SLAB, 2 * density._MOMENT_SLAB,
+                  memory.voxel_count - 1):
+            want = tuple(float(a[v]) for a in got)
+            assert fit(full[v]) == (want[0] if kind == "mean" else want), v
+
+    @pytest.mark.parametrize("kind,passes", [("mean", 1), ("uniform", 1), ("gaussian", 2)])
+    def test_opens_each_member_once_per_slab_and_pass(self, saved, monkeypatch, kind, passes):
+        ens = load_ensemble(saved)
+        opens = {}
+        with_fd = volcore._with_fd
+
+        def counting(path, call, *args):
+            opens[path] = opens.get(path, 0) + 1
+            return with_fd(path, call, *args)
+
+        monkeypatch.setattr(volcore, "_with_fd", counting)
+        build_distribution_volume(ens, kind, threads=2)
+        slabs = -(-ens.voxel_count // density._MOMENT_SLAB)
+        assert len(opens) == ens.member_count
+        assert set(opens.values()) == {passes * slabs}
+
+    @pytest.mark.parametrize("kind,kw", [("mean", {}), ("uniform", {}), ("gaussian", {}),
+                                         ("quantile", {"qval": 0.25,
+                                                       "config": KdeConfig(lattice=64)})])
+    def test_non_finite_value_past_the_first_slab_names_the_member(self, saved, tmp_path,
+                                                                    kind, kw):
+        for f in saved.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        member = tmp_path / "member_007.f32raw"
+        values = np.fromfile(member, "<f4")
+        values[density._MOMENT_SLAB + 4500] = np.nan
+        values.tofile(member)
+        with pytest.raises(volcore.FormatError, match="member_007.f32raw: non-finite"):
+            build_distribution_volume(load_ensemble(tmp_path), kind, threads=2, **kw)

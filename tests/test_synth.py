@@ -225,7 +225,7 @@ class TestEnsembleIO:
 
 class TestFileEnsemble:
     """load_ensemble checks the member files and the fits read them block by
-    block."""
+    block, or slab by slab for the moment fits."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -264,8 +264,12 @@ class TestFileEnsemble:
         ens = load_ensemble(saved)
         member = saved / "member_002.f32raw"
         member.write_bytes(member.read_bytes()[:-4])
-        with pytest.raises(FormatError, match="member_002.f32raw: short read of voxels 4096"):
-            build_distribution_volume(ens, "mean")
+        # The moment fits read one 65,536-voxel slab, the other fits 4,096-voxel row blocks.
+        for kind, kw, voxels in (("mean", {}, "0..4351"),
+                                 ("quantile", {"qval": 0.25}, "4096..4351")):
+            with pytest.raises(FormatError,
+                               match=f"member_002.f32raw: short read of voxels {voxels}$"):
+                build_distribution_volume(ens, kind, **kw)
 
     def test_truncated_member_fails_at_load(self, saved):
         member = saved / "member_002.f32raw"

@@ -5,6 +5,7 @@ import pytest
 
 from uqdvr import volcore
 from uqdvr.classify import TransferFunction2D, load_tf2d, save_tf2d
+from uqdvr.render import Image, load_image_f32, save_image
 from uqdvr.volcore import (
     DistributionVolume,
     FormatError,
@@ -494,8 +495,8 @@ def test_every_model_rejects_bad_fields(kind):
 class TestSaversWriteFromTheArray:
     def test_no_joined_copy_of_the_payload(self, tmp_path):
         """A saver holds its f32 payload and, for DVOL1, the per-field f32
-        columns it interleaves; no bytes copy of the payload or of header plus
-        payload."""
+        columns it interleaves, and the image saver its 8-bit RGB staging; no
+        bytes copy of the payload or of header plus payload."""
         rng = np.random.default_rng(2)
         dims, n = (50, 40, 30), 60000
         grid = ScalarGrid(dims, (1, 1, 1), (0, 0, 0), rng.random(n))
@@ -515,6 +516,10 @@ class TestSaversWriteFromTheArray:
         assert peak < 1.5 * 4 * tf.table.size, peak
         assert (tmp_path / "t.tf2d").read_bytes() == b"250 240 2\n" + tf.table.astype("<f4").tobytes()
         assert np.array_equal(load_tf2d(tmp_path / "t.tf2d").table, tf.table.astype(np.float32))
+        img = Image(300, 200, rng.random((200, 300, 4)))
+        _, peak = traced_peak(lambda: save_image(img, tmp_path / "i.ppm"))
+        assert peak < 1.1 * img.pixels.nbytes, peak / img.pixels.nbytes
+        assert load_image_f32(tmp_path / "i.ppm.f32").pixels.tobytes() == img.pixels.tobytes()
 
 
 class TestLoadersHoldThePayloadOnce:
