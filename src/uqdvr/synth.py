@@ -249,7 +249,7 @@ def save_ensemble(ens: EnsembleVolume, outdir, spec: NoiseSpec | None = None,
 
 def load_ensemble(path) -> FileEnsemble:
     """Open an ensemble directory via its manifest file.  The member files are
-    checked here and read block by block when the ensemble's rows are."""
+    checked here and read block by block by the ensemble's member_values."""
     path = Path(path)
     manifest = path / "ensemble.txt" if path.is_dir() else path
     outdir = manifest.parent

@@ -525,9 +525,9 @@ class DistributionVolume(_Geometry):
 
 class EnsembleVolume(_Geometry):
     """M member grids with identical dims/spacing/origin: the M samples of
-    every voxel, which the fits read as (chunk, M) float64 row blocks of the
-    members' float32 values or member by member.  Not modified after
-    construction; safe for concurrent reads."""
+    every voxel.  member_values is the one reader of a class; the fits read
+    it member by member, or as (chunk, M) float64 row blocks that rows builds
+    from it.  Not modified after construction; safe for concurrent reads."""
 
     def __init__(self, members):
         members = tuple(members)
@@ -545,14 +545,18 @@ class EnsembleVolume(_Geometry):
     def members(self) -> tuple[ScalarGrid, ...]:
         return self._members
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64 block."""
-        return np.stack([g.values[lo:hi] for g in self._members], axis=1, dtype=np.float64)
-
     def member_values(self, lo: int, hi: int):
         """Each member's float32 values of voxels lo..hi-1, in member order;
         a consumer uses each array before it asks for the next one."""
         return (g.values[lo:hi] for g in self._members)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64
+        block: member_values in the rows of an (M, hi-lo) buffer, transposed."""
+        buf = np.empty((self.member_count, hi - lo), np.float32)
+        for row, values in zip(buf, self.member_values(lo, hi), strict=True):
+            row[:] = values
+        return buf.T.astype(np.float64, order="C")
 
     def stacked(self) -> np.ndarray:
         """Member values as (nvox, M); the per-voxel sample sets."""
@@ -575,9 +579,10 @@ def _with_fd(path, call, *args):
 class FileEnsemble(EnsembleVolume):
     """An ensemble whose members stay on disk, one raw little-endian f32 file
     per member grid.  Construction checks the geometry and that each file
-    holds exactly one grid; rows and member_values read each block straight
-    from the files, so memory does not grow with the ensemble, and raise
-    FormatError, naming the file, for a short read or a non-finite value."""
+    holds exactly one grid; member_values reads each block straight from the
+    files, one member after another, so memory does not grow with the
+    ensemble, and raises FormatError, naming the file, for a short read or a
+    non-finite value."""
 
     def __init__(self, paths, dims, spacing, origin):
         self.dims, self.spacing, self.origin = dims, spacing, origin
@@ -598,19 +603,6 @@ class FileEnsemble(EnsembleVolume):
     def members(self) -> tuple[ScalarGrid, ...]:
         """The member grids, read from the files on each access."""
         return tuple(load_raw(p, self.dims, "f32", self.spacing, self.origin) for p in self._paths)
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Sample sets of voxels lo..hi-1 as a C-contiguous (hi-lo, M) float64
-        block: one positioned read per member file, one transposing copy."""
-        buf = np.empty((self.member_count, hi - lo), "<f4")
-        for path, row in zip(self._paths, buf):
-            if _with_fd(path, os.preadv, [row], 4 * lo) != row.nbytes:
-                raise FormatError(f"{path}: short read of voxels {lo}..{hi - 1}")
-        finite = np.isfinite(buf)
-        if not finite.all():
-            bad = self._paths[np.flatnonzero(~finite.all(axis=1))[0]]
-            raise FormatError(f"{bad}: non-finite f32 values")
-        return buf.T.astype(np.float64, order="C")
 
     def member_values(self, lo: int, hi: int):
         """Each member's float32 values of voxels lo..hi-1, in member order,

@@ -17,7 +17,8 @@ from uqdvr.density import (
 )
 from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_ensemble,
                          sample_field, save_ensemble)
-from uqdvr.volcore import EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, voxel_pdf
+from uqdvr.volcore import (EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, map_chunks,
+                           voxel_pdf)
 
 from oracles import field_bytes, kde_cdf, member_order_moments, traced_peak
 
@@ -708,31 +709,63 @@ class TestRowSourceFits:
         assert not blocks
         assert max(slabs) <= density._MOMENT_SLAB and sum(slabs) == 4 * ens.voxel_count
         slabs.clear()
+        # The row kinds read rows, and each rows block reads member_values once
+        # over its own range.
         for kind, kw in ROW_KINDS[3:]:
             build_distribution_volume(ens, kind, **kw)
         quantile_volumes_multi(ens, [0.5, 0.125], threads=2)
-        assert not slabs
+        assert sorted(slabs) == sorted(blocks)
         assert max(blocks) == density._CHUNK_VOXELS
         assert sum(blocks) == 3 * ens.voxel_count
         # The samples model stores every sample set, read in blocks like every other fit's.
         blocks.clear()
+        slabs.clear()
         vol = build_distribution_volume(ens, "samples")
         assert max(blocks) <= density._CHUNK_VOXELS and sum(blocks) == ens.voxel_count
+        assert sorted(slabs) == sorted(blocks)
         assert vol.model.samples.shape == (ens.voxel_count, ens.member_count)
 
     def test_rows_are_contiguous_blocks_of_stacked(self, ens):
-        full = ens.stacked()
-        for lo, hi in ((0, 1), (100, 4196), (4300, 4352), (7, 7)):
+        full = _member_oracle(ens)
+        assert ens.stacked().tobytes() == full.tobytes()
+        for lo, hi in ((0, 1), (100, 4196), (4096, 4352), (4300, 4352), (7, 7)):
             block = ens.rows(lo, hi)
             assert block.flags.c_contiguous and block.dtype == np.float64
-            assert np.array_equal(block, full[lo:hi])
+            assert block.shape == (hi - lo, ens.member_count)
+            assert block.tobytes() == full[lo:hi].tobytes()
+        for threads in (1, 2):
+            blocks = map_chunks(ens.rows, ens.voxel_count, threads, density._CHUNK_VOXELS)
+            assert [len(b) for b in blocks] == [density._CHUNK_VOXELS, 256]
+            assert np.concatenate(blocks).tobytes() == full.tobytes()
 
     def test_member_values_are_columns_of_stacked(self, ens):
-        full = ens.stacked()
+        full = _member_oracle(ens)
         for lo, hi in ((0, 1), (100, 4196), (4300, 4352), (7, 7)):
             got = [x.copy() for x in ens.member_values(lo, hi)]  # a file buffer is reused
             assert all(x.dtype == np.float32 for x in got)
             assert np.array_equal(np.array(got).T, full[lo:hi])
+
+
+def _member_oracle(ens):
+    """The (V, M) float64 sample sets, stacked from the member grids; a file
+    ensemble's members are read whole through load_raw."""
+    return np.stack([g.values for g in ens.members], axis=1).astype(np.float64)
+
+
+class _ReversedMembers(EnsembleVolume):
+    """An ensemble whose one override is member_values: the members in reverse."""
+
+    def member_values(self, lo, hi):
+        return (g.values[lo:hi] for g in reversed(self.members))
+
+
+def test_rows_and_stacked_follow_a_member_values_override():
+    ens = _ReversedMembers(_row_source_ensemble().members)
+    want = _member_oracle(ens)[:, ::-1]
+    assert ens.stacked().tobytes() == want.tobytes()
+    assert ens.rows(4000, 4352).tobytes() == want[4000:].tobytes()
+    samples = build_distribution_volume(ens, "samples", threads=2).model.samples
+    assert samples.tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestFitPeak:

@@ -5,7 +5,7 @@ from scipy import ndimage
 from uqdvr.classify import TransferFunction2D
 from uqdvr.cli import main
 from uqdvr.density import build_distribution_volume
-from uqdvr import synth
+from uqdvr import density, synth, volcore
 from uqdvr.synth import (
     NoiseSpec,
     load_ensemble,
@@ -270,6 +270,44 @@ class TestFileEnsemble:
             with pytest.raises(FormatError,
                                match=f"member_002.f32raw: short read of voxels {voxels}$"):
                 build_distribution_volume(ens, kind, **kw)
+
+    @pytest.mark.parametrize("kind,kw,block", [
+        ("quantile", {"qval": 0.25}, density._CHUNK_VOXELS), ("samples", {}, density._CHUNK_VOXELS),
+        ("gmm", {"k": 2, "max_iter": 5}, density._EM_ROWS)])
+    def test_row_kinds_open_each_member_once_per_block(self, saved, monkeypatch, kind, kw, block):
+        ens = load_ensemble(saved)
+        opens = {}
+        with_fd = volcore._with_fd
+
+        def counting(path, call, *args):
+            opens[path] = opens.get(path, 0) + 1
+            return with_fd(path, call, *args)
+
+        monkeypatch.setattr(volcore, "_with_fd", counting)
+        build_distribution_volume(ens, kind, threads=2, **kw)
+        blocks = -(-ens.voxel_count // block)
+        assert blocks > 1 and len(opens) == ens.member_count
+        assert set(opens.values()) == {blocks}
+
+    def test_block_errors_come_in_member_order(self, tmp_path):
+        gt = sample_field("tangle", (17, 16, 16))
+        save_ensemble(make_ensemble(gt, NoiseSpec("gaussian", members=6, seed=1)), tmp_path)
+        ens = load_ensemble(tmp_path)
+        nan = tmp_path / "member_002.f32raw"
+        values = np.fromfile(nan, "<f4")
+        values[4300] = np.nan  # in the last block, which member_005 now ends short of
+        values.tofile(nan)
+        short = tmp_path / "member_005.f32raw"
+        short.write_bytes(short.read_bytes()[:-4])
+        # Each member is read and checked before the next one is read.
+        for fit in (lambda: build_distribution_volume(ens, "quantile", qval=0.25),
+                    lambda: build_distribution_volume(ens, "samples"),
+                    lambda: ens.rows(4096, 4352)):
+            with pytest.raises(FormatError, match="member_002.f32raw: non-finite"):
+                fit()
+        # Past the NaN, the short read is the first fault.
+        with pytest.raises(FormatError, match="member_005.f32raw: short read of voxels 4301..4351"):
+            ens.rows(4301, 4352)
 
     def test_truncated_member_fails_at_load(self, saved):
         member = saved / "member_002.f32raw"
