@@ -213,7 +213,7 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         if "quantile" in fit_kinds or any(kind != "quantile" for kind in qkinds):
             raise VolumeError("quantile schemes belong in quantile_schemes, the others in models")
         cfg = KdeConfig(bandwidth=manifest.get("kde_bandwidth", "auto"),
-                        lattice=manifest.get("kde_lattice", 512))
+                        lattice=manifest.get("kde_lattice", KdeConfig.lattice))
         if mode == "ensemble":
             noise = {"kind": None, **manifest.get("noise", {"kind": "bimodal"})}
             specs = [NoiseSpec(**noise, members=m, seed=seed)
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True, choices=list(volcore.MODEL_KINDS))
     e.add_argument("--qval", type=float, default=None)
     e.add_argument("--k", type=int, default=None)
-    e.add_argument("--kde-lattice", type=int, default=512)
+    e.add_argument("--kde-lattice", type=int, default=KdeConfig.lattice)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_estimate)
 

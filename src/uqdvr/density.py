@@ -39,9 +39,11 @@ _CHUNK_VOXELS = 4096
 # Voxels per member read of the moment fits: smaller slabs contend for the GIL
 # (2^12 took 7x the time of 2^16), larger ones leave L2 (2^18 took 1.2x).
 _MOMENT_SLAB = 1 << 16
-# Cells of padded FFT lattice smoothed at once: 128 rows at lattice 512, fewer
-# at finer lattices.  Arrays of ~1 MB keep the per-thread working set (and what
-# the allocator retains after it) small; larger blocks are no faster.
+# Cells of padded FFT lattice smoothed at once: 512 rows at the default lattice
+# of 128, fewer at finer lattices.  Its (rows, 2 * lattice) float64 arrays take
+# 1 MB, and a block of 50 samples a row peaks at 2.9 MB traced, which keeps the
+# per-thread working set (and what the allocator retains after it) small.
+# Blocks of 128 to 512 rows fit equally fast; 1,024 rows took 1.3x the time.
 _FFT_CELLS = 1 << 17
 # Rows read and fitted at once by EM, for the same reason: its (M, k, rows)
 # float64 temporaries take 0.4 MB each at M=50, k=2 (3.3 MB at 4,096 rows).  Rows
@@ -49,9 +51,6 @@ _FFT_CELLS = 1 << 17
 # and members still add up in the order of one sample set (see _gmm_em_rows).
 # 256 to 1,024 rows run equally fast.
 _EM_ROWS = 512
-# Largest KDE lattice step in bandwidths.  From 40 bandwidths on, every kernel
-# tap off the centre, exp(-800) or less, is already 0 in float64.
-_KDE_MAX_STEP = 64.0
 _MIN_BANDWIDTH = float(np.finfo(float).tiny)  # the smallest normal float
 
 
@@ -66,7 +65,7 @@ class KdeConfig:
     """
 
     bandwidth: float | str = "auto"
-    lattice: int = 512
+    lattice: int = 128
 
     def __post_init__(self):
         if not (isinstance(self.bandwidth, str) and self.bandwidth == "auto"):
@@ -113,56 +112,100 @@ def silverman_bandwidth(samples) -> float:
 
 
 def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
-    """KDE CDF by trapezoid accumulation for each row of (V, M) samples.
+    """KDE CDF and pdf on a value lattice for each row of (V, M) samples.
 
-    Each row's samples are linearly binned onto its lattice and smoothed with
-    the row's sampled Gaussian kernel by a zero-padded rFFT of length
-    2*lattice, so the circular convolution never wraps (Wand 1994).
-    Returns (lo, du, cdf): row v's lattice is lo[v] + du[v] * arange(lattice)
-    and cdf is (V, lattice).  Every row needs samples within +-F32_MAX that
-    are not all equal and an h of at least the smallest normal float, as
-    _kde_quantile_rows sends them: its lattice then spans at least 6h, so
-    du > 0.  du/h is clipped near _KDE_MAX_STEP, where the kernel is already
-    1 at lag 0 and 0 at every other lag, so it cannot overflow.
+    Each sample is binned onto a zero-padded circular grid of 2*lattice cells
+    by the four taps of the cubic B-spline.  Lattice point j is cell j + 1, so
+    the tap below point 0 lands in cell 0, and the padding keeps the circular
+    convolution from wrapping (Wand 1994).  The rFFT of the counts times the
+    Gaussian kernel's spectrum in closed form, divided by the B-spline's
+    sinc^4 (Silverman 1982), gives the pdf at every lattice point by one
+    inverse rFFT.  Cell j's mass is (-p[j-1] + 13 p[j] + 13 p[j+1] - p[j+2])
+    / 24, clipped at 0, and the CDF is their cumulative sum; each step is
+    fourth order in the lattice step.
+
+    Returns (lo, du, cdf, slope): row v's lattice is lo[v] + du[v] *
+    arange(lattice); cdf and slope are (V, lattice), slope being the pdf
+    clipped at 0 in units of the normalised CDF per lattice step.  Every row
+    needs samples within +-F32_MAX that are not all equal and an h of at
+    least the smallest normal float, as _kde_quantile_rows sends them: its
+    lattice then spans at least 6h, so du > 0, and h/du is at most
+    (lattice - 1)/6; a far smaller h/du gives the kernel a spectrum of 1.
     """
     v = samples.shape[0]
     lo = np.maximum(samples.min(axis=1) - 3.0 * h, -F32_MAX)  # padded within the f32 range
     hi = np.minimum(samples.max(axis=1) + 3.0 * h, F32_MAX)
     du = (hi - lo) / (lattice - 1)
+    n = 2 * lattice
 
     # Kernel and bin scale factors drop out when the CDF is normalised.
-    t = (samples - lo[:, None]) / du[:, None]
-    cell = np.minimum(t.astype(np.intp), lattice - 2)
-    frac = t - cell
-    cell = (cell + lattice * np.arange(v)[:, None]).ravel()
-    counts = (np.bincount(cell, 1.0 - frac.ravel(), v * lattice)
-              + np.bincount(cell + 1, frac.ravel(), v * lattice))
-    n = 2 * lattice
-    lag = np.minimum(np.arange(n), n - np.arange(n))
-    ratio = du / np.maximum(h, du / _KDE_MAX_STEP)  # du/h, at most about _KDE_MAX_STEP
-    kernel = np.exp(-0.5 * (ratio[:, None] * lag[None, :]) ** 2)
-    spectrum = np.fft.rfft(counts.reshape(v, lattice), n) * np.fft.rfft(kernel)
-    pdf = np.fft.irfft(spectrum, n)[:, :lattice]
-    np.maximum(pdf, 0.0, out=pdf)
-    # Allocated after the FFT arrays: allocated before them, it gave a KDE fit
-    # several times the page faults and a quarter more time (glibc malloc).
+    f = samples - lo[:, None]
+    f /= du[:, None]
+    cell = np.minimum(f.astype(np.intp), lattice - 2)
+    f -= cell
+    cell += n * np.arange(v)[:, None]  # the cell of the tap below the sample
+    g, w = 1.0 - f, np.empty_like(f)
+    counts = np.zeros(v * n)
+    # The taps lie 2 - g, f, g and 2 - f from the sample: B(2 - x) = x^3 / 6
+    # and B(x) = x^3 / 2 - x^2 + 2/3, each taken into w in place.
+    for x, outer in ((g, True), (f, False), (g, False), (f, True)):
+        if outer:
+            np.multiply(x, 1.0 / 6.0, out=w)
+        else:
+            np.multiply(x, 0.5, out=w)
+            w -= 1.0
+        w *= x
+        w *= x
+        if not outer:
+            w += 2.0 / 3.0
+        counts += np.bincount(cell.ravel(), w.ravel(), v * n)
+        cell += 1
+    del f, g, w, cell
+    spectrum = np.fft.rfft(counts.reshape(v, n))
+    del counts
+    k = np.arange(lattice + 1)
+    gain = np.multiply.outer(h / du, k * (np.pi / lattice))  # sigma omega, sigma in steps
+    np.square(gain, out=gain)
+    gain *= -0.5
+    np.exp(gain, out=gain)
+    gain /= np.sinc(k / n) ** 4
+    spectrum *= gain
+    del gain
+    pdf = np.fft.irfft(spectrum, n)
+    del spectrum
+    mass = pdf[:, 1:lattice] + pdf[:, 2:lattice + 1]
+    mass *= 13.0
+    mass -= pdf[:, :lattice - 1]
+    mass -= pdf[:, 3:lattice + 2]
+    np.maximum(mass, 0.0, out=mass)
     cdf = np.zeros((v, lattice))
-    np.cumsum(pdf[:, :-1] + pdf[:, 1:], axis=1, out=cdf[:, 1:])
-    # The cumulative sum of a clipped pdf never decreases, and dividing by
+    np.cumsum(mass, axis=1, out=cdf[:, 1:])
+    # The cumulative sum of clipped masses never decreases, and dividing by
     # one positive total keeps that order, so the CDF is monotone as it stands.
-    cdf /= cdf[:, -1:].copy()
-    return lo, du, cdf
+    total = cdf[:, -1:].copy()
+    cdf /= total
+    slope = np.maximum(pdf[:, 1:lattice + 1], 0.0)
+    slope *= 24.0 / total
+    return lo, du, cdf, slope
 
 
-def _invert_cdf_rows(origin: np.ndarray, du: np.ndarray, cdf: np.ndarray,
+def _invert_cdf_rows(origin: np.ndarray, du: np.ndarray, cdf: np.ndarray, slope: np.ndarray,
                      masses: np.ndarray) -> np.ndarray:
-    """np.interp(masses, cdf[row], x[row]) for every row, where row v's
-    lattice x is origin[v] + du[v] * arange(n).
+    """The inverse at the masses of each row's monotone cubic Hermite CDF,
+    whose values and slopes at row v's lattice points origin[v] + du[v] *
+    arange(n) are cdf[v] and slope[v] (per lattice step).
 
     Rows need cdf[:, 0] <= masses[0].  A bisection run on all rows at once
     finds the last lattice point j with cdf <= mass, which is the bracket
-    np.interp uses, and the interpolation repeats its arithmetic.  Each
-    (row, mass) entry depends on that row and mass only.
+    np.interp uses, and np.interp's arithmetic gives the linear inverse in it.
+    On [j, j + 1] the cubic is c0 + d t + t (1 - t) (a (1 - t) - b t), with
+    d = c1 - c0 and a and b the end slopes less d.  Three Newton steps from
+    the linear inverse, clipped to the cell, solve it where it is monotone,
+    which holds when the squares of the end slopes sum to at most 9 d^2
+    (Fritsch and Carlson 1980); elsewhere the linear inverse stands.  On the
+    manifests' sets a fourth step moves no inverse by more than 1e-3 of a
+    lattice step.  A cell whose slopes equal d keeps the linear inverse's
+    bytes.  Each (row, mass) entry depends on that row and mass only.
     """
     v, n = cdf.shape
     rows = np.arange(v)[:, None]
@@ -177,10 +220,22 @@ def _invert_cdf_rows(origin: np.ndarray, du: np.ndarray, cdf: np.ndarray,
     c0, c1 = cdf[rows, j], cdf[rows, j + 1]
     o, step = origin[:, None], du[:, None]
     x0, x1 = o + step * j, o + step * (j + 1)
+    d = c1 - c0
+    a, b = slope[rows, j] - d, slope[rows, j + 1] - d
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = (x1 - x0) / (c1 - c0) * (masses - c0) + x0
-    b = np.where(c0 == masses, x0, b)
-    return np.where(lo == n, o + step * (n - 1), b)
+        linear = (x1 - x0) / d * (masses - c0) + x0
+        t0 = (masses - c0) / d
+        t = t0
+        for _ in range(3):
+            s = 1.0 - t
+            bend = a * s - b * t
+            f = d * (t - t0) + t * s * bend  # the cubic at t less the mass
+            df = d + (s - t) * bend - t * s * (a + b)
+            t = np.clip(t - np.where(df > 0.0, f / df, 0.0), 0.0, 1.0)
+        cubic = (a + d) ** 2 + (b + d) ** 2 <= 9.0 * d * d
+        x = np.where(cubic & (d > 0.0), linear + step * (t - t0), linear)
+    x = np.where(c0 == masses, x0, x)
+    return np.where(lo == n, o + step * (n - 1), x)
 
 
 def _kde_quantile_rows(samples: np.ndarray, masses: list, config: KdeConfig) -> list:
@@ -212,8 +267,9 @@ def _batch_quantiles(samples: np.ndarray, qval: float, config: KdeConfig) -> np.
 def estimate_quantiles(samples, qval: float, config: KdeConfig = KdeConfig()) -> QuantilePdf:
     """KDE-based quantile boundaries for one sample set.
 
-    The KDE CDF is formed on the eval lattice by trapezoid accumulation and
-    inverted at masses {0, qval, ..., 1} by monotone linear interpolation.
+    The KDE's pdf and CDF are formed on a lattice of config.lattice points
+    (see _kde_lattice_cdf), and the cubic Hermite CDF through them is
+    inverted at masses {0, qval, ..., 1}.
     """
     boundaries = _batch_quantiles(_sample_set(samples, "estimate_quantiles", 2), qval, config)[0]
     return QuantilePdf(qval, boundaries)

@@ -284,7 +284,8 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     return origins, mass, du
 
 
-def interp_uniform(centers, widths, weights, config: KdeConfig = KdeConfig()) -> NumericDensity:
+def interp_uniform(centers, widths, weights,
+                   config: KdeConfig = KdeConfig(lattice=512)) -> NumericDensity:
     """Density of the trilinear combination of uniform corner models."""
     c, d, w = _vectors(centers, widths, weights)
     origins, mass, du = uniform_sum_density_batch(c[None, :], d[None, :], w[None, :],

@@ -8,7 +8,8 @@ formulas, a float64 stand-in for a voxel model, the moment fits as plain
 member-by-member float64 sums, and a traced memory peak.  Most
 use only the public API of uqdvr, so they check the package's kernels
 without sharing code with them.  kde_cdf exposes a private kernel: the KDE
-fit's lattice CDF, which the fit inverts without building its lattice.
+fit's lattice CDF and pdf, which the fit inverts without building its
+lattice; exact_kde_cdf and exact_kde_quantiles are the KDE without a lattice.
 raycast_dense drives the renderer's own per-step classifier through the loop
 that takes every step of every ray, so a skip in raycast that changes a byte
 shows against it."""
@@ -20,6 +21,7 @@ import tracemalloc
 from typing import Sequence
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ndtr
 
 from uqdvr import density, interp, render
@@ -125,12 +127,40 @@ def lattice_color_einsum(xs: np.ndarray, mass: np.ndarray, tf: TransferFunction1
 
 
 def kde_cdf(samples, config: density.KdeConfig = density.KdeConfig()):
-    """The (lattice, cdf) pair behind estimate_quantiles for one sample set
-    that is not constant: estimate_quantiles collapses constant sets to their
-    value without smoothing them."""
+    """(x, F) for one sample set that is not constant: x is the KDE fit's
+    lattice and F the cubic Hermite CDF through its lattice values and pdf
+    slopes, scipy's CubicHermiteSpline, which estimate_quantiles inverts.
+    estimate_quantiles collapses constant sets to their value without
+    smoothing them."""
     s = density._sample_set(samples, "kde_cdf", 1)
-    lo, du, cdf = density._kde_lattice_cdf(s, density._bandwidths(s, config), config.lattice)
-    return lo[0] + du[0] * np.arange(config.lattice), cdf[0]
+    lo, du, cdf, slope = density._kde_lattice_cdf(s, density._bandwidths(s, config),
+                                                  config.lattice)
+    x = lo[0] + du[0] * np.arange(config.lattice)
+    return x, CubicHermiteSpline(x, cdf[0], slope[0] / du[0])
+
+
+def exact_kde_cdf(samples: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The exact Gaussian-kernel KDE CDF of each row of (V, M) samples, with
+    bandwidths h (V,), at the (V, P) points x: the mean of ndtr((x - s) / h),
+    renormalised to run from 0 to 1 over the padded range [min - 3h, max + 3h]
+    that the KDE fit spans."""
+    def raw(at):
+        return ndtr((at[:, :, None] - samples[:, None, :]) / h[:, None, None]).mean(axis=2)
+
+    ends = raw(np.stack([samples.min(axis=1) - 3.0 * h, samples.max(axis=1) + 3.0 * h], axis=1))
+    return (raw(x) - ends[:, :1]) / (ends[:, 1:] - ends[:, :1])
+
+
+def exact_kde_quantiles(samples: np.ndarray, h: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """(V, P) inverses of exact_kde_cdf at the masses, by 80 bisection steps
+    on the padded range of each row."""
+    lo = np.repeat((samples.min(axis=1) - 3.0 * h)[:, None], masses.size, axis=1)
+    hi = np.repeat((samples.max(axis=1) + 3.0 * h)[:, None], masses.size, axis=1)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = exact_kde_cdf(samples, h, mid) < masses
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:

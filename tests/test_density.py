@@ -20,7 +20,8 @@ from uqdvr.synth import (NoiseSpec, load_ensemble, make_ensemble as make_noise_e
 from uqdvr.volcore import (EnsembleVolume, QuantileModel, ScalarGrid, VolumeError, map_chunks,
                            voxel_pdf)
 
-from oracles import field_bytes, kde_cdf, member_order_moments, traced_peak
+from oracles import (exact_kde_cdf, exact_kde_quantiles, field_bytes, kde_cdf, member_order_moments,
+                     traced_peak)
 
 
 def make_ensemble(values_per_member, dims):
@@ -68,10 +69,9 @@ class TestEstimateQuantiles:
         s = np.concatenate([rng.normal(0, 1, 400), rng.normal(4, 0.5, 200)])
         cfg = KdeConfig()
         pdf = estimate_quantiles(s, 0.125, cfg)
-        x, cdf = kde_cdf(s, cfg)
+        _, cdf = kde_cdf(s, cfg)
         masses = np.arange(pdf.q + 1) * pdf.qval
-        at_boundaries = np.interp(pdf.boundaries, x, cdf)
-        np.testing.assert_allclose(at_boundaries, masses, atol=1e-9)
+        np.testing.assert_allclose(cdf(pdf.boundaries), masses, atol=1e-9)
 
     def test_binned_path_agrees_with_exact_path(self):
         rng = np.random.default_rng(10)
@@ -334,9 +334,10 @@ class TestKdeConfig:
 
     @pytest.mark.parametrize("bandwidth", [1e-160, 1e-200, 1e-300, np.finfo(float).tiny])
     def test_bandwidth_far_below_the_lattice_step_is_a_delta_kernel(self, bandwidth):
-        """du/h of 1e158 and more, whose square overflowed, gives the interior
-        boundaries of a bandwidth of 1e-150, whose kernel is already 1 at lag 0
-        and 0 elsewhere; only the padded lower end, min - 3h, moves."""
+        """du/h of 1e158 and more, whose square overflowed a sampled kernel,
+        gives the interior boundaries of a bandwidth of 1e-150, whose spectrum
+        is already 1 at every frequency; only the padded lower end, min - 3h,
+        moves."""
         s = np.linspace(0.0, 511.0, 40)
         got = estimate_quantiles(s, 0.25, KdeConfig(bandwidth=bandwidth)).boundaries
         ref = estimate_quantiles(s, 0.25, KdeConfig(bandwidth=1e-150)).boundaries
@@ -447,17 +448,42 @@ class TestBinnedKde:
         np.testing.assert_allclose(got[:, 1:-1], ref[:, 1:-1], rtol=0, atol=1e-4)
         np.testing.assert_allclose(got[:, [0, -1]], ref[:, [0, -1]], rtol=0, atol=1e-12)
 
-    def test_vectorised_inversion_matches_interp(self):
+    def test_vectorised_inversion_keeps_the_interp_bracket(self):
+        """Any slopes, monotone cubic or not: each inverse lies in the cell
+        np.interp brackets, on its left end where the CDF meets the mass and
+        on the last point once the mass reaches the CDF's end."""
         rng = np.random.default_rng(22)
         v, n = 200, 64
         steps = rng.random((v, n - 1)) * (rng.random((v, n - 1)) < 0.6)  # flat stretches
         cdf = np.concatenate([np.zeros((v, 1)), np.cumsum(steps, axis=1)], axis=1)
         cdf /= cdf[:, -1:]
+        slope = rng.random((v, n)) * rng.choice([0.0, 0.02, 0.2], (v, n))
         lo, du = rng.uniform(-5.0, 5.0, v), rng.uniform(1e-3, 2.0, v)
         x = lo[:, None] + du[:, None] * np.arange(n)[None, :]
-        masses = np.concatenate([np.arange(17) / 16, cdf[0, 5:8]])
-        masses.sort()
-        got = density._invert_cdf_rows(lo, du, cdf, masses)
+        masses = np.sort(np.concatenate([np.arange(17) / 16, cdf[0, 5:8], rng.random(20)]))
+        got = density._invert_cdf_rows(lo, du, cdf, slope, masses)
+        j = np.array([np.searchsorted(c, masses, side="right") - 1 for c in cdf])
+        left = np.take_along_axis(x, np.minimum(j, n - 2), axis=1)
+        right = np.take_along_axis(x, np.minimum(j + 1, n - 1), axis=1)
+        tol = 1e-13 * np.abs(x).max()
+        assert np.all((got >= left - tol) & (got <= right + tol))
+        on_point = np.take_along_axis(cdf, j, axis=1) == masses
+        assert np.array_equal(got[on_point], np.take_along_axis(x, j, axis=1)[on_point])
+
+    def test_inversion_with_secant_slopes_matches_interp(self):
+        """Rows of 32 equal steps of 1/32 among flat cells, with the pdf 1/32
+        at every point, so each bracketed cell's end slopes equal its secant
+        slope: the cubic is the line, and the inverse keeps np.interp's bytes."""
+        rng = np.random.default_rng(23)
+        v, n = 200, 64
+        steps = np.zeros((v, n - 1))
+        for row in steps:
+            row[rng.choice(n - 1, 32, replace=False)] = 1.0 / 32.0
+        cdf = np.concatenate([np.zeros((v, 1)), np.cumsum(steps, axis=1)], axis=1)
+        lo, du = rng.uniform(-5.0, 5.0, v), rng.uniform(1e-3, 2.0, v)
+        x = lo[:, None] + du[:, None] * np.arange(n)[None, :]
+        masses = np.sort(np.concatenate([np.arange(17) / 16, rng.random(20)]))
+        got = density._invert_cdf_rows(lo, du, cdf, np.full((v, n), 1.0 / 32.0), masses)
         want = np.array([np.interp(masses, c, r) for r, c in zip(x, cdf)])
         assert np.array_equal(got, want)
 
@@ -479,6 +505,97 @@ class TestBinnedKde:
         together = density._kde_quantile_rows(s, masses, cfg)
         for mv, got in zip(masses, together, strict=True):
             assert got.tobytes() == density._kde_quantile_rows(s, [mv], cfg)[0].tobytes()
+
+
+@pytest.fixture(scope="module")
+def budget_sets():
+    """600 seeded non-constant rows of each of three sets, as float64: the
+    tangle manifest's 32^3 M=50 ensemble at seed 7 with h=0.03 and with
+    Silverman's rule, and the spheres manifest's 4^3 bricks of its 128^3
+    field with h=0.02."""
+    gt = sample_field("tangle", (32, 32, 32))
+    tangle = make_noise_ensemble(gt, NoiseSpec(members=50, seed=7, **presets.TANGLE_NOISE))
+    spheres = brick_ensemble(sample_field("nested-spheres", (128, 128, 128)), (4, 4, 4))
+    out = {}
+    for name, ens, bw in (("tangle h=0.03", tangle, 0.03), ("tangle auto", tangle, "auto"),
+                          ("spheres h=0.02", spheres, 0.02)):
+        s = ens.rows(0, ens.voxel_count)
+        live = np.nonzero(s.max(axis=1) > s.min(axis=1))[0]
+        rows = np.sort(np.random.default_rng(7).choice(live, 600, replace=False))
+        out[name] = (s[rows], bw)
+    return out
+
+
+def _kde_errors(s, bw, lattice):
+    """(the largest |F(b) - p| over the interior masses p = k/8, the largest
+    |b - F^-1(p)| / h), F the exact KDE CDF and b the fitted boundaries."""
+    masses = np.arange(1, 8) / 8
+    h = density._bandwidths(s, KdeConfig(bandwidth=bw))
+    b = density._batch_quantiles(s, 0.125, KdeConfig(bandwidth=bw, lattice=lattice))[:, 1:-1]
+    mass_err = np.abs(exact_kde_cdf(s, h, b) - masses).max()
+    return mass_err, (np.abs(b - exact_kde_quantiles(s, h, masses)) / h[:, None]).max()
+
+
+class TestKdeErrorBudget:
+    """The KDE fit against the exact KDE.  The budgets are the mass errors of
+    the fit before its fourth-order lattice steps (linear binning, a sampled
+    kernel, trapezoid masses, linear inversion) at its lattice of 512."""
+
+    BUDGET = {"tangle h=0.03": 1.19e-4, "tangle auto": 4.45e-5, "spheres h=0.02": 8.86e-4}
+
+    @pytest.mark.parametrize("name", list(BUDGET))
+    def test_default_lattice_meets_the_budget(self, budget_sets, name):
+        mass_err, _ = _kde_errors(*budget_sets[name], KdeConfig().lattice)
+        assert mass_err <= self.BUDGET[name], mass_err
+
+    @pytest.mark.parametrize("name", list(BUDGET))
+    def test_doubling_the_lattice_lowers_the_error(self, budget_sets, name):
+        """The spheres' bricks have gaps in which a mass's inverse is nearly
+        free, so only the tangle sets compare boundaries."""
+        coarse, fine = (_kde_errors(*budget_sets[name], lat * KdeConfig().lattice) for lat in (1, 2))
+        assert fine[0] <= coarse[0]
+        if name.startswith("tangle"):
+            assert fine[1] <= coarse[1]
+
+
+class TestKdeRobustness:
+    """Inputs where dividing out the B-spline's sinc^4, up to (pi/2)^4 = 6.1x
+    at the top frequency, meets a kernel far narrower than a lattice step or
+    flat CDF stretches.  Each set spans two fit chunks and several row blocks."""
+
+    @staticmethod
+    def _rows(kind):
+        rng = np.random.default_rng(31)
+        if kind == "narrow":  # rows spanning [0, 1] exactly, h = 1e-6
+            s = rng.random((4500, 50))
+            s[:, 0], s[:, 1] = 0.0, 1.0
+            return s, KdeConfig(bandwidth=1e-6)
+        if kind == "tied":
+            return np.round(_tangle_samples(n=17) * 4.0) / 4.0, KdeConfig()
+        top = float(volcore.F32_MAX)  # rows at either end of the f32 range
+        s = top * (1.0 - 1e-7 * rng.random((4500, 50)))
+        s[::2] *= -1.0
+        return s, KdeConfig()
+
+    @pytest.mark.parametrize("kind", ["narrow", "tied", "huge"])
+    def test_boundaries_are_finite_monotone_and_padded(self, kind):
+        s, cfg = self._rows(kind)
+        h = density._bandwidths(s, cfg)
+        lo = np.maximum(s.min(axis=1) - 3.0 * h, -volcore.F32_MAX)
+        hi = np.minimum(s.max(axis=1) + 3.0 * h, volcore.F32_MAX)
+        slack = 1e-12 * np.maximum(np.abs(lo), np.abs(hi))  # the lattice's own rounding
+        for qval in (0.5, 0.125, 1 / 32):
+            b = density._batch_quantiles(s, qval, cfg)
+            assert np.all(np.isfinite(b)) and np.all(np.diff(b, axis=1) >= 0)
+            assert np.all(b >= (lo - slack)[:, None]) and np.all(b <= (hi + slack)[:, None])
+
+    @pytest.mark.parametrize("kind", ["narrow", "tied", "huge"])
+    def test_thread_count_gives_identical_bytes(self, kind):
+        s, cfg = self._rows(kind)
+        ens = make_ensemble(s.T, (s.shape[0], 1, 1))
+        a, b = (quantile_volumes_multi(ens, [0.5, 0.125], cfg, threads=t) for t in (1, 2))
+        for qv in (0.5, 0.125):
+            assert a[qv].model.boundaries.tobytes() == b[qv].model.boundaries.tobytes()
 
 
 class TestBatchedEm:
