@@ -114,23 +114,20 @@ def silverman_bandwidth(samples) -> float:
 def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     """KDE CDF and pdf on a value lattice for each row of (V, M) samples.
 
-    Each sample is binned onto a zero-padded circular grid of 2*lattice cells
-    by the four taps of the cubic B-spline.  Lattice point j is cell j + 1, so
-    the tap below point 0 lands in cell 0, and the padding keeps the circular
-    convolution from wrapping (Wand 1994).  The rFFT of the counts times the
-    Gaussian kernel's spectrum in closed form, divided by the B-spline's
-    sinc^4 (Silverman 1982), gives the pdf at every lattice point by one
-    inverse rFFT.  Cell j's mass is (-p[j-1] + 13 p[j] + 13 p[j+1] - p[j+2])
-    / 24, clipped at 0, and the CDF is their cumulative sum; each step is
-    fourth order in the lattice step.
+    Samples are binned by the cubic B-spline's four taps onto a zero-padded
+    circular grid of 2*lattice cells, lattice point j at cell j + 1, so the
+    convolution never wraps (Wand 1994).  One rFFT, the Gaussian's spectrum
+    in closed form over the B-spline's sinc^4 (Silverman 1982) and one
+    inverse rFFT give the pdf p at the lattice points; cell j's mass is
+    (-p[j-1] + 13 p[j] + 13 p[j+1] - p[j+2]) / 24, clipped at 0.  Each step
+    is fourth order in the lattice step.
 
     Returns (lo, du, cdf, slope): row v's lattice is lo[v] + du[v] *
-    arange(lattice); cdf and slope are (V, lattice), slope being the pdf
-    clipped at 0 in units of the normalised CDF per lattice step.  Every row
-    needs samples within +-F32_MAX that are not all equal and an h of at
-    least the smallest normal float, as _kde_quantile_rows sends them: its
-    lattice then spans at least 6h, so du > 0, and h/du is at most
-    (lattice - 1)/6; a far smaller h/du gives the kernel a spectrum of 1.
+    arange(lattice), and slope is the pdf clipped at 0 in units of the
+    normalised (V, lattice) cdf per lattice step.  Rows need samples within
+    +-F32_MAX that are not all equal and an h of at least the smallest normal
+    float, as _kde_quantile_rows sends them: the lattice then spans at least
+    6h, so du > 0 and h/du <= (lattice - 1)/6.
     """
     v = samples.shape[0]
     lo = np.maximum(samples.min(axis=1) - 3.0 * h, -F32_MAX)  # padded within the f32 range
@@ -146,40 +143,32 @@ def _kde_lattice_cdf(samples: np.ndarray, h: np.ndarray, lattice: int):
     cell += n * np.arange(v)[:, None]  # the cell of the tap below the sample
     g, w = 1.0 - f, np.empty_like(f)
     counts = np.zeros(v * n)
-    # The taps lie 2 - g, f, g and 2 - f from the sample: B(2 - x) = x^3 / 6
-    # and B(x) = x^3 / 2 - x^2 + 2/3, each taken into w in place.
-    for x, outer in ((g, True), (f, False), (g, False), (f, True)):
-        if outer:
-            np.multiply(x, 1.0 / 6.0, out=w)
-        else:
-            np.multiply(x, 0.5, out=w)
-            w -= 1.0
+    # The taps lie 2 - g, f, g and 2 - f from the sample, and the B-spline is
+    # B(2 - x) = x^3 / 6 and B(x) = (x / 2 - 1) x^2 + 2/3, taken into w in place.
+    outer, inner = (1.0 / 6.0, 0.0, 0.0), (0.5, -1.0, 2.0 / 3.0)
+    for x, (c3, c2, c0) in ((g, outer), (f, inner), (g, inner), (f, outer)):
+        np.multiply(x, c3, out=w)
+        w += c2
         w *= x
         w *= x
-        if not outer:
-            w += 2.0 / 3.0
+        w += c0
         counts += np.bincount(cell.ravel(), w.ravel(), v * n)
         cell += 1
     del f, g, w, cell
     spectrum = np.fft.rfft(counts.reshape(v, n))
     del counts
     k = np.arange(lattice + 1)
-    gain = np.multiply.outer(h / du, k * (np.pi / lattice))  # sigma omega, sigma in steps
-    np.square(gain, out=gain)
-    gain *= -0.5
-    np.exp(gain, out=gain)
-    gain /= np.sinc(k / n) ** 4
-    spectrum *= gain
-    del gain
+    sigma_omega = np.multiply.outer(h / du, k * (np.pi / lattice))  # sigma in lattice steps
+    spectrum *= np.exp(-0.5 * sigma_omega ** 2) / np.sinc(k / n) ** 4
+    del sigma_omega
     pdf = np.fft.irfft(spectrum, n)
     del spectrum
-    mass = pdf[:, 1:lattice] + pdf[:, 2:lattice + 1]
-    mass *= 13.0
-    mass -= pdf[:, :lattice - 1]
-    mass -= pdf[:, 3:lattice + 2]
+    mass = (13.0 * (pdf[:, 1:lattice] + pdf[:, 2:lattice + 1])
+            - pdf[:, :lattice - 1] - pdf[:, 3:lattice + 2])
     np.maximum(mass, 0.0, out=mass)
     cdf = np.zeros((v, lattice))
     np.cumsum(mass, axis=1, out=cdf[:, 1:])
+    del mass
     # The cumulative sum of clipped masses never decreases, and dividing by
     # one positive total keeps that order, so the CDF is monotone as it stands.
     total = cdf[:, -1:].copy()

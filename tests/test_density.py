@@ -552,7 +552,8 @@ class TestKdeErrorBudget:
     def test_doubling_the_lattice_lowers_the_error(self, budget_sets, name):
         """The spheres' bricks have gaps in which a mass's inverse is nearly
         free, so only the tangle sets compare boundaries."""
-        coarse, fine = (_kde_errors(*budget_sets[name], lat * KdeConfig().lattice) for lat in (1, 2))
+        lattice = KdeConfig().lattice
+        coarse, fine = (_kde_errors(*budget_sets[name], lat) for lat in (lattice, 2 * lattice))
         assert fine[0] <= coarse[0]
         if name.startswith("tangle"):
             assert fine[1] <= coarse[1]
