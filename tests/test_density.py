@@ -470,10 +470,13 @@ class TestBinnedKde:
         on_point = np.take_along_axis(cdf, j, axis=1) == masses
         assert np.array_equal(got[on_point], np.take_along_axis(x, j, axis=1)[on_point])
 
-    def test_inversion_with_secant_slopes_matches_interp(self):
-        """Rows of 32 equal steps of 1/32 among flat cells, with the pdf 1/32
-        at every point, so each bracketed cell's end slopes equal its secant
-        slope: the cubic is the line, and the inverse keeps np.interp's bytes."""
+    @pytest.mark.parametrize("pdf", [1.0 / 32.0, 1.0])
+    def test_inversion_with_secant_or_steep_slopes_matches_interp(self, pdf):
+        """Rows of 32 equal steps of 1/32 among flat cells.  A pdf of 1/32 at
+        every point gives each bracketed cell end slopes equal to its secant
+        slope, so the cubic is the line; a pdf of 1 makes the cubic not
+        monotone, so the linear inverse stands.  Either way the inverse keeps
+        np.interp's bytes."""
         rng = np.random.default_rng(23)
         v, n = 200, 64
         steps = np.zeros((v, n - 1))
@@ -483,7 +486,7 @@ class TestBinnedKde:
         lo, du = rng.uniform(-5.0, 5.0, v), rng.uniform(1e-3, 2.0, v)
         x = lo[:, None] + du[:, None] * np.arange(n)[None, :]
         masses = np.sort(np.concatenate([np.arange(17) / 16, rng.random(20)]))
-        got = density._invert_cdf_rows(lo, du, cdf, np.full((v, n), 1.0 / 32.0), masses)
+        got = density._invert_cdf_rows(lo, du, cdf, np.full((v, n), pdf), masses)
         want = np.array([np.interp(masses, c, r) for r, c in zip(x, cdf)])
         assert np.array_equal(got, want)
 
@@ -549,6 +552,17 @@ class TestKdeErrorBudget:
         assert mass_err <= self.BUDGET[name], mass_err
 
     @pytest.mark.parametrize("name", list(BUDGET))
+    def test_boundaries_solve_the_hermite_cdf(self, budget_sets, name):
+        """Three Newton steps leave no boundary's cubic off its mass by more
+        than 2e-12 on these rows; one or two steps miss by 1e-4 or 3e-7."""
+        s, bw = budget_sets[name]
+        cfg = KdeConfig(bandwidth=bw)
+        for row in s[:200]:
+            _, cdf = kde_cdf(row, cfg)
+            pdf = estimate_quantiles(row, 0.125, cfg)
+            np.testing.assert_allclose(cdf(pdf.boundaries), np.arange(9) / 8, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", list(BUDGET))
     def test_doubling_the_lattice_lowers_the_error(self, budget_sets, name):
         """The spheres' bricks have gaps in which a mass's inverse is nearly
         free, so only the tangle sets compare boundaries."""
@@ -571,14 +585,15 @@ class TestKdeRobustness:
             s = rng.random((4500, 50))
             s[:, 0], s[:, 1] = 0.0, 1.0
             return s, KdeConfig(bandwidth=1e-6)
-        if kind == "tied":
-            return np.round(_tangle_samples(n=17) * 4.0) / 4.0, KdeConfig()
+        if kind.startswith("tied"):  # as in test_union_inversion_matches_each_qval_alone
+            lattice = 1024 if kind == "tied-1024" else KdeConfig().lattice
+            return np.round(_tangle_samples(n=17) * 4.0) / 4.0, KdeConfig(lattice=lattice)
         top = float(volcore.F32_MAX)  # rows at either end of the f32 range
         s = top * (1.0 - 1e-7 * rng.random((4500, 50)))
         s[::2] *= -1.0
         return s, KdeConfig()
 
-    @pytest.mark.parametrize("kind", ["narrow", "tied", "huge"])
+    @pytest.mark.parametrize("kind", ["narrow", "tied", "tied-1024", "huge"])
     def test_boundaries_are_finite_monotone_and_padded(self, kind):
         s, cfg = self._rows(kind)
         h = density._bandwidths(s, cfg)
@@ -590,7 +605,7 @@ class TestKdeRobustness:
             assert np.all(np.isfinite(b)) and np.all(np.diff(b, axis=1) >= 0)
             assert np.all(b >= (lo - slack)[:, None]) and np.all(b <= (hi + slack)[:, None])
 
-    @pytest.mark.parametrize("kind", ["narrow", "tied", "huge"])
+    @pytest.mark.parametrize("kind", ["narrow", "tied", "tied-1024", "huge"])
     def test_thread_count_gives_identical_bytes(self, kind):
         s, cfg = self._rows(kind)
         ens = make_ensemble(s.T, (s.shape[0], 1, 1))
