@@ -212,6 +212,8 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
         qkinds = [render.scheme_model(scheme).kind for scheme in qschemes]
         if "quantile" in fit_kinds or any(kind != "quantile" for kind in qkinds):
             raise VolumeError("quantile schemes belong in quantile_schemes, the others in models")
+        if "tf2d" in models:
+            raise VolumeError("tf2d scheme needs a 2D transfer function; manifests take 1D ones")
         cfg = KdeConfig(bandwidth=manifest.get("kde_bandwidth", "auto"),
                         lattice=manifest.get("kde_lattice", KdeConfig.lattice))
         if mode == "ensemble":
@@ -265,8 +267,12 @@ def run_experiment(manifest: dict, outdir, threads: int = 1) -> list[dict]:
     ref = render_to("ground_truth" if mode == "ensemble" else "full_resolution", gt_vol, "mean")
     for ens in sample_sets:
         m = ens.member_count
-        for scheme, kind in zip(models, fit_kinds):
-            vol = build_distribution_volume(ens, kind, k=k, config=cfg, threads=threads)
+        fitted = {}  # each kind's volume, until its last scheme has rendered it
+        for i, (scheme, kind) in enumerate(zip(models, fit_kinds)):
+            vol = fitted.pop(kind, None) or build_distribution_volume(ens, kind, k=k, config=cfg,
+                                                                       threads=threads)
+            if kind in fit_kinds[i + 1:]:
+                fitted[kind] = vol
             _stage(f"experiment: render {scheme} M={m}")
             add_row(scheme, vol, scheme, "", m)
         if qvals:

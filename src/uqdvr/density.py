@@ -465,6 +465,6 @@ def downsample_hixel(hi: ScalarGrid, brick, kind: str,
     """build_distribution_volume(brick_ensemble(hi, brick), kind, **fit) and
     the grid of per-brick means."""
     ens = brick_ensemble(hi, brick)
-    mean = build_distribution_volume(ens, "mean", threads=fit.get("threads", 1)).model.values
-    mean_grid = ScalarGrid(ens.dims, ens.spacing, ens.origin, mean)
-    return build_distribution_volume(ens, kind, **fit), mean_grid
+    mean = build_distribution_volume(ens, "mean", threads=fit.get("threads", 1))
+    mean_grid = ScalarGrid(ens.dims, ens.spacing, ens.origin, mean.model.values)
+    return (mean if kind == "mean" else build_distribution_volume(ens, kind, **fit)), mean_grid

@@ -17,8 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .density import KdeConfig
-from .volcore import (GmmModel, QuantilePdf, ScalarGrid, VolumeError, require_finite,
+from .volcore import (MAX_LATTICE, GmmModel, QuantilePdf, ScalarGrid, VolumeError, require_finite,
                       require_int, require_ints, require_positive, sort_components)
 
 
@@ -181,7 +180,7 @@ def interp_gaussian(means, sigmas, weights) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NumericDensity:
-    """A density sampled on a uniform value lattice."""
+    """A density sampled at the points x of a value lattice, uniform or not."""
 
     x: np.ndarray
     pdf: np.ndarray
@@ -194,8 +193,8 @@ class NumericDensity:
         object.__setattr__(self, "pdf", p)
 
     def cdf(self) -> np.ndarray:
-        du = self.x[1] - self.x[0]
-        inc = 0.5 * (self.pdf[:-1] + self.pdf[1:]) * du
+        """The trapezoid-rule CDF at x, over each cell's own width, normalised to end at 1."""
+        inc = 0.5 * (self.pdf[:-1] + self.pdf[1:]) * np.diff(self.x)
         c = np.concatenate([[0.0], np.cumsum(inc)])
         return c / c[-1] if c[-1] > 0 else c
 
@@ -284,12 +283,13 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     return origins, mass, du
 
 
-def interp_uniform(centers, widths, weights,
-                   config: KdeConfig = KdeConfig(lattice=512)) -> NumericDensity:
-    """Density of the trilinear combination of uniform corner models."""
+def interp_uniform(centers, widths, weights, npoints: int = 512) -> NumericDensity:
+    """Density of the trilinear combination of uniform corner models on npoints lattice points."""
     c, d, w = _vectors(centers, widths, weights)
-    origins, mass, du = uniform_sum_density_batch(c[None, :], d[None, :], w[None, :],
-                                                  config.lattice)
+    npoints = require_int(npoints, "npoints")
+    if not 64 <= npoints <= MAX_LATTICE:
+        raise VolumeError(f"npoints must lie in [64, {MAX_LATTICE}]")
+    origins, mass, du = uniform_sum_density_batch(c[None, :], d[None, :], w[None, :], npoints)
     x = origins[0] + np.arange(mass.shape[1]) * float(du[0])
     return NumericDensity(x, mass[0] / du[0])
 

@@ -244,7 +244,9 @@ def save_members(members, outdir, spec: NoiseSpec | None = None, field: str = ""
 
 def save_ensemble(ens: EnsembleVolume, outdir, spec: NoiseSpec | None = None,
                   field: str = "") -> Path:
-    return save_members(ens.members, outdir, spec, field)
+    """save_members of the grids of member_values: one member is held at a time."""
+    return save_members((ScalarGrid(ens.dims, ens.spacing, ens.origin, v)
+                         for v in ens.member_values(0, ens.voxel_count)), outdir, spec, field)
 
 
 def load_ensemble(path) -> FileEnsemble:

@@ -258,10 +258,6 @@ def _quantile_masses(qval: float) -> np.ndarray:
     return np.arange(q + 1, dtype=np.float64) * qval
 
 
-def constant_quantiles(value: float, qval: float) -> np.ndarray:
-    return np.full(_quantile_masses(qval).size, value)
-
-
 def gaussian_quantiles(mean: float, sigma: float, qval: float) -> np.ndarray:
     """Gaussian quantile boundaries with outermost values clamped to mu +- 6 sigma."""
     masses = _quantile_masses(qval)
@@ -378,7 +374,8 @@ class VoxelModel:
 
 @dataclass(frozen=True)
 class MeanFieldModel(VoxelModel):
-    kind, FIELDS, QUANTILES = "mean", ("values",), staticmethod(constant_quantiles)
+    kind, FIELDS = "mean", ("values",)
+    QUANTILES = staticmethod(lambda value, qval: gaussian_quantiles(value, 0.0, qval))
 
     values: np.ndarray  # (nvox,)
 
@@ -601,8 +598,9 @@ class FileEnsemble(EnsembleVolume):
 
     @property
     def members(self) -> tuple[ScalarGrid, ...]:
-        """The member grids, read from the files on each access."""
-        return tuple(load_raw(p, self.dims, "f32", self.spacing, self.origin) for p in self._paths)
+        """The member grids, copied from member_values on each access."""
+        return tuple(ScalarGrid(self.dims, self.spacing, self.origin, v.copy())
+                     for v in self.member_values(0, self.voxel_count))
 
     def member_values(self, lo: int, hi: int):
         """Each member's float32 values of voxels lo..hi-1, in member order,

@@ -23,6 +23,10 @@ def grid(dims=(2, 2, 2), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     return ScalarGrid(dims, spacing, origin, np.zeros(8))
 
 
+def uniform_density(npoints):
+    return interp.interp_uniform(np.zeros(8), np.ones(8), np.full(8, 0.125), npoints)
+
+
 def mean_volume():
     return DistributionVolume((2, 2, 2), *UNIT, MeanFieldModel(np.arange(8.0) / 8))
 
@@ -169,6 +173,11 @@ CHECKS = {
                                          lambda: classify.expected_color_2d(
                                              [(0.5, 0.1), (0.5, -0.1)], STENCIL, TF2, 4, 0)),
     "numeric-density-shape": ("matching 1D", lambda: interp.NumericDensity([0, 1], [1, 1, 1])),
+    "interp-uniform-npoints-63": ("npoints must lie in", lambda: uniform_density(63)),
+    "interp-uniform-npoints-above-max": ("npoints must lie in", lambda: uniform_density(
+        volcore.MAX_LATTICE + 1)),
+    "interp-uniform-npoints-fraction": ("npoints must be an integer", lambda: uniform_density(
+        64.0)),
     "preset-tf-unknown": ("unknown TF preset", lambda: presets.preset_tf1d("nope")),
     "preset-camera-unknown": ("unknown camera preset", lambda: presets.preset_camera(
         "nope", mean_volume(), 4, 4)),
@@ -180,6 +189,12 @@ def test_each_input_check_is_a_volume_error(case):
     match, probe = CHECKS[case]
     with pytest.raises(VolumeError, match=match):
         probe()
+
+
+@pytest.mark.parametrize("npoints", [64, volcore.MAX_LATTICE])
+def test_interp_uniform_takes_the_ends_of_its_npoints_range(npoints):
+    dens = uniform_density(npoints)
+    assert dens.x.size == interp.uniform_lattice_len(npoints, 8)
 
 
 # Arbitrary outside values: numbers, text, None, booleans and nested lists.
@@ -199,6 +214,7 @@ TARGETS = {
     "quantile-boundaries": lambda v: volcore.QuantileModel(0.5, v),
     "kde-bandwidth": lambda v: density.KdeConfig(bandwidth=v),
     "kde-lattice": lambda v: density.KdeConfig(lattice=v),
+    "interp-uniform-npoints": uniform_density,
     "map-chunks-threads": lambda v: volcore.map_chunks(lambda lo, hi: hi - lo, 10, v, 4),
 }
 

@@ -1191,8 +1191,12 @@ def test_gmm_model_lives_in_volcore_and_classify_skips_density():
     import inspect
 
     import uqdvr
-    from uqdvr import density, volcore
+    from uqdvr import density, interp, render, volcore
 
     assert uqdvr.GmmModel is density.GmmModel is volcore.GmmModel is GmmModel
-    tree = ast.parse(inspect.getsource(classify))
-    assert "density" not in {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    for module in (interp, classify, render):  # the layers after the fit
+        tree = ast.parse(inspect.getsource(module))
+        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        imported |= {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                     for a in n.names}
+        assert not {"density", "uqdvr.density"} & imported, module.__name__

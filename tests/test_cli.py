@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from uqdvr import cli
 from uqdvr.cli import main, parse_camera, parse_dims, parse_size, run_experiment
 from uqdvr.render import Camera, Image, save_image
 from uqdvr.synth import NoiseSpec, make_ensemble, sample_field, save_ensemble
@@ -95,6 +96,7 @@ class TestMalformedInput:
                              ("step-text", {"step": "a"}), ("size-text", {"size": [8, "x"]}),
                              ("k-zero", {"k": 0, "models": ["gmm-ordered"]}),
                              ("quantile-model", {"models": ["quantile-mean"]}),
+                             ("tf2d-model", {"models": ["tf2d"]}),
                              ("mean-quantile-scheme", {"qvals": [0.5],
                                                        "quantile_schemes": ["mean"]}),
                              ("unknown-mode", {"mode": "bricks"}),
@@ -130,6 +132,7 @@ class TestMalformedInput:
                                       "unknown-model", "noise-key", "short-dims",
                                       "tf-path", "seed-text", "seed-negative",
                                       "step-text", "size-text", "k-zero", "quantile-model",
+                                      "tf2d-model",
                                       "mean-quantile-scheme", "unknown-mode", "dims-fraction",
                                       "members-fraction", "lattice-fraction",
                                       "brick-zero", "brick-indivisible", "estimate-brick-zero",
@@ -380,6 +383,27 @@ class TestExperimentCommand:
         assert a == b
         assert ((tmp_path / "a" / "results.csv").read_bytes()
                 == (tmp_path / "b" / "results.csv").read_bytes())
+
+    def test_each_kind_is_fitted_once_per_sample_set(self, tmp_path, monkeypatch):
+        manifest = {"field": "tangle", "dims": [6, 6, 6], "noise": {"kind": "gaussian"},
+                    "members": [4, 5], "models": ["gmm-ordered", "mean", "gmm-mc"], "k": 2,
+                    "size": [8, 8], "seed": 2}
+        alone = run_experiment({**manifest, "models": ["gmm-mc"]}, tmp_path / "alone")
+        build, fits = cli.build_distribution_volume, []
+
+        def counting(ens, kind, **fit):
+            fits.append((ens.member_count, kind))
+            return build(ens, kind, **fit)
+
+        monkeypatch.setattr(cli, "build_distribution_volume", counting)
+        rows = run_experiment(manifest, tmp_path / "x")
+        assert fits == [(4, "gmm"), (4, "mean"), (5, "gmm"), (5, "mean")]
+        assert [(r["scheme"], r["M"]) for r in rows] == [
+            (s, m) for m in (4, 5) for s in manifest["models"]]
+        assert [r for r in rows if r["scheme"] == "gmm-mc"] == alone
+        for m in (4, 5):
+            image = f"gmm-mc_m{m}.ppm.f32"
+            assert (tmp_path / "x" / image).read_bytes() == (tmp_path / "alone" / image).read_bytes()
 
 
 class TestExperimentModes:

@@ -273,6 +273,23 @@ class TestHixel:
         np.testing.assert_allclose(vol.model.center, [0.5, 2.5])
         np.testing.assert_allclose(vol.model.width, [1.0, 1.0])
 
+    @pytest.mark.parametrize("kind", ["mean", "gaussian"])
+    def test_mean_is_fitted_once(self, monkeypatch, kind):
+        hi = ScalarGrid((4, 4, 4), (1, 1, 1), (0, 0, 0), np.arange(64.0))
+        want = downsample_hixel(hi, (2, 2, 2), kind)
+        build, kinds = density.build_distribution_volume, []
+
+        def counting(ens, fit_kind, **fit):
+            kinds.append(fit_kind)
+            return build(ens, fit_kind, **fit)
+
+        monkeypatch.setattr(density, "build_distribution_volume", counting)
+        vol, mean = downsample_hixel(hi, (2, 2, 2), kind)
+        assert kinds == (["mean"] if kind == "mean" else ["mean", kind])
+        assert mean.values.tobytes() == want[1].values.tobytes()
+        for name in vol.model.FIELDS:
+            assert getattr(vol.model, name).tobytes() == getattr(want[0].model, name).tobytes()
+
     def test_indivisible_dims_rejected(self):
         hi = ScalarGrid((5, 4, 4), (1, 1, 1), (0, 0, 0), np.zeros(80))
         with pytest.raises(VolumeError):

@@ -5,6 +5,7 @@ from scipy.special import ndtr
 from uqdvr.classify import TransferFunction1D, lattice_color_batch
 from uqdvr.density import GmmModel, KdeConfig, estimate_quantiles
 from uqdvr.interp import (
+    NumericDensity,
     TrilinearCoords,
     corner_weights,
     interp_gaussian,
@@ -254,6 +255,21 @@ class TestInterpUniform:
         emp = np.arange(1, oracle.size + 1) / oracle.size
         assert np.max(np.abs(at - emp)) < 0.01
 
+    @pytest.mark.parametrize("npoints", [64, 512, 4096])
+    def test_npoints_sets_the_lattice_of_the_batch_kernel(self, npoints):
+        rng = np.random.default_rng(npoints)
+        centers, widths = rng.uniform(0.0, 1.0, 8), rng.uniform(0.0, 0.6, 8)
+        w = corner_weights(0.3, 0.6, 0.2)
+        dens = interp_uniform(centers, widths, w, npoints=npoints)
+        origins, mass, du = uniform_sum_density_batch(centers[None], widths[None], w[None],
+                                                      npoints)
+        assert dens.x.tobytes() == (origins[0] + np.arange(mass.shape[1]) * du[0]).tobytes()
+        assert dens.pdf.tobytes() == (mass[0] / du[0]).tobytes()
+
+    def test_cdf_integrates_each_cell_over_its_own_width(self):
+        dens = NumericDensity([0.0, 0.1, 0.5, 1.0], np.ones(4))
+        np.testing.assert_allclose(dens.cdf(), [0.0, 0.1, 0.5, 1.0], rtol=0, atol=1e-15)
+
 
 def rasterized_uniform_sum_density(centers, widths, weights, npoints):
     """Rasterize each factor's box onto the lattice cells as cell masses, then
@@ -314,14 +330,14 @@ class TestUniformSumSpectra:
 
     @pytest.mark.parametrize("lattice", [4096, 65536])
     def test_interp_uniform_large_lattice(self, lattice):
-        # One row on a long lattice, up to the largest KdeConfig allows: the
-        # spectra are built for the row's own m values, so memory stays O(F).
+        # One row on a long lattice, up to MAX_LATTICE: the spectra are built
+        # for the row's own m values, so memory stays O(F).
         rng = np.random.default_rng(lattice)
         centers = rng.uniform(0.0, 1.0, 8)
         widths = rng.uniform(0.0, 0.6, 8)
         widths[[1, 5]] = [0.0, 1e-9]  # a point mass and an m = 0 box
         w = corner_weights(0.3, 0.6, 0.2)
-        dens = interp_uniform(centers, widths, w, KdeConfig(lattice=lattice))
+        dens = interp_uniform(centers, widths, w, npoints=lattice)
         origins, want, du = rasterized_uniform_sum_density(centers[None], widths[None],
                                                            w[None], lattice)
         np.testing.assert_array_equal(dens.x, origins[0] + np.arange(want.shape[1]) * du[0])

@@ -602,7 +602,6 @@ class TestRenderMatchesScalarPipeline:
         from uqdvr.classify import (expected_color_2d, expected_color_parametric,
                                     expected_color_quantile_mean,
                                     expected_color_quantile_range)
-        from uqdvr.density import KdeConfig
         from uqdvr.interp import (corner_weights, gradient_stencil, interp_gaussian,
                                   interp_gmm_ordered, interp_uniform, quantile_interp_3d,
                                   trilinear_coords)
@@ -626,8 +625,7 @@ class TestRenderMatchesScalarPipeline:
             elif scheme == "gaussian":
                 want = expected_color_parametric(interp_gaussian(m.mean[ids], m.sigma[ids], w), tf)
             elif scheme == "uniform":
-                dens = interp_uniform(m.center[ids], m.width[ids], w,
-                                      KdeConfig(lattice=render.CONV_LATTICE))
+                dens = interp_uniform(m.center[ids], m.width[ids], w, render.CONV_LATTICE)
                 want = expected_color_parametric(dens, tf)
             elif scheme.startswith("quantile"):
                 pdf = quantile_interp_3d([QuantilePdf(m.qval, m.boundaries[j]) for j in ids],

@@ -233,6 +233,25 @@ class TestFileEnsemble:
         save_ensemble(make_ensemble(gt, NoiseSpec("gaussian", members=3, seed=1)), tmp_path)
         return tmp_path
 
+    def test_members_are_the_saved_members_read_by_member_values(self, saved, monkeypatch):
+        memory = make_ensemble(sample_field("tangle", (17, 16, 16)),
+                               NoiseSpec("gaussian", members=3, seed=1))
+        monkeypatch.setattr(volcore, "load_raw", None)  # the one reader is member_values
+        files = load_ensemble(saved).members
+        assert [g.values.tobytes() for g in files] == [g.values.tobytes() for g in memory.members]
+        assert {(g.dims, g.spacing, g.origin) for g in files} == {
+            (memory.dims, memory.spacing, memory.origin)}
+
+    def test_save_ensemble_of_files_holds_about_one_member(self, tmp_path):
+        gt = sample_field("tangle", (48, 48, 48))
+        save_ensemble(make_ensemble(gt, NoiseSpec("gaussian", members=20, seed=1)), tmp_path / "a")
+        ens = load_ensemble(tmp_path / "a")
+        _, peak = traced_peak(lambda: save_ensemble(ens, tmp_path / "b"))
+        grid = 4 * ens.voxel_count
+        assert peak <= 1.5 * grid, peak / grid  # 20 grids when it built every member first
+        for path in (tmp_path / "a").iterdir():
+            assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
+
     @pytest.mark.parametrize("kind,kw", [("mean", {}), ("uniform", {}), ("gaussian", {}),
                                          ("quantile", {"qval": 0.25}), ("gmm", {"k": 2}),
                                          ("samples", {})])
