@@ -45,11 +45,12 @@ class Cells(NamedTuple):
 
 
 _CORNER_BITS = np.array([(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)])
-# Spectrum terms multiplied at once in uniform_sum_density_batch (256 rows of
-# 65), so a block's arrays stay in cache across its factors.  On a 2-core x86
-# box 4,096 rows took 13 ms so, 15-19 ms in blocks of 128 to 1,024 rows and
-# 24-28 ms unblocked.
-_SPECTRUM_CELLS = 1 << 14
+# Rows of spectrum terms multiplied and inverted at once in
+# uniform_sum_density_batch, so a block's arrays stay in cache across its
+# factors.  On a 2-core x86 box 4,096 rows of 8 factors at 55 points took a
+# median 6.2 ms so, 6.1-6.9 ms in blocks of 128 or 512 rows and 11 ms
+# unblocked.
+_SPECTRUM_ROWS = 256
 
 
 def _flat(dims, ijk: np.ndarray) -> np.ndarray:
@@ -199,37 +200,28 @@ class NumericDensity:
         return c / c[-1] if c[-1] > 0 else c
 
 
-def _box_spectra(m: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """rFFT terms of unit-mass boxes [0, s] rasterized onto cells of width du
-    centred on 0, du, 2du, ...: with m = ceil(s/du - 1/2) the box covers half
-    of cell 0, all of cells 1..m-1 and part of cell m, so the spectrum of its
-    cell masses is phase + (du/s) ramp.  Returns (len(m), f_len/2 + 1) rows
-    for the given m only, gathered from one table of 2F unit roots.  With
-    r = exp(-2 pi i k/F), sum_{c=1}^{m-1} r^c is taken in the Dirichlet form
-    r^(m/2) sin((m-1) pi k/F) / sin(pi k/F) (m - 1 at k = 0).
-    m = 0 rows of ramp are exactly 0, so a box narrower than half a cell is
-    a unit mass in cell 0."""
+def _box_spectra(n: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real rFFT terms (len(n), f_len/2 + 1) of boxes rasterized about cell 0
+    with n full cells on each side: D[n] = sin((2n+1) pi k/F) / sin(pi k/F)
+    (2n + 1 at k = 0) is the spectrum of the centre cell and its 2n full
+    neighbours, E[n] = cos(2 pi (n+1) k/F) that of the two edge cells, each
+    half of it.  Both are gathered from one table of sin and cos at pi j/F,
+    j < 2F; D[0] is exactly 1."""
     mask = 2 * f_len - 1  # index mod 2F (F is a power of two)
-    theta = np.pi * np.arange(f_len) / f_len
-    h = np.empty(2 * f_len, dtype=np.complex128)  # h[j] = exp(-i pi j/F)
-    h.real[:f_len], h.imag[:f_len] = np.cos(theta), -np.sin(theta)
-    h[f_len:] = -h[:f_len]
+    theta = np.pi * np.arange(2 * f_len) / f_len
+    sin, cos = np.sin(theta), np.cos(theta)
     k = np.arange(f_len // 2 + 1)
-    mk = m[:, None] * k[None, :]
-    phase = h[(2 * mk) & mask]  # r^m
-    inner = np.empty(phase.shape, dtype=np.complex128)
-    inner[:, 0] = m - 1
-    # sin(pi j/F) = -Im h[j]; the signs cancel in the ratio.
-    sin_ratio = h.imag[(mk[:, 1:] - k[1:]) & mask] / h.imag[k[1:]]
-    inner[:, 1:] = h[mk[:, 1:] & mask] * sin_ratio
-    ramp = 0.5 + inner - (m[:, None] - 0.5) * phase
-    ramp[m == 0] = 0.0
-    return phase, ramp
+    nk = n[:, None] * k[None, :]
+    d = np.empty(nk.shape)
+    d[:, 0] = 2 * n + 1
+    d[:, 1:] = sin[(2 * nk[:, 1:] + k[1:]) & mask] / sin[k[1:]]
+    return d, cos[(2 * nk + 2 * k) & mask]
 
 
 def uniform_lattice_len(npoints: int, k: int) -> int:
-    """Cells F of the lattice uniform_sum_density_batch returns for k factors."""
-    return 1 << int(np.ceil(np.log2(npoints + 2 * k + 4)))
+    """Cells F of the lattice uniform_sum_density_batch returns for k factors:
+    the smallest power of two F >= npoints + k + 1."""
+    return 1 << int(np.ceil(np.log2(npoints + k + 1)))
 
 
 def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: np.ndarray,
@@ -238,11 +230,18 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
 
     centers/widths/weights are (V, K).  Returns (origins (V,), mass (V, F),
     du (V,)) where row v's masses sit at origins[v] + arange(F)*du[v] and add
-    up to 1 within rounding.  Each factor's box is rasterized onto the
-    lattice in per-cell mass units; one inverse rFFT turns the product of
-    their exact spectra, each of modulus at most 1, into the masses.
-    Zero-width factors act as shifts.  A row whose lattice step underflows to
-    0 (zero total width) is a unit mass at its mean, with du = 1/(npoints-1).
+    up to 1 within rounding; npoints lattice points span the support, so
+    du = (sum_i |w_i| width_i) / (npoints - 1).  Each factor's box
+    [-s/2, s/2] is rasterized about cell 0 in per-cell mass units: with
+    half-width h = s/(2 du) cells and n = floor(h - 1/2), the centre cell and
+    the n full cells on each side hold du/s, and the two edge cells
+    (h - n - 1/2)/(2h) each; a box with h < 1/2 is a unit mass in the centre
+    cell.  Each spectrum is real, of modulus at most 1, and each factor's
+    mean exact; their product, shifted by F/2 cells, goes through one inverse
+    rFFT, so the mass is centred on cell F/2 at the mean sum_i w_i c_i, and
+    F >= npoints + k + 1 leaves its ends empty.  Zero-width factors act as
+    shifts.  A row whose lattice step underflows to 0 (zero total width) is a
+    unit mass at its mean, with du = 1/(npoints-1).
     """
     c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     d = np.atleast_2d(np.asarray(widths, dtype=np.float64))
@@ -250,35 +249,37 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     if np.any(d < 0):
         raise VolumeError("uniform widths must be nonnegative")
     v, k = c.shape
-    m = w * c  # scaled centers
     s = np.abs(w) * d  # scaled support widths
-    total = s.sum(axis=1)
-    mean = m.sum(axis=1)
-    du = total / (npoints - 1)
-    point = du == 0
-    origins = np.where(point, mean, mean - 0.5 * total)
-    du[point] = 1.0 / (npoints - 1)
-
+    du = s.sum(axis=1) / (npoints - 1)
+    du[du == 0] = 1.0 / (npoints - 1)
     f_len = uniform_lattice_len(npoints, k)
-    cells = np.clip(np.ceil(s / du[:, None] - 0.5), 0, f_len).astype(np.int64)  # (V, K)
-    # du/s <= 2 wherever cells > 0; ramp is 0 where cells is 0.
-    ratio = du[:, None] / np.where(cells > 0, s, 1.0)
-    # Spectra only for the distinct m in use: s_i <= total bounds m by npoints - 1,
-    # so there are at most min(V*K, npoints) rows.
-    rows, idx = np.unique(cells, return_inverse=True)
-    phase, ramp = _box_spectra(rows, f_len)
-    idx = idx.reshape(cells.shape)
-    spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
-    block = max(1, _SPECTRUM_CELLS // spec.shape[1])
-    for lo in range(0, v, block):
-        acc = spec[lo:lo + block]
+    origins = (w * c).sum(axis=1) - (f_len // 2) * du
+
+    # Half-widths in cells, at least 1/2: a narrower box is the centre cell's
+    # unit mass, which n = 0 with du/s = 1 and no edge gives exactly.
+    half = np.maximum(0.5 * (s / du[:, None]), 0.5)
+    n = np.floor(half - 0.5)
+    inner = 0.5 / half  # du/s
+    edge = (half - n - 0.5) / half
+    # Spectra only for the distinct n in use: h_i <= (npoints - 1)/2 bounds n
+    # (twice that where du is a subnormal of a few ulps), so there are at most
+    # min(V*K, npoints) rows.
+    n = n.astype(np.int64)
+    used = np.bincount(n.ravel()) > 0
+    dirichlet, cosine = _box_spectra(np.flatnonzero(used), f_len)
+    idx = (np.cumsum(used) - 1)[n]
+    mass = np.empty((v, f_len))
+    spec = np.empty((min(v, _SPECTRUM_ROWS), f_len // 2 + 1))
+    for lo in range(0, v, _SPECTRUM_ROWS):
+        hi = min(lo + _SPECTRUM_ROWS, v)
+        acc = spec[:hi - lo]
+        acc[:, 0::2], acc[:, 1::2] = 1.0, -1.0  # the shift by F/2 cells
         for i in range(k):
-            fac = ramp[idx[lo:lo + block, i]]
-            re_im = fac.view(np.float64)  # real and imaginary parts side by side
-            re_im *= ratio[lo:lo + block, i, None]
-            fac += phase[idx[lo:lo + block, i]]
+            fac = dirichlet.take(idx[lo:hi, i], axis=0)
+            fac *= inner[lo:hi, i, None]
+            fac += cosine.take(idx[lo:hi, i], axis=0) * edge[lo:hi, i, None]
             acc *= fac
-    mass = np.fft.irfft(spec, n=f_len, axis=1)
+        mass[lo:hi] = np.fft.irfft(acc, n=f_len, axis=1)
     np.clip(mass, 0.0, None, out=mass)
     return origins, mass, du
 
@@ -287,8 +288,8 @@ def interp_uniform(centers, widths, weights, npoints: int = 512) -> NumericDensi
     """Density of the trilinear combination of uniform corner models on npoints lattice points."""
     c, d, w = _vectors(centers, widths, weights)
     npoints = require_int(npoints, "npoints")
-    if not 64 <= npoints <= MAX_LATTICE:
-        raise VolumeError(f"npoints must lie in [64, {MAX_LATTICE}]")
+    if not 2 <= npoints <= MAX_LATTICE:
+        raise VolumeError(f"npoints must lie in [2, {MAX_LATTICE}]")
     origins, mass, du = uniform_sum_density_batch(c[None, :], d[None, :], w[None, :], npoints)
     x = origins[0] + np.arange(mass.shape[1]) * float(du[0])
     return NumericDensity(x, mass[0] / du[0])

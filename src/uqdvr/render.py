@@ -71,8 +71,9 @@ CHUNK_PIXELS = 4096
 MAX_RAY_SAMPLES = 1 << 16
 # A ray stops once its accumulated opacity reaches this.
 TERMINATION = 0.99
-# Lattice points of the `uniform` scheme's convolved density per corner.
-CONV_LATTICE = 64
+# Lattice points of the `uniform` scheme's convolved density per sample: the
+# most whose 8-factor lattice is 64 cells, since F >= npoints + 8 + 1.
+CONV_LATTICE = 55
 # Cap of the empty-space distance table in cells; a leap spans at most
 # cap - 1 cells.  On the spheres reference (`mean`, 128^3 at 256^2, 2-core
 # x86 box) caps 4/8/16/32 took 505k/386k/359k/358k ray steps, built the table

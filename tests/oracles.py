@@ -9,7 +9,9 @@ member-by-member float64 sums, and a traced memory peak.  Most
 use only the public API of uqdvr, so they check the package's kernels
 without sharing code with them.  kde_cdf exposes a private kernel: the KDE
 fit's lattice CDF and pdf, which the fit inverts without building its
-lattice; exact_kde_cdf and exact_kde_quantiles are the KDE without a lattice.
+lattice; exact_kde_cdf and exact_kde_quantiles are the KDE without a lattice,
+and exact_uniform_color the uniform scheme's expected color without one, in
+exact rationals.
 raycast_dense drives the renderer's own per-step classifier through the loop
 that takes every step of every ray, so a skip in raycast that changes a byte
 shows against it."""
@@ -17,7 +19,9 @@ shows against it."""
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -161,6 +165,45 @@ def exact_kde_quantiles(samples: np.ndarray, h: np.ndarray, masses: np.ndarray) 
         below = exact_kde_cdf(samples, h, mid) < masses
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def exact_uniform_color(centers, widths, weights, tf: TransferFunction1D) -> np.ndarray:
+    """E[TF(X)] (RGBA) of X = sum_i w_i U_i, with U_i uniform on
+    [c_i - d_i/2, c_i + d_i/2], in exact rationals, rounded once to float64.
+
+    The TF is v_0 + sum_j (slope_j - slope_(j-1)) (x - t_j)_+ with zero slope
+    outside its knots, so E[TF(X)] = v_0 + sum_j (slope_j - slope_(j-1)) G(t_j)
+    with the stop-loss G(t) = E[(X - t)_+].  For the k factors of width
+    s_i = |w_i| d_i > 0, X - lo is a box spline and
+    G(t) = (-1)^k sum_S (-1)^|S| (lo + s_S - t)_+^(k+1) / ((k+1)! prod s)
+    over the subsets S of them, with lo the lower end of the support and s_S
+    the sum over S.  Zero-width factors only shift lo.  Every float is a
+    dyadic rational, so the sums run in integers over a common power of two.
+    This box-spline form cancels badly in floats, which is why it is exact."""
+    c, d, w = (np.asarray(a, dtype=np.float64).ravel() for a in (centers, widths, weights))
+    s = [Fraction(abs(wi)) * Fraction(di) for wi, di in zip(w.tolist(), d.tolist())]
+    lo = sum(Fraction(wi) * Fraction(ci) - si / 2 for wi, ci, si in zip(w.tolist(), c.tolist(), s))
+    pos = [si for si in s if si > 0]
+    knots = [Fraction(t) for t in tf.points[:, 0].tolist()]
+    vals = [[Fraction(v) for v in row] for row in tf.points[:, 1:].tolist()]
+    slopes = [[0] * 4] + [[(b - a) / (t1 - t0) for a, b in zip(v0, v1)]
+                          for t0, t1, v0, v1 in zip(knots, knots[1:], vals, vals[1:])] + [[0] * 4]
+    k = len(pos)
+    sums = [(Fraction(0), 0)]  # (s_S, |S|) over every subset S
+    for si in pos:
+        sums += [(ss + si, size + 1) for ss, size in sums]
+    unit = max(x.denominator for x in [lo, *pos, *knots])  # a power of two
+    lo_n = int(lo * unit)
+    sums_n = [(int(ss * unit), -1 if size % 2 else 1) for ss, size in sums]
+    scale = Fraction((-1) ** k) / (unit ** (k + 1) * math.factorial(k + 1) * math.prod(pos))
+    color = list(vals[0])
+    for j, t in enumerate(knots):
+        t_n = int(t * unit)
+        g = scale * sum(sign * (lo_n + ss - t_n) ** (k + 1) for ss, sign in sums_n
+                        if lo_n + ss > t_n)
+        for ch in range(4):
+            color[ch] += (slopes[j + 1][ch] - slopes[j][ch]) * g
+    return np.array([float(x) for x in color])
 
 
 def make_bivariate(dims) -> tuple[ScalarGrid, ScalarGrid]:

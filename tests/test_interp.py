@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from uqdvr import presets, render
 from uqdvr.classify import TransferFunction1D, lattice_color_batch
-from uqdvr.density import GmmModel, KdeConfig, estimate_quantiles
+from uqdvr.density import GmmModel, KdeConfig, build_distribution_volume, estimate_quantiles
 from uqdvr.interp import (
     NumericDensity,
     TrilinearCoords,
@@ -11,6 +12,7 @@ from uqdvr.interp import (
     interp_gaussian,
     interp_gmm_ordered,
     interp_uniform,
+    locate,
     quantile_interp_1d,
     quantile_interp_3d,
     sample_gmm_mc,
@@ -18,10 +20,12 @@ from uqdvr.interp import (
     uniform_lattice_len,
     uniform_sum_density_batch,
 )
+from uqdvr.synth import NoiseSpec, make_ensemble, sample_field
 from uqdvr.volcore import QuantilePdf, VolumeError, gaussian_quantiles
 
-from oracles import (blend_gathered, gmm_sum_cdf, ks_distance, ks_two_sample,
-                     lattice_color_einsum, mc_oracle_interp, quantile_interp_3d_rational)
+from oracles import (blend_gathered, exact_uniform_color, gmm_sum_cdf, ks_distance,
+                     ks_two_sample, lattice_color_einsum, mc_oracle_interp,
+                     quantile_interp_3d_rational)
 
 
 def random_pdf(rng, q=4, min_width=1e-3, max_width=2.0):
@@ -272,30 +276,31 @@ class TestInterpUniform:
 
 
 def rasterized_uniform_sum_density(centers, widths, weights, npoints):
-    """Rasterize each factor's box onto the lattice cells as cell masses, then
-    multiply the factors' rFFTs: the reference for the analytic box spectra.
-    Overlaps are taken in cell units, so interior cells are exactly one cell
-    wide; in length units (lo + du) - lo rounds by about eps * m, which
-    reaches 1e-12 relative at the largest lattices."""
+    """Rasterize each factor's box [-s/2, s/2] about cell 0 as the masses of
+    its overlaps with the cells [j - 1/2, j + 1/2], j = -F/2 .. F/2 - 1 at
+    index j mod F, multiply the factors' rFFTs, invert and roll the mass by
+    F/2 cells: the reference for the analytic box spectra.  Overlaps are
+    taken in cell units, so interior cells are exactly one cell wide; in
+    length units (lo + du) - lo rounds by about eps * m, which reaches 1e-12
+    relative at the largest lattices."""
     c, d, w = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (centers, widths, weights))
     v, k = c.shape
     s = np.abs(w) * d
     total = s.sum(axis=1)
-    origins = (w * c).sum(axis=1) - 0.5 * total
-    f_len = 1 << int(np.ceil(np.log2(npoints + 2 * k + 4)))
+    f_len = 1 << int(np.ceil(np.log2(npoints + k + 1)))
     du = np.where(total > 0, total, 1.0) / (npoints - 1)
+    origins = (w * c).sum(axis=1) - (f_len // 2) * du
     spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
-    cell = np.arange(f_len)
+    cell = np.fft.fftfreq(f_len, 1.0 / f_len)  # 0, 1, ..., F/2 - 1, -F/2, ..., -1
     for i in range(k):
-        cells = (s[:, i] / du)[:, None]  # box width in cells
-        overlap = np.clip(np.minimum(cell + 0.5, cells) - np.maximum(cell - 0.5, 0.0), 0.0, None)
+        half = (0.5 * (s[:, i] / du))[:, None]  # box half-width in cells
+        overlap = np.clip(np.minimum(cell + 0.5, half) - np.maximum(cell - 0.5, -half), 0.0, None)
         point = s[:, i] <= 0
-        fac = overlap / np.where(point[:, None], 1.0, cells)
-        fac[point, 0] = 1.0
-        fac[point, 1:] = 0.0
+        fac = overlap / np.where(point[:, None], 1.0, 2.0 * half)
+        fac[point] = cell == 0
         spec *= np.fft.rfft(fac, axis=1)
-    mass = np.clip(np.fft.irfft(spec, n=f_len, axis=1), 0.0, None)
-    return origins, mass, du
+    mass = np.roll(np.fft.irfft(spec, n=f_len, axis=1), f_len // 2, axis=1)
+    return origins, np.clip(mass, 0.0, None), du
 
 
 class TestUniformSumSpectra:
@@ -308,9 +313,9 @@ class TestUniformSumSpectra:
         weights = rng.dirichlet(np.ones(8), v)
         weights[::6] *= rng.choice([-1.0, 1.0], (weights[::6].shape))
         widths[::3, 2] = 0.0  # point-mass factors
-        widths[1::5, :4] = 1e-9  # boxes narrower than half a cell: m = 0
+        widths[1::5, :4] = 1e-9  # boxes narrower than a cell: unit masses
         widths[2::11] = 0.0  # all-degenerate rows
-        widths[3::13, 0] = 50.0  # one factor spans the lattice: m near npoints
+        widths[3::13, 0] = 50.0  # one factor spans the lattice: n near npoints/2
         got = uniform_sum_density_batch(centers, widths, weights, npoints)
         want = rasterized_uniform_sum_density(centers, widths, weights, npoints)
         np.testing.assert_array_equal(got[0], want[0])
@@ -319,7 +324,8 @@ class TestUniformSumSpectra:
         assert np.max(np.abs(got[1] - want[1]) / scale) < 1e-12
 
     def test_cell_boundary_widths(self):
-        # Widths at exact half-cell multiples sit on the m = ceil(s/du - 1/2) edges.
+        # Widths at exact half-cell multiples: the odd ones sit on the
+        # n = floor(s/(2 du) - 1/2) edges, where the edge cells hold nothing.
         du = 0.1
         halves = np.arange(0, 12) * 0.5 * du
         for h in halves:
@@ -328,14 +334,38 @@ class TestUniformSumSpectra:
             want = rasterized_uniform_sum_density([[0.0, 0.0]], widths, [[1.0, 1.0]], 21)
             assert np.max(np.abs(got[1] - want[1])) / want[1].max() < 1e-12
 
+    @pytest.mark.parametrize("k, widths", [
+        (1, [61.0]), (2, [30.0, 30.0]),
+        (8, [5.25, 5.25, 5.25, 7.25, 7.25, 7.25, 7.25, 9.25])])
+    def test_a_full_lattice_leaves_its_end_cells_empty(self, k, widths):
+        # npoints = F - k - 1 is the most a 64-cell lattice takes.  With unit
+        # weights du = 1, so the widths are in cells: row 0 puts its edges
+        # where the mass reaches furthest, F/2 - 2 cells from the centre
+        # (half-cell edges for k = 2), row 1 has one factor spanning the
+        # lattice and rows 2.. are random.  Cells 0, 1 and F - 1 stay empty.
+        f_len = 64
+        npoints = f_len - k - 1
+        assert uniform_lattice_len(npoints, k) == f_len
+        assert uniform_lattice_len(npoints + 1, k) == 2 * f_len
+        rng = np.random.default_rng(k)
+        rows = np.vstack([widths, np.eye(1, k), rng.uniform(0.0, 1.0, (30, k))])
+        centers = rng.uniform(-1.0, 1.0, rows.shape)
+        origins, mass, du = uniform_sum_density_batch(centers, rows, np.ones(rows.shape), npoints)
+        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert du[0] == 1.0
+        assert np.max(mass[:, [0, 1, f_len - 1]]) < 1e-15
+        assert mass[0, 2] > 1e-15 and mass[0, f_len - 2] > 1e-15
+        want = rasterized_uniform_sum_density(centers, rows, np.ones(rows.shape), npoints)
+        assert np.max(np.abs(mass - want[1])) < 1e-12
+
     @pytest.mark.parametrize("lattice", [4096, 65536])
     def test_interp_uniform_large_lattice(self, lattice):
         # One row on a long lattice, up to MAX_LATTICE: the spectra are built
-        # for the row's own m values, so memory stays O(F).
+        # for the row's own n values, so memory stays O(F).
         rng = np.random.default_rng(lattice)
         centers = rng.uniform(0.0, 1.0, 8)
         widths = rng.uniform(0.0, 0.6, 8)
-        widths[[1, 5]] = [0.0, 1e-9]  # a point mass and an m = 0 box
+        widths[[1, 5]] = [0.0, 1e-9]  # a point mass and a box narrower than a cell
         w = corner_weights(0.3, 0.6, 0.2)
         dens = interp_uniform(centers, widths, w, npoints=lattice)
         origins, want, du = rasterized_uniform_sum_density(centers[None], widths[None],
@@ -603,7 +633,7 @@ class TestUniformSumNarrowRows:
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(origins, want[0])
         assert np.max(np.abs(mass - want[1])) < 1e-12
-        assert origins[0] == (weights[0] * centers[0]).sum() - 0.5 * widths[0, 0] / k
+        assert origins[0] == (weights[0] * centers[0]).sum() - (f_len // 2) * du[0]
 
     @pytest.mark.parametrize("step", [7.8e-7, 1e-20, 1e-300])
     def test_many_factor_rows_keep_their_shape(self, step):
@@ -627,7 +657,10 @@ class TestUniformSumNarrowRows:
     def test_colors_match_the_einsum_oracle(self):
         # Rows of every width, down to subnormal lattice steps, and rows far
         # above or below the knots: the segment-table expectation agrees with
-        # the TF read at every lattice point.
+        # the TF read at every lattice point.  The 1e30-wide rows keep their
+        # means 1e28 times away from the knots as well: cell F/2 sits at the
+        # mean, and a lattice point within rounding of a knot is read on
+        # either side of it by the two sums.
         rng = np.random.default_rng(9)
         v = 700
         centers = rng.uniform(-1.0, 1.0, (v, 8))
@@ -638,6 +671,7 @@ class TestUniformSumNarrowRows:
         widths[2::7] = 0.0
         centers[3::7] *= 1e30
         widths[4::7] *= 1e30
+        centers[4::7] *= 1e28
         centers[5::7] *= 3e38
         widths[5::7] *= 1e37
         tf = TransferFunction1D(np.array([[-0.5, 0, 0, 0, 0], [-0.1, 1, 0.2, 0, 0.5],
@@ -647,3 +681,52 @@ class TestUniformSumNarrowRows:
         xs = origins[:, None] + np.arange(mass.shape[1])[None, :] * du[:, None]
         np.testing.assert_allclose(lattice_color_batch(origins, mass, du, tf),
                                    lattice_color_einsum(xs, mass, tf), rtol=0, atol=1e-12)
+
+
+def tangle_uniform_rows(n=150):
+    """(centers, widths, w8) of n random positions in the uniform fit of the
+    tangle ensemble at 32^3, M = 50, as the renderer gathers them."""
+    gt = sample_field("tangle", (32, 32, 32))
+    ens = make_ensemble(gt, NoiseSpec(members=50, seed=7, **presets.TANGLE_NOISE))
+    vol = build_distribution_volume(ens, "uniform")
+    rng = np.random.default_rng(30)
+    pos = vol.world_min + rng.random((n, 3)) * (vol.world_max - vol.world_min)
+    cells = locate(vol.dims, vol.spacing, vol.origin, pos)
+    return (vol.model.center.take(cells.idx8).astype(np.float64),
+            vol.model.width.take(cells.idx8).astype(np.float64), cells.w8)
+
+
+def near_vertex_uniform_rows(n=150):
+    """(centers, widths, w8) of n rows whose corner fractions lie within 0.05
+    of a cell vertex, with widths from 1e-3 to 10^-0.3 and one zero-width
+    factor in every 5th row."""
+    rng = np.random.default_rng(31)
+    frac = rng.uniform(0.0, 0.05, (n, 3))
+    frac = np.where(rng.random((n, 3)) < 0.5, frac, 1.0 - frac)
+    w8 = np.array([corner_weights(*f) for f in frac])
+    centers = rng.uniform(0.0, 1.0, (n, 8))
+    widths = 10.0 ** rng.uniform(-3.0, -0.3, (n, 8))
+    widths[::5, 0] = 0.0
+    return centers, widths, w8
+
+
+class TestUniformErrorBudget:
+    """The renderer's uniform colors against the exact expectation, on the
+    tangle TF.  Each error (max, p99 and rms over every row and channel) is
+    at most half of what the lattice kernel that rasterized each box from its
+    lower end gave at 64 points on 128 cells, measured on these sets: that
+    kernel's mean was biased by up to a quarter cell per factor."""
+
+    BEFORE = {"tangle": (5.57e-3, 3.63e-3, 1.24e-3), "near-vertex": (6.94e-3, 2.97e-3, 7.07e-4)}
+    ROWS = {"tangle": tangle_uniform_rows, "near-vertex": near_vertex_uniform_rows}
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_errors_are_at_most_half_of_the_old_kernels(self, name):
+        tf = presets.tangle_tf()
+        centers, widths, w8 = self.ROWS[name]()
+        want = np.array([exact_uniform_color(*r, tf) for r in zip(centers, widths, w8)])
+        got = lattice_color_batch(*uniform_sum_density_batch(centers, widths, w8,
+                                                             render.CONV_LATTICE), tf)
+        err = np.abs(got - want)
+        errors = (err.max(), np.percentile(err, 99), np.sqrt(np.mean(err ** 2)))
+        assert all(e <= 0.5 * b for e, b in zip(errors, self.BEFORE[name])), errors

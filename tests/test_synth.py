@@ -252,6 +252,15 @@ class TestFileEnsemble:
         for path in (tmp_path / "a").iterdir():
             assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_a_full_walk_of_member_values_holds_one_member(self, tmp_path):
+        # Its finite check reads the min and max, with no grid-sized temporary.
+        gt = sample_field("tangle", (48, 48, 48))
+        save_ensemble(make_ensemble(gt, NoiseSpec("gaussian", members=4, seed=1)), tmp_path)
+        ens = load_ensemble(tmp_path)
+        _, peak = traced_peak(lambda: sum(1 for _ in ens.member_values(0, ens.voxel_count)))
+        grid = 4 * ens.voxel_count
+        assert peak <= 1.05 * grid, peak / grid  # 1.25 grids with an isfinite mask
+
     @pytest.mark.parametrize("kind,kw", [("mean", {}), ("uniform", {}), ("gaussian", {}),
                                          ("quantile", {"qval": 0.25}), ("gmm", {"k": 2}),
                                          ("samples", {})])
