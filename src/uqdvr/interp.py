@@ -45,11 +45,10 @@ class Cells(NamedTuple):
 
 
 _CORNER_BITS = np.array([(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)])
-# Rows of spectrum terms multiplied and inverted at once in
-# uniform_sum_density_batch, so a block's arrays stay in cache across its
-# factors.  On a 2-core x86 box 4,096 rows of 8 factors at 55 points took a
-# median 6.2 ms so, 6.1-6.9 ms in blocks of 128 or 512 rows and 11 ms
-# unblocked.
+# Rows multiplied and inverted at once in uniform_sum_density_batch, so a
+# block's arrays stay in cache across its factors.  On a 2-core x86 box 4,096
+# rows of 8 factors at 55 points took 6.2 ms so, 6.1-6.9 ms in blocks of 128
+# or 512 rows and 11 ms unblocked (medians).
 _SPECTRUM_ROWS = 256
 
 
@@ -230,18 +229,16 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
 
     centers/widths/weights are (V, K).  Returns (origins (V,), mass (V, F),
     du (V,)) where row v's masses sit at origins[v] + arange(F)*du[v] and add
-    up to 1 within rounding; npoints lattice points span the support, so
-    du = (sum_i |w_i| width_i) / (npoints - 1).  Each factor's box
-    [-s/2, s/2] is rasterized about cell 0 in per-cell mass units: with
-    half-width h = s/(2 du) cells and n = floor(h - 1/2), the centre cell and
-    the n full cells on each side hold du/s, and the two edge cells
-    (h - n - 1/2)/(2h) each; a box with h < 1/2 is a unit mass in the centre
-    cell.  Each spectrum is real, of modulus at most 1, and each factor's
-    mean exact; their product, shifted by F/2 cells, goes through one inverse
-    rFFT, so the mass is centred on cell F/2 at the mean sum_i w_i c_i, and
-    F >= npoints + k + 1 leaves its ends empty.  Zero-width factors act as
-    shifts.  A row whose lattice step underflows to 0 (zero total width) is a
-    unit mass at its mean, with du = 1/(npoints-1).
+    up to 1 within rounding; npoints lattice points span the support.  Each
+    factor's box [-s/2, s/2] is rasterized symmetrically about cell 0 in
+    per-cell mass units, so its spectrum is real, of modulus at most 1, and
+    its mean exact: with h = s/(2 du) cells and n = floor(h - 1/2), the
+    centre cell and n full cells on each side hold du/s and the two edge
+    cells (h - n - 1/2)/(2h) each.  The product of the spectra, shifted by
+    F/2 cells, goes through one inverse rFFT, so the mass centres on cell F/2
+    at the mean; F >= npoints + k + 1 keeps it from wrapping.  Zero-width
+    factors act as shifts.  A row whose lattice step underflows to 0 (zero
+    total width) is a unit mass at its mean, with du = 1/(npoints-1).
     """
     c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     d = np.atleast_2d(np.asarray(widths, dtype=np.float64))
@@ -261,19 +258,18 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
     n = np.floor(half - 0.5)
     inner = 0.5 / half  # du/s
     edge = (half - n - 0.5) / half
-    # Spectra only for the distinct n in use: h_i <= (npoints - 1)/2 bounds n
-    # (twice that where du is a subnormal of a few ulps), so there are at most
-    # min(V*K, npoints) rows.
+    # Spectra only for the distinct n in use, counted rather than sorted out:
+    # h_i <= (npoints - 1)/2 bounds n (twice that where du is a subnormal of a
+    # few ulps), so there are at most min(V*K, npoints) rows.
     n = n.astype(np.int64)
     used = np.bincount(n.ravel()) > 0
     dirichlet, cosine = _box_spectra(np.flatnonzero(used), f_len)
     idx = (np.cumsum(used) - 1)[n]
     mass = np.empty((v, f_len))
-    spec = np.empty((min(v, _SPECTRUM_ROWS), f_len // 2 + 1))
     for lo in range(0, v, _SPECTRUM_ROWS):
         hi = min(lo + _SPECTRUM_ROWS, v)
-        acc = spec[:hi - lo]
-        acc[:, 0::2], acc[:, 1::2] = 1.0, -1.0  # the shift by F/2 cells
+        acc = np.ones((hi - lo, f_len // 2 + 1))
+        acc[:, 1::2] = -1.0  # the shift by F/2 cells
         for i in range(k):
             fac = dirichlet.take(idx[lo:hi, i], axis=0)
             fac *= inner[lo:hi, i, None]

@@ -324,8 +324,9 @@ class TestUniformSumSpectra:
         assert np.max(np.abs(got[1] - want[1]) / scale) < 1e-12
 
     def test_cell_boundary_widths(self):
-        # Widths at exact half-cell multiples: the odd ones sit on the
-        # n = floor(s/(2 du) - 1/2) edges, where the edge cells hold nothing.
+        # Widths at exact half-cell multiples: those of an odd number of cells
+        # sit on the n = floor(s/(2 du) - 1/2) edges, where the edge cells
+        # hold nothing.
         du = 0.1
         halves = np.arange(0, 12) * 0.5 * du
         for h in halves:
