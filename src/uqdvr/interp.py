@@ -199,22 +199,20 @@ class NumericDensity:
         return c / c[-1] if c[-1] > 0 else c
 
 
-def _box_spectra(n: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real rFFT terms (len(n), f_len/2 + 1) of boxes rasterized about cell 0
-    with n full cells on each side: D[n] = sin((2n+1) pi k/F) / sin(pi k/F)
-    (2n + 1 at k = 0) is the spectrum of the centre cell and its 2n full
-    neighbours, E[n] = cos(2 pi (n+1) k/F) that of the two edge cells, each
-    half of it.  Both are gathered from one table of sin and cos at pi j/F,
-    j < 2F; D[0] is exactly 1."""
+def _box_spectra(a: np.ndarray, f_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real rFFT terms (len(a), f_len/2 + 1), about their centre, of a full
+    cells, D[a] = sin(a pi k/F) / sin(pi k/F) (a at k = 0), and of the two
+    edge cells beside them, E[a] = cos((a+1) pi k/F), each half of it; both
+    gathered from one table of sin and cos at pi j/F, j < 2F."""
     mask = 2 * f_len - 1  # index mod 2F (F is a power of two)
     theta = np.pi * np.arange(2 * f_len) / f_len
     sin, cos = np.sin(theta), np.cos(theta)
     k = np.arange(f_len // 2 + 1)
-    nk = n[:, None] * k[None, :]
-    d = np.empty(nk.shape)
-    d[:, 0] = 2 * n + 1
-    d[:, 1:] = sin[(2 * nk[:, 1:] + k[1:]) & mask] / sin[k[1:]]
-    return d, cos[(2 * nk + 2 * k) & mask]
+    ak = a[:, None] * k[None, :]
+    d = np.empty(ak.shape)
+    d[:, 0] = a
+    d[:, 1:] = sin[ak[:, 1:] & mask] / sin[k[1:]]
+    return d, cos[(ak + k) & mask]
 
 
 def uniform_lattice_len(npoints: int, k: int) -> int:
@@ -229,16 +227,15 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
 
     centers/widths/weights are (V, K).  Returns (origins (V,), mass (V, F),
     du (V,)) where row v's masses sit at origins[v] + arange(F)*du[v] and add
-    up to 1 within rounding; npoints lattice points span the support.  Each
-    factor's box [-s/2, s/2] is rasterized symmetrically about cell 0 in
-    per-cell mass units, so its spectrum is real, of modulus at most 1, and
-    its mean exact: with h = s/(2 du) cells and n = floor(h - 1/2), the
-    centre cell and n full cells on each side hold du/s and the two edge
-    cells (h - n - 1/2)/(2h) each.  The product of the spectra, shifted by
-    F/2 cells, goes through one inverse rFFT, so the mass centres on cell F/2
-    at the mean; F >= npoints + k + 1 keeps it from wrapping.  Zero-width
-    factors act as shifts.  A row whose lattice step underflows to 0 (zero
-    total width) is a unit mass at its mean, with du = 1/(npoints-1).
+    up to 1 within rounding; npoints points span the support.  Each box
+    [-s/2, s/2] is rasterized symmetrically in per-cell mass units (with
+    h = s/(2 du), a full cells hold du/s and two edge cells (2h - a)/(4h)
+    each), so its spectrum is real about its centre, of modulus at most 1,
+    and its mean exact.  The widest box centres on a cell boundary and the
+    others on cells, so one inverse rFFT of the shifted product puts the
+    mean between cells F/2 - 1 and F/2, not on a lattice point that rounding
+    could read on either side of a nearby knot; cells 0 and F - 1 stay
+    empty.  A row of zero total width is a unit mass at its mean in cell F/2.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     d = np.atleast_2d(np.asarray(widths, dtype=np.float64))
@@ -247,36 +244,40 @@ def uniform_sum_density_batch(centers: np.ndarray, widths: np.ndarray, weights: 
         raise VolumeError("uniform widths must be nonnegative")
     v, k = c.shape
     s = np.abs(w) * d  # scaled support widths
-    du = s.sum(axis=1) / (npoints - 1)
-    du[du == 0] = 1.0 / (npoints - 1)
+    total = s.sum(axis=1)
+    du = total / (npoints - 1)  # rounded up, for subnormal steps of a few ulps
+    du = np.where(du * (npoints - 1) < total, np.nextafter(du, np.inf), du)
+    point = du == 0
+    du[point] = 1.0 / (npoints - 1)
     f_len = uniform_lattice_len(npoints, k)
-    origins = (w * c).sum(axis=1) - (f_len // 2) * du
+    origins = (w * c).sum(axis=1) - np.where(point, f_len // 2, (f_len - 1) / 2) * du
 
-    # Half-widths in cells, at least 1/2: a narrower box is the centre cell's
-    # unit mass, which n = 0 with du/s = 1 and no edge gives exactly.
+    # Half-widths in cells, at least 1/2: a narrower box is a unit mass in the
+    # centre cell.  The widest box, at least (npoints - 1)/k cells, has a even.
     half = np.maximum(0.5 * (s / du[:, None]), 0.5)
-    n = np.floor(half - 0.5)
+    a = (2.0 * np.floor(half - 0.5) + 1.0).astype(np.int64)
+    wide = (np.arange(v), np.argmax(s, axis=1))
+    a[wide] = 2.0 * np.floor(half[wide])
     inner = 0.5 / half  # du/s
-    edge = (half - n - 0.5) / half
-    # Spectra only for the distinct n in use, counted rather than sorted out:
-    # h_i <= (npoints - 1)/2 bounds n (twice that where du is a subnormal of a
-    # few ulps), so there are at most min(V*K, npoints) rows.
-    n = n.astype(np.int64)
-    used = np.bincount(n.ravel()) > 0
+    edge = (half - 0.5 * a) / half
+    # Spectra only for the distinct a in use: a <= 2h <= npoints - 1.
+    used = np.bincount(a.ravel()) > 0
     dirichlet, cosine = _box_spectra(np.flatnonzero(used), f_len)
-    idx = (np.cumsum(used) - 1)[n]
+    idx = (np.cumsum(used) - 1)[a]
+    # From each box's centre, the widest box's a cell boundary, to F/2 - 1/2.
+    shift = np.exp(1j * np.pi * (f_len + 1) / f_len * np.arange(f_len // 2 + 1))
     mass = np.empty((v, f_len))
     for lo in range(0, v, _SPECTRUM_ROWS):
         hi = min(lo + _SPECTRUM_ROWS, v)
         acc = np.ones((hi - lo, f_len // 2 + 1))
-        acc[:, 1::2] = -1.0  # the shift by F/2 cells
         for i in range(k):
             fac = dirichlet.take(idx[lo:hi, i], axis=0)
             fac *= inner[lo:hi, i, None]
             fac += cosine.take(idx[lo:hi, i], axis=0) * edge[lo:hi, i, None]
             acc *= fac
-        mass[lo:hi] = np.fft.irfft(acc, n=f_len, axis=1)
+        mass[lo:hi] = np.fft.irfft(acc * shift, n=f_len, axis=1)
     np.clip(mass, 0.0, None, out=mass)
+    mass[point] = np.arange(f_len) == f_len // 2
     return origins, mass, du
 
 

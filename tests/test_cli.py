@@ -423,7 +423,7 @@ class TestExperimentModes:
              "camera": "preset:spheres", "size": [16, 16], "seed": 3, "kde_bandwidth": 0.02}
     ENSEMBLE_ROWS = [
         ("mean", "", 4, 0.03113473985474516),
-        ("uniform", "", 4, 0.026294179569615824),
+        ("uniform", "", 4, 0.026288844062448715),
         ("gaussian", "", 4, 0.030891432100808535),
         ("gmm-ordered", "", 4, 0.022070850602009473),
         ("quantile-mean", 2, 4, 0.03170683854668495),
@@ -431,7 +431,7 @@ class TestExperimentModes:
         ("quantile-mean", 4, 4, 0.028629512093567823),
         ("quantile-range", 4, 4, 0.034036721225459664),
         ("mean", "", 6, 0.03109476788467773),
-        ("uniform", "", 6, 0.02721701047333204),
+        ("uniform", "", 6, 0.027219647480798366),
         ("gaussian", "", 6, 0.03211896205328799),
         ("gmm-ordered", "", 6, 0.022325163164759614),
         ("quantile-mean", 2, 6, 0.032289261271251694),

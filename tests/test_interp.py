@@ -276,30 +276,36 @@ class TestInterpUniform:
 
 
 def rasterized_uniform_sum_density(centers, widths, weights, npoints):
-    """Rasterize each factor's box [-s/2, s/2] about cell 0 as the masses of
-    its overlaps with the cells [j - 1/2, j + 1/2], j = -F/2 .. F/2 - 1 at
-    index j mod F, multiply the factors' rFFTs, invert and roll the mass by
-    F/2 cells: the reference for the analytic box spectra.  Overlaps are
-    taken in cell units, so interior cells are exactly one cell wide; in
-    length units (lo + du) - lo rounds by about eps * m, which reaches 1e-12
-    relative at the largest lattices."""
+    """Rasterize each factor's box [-s/2, s/2] as the masses of its overlaps
+    with the cells [j - 1/2, j + 1/2], j = -F/2 .. F/2 - 1 at index j mod F,
+    the widest box about the cell boundary 1/2 and the others about cell 0,
+    multiply the factors' rFFTs, invert and roll the mass by F/2 - 1 cells:
+    the reference for the analytic box spectra.  Rows of zero width are a
+    unit mass in cell F/2.  Overlaps are taken in cell units, so interior
+    cells are exactly one cell wide; in length units (lo + du) - lo rounds by
+    about eps * m, which reaches 1e-12 relative at the largest lattices."""
     c, d, w = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (centers, widths, weights))
     v, k = c.shape
     s = np.abs(w) * d
     total = s.sum(axis=1)
     f_len = 1 << int(np.ceil(np.log2(npoints + k + 1)))
-    du = np.where(total > 0, total, 1.0) / (npoints - 1)
-    origins = (w * c).sum(axis=1) - (f_len // 2) * du
+    point = total == 0
+    du = np.where(point, 1.0, total) / (npoints - 1)
+    du[~point] = [np.nextafter(u, np.inf) if u * (npoints - 1) < t else u
+                  for u, t in zip(du[~point], total[~point])]
+    origins = (w * c).sum(axis=1) - np.where(point, f_len // 2, (f_len - 1) / 2) * du
     spec = np.ones((v, f_len // 2 + 1), dtype=np.complex128)
     cell = np.fft.fftfreq(f_len, 1.0 / f_len)  # 0, 1, ..., F/2 - 1, -F/2, ..., -1
+    wide = np.argmax(s, axis=1)
     for i in range(k):
         half = (0.5 * (s[:, i] / du))[:, None]  # box half-width in cells
-        overlap = np.clip(np.minimum(cell + 0.5, half) - np.maximum(cell - 0.5, -half), 0.0, None)
-        point = s[:, i] <= 0
-        fac = overlap / np.where(point[:, None], 1.0, 2.0 * half)
-        fac[point] = cell == 0
+        off = cell - 0.5 * (wide == i)[:, None]  # cell centres from the box's centre
+        overlap = np.clip(np.minimum(off + 0.5, half) - np.maximum(off - 0.5, -half), 0.0, None)
+        fac = overlap / np.where(half > 0, 2.0 * half, 1.0)
+        fac[s[:, i] <= 0] = cell == 0  # only rows of zero width have a zero-width widest box
         spec *= np.fft.rfft(fac, axis=1)
-    mass = np.roll(np.fft.irfft(spec, n=f_len, axis=1), f_len // 2, axis=1)
+    mass = np.roll(np.fft.irfft(spec, n=f_len, axis=1), f_len // 2 - 1, axis=1)
+    mass[point] = np.arange(f_len) == f_len // 2
     return origins, np.clip(mass, 0.0, None), du
 
 
@@ -336,26 +342,26 @@ class TestUniformSumSpectra:
             assert np.max(np.abs(got[1] - want[1])) / want[1].max() < 1e-12
 
     @pytest.mark.parametrize("k, widths", [
-        (1, [61.0]), (2, [30.0, 30.0]),
-        (8, [5.25, 5.25, 5.25, 7.25, 7.25, 7.25, 7.25, 9.25])])
+        (1, [61.0]), (2, [30.5, 29.5]), (8, [46.125] + [1.125] * 7)])
     def test_a_full_lattice_leaves_its_end_cells_empty(self, k, widths):
         # npoints = F - k - 1 is the most a 64-cell lattice takes.  With unit
         # weights du = 1, so the widths are in cells: row 0 puts its edges
-        # where the mass reaches furthest, F/2 - 2 cells from the centre
-        # (half-cell edges for k = 2), row 1 has one factor spanning the
-        # lattice and rows 2.. are random.  Cells 0, 1 and F - 1 stay empty.
+        # where the mass reaches furthest, F/2 - 3/2 cells from the centre,
+        # rows 1 and 2 have their first or last factor spanning the lattice
+        # and rows 3.. are random.  Cells 0 and F - 1 stay empty.
         f_len = 64
         npoints = f_len - k - 1
         assert uniform_lattice_len(npoints, k) == f_len
         assert uniform_lattice_len(npoints + 1, k) == 2 * f_len
         rng = np.random.default_rng(k)
-        rows = np.vstack([widths, np.eye(1, k), rng.uniform(0.0, 1.0, (30, k))])
+        rows = np.vstack([widths, np.eye(1, k), np.eye(1, k, k - 1),
+                          rng.uniform(0.0, 1.0, (30, k))])
         centers = rng.uniform(-1.0, 1.0, rows.shape)
         origins, mass, du = uniform_sum_density_batch(centers, rows, np.ones(rows.shape), npoints)
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert du[0] == 1.0
-        assert np.max(mass[:, [0, 1, f_len - 1]]) < 1e-15
-        assert mass[0, 2] > 1e-15 and mass[0, f_len - 2] > 1e-15
+        assert np.max(mass[:, [0, f_len - 1]]) < 1e-15
+        assert mass[0, 1] > 1e-15 and mass[0, f_len - 2] > 1e-15
         want = rasterized_uniform_sum_density(centers, rows, np.ones(rows.shape), npoints)
         assert np.max(np.abs(mass - want[1])) < 1e-12
 
@@ -615,6 +621,18 @@ class TestUniformSumNarrowRows:
                                                                widths[1:]), weights[1:], 64)
         np.testing.assert_allclose(mass[1:], want[1], rtol=0, atol=1e-12)
 
+    def test_subnormal_steps_round_up(self):
+        # Eight widths of 10 ulps at 55 points: du = 80/54 ulps would round to
+        # 1 ulp, and eight half-widths of 5 cells would wrap round the 64-cell
+        # lattice.  du rounds up to 2 ulps, and the mass keeps clear of the ends.
+        ulp = np.nextafter(0.0, 1.0)
+        args = np.zeros((1, 8)), np.full((1, 8), 10 * ulp), np.ones((1, 8)), 55
+        origins, mass, du = uniform_sum_density_batch(*args)
+        assert du[0] == 2 * ulp
+        assert np.max(mass[0, :8]) < 1e-15 and np.max(mass[0, -8:]) < 1e-15
+        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.max(np.abs(mass - rasterized_uniform_sum_density(*args)[1])) < 1e-12
+
     @pytest.mark.parametrize("k, npoints", [(2, 2), (2, 64), (3, 8), (8, 64), (8, 1024),
                                             (50, 64)])
     def test_threshold_rows(self, k, npoints):
@@ -634,7 +652,7 @@ class TestUniformSumNarrowRows:
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(origins, want[0])
         assert np.max(np.abs(mass - want[1])) < 1e-12
-        assert origins[0] == (weights[0] * centers[0]).sum() - (f_len // 2) * du[0]
+        assert origins[0] == (weights[0] * centers[0]).sum() - (f_len - 1) / 2 * du[0]
 
     @pytest.mark.parametrize("step", [7.8e-7, 1e-20, 1e-300])
     def test_many_factor_rows_keep_their_shape(self, step):
@@ -658,10 +676,7 @@ class TestUniformSumNarrowRows:
     def test_colors_match_the_einsum_oracle(self):
         # Rows of every width, down to subnormal lattice steps, and rows far
         # above or below the knots: the segment-table expectation agrees with
-        # the TF read at every lattice point.  The 1e30-wide rows keep their
-        # means 1e28 times away from the knots as well: cell F/2 sits at the
-        # mean, and a lattice point within rounding of a knot is read on
-        # either side of it by the two sums.
+        # the TF read at every lattice point.
         rng = np.random.default_rng(9)
         v = 700
         centers = rng.uniform(-1.0, 1.0, (v, 8))
@@ -672,7 +687,6 @@ class TestUniformSumNarrowRows:
         widths[2::7] = 0.0
         centers[3::7] *= 1e30
         widths[4::7] *= 1e30
-        centers[4::7] *= 1e28
         centers[5::7] *= 3e38
         widths[5::7] *= 1e37
         tf = TransferFunction1D(np.array([[-0.5, 0, 0, 0, 0], [-0.1, 1, 0.2, 0, 0.5],

@@ -598,7 +598,20 @@ class TestRenderMatchesScalarPipeline:
 
     @pytest.mark.parametrize("scheme", ["mean", "gaussian", "uniform", "quantile-range",
                                         "quantile-mean", "gmm-ordered", "tf2d"])
-    def test_rows_agree(self, scheme, monkeypatch, lattice=100):
+    def test_rows_agree(self, scheme, monkeypatch):
+        monkeypatch.setattr(render, "CONV_LATTICE", 100)  # a lattice other than the default
+        self.check_rows_agree(scheme)
+
+    def test_uniform_rows_agree_at_the_renderer_lattice(self):
+        self.check_rows_agree("uniform")
+
+    def test_the_renderer_lattice_is_the_most_points_its_cells_take(self):
+        # Eight factors need F >= npoints + 9 cells: one more point doubles F.
+        cells = interp.uniform_lattice_len(render.CONV_LATTICE, 8)
+        assert interp.uniform_lattice_len(render.CONV_LATTICE + 1, 8) == 2 * cells
+
+    @staticmethod
+    def check_rows_agree(scheme):
         from uqdvr.classify import (expected_color_2d, expected_color_parametric,
                                     expected_color_quantile_mean,
                                     expected_color_quantile_range)
@@ -607,7 +620,6 @@ class TestRenderMatchesScalarPipeline:
                                   trilinear_coords)
         from uqdvr.volcore import GmmModel, QuantilePdf
 
-        monkeypatch.setattr(render, "CONV_LATTICE", lattice)  # by default not the renderer's
         job = small_job(scheme)
         vol, m, tf = job.volume, job.volume.model, job.tf
         rng = np.random.default_rng(len(scheme))
@@ -645,14 +657,6 @@ class TestRenderMatchesScalarPipeline:
                 models = list(zip(m.center[st.indices], m.width[st.indices]))
                 want = expected_color_2d(models, st, job.tf2, n=job.tf2d_samples, seed=job.seed)
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
-
-    def test_uniform_rows_agree_at_the_renderer_lattice(self, monkeypatch):
-        self.test_rows_agree("uniform", monkeypatch, render.CONV_LATTICE)
-
-    def test_the_renderer_lattice_is_the_most_points_its_cells_take(self):
-        # Eight factors need F >= npoints + 9 cells: one more point doubles F.
-        cells = interp.uniform_lattice_len(render.CONV_LATTICE, 8)
-        assert interp.uniform_lattice_len(render.CONV_LATTICE + 1, 8) == 2 * cells
 
 
 def render_jobs():
