@@ -347,19 +347,23 @@ class TestUniformSumSpectra:
         # npoints = F - k - 1 is the most a 64-cell lattice takes.  With unit
         # weights du = 1, so the widths are in cells: row 0 puts its edges
         # where the mass reaches furthest, F/2 - 3/2 cells from the centre,
-        # rows 1 and 2 have their first or last factor spanning the lattice
-        # and rows 3.. are random.  Cells 0 and F - 1 stay empty.
+        # rows 1 and 2 have their first or last factor spanning the lattice,
+        # row 3 has subnormal widths of 10 ulps, whose du must round up (at
+        # k = 8, 80/54 ulps rounded to 1 ulp would put 40 cells of
+        # half-widths on either side and wrap), and rows 4.. are random.
+        # Cells 0 and F - 1 stay empty.
         f_len = 64
         npoints = f_len - k - 1
         assert uniform_lattice_len(npoints, k) == f_len
         assert uniform_lattice_len(npoints + 1, k) == 2 * f_len
         rng = np.random.default_rng(k)
-        rows = np.vstack([widths, np.eye(1, k), np.eye(1, k, k - 1),
+        ulp = np.nextafter(0.0, 1.0)
+        rows = np.vstack([widths, np.eye(1, k), np.eye(1, k, k - 1), np.full((1, k), 10 * ulp),
                           rng.uniform(0.0, 1.0, (30, k))])
         centers = rng.uniform(-1.0, 1.0, rows.shape)
         origins, mass, du = uniform_sum_density_batch(centers, rows, np.ones(rows.shape), npoints)
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert du[0] == 1.0
+        assert du[0] == 1.0 and du[3] * (npoints - 1) >= 10 * k * ulp
         assert np.max(mass[:, [0, f_len - 1]]) < 1e-15
         assert mass[0, 1] > 1e-15 and mass[0, f_len - 2] > 1e-15
         want = rasterized_uniform_sum_density(centers, rows, np.ones(rows.shape), npoints)
@@ -620,18 +624,6 @@ class TestUniformSumNarrowRows:
         want = uniform_sum_density_batch(centers[1:], np.where(widths[1:] == tiny, 0.0,
                                                                widths[1:]), weights[1:], 64)
         np.testing.assert_allclose(mass[1:], want[1], rtol=0, atol=1e-12)
-
-    def test_subnormal_steps_round_up(self):
-        # Eight widths of 10 ulps at 55 points: du = 80/54 ulps would round to
-        # 1 ulp, and eight half-widths of 5 cells would wrap round the 64-cell
-        # lattice.  du rounds up to 2 ulps, and the mass keeps clear of the ends.
-        ulp = np.nextafter(0.0, 1.0)
-        args = np.zeros((1, 8)), np.full((1, 8), 10 * ulp), np.ones((1, 8)), 55
-        origins, mass, du = uniform_sum_density_batch(*args)
-        assert du[0] == 2 * ulp
-        assert np.max(mass[0, :8]) < 1e-15 and np.max(mass[0, -8:]) < 1e-15
-        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.max(np.abs(mass - rasterized_uniform_sum_density(*args)[1])) < 1e-12
 
     @pytest.mark.parametrize("k, npoints", [(2, 2), (2, 64), (3, 8), (8, 64), (8, 1024),
                                             (50, 64)])
